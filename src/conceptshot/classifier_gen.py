@@ -140,9 +140,15 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation, z0: Tensor,
                   class_ids, rng: Rng, training: bool,
-                  placement: str = "write_back") -> TaskClassifier:
-    """Full pipeline: embed all nodes, refine the task's rows, emit the head."""
-    z = graph_embed(params, cfg, prop, z0, rng, training)
+                  placement: str = "write_back", embedding: Tensor | None = None
+                  ) -> TaskClassifier:
+    """Full pipeline: embed all nodes, refine the task's rows, emit the head.
+
+    ``embedding``, when given, is a ``graph_embed`` output to use instead of
+    embedding the nodes again; out of training it is the same for every task.
+    """
+    z = (graph_embed(params, cfg, prop, z0, rng, training) if embedding is None
+         else embedding)
     z_task = select_task_rows(z, class_ids)      # validates ids
     refined = refine_relations(params, cfg, z_task, rng, training)
     return emit_classifier(prop, z, refined, class_ids,

@@ -9,30 +9,52 @@ score the query set.  The outer loop minimizes a weighted sum of the query
 losses of one entity episode and one concept episode per abstract level, which
 pushes gradient into all three groups at once.
 
-Inner-loop gradients are detached constants (first-order): the adapted
-parameters keep an additive dependence on their initialization, so the outer
-gradient still reaches the generator through the emitted classifier, but no
-second-derivative terms are formed.
+Inner-loop gradients are detached constants (first-order), so the inner loop
+runs in plain numpy, off the tape, repeating the tape ops' arithmetic so its
+results are bit-identical to a taped loop.  Each adapted array re-enters the
+tape through one ``carry`` node whose gradient is the identity back to its
+initialization: the outer gradient still reaches the generator through the
+emitted classifier, and no second-derivative terms are formed.  Evaluation
+never backpropagates; it runs on detached parameters, which record no tape,
+and embeds the graph once per call instead of once per episode.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .classifier_gen import GeneratorConfig, TaskClassifier, emit_for_task
+from . import classifier_gen
+from .classifier_gen import (GeneratorConfig, TaskClassifier, emit_for_task,
+                             init_generator)
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
 from .encoder import (EncoderConfig, apply_layers, embed_low, high_pairs,
-                      init_encoder)
-from .classifier_gen import init_generator
-from .errors import ConfigError, DataError
+                      init_encoder, layer_pairs)
+from .errors import ConfigError, DataError, NumericalError
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, Tensor, add, affine, backward,
-                     cross_entropy, grad, scale, softmax_rows, transpose)
+from .tensor import (Rng, SgdOptimizer, Tensor, add, affine, backward, carry,
+                     class_labels, cross_entropy, scale, softmax_rows,
+                     stable_exp_parts, transpose)
+
+
+def _require_finite(cfg, **extra):
+    """Every float field of ``cfg``, and each value listed in ``extra``, must
+    be a finite number; a NaN would slip past checks such as ``x < 0``."""
+    named = [(f.name, [getattr(cfg, f.name)]) for f in fields(cfg) if f.type == "float"]
+    for name, values in named + list(extra.items()):
+        for v in values:
+            try:
+                finite = math.isfinite(v)
+            except TypeError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{name} must be a finite number, got {v!r}")
 
 
 @dataclass
@@ -55,6 +77,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self, level_weights=list(self.level_weights.values()))
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("outer_lr", "inner_lr", "weight_decay",
@@ -95,6 +118,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if min(self.n_way, self.k_shot, self.n_query) < 1:
@@ -134,10 +158,23 @@ class Model:
         self.params.update(init_generator(gen_cfg, sem.shape[1], enc_cfg.feature_dim,
                                           rng.child("generator")))
 
-    def emit(self, class_ids, rng: Rng, training: bool) -> TaskClassifier:
+    def emit(self, class_ids, rng: Rng, training: bool,
+             embedding: Tensor | None = None) -> TaskClassifier:
         return emit_for_task(self.params, self.gen_cfg, self.prop,
                              self.semantic_input, class_ids, rng, training,
-                             self.refine_placement)
+                             self.refine_placement, embedding)
+
+    def embed(self, rng: Rng, training: bool) -> Tensor:
+        """The generator's node embedding of the whole graph."""
+        return classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
+                                          self.semantic_input, rng, training)
+
+    def detached(self) -> "Model":
+        """This model over detached parameters (the same arrays): nothing
+        computed from it records a tape."""
+        out = copy.copy(self)
+        out.params = {name: Tensor(p.data) for name, p in self.params.items()}
+        return out
 
 
 @dataclass
@@ -151,27 +188,70 @@ def _head_logits(clf: TaskClassifier, feats: Tensor) -> Tensor:
     return affine(feats, transpose(clf.weights), clf.bias)
 
 
+def _checked(a, op: str):
+    if not np.all(np.isfinite(a)):
+        raise NumericalError(f"non-finite values produced by '{op}' in the inner loop")
+    return a
+
+
+def _layers_forward(pairs, x, slope: float):
+    """``apply_layers`` on plain arrays: the output, and each layer's input
+    and leaky-ReLU mask for the backward pass."""
+    saved = []
+    for w, b in pairs:
+        a = _checked(x @ w + b, "affine")
+        mask = np.where(a >= 0, 1.0, float(slope))
+        saved.append((x, mask))
+        x = _checked(a * mask, "leaky_relu")
+    return x, saved
+
+
 def inner_adapt(model: Model, clf: TaskClassifier, support_x, support_y,
                 steps: int, lr: float) -> AdaptedState:
     """Fit {high encoder, classifier} to the support set with ``steps`` plain
     gradient-descent steps.  ``steps=0`` or ``lr=0`` returns the initialization
-    unchanged.  Per-step gradients enter as constants, keeping the update
-    graph first-order while preserving the path back to the generator."""
-    high = list(high_pairs(model.params, model.enc_cfg))
-    w, b = clf.weights, clf.bias
-    if steps and lr:
-        low = embed_low(model.params, model.enc_cfg, Tensor(support_x))
-        for _ in range(steps):
-            feats = apply_layers(high, low, model.enc_cfg.slope)
-            loss = cross_entropy(_head_logits(TaskClassifier(w, b, clf.class_ids),
-                                              feats), support_y)
-            leaves = [t for pair in high for t in pair] + [w, b]
-            stepped = [add(t, Tensor(-lr * g))
-                       for t, g in zip(leaves, grad(loss, leaves))]
-            high = [tuple(stepped[2 * i:2 * i + 2]) for i in range(len(high))]
-            w, b = stepped[-2], stepped[-1]
-    return AdaptedState(high=high,
-                        classifier=TaskClassifier(w, b, clf.class_ids))
+    unchanged.
+
+    The steps are first-order, so they run on detached float64 arrays, off
+    the tape.  The forward and backward passes repeat the tape ops' own
+    expressions in the same order (affine, leaky ReLU, the sorted-denominator
+    cross-entropy, then ``t + (-lr * g)``), so the adapted values are the ones
+    a taped loop would give, bit for bit, and every intermediate is checked
+    for non-finite values as the tape checks it.  Each adapted array is
+    attached by one ``carry`` node whose gradient is the identity back to its
+    initialization, so the outer gradient still reaches the generator through
+    the emitted classifier."""
+    high = high_pairs(model.params, model.enc_cfg)
+    if not (steps and lr):
+        return AdaptedState(high=high, classifier=clf)
+    slope = model.enc_cfg.slope
+    low = layer_pairs(model.params, model.enc_cfg)[:model.enc_cfg.low_layers]
+    x, _ = _layers_forward([(w.data, b.data) for w, b in low],
+                           np.asarray(support_x, dtype=np.float64), slope)
+    init = [t for pair in high for t in pair] + [clf.weights, clf.bias]
+    vals = [t.data for t in init]
+    y = class_labels(support_y, x.shape[0], clf.weights.data.shape[0])
+    rows = np.arange(y.size)
+    for _ in range(steps):
+        feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, slope)
+        w, b = vals[-2:]
+        z, e, s = stable_exp_parts(_checked(feats @ w.T + b, "affine"))
+        _checked((np.log(s[:, 0]) - z[rows, y]).mean(), "cross_entropy")
+        g = e / s
+        g[rows, y] -= 1.0
+        g = g * (1.0 / y.size)
+        grads = [(feats.T @ g).T, g.sum(axis=0)]
+        g_out = g @ w
+        for i in reversed(range(len(saved))):
+            x_in, mask = saved[i]
+            g = g_out * mask
+            grads[:0] = [x_in.T @ g, g.sum(axis=0)]
+            if i:
+                g_out = g @ vals[2 * i].T
+        vals = [_checked(v + (-lr * d), "add") for v, d in zip(vals, grads)]
+    out = [carry(v, t) for v, t in zip(vals, init)]
+    return AdaptedState(high=[tuple(out[i:i + 2]) for i in range(0, len(out) - 2, 2)],
+                        classifier=TaskClassifier(out[-2], out[-1], clf.class_ids))
 
 
 def task_features(model: Model, adapted: AdaptedState, x: Tensor) -> Tensor:
@@ -186,9 +266,12 @@ def predict(model: Model, adapted: AdaptedState, x) -> Tensor:
 
 
 def episode_loss(model: Model, ep: Episode, *, adapt_steps: int, inner_lr: float,
-                 rng: Rng, training: bool):
-    """Emit -> adapt -> query loss.  Returns (loss Tensor, query accuracy)."""
-    clf = model.emit(ep.class_ids, rng, training)
+                 rng: Rng, training: bool, embedding: Tensor | None = None):
+    """Emit -> adapt -> query loss.  Returns (loss Tensor, query accuracy).
+
+    ``embedding`` is an optional ``model.embed`` output to emit from.
+    """
+    clf = model.emit(ep.class_ids, rng, training, embedding)
     adapted = inner_adapt(model, clf, ep.support_x, ep.support_y,
                           adapt_steps, inner_lr)
     logits = _head_logits(adapted.classifier,
@@ -347,10 +430,15 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
 
     Dropout is disabled and model parameters are never written; each episode
     draws its own random streams from (cfg.seed, episode index), so the
-    per-episode accuracy vector is independent of execution order.
+    per-episode accuracy vector is independent of execution order.  Nothing
+    is backpropagated, so the episodes run on detached parameters, which
+    record no tape, and share one node embedding, which is deterministic out
+    of training.
     """
     g = model.graph
     rng = Rng(cfg.seed).child("eval")
+    model = model.detached()
+    embedding = model.embed(rng.child("embed"), training=False)
     accs = np.empty(cfg.n_episodes)
     for i in range(cfg.n_episodes):
         ep_rng = rng.child(i)
@@ -361,8 +449,8 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
             ep = sample_concept_episode(ds, g, level, cfg.n_way, cfg.k_shot,
                                         cfg.n_query, ep_rng.child("sample"))
         _, accs[i] = episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
-                                  inner_lr=cfg.inner_lr,
-                                  rng=ep_rng.child("drop"), training=False)
+                                  inner_lr=cfg.inner_lr, rng=ep_rng.child("drop"),
+                                  training=False, embedding=embedding)
     mean, half = confidence_interval(accs)
     return EvalResult(mean=mean, half_width=half, accuracies=accs)
 
@@ -401,37 +489,49 @@ def load_checkpoint(path, model: Model, opt: SgdOptimizer | None = None,
                     expected_hash: str | None = None) -> dict:
     """Restore parameters (and velocities, if ``opt`` given) in place."""
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except FileNotFoundError:
         raise DataError(f"checkpoint file not found: {path}")
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}")
     if raw[:4] != _CKPT_MAGIC:
         raise DataError(f"{path} is not a checkpoint file")
-    (hlen,) = struct.unpack_from("<I", raw, 4)
-    header = json.loads(raw[8:8 + hlen].decode())
-    if header.get("version") != 1:
-        raise DataError(f"unsupported checkpoint version {header.get('version')}")
-    if expected_hash is not None and header["config_hash"] != expected_hash:
+    try:
+        (hlen,) = struct.unpack_from("<I", raw, 4)
+        if len(raw) < 8 + hlen:
+            raise ValueError("the header is truncated")
+        header = json.loads(raw[8:8 + hlen].decode())
+        version = header.get("version")
+        entries = [(n, tuple(int(d) for d in s)) for n, s in header["params"]]
+        config_hash = header["config_hash"]
+    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path} has a malformed checkpoint header: {exc}")
+    if version != 1:
+        raise DataError(f"unsupported checkpoint version {version}")
+    if expected_hash is not None and config_hash != expected_hash:
         raise DataError("checkpoint was produced under a different configuration "
-                        f"(hash {header['config_hash']!r} != {expected_hash!r})")
-    entries = [(n, tuple(s)) for n, s in header["params"]]
+                        f"(hash {config_hash!r} != {expected_hash!r})")
     if [n for n, _ in entries] != sorted(model.params):
         raise DataError("checkpoint parameter names do not match the model")
+    for n, shape in entries:
+        if model.params[n].data.shape != shape:
+            raise DataError(f"checkpoint parameter '{n}' has shape {shape}, "
+                            f"model expects {model.params[n].data.shape}")
     off = 8 + hlen
+    size = off + 2 * 8 * sum(model.params[n].data.size for n, _ in entries)
+    if len(raw) != size:  # every parameter, then every velocity
+        raise DataError(f"checkpoint file is {len(raw)} bytes, expected {size}: "
+                        + ("truncated" if len(raw) < size else "trailing bytes"))
 
     def take(shape):
         nonlocal off
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = off + 8 * count
-        if end > len(raw):
-            raise DataError("checkpoint file is truncated")
+        end = off + 8 * int(np.prod(shape, dtype=np.int64))
         out = np.frombuffer(raw[off:end], dtype="<f8").reshape(shape)
         off = end
         return out.astype(np.float64)
 
     for n, shape in entries:
-        if model.params[n].data.shape != shape:
-            raise DataError(f"checkpoint parameter '{n}' has shape {shape}, "
-                            f"model expects {model.params[n].data.shape}")
         model.params[n].data = take(shape)
         model.params[n].grad = None
     if opt is not None:

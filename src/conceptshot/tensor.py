@@ -12,8 +12,10 @@ training) is built from the ops in this module.  Design points:
   contributions by value before summing, which makes those ops bitwise
   insensitive to input ordering -- required for the exact permutation
   equivariance contracts,
-* gradients are plain ndarrays; meta-gradients are first-order (inner-loop
-  updates subtract detached gradients), so no grad-of-grad support.
+* gradients are plain ndarrays and there is no grad-of-grad support:
+  meta-gradients are first-order.  The inner loop in ``meta`` steps plain
+  arrays off the tape and hands each adapted array back through ``carry``,
+  whose vjp is the identity to the array it started from.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ __all__ = [
     "relu", "leaky_relu", "dropout", "softmax_rows", "cross_entropy",
     "l2_normalize_rows", "gather_rows", "write_rows", "sym_neighbor_mean",
     "concat_rows", "concat_cols", "slice_cols", "reshape", "stack_rows", "mean_rows",
-    "grouped_mean", "sum_all", "mean_all", "stop_gradient",
-    "glorot_uniform", "SgdOptimizer",
+    "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry",
+    "class_labels", "stable_exp_parts", "glorot_uniform", "SgdOptimizer",
 ]
 
 
@@ -358,6 +360,19 @@ def stop_gradient(x: Tensor) -> Tensor:
     return Tensor(x.data, requires_grad=False)
 
 
+def carry(value, init: Tensor) -> Tensor:
+    """``value`` as a node whose vjp is the identity back to ``init``.
+
+    A first-order update chain init + c1 + ... + ck with constant steps ci
+    has exactly this gradient, so the steps can be taken on plain arrays and
+    attached once at the end.
+    """
+    value = _as_f64(value)
+    if value.shape != init.data.shape:
+        raise ValueError(f"carry shape {value.shape} != {init.data.shape}")
+    return _node(value, (init,), lambda g: (g,), "carry")
+
+
 # ---------------------------------------------------------------------------
 # normalization / losses
 
@@ -376,7 +391,8 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return _node(out, (x,), vjp, "l2_normalize_rows")
 
 
-def _stable_exp_parts(logits):
+def stable_exp_parts(logits):
+    """(logits - row max, its exp, the row sums of the exp sorted first)."""
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     # sort before summing: denominator is invariant to class column order
@@ -385,7 +401,7 @@ def _stable_exp_parts(logits):
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    _, e, s = _stable_exp_parts(x.data)
+    _, e, s = stable_exp_parts(x.data)
     p = e / s
 
     def vjp(g):
@@ -395,15 +411,21 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _node(p, (x,), vjp, "softmax_rows")
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy; numerically stabilized by row-max subtraction."""
+def class_labels(labels, n: int, c: int) -> np.ndarray:
+    """``labels`` as an index vector, checked against n logit rows of c classes."""
     y = np.asarray(labels, dtype=np.intp)
-    n, c = logits.data.shape
     if y.shape != (n,):
         raise ValueError(f"labels shape {y.shape} does not match {n} logit rows")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise IndexError(f"label out of range for {c} classes")
-    z, e, s = _stable_exp_parts(logits.data)
+    return y
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean softmax cross-entropy; numerically stabilized by row-max subtraction."""
+    n, c = logits.data.shape
+    y = class_labels(labels, n, c)
+    z, e, s = stable_exp_parts(logits.data)
     lse = np.log(s[:, 0])
     out = (lse - z[np.arange(n), y]).mean()
 

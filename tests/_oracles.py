@@ -1,4 +1,5 @@
-"""Shared test oracles: central finite differences, error metrics, graph relabeling."""
+"""Shared test oracles: central finite differences, error metrics, graph
+relabeling, and the taped inner loop that ``meta.inner_adapt`` replaces."""
 
 import numpy as np
 
@@ -36,3 +37,27 @@ def permute_graph(g, perm):
     sem = np.empty_like(g.semantics)
     sem[perm] = g.semantics
     return ConceptGraph(nodes, edges, sem, g.num_levels)
+
+
+def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
+    """The inner loop built on the tape: each step differentiates the support
+    loss with ``grad`` and adds the detached step ``-lr * g`` as a constant,
+    so every adapted tensor is a chain of ``add`` nodes over its start."""
+    from conceptshot.classifier_gen import TaskClassifier
+    from conceptshot.encoder import apply_layers, embed_low, high_pairs
+    from conceptshot.meta import AdaptedState
+    from conceptshot.tensor import Tensor, add, affine, cross_entropy, grad, transpose
+
+    high = list(high_pairs(model.params, model.enc_cfg))
+    w, b = clf.weights, clf.bias
+    if steps and lr:
+        low = embed_low(model.params, model.enc_cfg, Tensor(support_x))
+        for _ in range(steps):
+            feats = apply_layers(high, low, model.enc_cfg.slope)
+            loss = cross_entropy(affine(feats, transpose(w), b), support_y)
+            leaves = [t for pair in high for t in pair] + [w, b]
+            stepped = [add(t, Tensor(-lr * g))
+                       for t, g in zip(leaves, grad(loss, leaves))]
+            high = [tuple(stepped[2 * i:2 * i + 2]) for i in range(len(high))]
+            w, b = stepped[-2], stepped[-1]
+    return AdaptedState(high=high, classifier=TaskClassifier(w, b, clf.class_ids))

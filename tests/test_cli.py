@@ -114,6 +114,8 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["train", "-c", str(cfgp), "--set", "train.bogus=1"]) == 2
     assert main(["train", "-c", str(tmp_path / "missing.json")]) == 2
     assert main(["gen-data", "-c", str(cfgp), "--set", "data.branching=0"]) == 2
+    assert main(["eval", "-c", str(cfgp), "--set", "eval.inner_lr=NaN"]) == 2
+    assert main(["train", "-c", str(cfgp), "--set", "train.inner_lr=Infinity"]) == 2
     # data errors: artifacts missing
     assert main(["train", "-c", str(cfgp)]) == 3
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3

@@ -6,19 +6,21 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from conceptshot import classifier_gen, meta
 from conceptshot.classifier_gen import GeneratorConfig, TaskClassifier
 from conceptshot.data import (SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
 from conceptshot.encoder import EncoderConfig, high_pairs
-from conceptshot.errors import ConfigError, DataError
+from conceptshot.errors import ConfigError, DataError, NumericalError
 from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interval,
                               eligible_concept_levels, episode_loss, evaluate,
                               inner_adapt, load_checkpoint, metrics_columns,
-                              predict, save_checkpoint, train, train_step,
-                              write_metrics)
-from conceptshot.tensor import Rng, SgdOptimizer, Tensor
+                              predict, save_checkpoint, task_features, train,
+                              train_step, write_metrics)
+from conceptshot.tensor import (Rng, SgdOptimizer, Tensor, affine, backward,
+                                cross_entropy, transpose)
 
-from _oracles import numerical_grad, rel_err
+from _oracles import numerical_grad, rel_err, tape_inner_adapt
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +130,61 @@ def test_adaptation_never_touches_model_params(world):
     inner_adapt(m, clf, ep.support_x, ep.support_y, 4, 0.05)
     for k, p in m.params.items():
         npt.assert_array_equal(p.data, snap[k])
+
+
+# (widths, low_layers): the benchmark's encoder, no frozen layer, two adapted
+# layers, and the emitted head alone
+PARITY_ENCODERS = [([64, 64], 1), ([64, 64], 0), ([16, 16, 16], 1), ([], 0)]
+
+
+def _adapt_and_backprop(adapt, world, widths, low_layers, k_shot, steps,
+                        placement, lr=0.05):
+    """Adapt with ``adapt``, backpropagate the query loss; return the adapted
+    arrays, the loss and every parameter's gradient."""
+    g, ds = world
+    enc = EncoderConfig(input_dim=8, widths=widths, low_layers=low_layers)
+    gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8])
+    m = Model(g, enc, gen, seed=3, refine_placement=placement)
+    ep = sample_entity_episode(ds, g, "meta-train", 3, k_shot, 5, Rng(4))
+    clf = m.emit(ep.class_ids, Rng(5), training=True)
+    adapted = adapt(m, clf, ep.support_x, ep.support_y, steps, lr)
+    feats = task_features(m, adapted, Tensor(ep.query_x))
+    loss = cross_entropy(affine(feats, transpose(adapted.classifier.weights),
+                                adapted.classifier.bias), ep.query_y)
+    backward(loss)
+    arrays = [t.data for pair in adapted.high for t in pair]
+    arrays += [adapted.classifier.weights.data, adapted.classifier.bias.data]
+    return arrays, loss.data, {n: p.grad for n, p in m.params.items()}
+
+
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+@pytest.mark.parametrize("steps", [1, 5])
+@pytest.mark.parametrize("k_shot", [1, 3])
+@pytest.mark.parametrize("widths,low_layers", PARITY_ENCODERS)
+def test_inner_adapt_matches_tape_bitwise(world, widths, low_layers, k_shot, steps,
+                                          placement):
+    args = (world, widths, low_layers, k_shot, steps, placement)
+    want_arrays, want_loss, want_grads = _adapt_and_backprop(tape_inner_adapt, *args)
+    arrays, loss, grads = _adapt_and_backprop(inner_adapt, *args)
+    assert len(arrays) == len(want_arrays) == 2 * (len(widths) - low_layers) + 2
+    for a, w in zip(arrays, want_arrays):
+        assert np.array_equal(a, w)
+    assert np.array_equal(loss, want_loss)
+    assert grads.keys() == want_grads.keys()
+    for n, w in want_grads.items():
+        assert (grads[n] is None) == (w is None), n
+        assert w is None or np.array_equal(grads[n], w), n
+
+
+@pytest.mark.parametrize("adapt", [tape_inner_adapt, inner_adapt])
+def test_inner_adapt_overflow_is_numerical_error(world, adapt):
+    g, ds = world
+    m = make_model(g)
+    ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, Rng(4))
+    clf = m.emit(ep.class_ids, Rng(5), training=True)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite"):
+        adapt(m, clf, ep.support_x, ep.support_y, 5, 1e306)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +382,62 @@ def test_write_metrics_formats_nan(tmp_path):
 def test_evaluate_is_pure(world):
     g, ds = world
     m = make_model(g)
-    snap = {k: p.data.copy() for k, p in m.params.items()}
+    snap = {k: (p.data, p.data.copy()) for k, p in m.params.items()}
     res = evaluate(m, ds, EvalConfig(n_episodes=8, n_way=2, k_shot=1, n_query=5,
                                      adapt_steps=2, seed=3), split="meta-train")
     assert res.accuracies.shape == (8,)
     for k, p in m.params.items():
-        npt.assert_array_equal(p.data, snap[k])
+        assert p.data is snap[k][0]
+        npt.assert_array_equal(p.data, snap[k][1])
         assert p.grad is None
+
+
+def test_evaluate_embeds_once_and_records_no_tape(world, monkeypatch):
+    g, ds = world
+    m = make_model(g)
+    calls, losses = [], []
+    embed, run_episode = classifier_gen.graph_embed, meta.episode_loss
+
+    def counting_embed(*args, **kwargs):
+        calls.append(kwargs.get("training", args[-1]))
+        return embed(*args, **kwargs)
+
+    def keeping_episode(*args, **kwargs):
+        out = run_episode(*args, **kwargs)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(classifier_gen, "graph_embed", counting_embed)
+    monkeypatch.setattr(meta, "episode_loss", keeping_episode)
+    evaluate(m, ds, EvalConfig(n_episodes=5, n_way=2, k_shot=1, n_query=5,
+                               adapt_steps=1, seed=3), split="meta-train")
+    assert calls == [False]
+    assert len(losses) == 5
+    assert not any(loss.requires_grad or loss._parents for loss in losses)
+
+
+@pytest.mark.parametrize("level", [None, 1])
+def test_evaluate_matches_episode_loss_bitwise(world, level):
+    g, ds = world
+    m = make_model(g)
+    cfg = EvalConfig(n_episodes=6, n_way=2, k_shot=2, n_query=4, adapt_steps=3,
+                     inner_lr=0.05, seed=9)
+    res = evaluate(m, ds, cfg, split="meta-train", level=level)
+    rng = Rng(cfg.seed).child("eval")
+    want = []
+    for i in range(cfg.n_episodes):
+        ep_rng = rng.child(i)
+        if level is None:
+            ep = sample_entity_episode(ds, g, "meta-train", cfg.n_way, cfg.k_shot,
+                                       cfg.n_query, ep_rng.child("sample"))
+        else:
+            ep = sample_concept_episode(ds, g, level, cfg.n_way, cfg.k_shot,
+                                        cfg.n_query, ep_rng.child("sample"))
+        _, acc = episode_loss(m, ep, adapt_steps=cfg.adapt_steps,
+                              inner_lr=cfg.inner_lr, rng=ep_rng.child("drop"),
+                              training=False)
+        want.append(acc)
+    assert np.array_equal(res.accuracies, np.array(want))
 
 
 def test_evaluate_deterministic(world):
@@ -397,6 +503,15 @@ def test_train_config_validation():
         TrainConfig(level_weights={1: -2.0})
     with pytest.raises(ConfigError):
         EvalConfig(n_episodes=0)
+    for bad in (float("nan"), float("inf"), "fast"):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(inner_lr=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            EvalConfig(inner_lr=bad)
+    with pytest.raises(ConfigError, match="finite"):
+        TrainConfig(outer_lr=float("-inf"))
+    with pytest.raises(ConfigError, match="finite"):
+        TrainConfig(level_weights={1: float("nan")})
     assert TrainConfig(level_weights={1: 2.0}).weight_for(1) == 2.0
     assert TrainConfig(concept_weight=0.5).weight_for(3) == 0.5
     assert TrainConfig(outer_lr=0.1).lr_at(999) == pytest.approx(0.01)
@@ -449,3 +564,34 @@ def test_checkpoint_errors(tmp_path, world):
     good.write_bytes(good.read_bytes()[:-16])
     with pytest.raises(DataError, match="truncated"):
         load_checkpoint(good, m, SgdOptimizer(m.params))
+
+
+def test_checkpoint_every_prefix_and_trailing_bytes(tmp_path, world):
+    g, _ = world
+    m = Model(g, EncoderConfig(input_dim=8, widths=[2], low_layers=0),
+              GeneratorConfig(embed_widths=[2, 2], relation_widths=[2, 2]))
+    good = tmp_path / "good.ckpt"
+    save_checkpoint(good, m, SgdOptimizer(m.params))
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.ckpt"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(DataError):  # velocities are checked without an optimizer too
+            load_checkpoint(bad, m)
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(DataError, match="trailing"):
+        load_checkpoint(bad, m)
+    load_checkpoint(good, m, SgdOptimizer(m.params))
+
+
+def test_checkpoint_malformed_header(tmp_path, world):
+    g, _ = world
+    m = make_model(g)
+    with pytest.raises(DataError, match="cannot read"):
+        load_checkpoint(tmp_path, m)
+    bad = tmp_path / "bad.ckpt"
+    for header in (b"\xff\xfe{}", b"[1, 2]", b'{"version": 1}',
+                   b'{"version": 1, "config_hash": "", "params": [["x", "y"]]}'):
+        bad.write_bytes(b"CSCK" + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(DataError, match="malformed"):
+            load_checkpoint(bad, m)

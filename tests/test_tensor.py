@@ -115,6 +115,18 @@ def test_stop_gradient_blocks():
     assert x.grad[0, 0] == 2.0
 
 
+def test_carry_passes_gradient_straight_to_its_start():
+    x = T.Tensor([[1.0, -2.0]], requires_grad=True)
+    y = T.carry(np.array([[5.0, 7.0]]), T.scale(x, 3.0))
+    npt.assert_array_equal(y.data, [[5.0, 7.0]])
+    T.backward(T.sum_all(T.mul(y, T.Tensor([[2.0, -1.0]]))))
+    npt.assert_array_equal(x.grad, [[6.0, -3.0]])
+    with pytest.raises(ValueError):
+        T.carry(np.zeros(2), x)
+    with pytest.raises(NumericalError):
+        T.carry(np.array([[np.nan, 0.0]]), x)
+
+
 def test_write_rows_requires_distinct():
     with pytest.raises(ValueError):
         T.write_rows(T.Tensor(np.zeros((3, 2))), T.Tensor(np.ones((2, 2))), [1, 1])
