@@ -257,21 +257,27 @@ def load_graph(path) -> ConceptGraph:
         raise DataError(f"graph file not found: {path}")
     except json.JSONDecodeError as e:
         raise DataError(f"graph file {path} is not valid JSON: {e}")
-    if doc.get("format") != _FORMAT_NAME:
+    if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise DataError(f"{path} is not a {_FORMAT_NAME} file")
     sem = doc.get("semantics", {})
-    if "file" in sem:
-        semantics = _load_semantics_sidecar(path.parent / sem["file"])
-    else:
-        semantics = np.asarray(sem.get("values"), dtype=np.float64)
+    if not isinstance(sem, dict):
+        raise DataError(f"malformed graph document {path}: semantics must be an object")
     try:
+        if "file" in sem:
+            semantics = _load_semantics_sidecar(path.parent / sem["file"])
+        else:
+            semantics = np.asarray(sem.get("values"), dtype=np.float64)
         nodes = [NodeRecord(id=int(n["id"]), name=str(n["name"]), level=int(n["level"]),
                             split=str(n.get("split", "none")))
                  for n in doc["nodes"]]
         edges = [(int(i), int(j)) for i, j in doc["edges"]]
+        num_levels = doc["num_levels"]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed graph document {path}: {e}")
-    return ConceptGraph(nodes, edges, semantics, doc["num_levels"])
+    if not isinstance(num_levels, int) or isinstance(num_levels, bool):
+        raise DataError(f"malformed graph document {path}: "
+                        f"num_levels must be an integer, got {num_levels!r}")
+    return ConceptGraph(nodes, edges, semantics, num_levels)
 
 
 def _load_semantics_sidecar(path: Path):

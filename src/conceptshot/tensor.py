@@ -11,7 +11,9 @@ training) is built from the ops in this module.  Design points:
   neighborhoods, relation-pair means, softmax denominators) sort the
   contributions by value before summing, which makes those ops bitwise
   insensitive to input ordering -- required for the exact permutation
-  equivariance contracts,
+  equivariance contracts.  Graph neighborhoods are grouped by degree and
+  only those of three or more are sorted: two terms add to the same bits
+  in either order,
 * gradients are plain ndarrays and there is no grad-of-grad support:
   meta-gradients are first-order.  The inner loop in ``meta`` steps plain
   arrays off the tape and hands each adapted array back through ``carry``,
@@ -443,23 +445,40 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def sym_neighbor_mean(x: Tensor, nbr_idx, degrees) -> Tensor:
     """Row-normalized neighborhood sum over a *symmetric* adjacency structure.
 
-    ``nbr_idx`` is (n, max_deg) with entries in [0, n) and n as padding;
-    ``degrees`` the true neighbor counts.  out[i] = sum(x[j] for j in N(i)) / deg[i].
-    Contributions are sorted by value before summation so the result is
-    bitwise invariant under node relabeling.  Symmetry of the structure is
-    assumed (undirected edges), which makes the backward pass reuse the same
-    index table.
+    ``nbr_idx`` is (n, max_deg): each row lists its entries in [0, n), then
+    pads with n; ``degrees`` the true neighbor counts.
+    out[i] = sum(x[j] for j in N(i)) / deg[i].
+
+    Rows are grouped by their number of entries k; each group sums an
+    (r, k, d) block along k, sorted by value first when k >= 3, so the
+    result is bitwise invariant under node relabeling (for k <= 2,
+    ``a + b == b + a`` exactly).  Each sum has the bits of the sorted row
+    padded with ``+0.0`` to max_deg: numpy's sum starts from ``+0.0``, so
+    no partial sum is ``-0.0`` and adding ``+0.0`` to it is exact.  (Not
+    so for one column and eight or more entries: numpy sums a padded
+    one-column row in eight lanes, whose bits depend on max_deg.)
+    Symmetry of the structure is assumed (undirected edges), which makes the
+    backward pass reuse the same groups.
     """
     nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
     degrees = np.asarray(degrees, dtype=np.float64)
     n = x.data.shape[0]
     if (degrees <= 0).any():
         raise NumericalError("neighborhood averaging with a zero-degree node")
+    counts = (nbr_idx != n).sum(axis=1)
+    groups = []
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        groups.append((rows, nbr_idx[rows, :k]))
 
     def agg(values):
-        padded = np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
-        contrib = padded[nbr_idx]                      # (n, max_deg, d)
-        return np.sort(contrib, axis=1).sum(axis=1)
+        out = np.empty_like(values)
+        for rows, idx in groups:
+            contrib = values[idx]                      # (r, k, d)
+            if idx.shape[1] > 2:
+                contrib = np.sort(contrib, axis=1)
+            out[rows] = contrib.sum(axis=1)
+        return out
 
     out = agg(x.data) / degrees[:, None]
 
@@ -535,7 +554,8 @@ def _topo(root: Tensor):
 
 
 def _backprop(root: Tensor, targets=None):
-    """Return {id(node): grad ndarray} for the subgraph feeding ``targets``.
+    """Return the tape order (parents first) and {id(node): grad ndarray}
+    for the subgraph feeding ``targets``.
 
     ``targets=None`` propagates everywhere (used by ``backward``).
     """
@@ -548,7 +568,7 @@ def _backprop(root: Tensor, targets=None):
             depends[id(node)] = id(node) in targets or any(
                 depends.get(id(p), False) for p in node._parents)
         if not depends.get(id(root), False):
-            return {}
+            return order, {}
     grads = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
         g = grads.get(id(node))
@@ -567,13 +587,13 @@ def _backprop(root: Tensor, targets=None):
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-    return grads
+    return order, grads
 
 
 def backward(root: Tensor):
     """Accumulate d(root)/d(leaf) into ``.grad`` of every requires-grad leaf."""
-    grads = _backprop(root, targets=None)
-    for node in _topo(root):
+    order, grads = _backprop(root, targets=None)
+    for node in order:
         if node.requires_grad and not node._parents and id(node) in grads:
             node.grad = grads[id(node)] if node.grad is None else node.grad + grads[id(node)]
 
@@ -585,5 +605,5 @@ def grad(root: Tensor, wrt) -> list:
     inner-loop gradients do not pay for (or leak into) the rest of the tape.
     """
     wrt = list(wrt)
-    grads = _backprop(root, targets={id(t) for t in wrt})
+    _, grads = _backprop(root, targets={id(t) for t in wrt})
     return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]

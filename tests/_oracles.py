@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, error metrics, graph
-relabeling, and the taped inner loop that ``meta.inner_adapt`` replaces."""
+relabeling, the padded neighborhood sum that ``tensor.sym_neighbor_mean``
+replaces, and the taped inner loop that ``meta.inner_adapt`` replaces."""
 
 import numpy as np
 
@@ -37,6 +38,15 @@ def permute_graph(g, perm):
     sem = np.empty_like(g.semantics)
     sem[perm] = g.semantics
     return ConceptGraph(nodes, edges, sem, g.num_levels)
+
+
+def padded_neighbor_sum(values, nbr_idx):
+    """Neighborhood sums the padded way: every row of ``nbr_idx`` (n as
+    padding) gathers max_deg rows of ``values`` with a ``+0.0`` row in the
+    padding slots, and the whole (n, max_deg, d) block is sorted along the
+    neighbors and summed."""
+    padded = np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
+    return np.sort(padded[nbr_idx], axis=1).sum(axis=1)
 
 
 def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):

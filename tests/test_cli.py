@@ -116,11 +116,25 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["gen-data", "-c", str(cfgp), "--set", "data.branching=0"]) == 2
     assert main(["eval", "-c", str(cfgp), "--set", "eval.inner_lr=NaN"]) == 2
     assert main(["train", "-c", str(cfgp), "--set", "train.inner_lr=Infinity"]) == 2
+    assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"x":1}']) == 2
+    assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"1":"x"}']) == 2
+    assert main(["train", "-c", str(cfgp), "--set", "train.level_weights=3"]) == 2
     # data errors: artifacts missing
     assert main(["train", "-c", str(cfgp)]) == 3
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3
     main(["gen-data", "-c", str(cfgp)])
     assert main(["eval", "-c", str(cfgp)]) == 3  # no checkpoint yet
+    # data errors: a graph file without an integer num_levels
+    graph_path = tmp_path / "art" / "graph.json"
+    doc = json.loads(graph_path.read_text())
+    for num_levels in (None, 2.5, "3"):
+        if num_levels is None:
+            doc.pop("num_levels")
+        else:
+            doc["num_levels"] = num_levels
+        graph_path.write_text(json.dumps(doc))
+        assert main(["inspect-graph", "-c", str(cfgp)]) == 3
+        assert main(["train", "-c", str(cfgp)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "data error" in err
 

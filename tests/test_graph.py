@@ -1,10 +1,12 @@
 """Concept graph: validation, serialization round trips, propagation operator."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import permute_graph
+from _oracles import padded_neighbor_sum, permute_graph
 from conceptshot import tensor as T
 from conceptshot.errors import DataError, NumericalError
 from conceptshot.graph import (ConceptGraph, NodeRecord, describe, load_graph,
@@ -128,8 +130,28 @@ def test_load_rejects_malformed_json(tmp_path):
 
 def test_load_rejects_foreign_document(tmp_path):
     p = tmp_path / "other.json"
-    p.write_text('{"format": "something-else"}')
-    with pytest.raises(DataError):
+    for text in ('{"format": "something-else"}', "[]"):
+        p.write_text(text)
+        with pytest.raises(DataError):
+            load_graph(p)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("num_levels"),
+    lambda doc: doc.update(num_levels=2.5),
+    lambda doc: doc.update(num_levels="3"),
+    lambda doc: doc.update(semantics=doc["semantics"]["values"]),
+    lambda doc: doc.update(semantics={"file": 3}),
+    lambda doc: doc.update(semantics={"values": [["x"]]}),
+], ids=["no-num-levels", "float-num-levels", "string-num-levels", "semantics-list",
+        "sidecar-number", "semantics-strings"])
+def test_load_rejects_malformed_fields(tmp_path, edit):
+    p = tmp_path / "g.json"
+    save_graph(binary_tree_7(), p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="malformed graph document"):
         load_graph(p)
 
 
@@ -204,6 +226,82 @@ def test_propagation_permutation_equivariance_exact(seed):
     out = propagation_operator(g).apply(T.Tensor(z)).data
     outp = propagation_operator(gp).apply(T.Tensor(zp)).data
     npt.assert_array_equal(outp[perm], out)  # bitwise
+
+
+def grown_tree(num_levels, n_children, max_nodes=None):
+    """A hierarchy grown level by level: each node gets ``n_children()``
+    children until ``max_nodes`` exist; it ends at the first empty level."""
+    nodes, edges, parents = [NodeRecord(0, "n0", 0)], [], [0]
+    for lv in range(1, num_levels):
+        layer = []
+        for p in parents:
+            for _ in range(n_children()):
+                if len(nodes) == max_nodes:
+                    break
+                layer.append(len(nodes))
+                nodes.append(NodeRecord(layer[-1], f"n{layer[-1]}", lv))
+                edges.append((p, layer[-1]))
+        if not layer:
+            num_levels = lv
+            break
+        parents = layer
+    return ConceptGraph(nodes, edges, np.zeros((len(nodes), 1)), num_levels)
+
+
+def with_signed_zeros(rng, shape):
+    """Normal values with 30% -0.0 and 10% +0.0 entries, as dropout of the
+    negative outputs of a leaky ReLU leaves them."""
+    x = rng.standard_normal(shape)
+    u = rng.uniform(size=shape)
+    x[u < 0.3] = -0.0
+    x[(u >= 0.3) & (u < 0.4)] = 0.0
+    return x
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+ORACLE_GRAPHS = {
+    "tree-b2": lambda rng: grown_tree(5, lambda: 2),
+    "tree-b4": lambda rng: grown_tree(4, lambda: 4),
+    "tree-b8": lambda rng: grown_tree(3, lambda: 8),
+    "random": lambda rng: grown_tree(int(rng.integers(2, 5)),
+                                     lambda: int(rng.integers(1, 10)), max_nodes=40),
+}
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, self_loops):
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng), self_loops=self_loops)
+        deg = prop.degrees[:, None]
+        # one column reduces along a contiguous axis, where numpy sums eight
+        # lanes at a time from eight entries on, so the padding width shows
+        widths = (2, 3, 16) if prop.nbr_idx.shape[1] >= 8 else (1, 2, 16)
+        for d in widths:
+            x = T.Tensor(with_signed_zeros(rng, (prop.size, d)), requires_grad=True)
+            g = with_signed_zeros(rng, (prop.size, d))
+            out = T.sym_neighbor_mean(x, prop.nbr_idx, prop.degrees)
+            T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+            want = padded_neighbor_sum(x.data, prop.nbr_idx) / deg
+            npt.assert_array_equal(bits(out.data), bits(want))
+            npt.assert_array_equal(bits(x.grad), bits(padded_neighbor_sum(g / deg,
+                                                                          prop.nbr_idx)))
+
+
+def test_sym_neighbor_mean_ignores_padding_width():
+    # each row sums its own neighborhood only, one-column inputs included
+    prop = propagation_operator(grown_tree(3, lambda: 8))
+    wide = np.concatenate([prop.nbr_idx, np.full((prop.size, 7), prop.size)], axis=1)
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5):
+        x = with_signed_zeros(rng, (prop.size, d))
+        a = T.sym_neighbor_mean(T.Tensor(x), prop.nbr_idx, prop.degrees).data
+        b = T.sym_neighbor_mean(T.Tensor(x), wide, prop.degrees).data
+        npt.assert_array_equal(bits(a), bits(b))
 
 
 # ---------------------------------------------------------------------------
