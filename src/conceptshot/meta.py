@@ -14,9 +14,13 @@ runs in plain numpy, off the tape, repeating the tape ops' arithmetic so its
 results are bit-identical to a taped loop.  Each adapted array re-enters the
 tape through one ``carry`` node whose gradient is the identity back to its
 initialization: the outer gradient still reaches the generator through the
-emitted classifier, and no second-derivative terms are formed.  Evaluation
-never backpropagates; it runs on detached parameters, which record no tape,
-and embeds the graph once per call instead of once per episode.
+emitted classifier, and no second-derivative terms are formed.  The inner
+loop adapts a block of same-shaped tasks at once, stacked along a leading
+axis: each task's bits equal those of the loop run on it alone, and every
+array the tape would check is still checked for non-finite values.  Training
+adapts each episode as a block of one.  Evaluation never backpropagates; it
+runs on detached parameters, which record no tape, embeds the graph once per
+call instead of once per episode, and adapts its episodes in blocks.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -41,6 +46,14 @@ from .graph import ConceptGraph, propagation_operator
 from .tensor import (Rng, SgdOptimizer, Tensor, add, affine, backward, carry,
                      class_labels, cross_entropy, scale, softmax_rows,
                      stable_exp_parts, transpose)
+
+
+def _require_ints(cfg):
+    """Every int field of ``cfg`` must hold an int; a bool is not one."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ConfigError(f"{f.name} must be an integer, got {v!r}")
 
 
 def _require_finite(cfg, **extra):
@@ -77,6 +90,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self)
         _require_finite(self, level_weights=list(self.level_weights.values()))
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
@@ -118,6 +132,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self)
         _require_finite(self)
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
@@ -189,14 +204,19 @@ def _head_logits(clf: TaskClassifier, feats: Tensor) -> Tensor:
 
 
 def _checked(a, op: str):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericalError(f"non-finite values produced by '{op}' in the inner loop")
     return a
 
 
+def _T(a):
+    """The transpose of each matrix in a stack (of a matrix, for 2-D input)."""
+    return a.swapaxes(-1, -2)
+
+
 def _layers_forward(pairs, x, slope: float):
-    """``apply_layers`` on plain arrays: the output, and each layer's input
-    and leaky-ReLU mask for the backward pass."""
+    """``apply_layers`` on plain (stacked) arrays: the output, and each
+    layer's input and leaky-ReLU mask for the backward pass."""
     saved = []
     for w, b in pairs:
         a = _checked(x @ w + b, "affine")
@@ -206,52 +226,68 @@ def _layers_forward(pairs, x, slope: float):
     return x, saved
 
 
-def inner_adapt(model: Model, clf: TaskClassifier, support_x, support_y,
-                steps: int, lr: float) -> AdaptedState:
-    """Fit {high encoder, classifier} to the support set with ``steps`` plain
-    gradient-descent steps.  ``steps=0`` or ``lr=0`` returns the initialization
-    unchanged.
+def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
+                lr: float) -> list:
+    """Fit {high encoder, classifier} to each task's support set with
+    ``steps`` plain gradient-descent steps; one :class:`AdaptedState` per
+    task.  ``steps=0`` or ``lr=0`` returns the initializations unchanged.
 
-    The steps are first-order, so they run on detached float64 arrays, off
-    the tape.  The forward and backward passes repeat the tape ops' own
-    expressions in the same order (affine, leaky ReLU, the sorted-denominator
-    cross-entropy, then ``t + (-lr * g)``), so the adapted values are the ones
-    a taped loop would give, bit for bit, and every intermediate is checked
-    for non-finite values as the tape checks it.  Each adapted array is
-    attached by one ``carry`` node whose gradient is the identity back to its
-    initialization, so the outer gradient still reaches the generator through
-    the emitted classifier."""
+    The tasks form one block: their support sets and emitted classifiers
+    must share one shape, and are stacked along a leading axis (the high
+    encoder's start is the same for every task and is broadcast).  The steps
+    are first-order, so they run on detached float64 arrays, off the tape.
+    The forward and backward passes repeat the tape ops' own expressions in
+    the same order (affine, leaky ReLU, the sorted-denominator cross-entropy,
+    then ``t + (-lr * g)``); the stacked matmul runs one product per task and
+    every reduction runs along one task's own axis, so each task's adapted
+    values are the ones a taped loop would give it alone, bit for bit,
+    whatever the block.  Every intermediate is checked for non-finite values
+    as the tape checks it; one bad task fails the whole block.  Each adapted
+    array is attached by one ``carry`` node whose gradient is the identity
+    back to its initialization, so the outer gradient still reaches the
+    generator through the emitted classifier."""
     high = high_pairs(model.params, model.enc_cfg)
     if not (steps and lr):
-        return AdaptedState(high=high, classifier=clf)
+        return [AdaptedState(high=list(high), classifier=clf) for clf in clfs]
+    # a block of one is not stacked: every step below also works on 2-D arrays
+    stack = np.stack if len(clfs) > 1 else operator.itemgetter(0)
     slope = model.enc_cfg.slope
     low = layer_pairs(model.params, model.enc_cfg)[:model.enc_cfg.low_layers]
     x, _ = _layers_forward([(w.data, b.data) for w, b in low],
-                           np.asarray(support_x, dtype=np.float64), slope)
-    init = [t for pair in high for t in pair] + [clf.weights, clf.bias]
-    vals = [t.data for t in init]
-    y = class_labels(support_y, x.shape[0], clf.weights.data.shape[0])
+                           np.asarray(stack(support_xs), dtype=np.float64), slope)
+    init = [t for pair in high for t in pair]
+    vals = [t.data for t in init] + [stack([c.weights.data for c in clfs]),
+                                     stack([c.bias.data[None] for c in clfs])]
+    n, n_cls = x.shape[-2], vals[-2].shape[-2]
+    y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
     rows = np.arange(y.size)
     for _ in range(steps):
         feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, slope)
         w, b = vals[-2:]
-        z, e, s = stable_exp_parts(_checked(feats @ w.T + b, "affine"))
-        _checked((np.log(s[:, 0]) - z[rows, y]).mean(), "cross_entropy")
+        z, e, s = stable_exp_parts(_checked(feats @ _T(w) + b, "affine"))
+        _checked((np.log(s[..., 0]) - z.reshape(-1, n_cls)[rows, y].reshape(-1, n))
+                 .mean(axis=-1), "cross_entropy")
         g = e / s
-        g[rows, y] -= 1.0
-        g = g * (1.0 / y.size)
-        grads = [(feats.T @ g).T, g.sum(axis=0)]
+        g.reshape(-1, n_cls)[rows, y] -= 1.0
+        g = g * (1.0 / n)
+        grads = [_T(_T(feats) @ g), g.sum(axis=-2, keepdims=True)]
         g_out = g @ w
         for i in reversed(range(len(saved))):
             x_in, mask = saved[i]
             g = g_out * mask
-            grads[:0] = [x_in.T @ g, g.sum(axis=0)]
+            grads[:0] = [_T(x_in) @ g, g.sum(axis=-2, keepdims=True)]
             if i:
-                g_out = g @ vals[2 * i].T
+                g_out = g @ _T(vals[2 * i])
         vals = [_checked(v + (-lr * d), "add") for v, d in zip(vals, grads)]
-    out = [carry(v, t) for v, t in zip(vals, init)]
-    return AdaptedState(high=[tuple(out[i:i + 2]) for i in range(0, len(out) - 2, 2)],
-                        classifier=TaskClassifier(out[-2], out[-1], clf.class_ids))
+    states = []
+    for j, clf in enumerate(clfs):
+        starts = init + [clf.weights, clf.bias]
+        out = [carry(v.reshape(len(clfs), *t.data.shape)[j], t)
+               for v, t in zip(vals, starts)]
+        states.append(AdaptedState(
+            high=[tuple(out[i:i + 2]) for i in range(0, len(out) - 2, 2)],
+            classifier=TaskClassifier(out[-2], out[-1], clf.class_ids)))
+    return states
 
 
 def task_features(model: Model, adapted: AdaptedState, x: Tensor) -> Tensor:
@@ -266,14 +302,17 @@ def predict(model: Model, adapted: AdaptedState, x) -> Tensor:
 
 
 def episode_loss(model: Model, ep: Episode, *, adapt_steps: int, inner_lr: float,
-                 rng: Rng, training: bool, embedding: Tensor | None = None):
+                 rng: Rng, training: bool, adapted: AdaptedState | None = None):
     """Emit -> adapt -> query loss.  Returns (loss Tensor, query accuracy).
 
-    ``embedding`` is an optional ``model.embed`` output to emit from.
+    ``adapted`` is an optional :func:`inner_adapt` result for this episode,
+    adapted in a block with others; without it the episode is emitted and
+    adapted here, as a block of one.
     """
-    clf = model.emit(ep.class_ids, rng, training, embedding)
-    adapted = inner_adapt(model, clf, ep.support_x, ep.support_y,
-                          adapt_steps, inner_lr)
+    if adapted is None:
+        clf = model.emit(ep.class_ids, rng, training)
+        (adapted,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
+                                 adapt_steps, inner_lr)
     logits = _head_logits(adapted.classifier,
                           task_features(model, adapted, Tensor(ep.query_x)))
     loss = cross_entropy(logits, ep.query_y)
@@ -424,6 +463,10 @@ def confidence_interval(accuracies):
     return m, float(1.96 * a.std(ddof=1) / np.sqrt(a.size))
 
 
+# Eval episodes adapted by one inner_adapt call; the results do not depend on it.
+_BLOCK = 16
+
+
 def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-test",
              level: int | None = None) -> EvalResult:
     """Frozen-parameter episodic evaluation.
@@ -433,24 +476,35 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     per-episode accuracy vector is independent of execution order.  Nothing
     is backpropagated, so the episodes run on detached parameters, which
     record no tape, and share one node embedding, which is deterministic out
-    of training.
+    of training.  Episodes are sampled and emitted one by one, adapted by one
+    :func:`inner_adapt` call per block of ``_BLOCK``, and scored one by one;
+    each episode's bits are those of :func:`episode_loss` on it alone.
     """
     g = model.graph
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
     embedding = model.embed(rng.child("embed"), training=False)
     accs = np.empty(cfg.n_episodes)
-    for i in range(cfg.n_episodes):
-        ep_rng = rng.child(i)
-        if level is None or level == g.entity_level:
-            ep = sample_entity_episode(ds, g, split, cfg.n_way, cfg.k_shot,
-                                       cfg.n_query, ep_rng.child("sample"))
-        else:
-            ep = sample_concept_episode(ds, g, level, cfg.n_way, cfg.k_shot,
-                                        cfg.n_query, ep_rng.child("sample"))
-        _, accs[i] = episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
-                                  inner_lr=cfg.inner_lr, rng=ep_rng.child("drop"),
-                                  training=False, embedding=embedding)
+    for start in range(0, cfg.n_episodes, _BLOCK):
+        block = []
+        for i in range(start, min(start + _BLOCK, cfg.n_episodes)):
+            ep_rng = rng.child(i)
+            if level is None or level == g.entity_level:
+                ep = sample_entity_episode(ds, g, split, cfg.n_way, cfg.k_shot,
+                                           cfg.n_query, ep_rng.child("sample"))
+            else:
+                ep = sample_concept_episode(ds, g, level, cfg.n_way, cfg.k_shot,
+                                            cfg.n_query, ep_rng.child("sample"))
+            drop = ep_rng.child("drop")
+            block.append((ep, drop, model.emit(ep.class_ids, drop, False, embedding)))
+        adapted = inner_adapt(model, [clf for _, _, clf in block],
+                              [ep.support_x for ep, _, _ in block],
+                              [ep.support_y for ep, _, _ in block],
+                              cfg.adapt_steps, cfg.inner_lr)
+        for i, ((ep, drop, _), state) in enumerate(zip(block, adapted), start):
+            _, accs[i] = episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
+                                      inner_lr=cfg.inner_lr, rng=drop,
+                                      training=False, adapted=state)
     mean, half = confidence_interval(accs)
     return EvalResult(mean=mean, half_width=half, accuracies=accs)
 

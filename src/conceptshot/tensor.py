@@ -22,6 +22,7 @@ training) is built from the ops in this module.  Design points:
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 import numpy as np
@@ -50,12 +51,17 @@ class Rng:
 
     ``child(*keys)`` derives an independent stream from (seed, key path)
     without advancing this one, so sub-streams can be re-derived exactly.
+    The generator is built on the first draw: a stream that is never drawn
+    from costs only its key.
     """
 
     def __init__(self, seed, _key=()):
         self.seed = int(seed)
         self.key = tuple(_key)
-        self._gen = np.random.Generator(
+
+    @functools.cached_property
+    def _gen(self):
+        return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key)))
 
     def child(self, *keys) -> "Rng":
@@ -394,11 +400,12 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
 
 def stable_exp_parts(logits):
-    """(logits - row max, its exp, the row sums of the exp sorted first)."""
-    z = logits - logits.max(axis=1, keepdims=True)
+    """(logits - row max, its exp, the row sums of the exp sorted first);
+    rows run along the last axis, so a stack of logit matrices works too."""
+    z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     # sort before summing: denominator is invariant to class column order
-    s = np.sort(e, axis=1).sum(axis=1, keepdims=True)
+    s = np.sort(e, axis=-1).sum(axis=-1, keepdims=True)
     return z, e, s
 
 

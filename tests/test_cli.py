@@ -119,11 +119,20 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"x":1}']) == 2
     assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"1":"x"}']) == 2
     assert main(["train", "-c", str(cfgp), "--set", "train.level_weights=3"]) == 2
+    for bad in ("eval.n_episodes=2.5", "eval.n_episodes=true", "eval.adapt_steps=2.5",
+                "eval.adapt_steps=true", "eval.k_shot=1.0", "eval.n_way=2.5"):
+        assert main(["eval", "-c", str(cfgp), "--untrained", "--set", bad]) == 2
+    for bad in ("train.iterations=1.5", "train.adapt_steps=2.5",
+                "train.episodes_per_term=1.5"):
+        assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
     # data errors: artifacts missing
     assert main(["train", "-c", str(cfgp)]) == 3
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3
     main(["gen-data", "-c", str(cfgp)])
     assert main(["eval", "-c", str(cfgp)]) == 3  # no checkpoint yet
+    # numerical errors: a huge inner rate overflows
+    assert main(["eval", "-c", str(cfgp), "--untrained",
+                 "--set", "eval.inner_lr=1e306"]) == 4
     # data errors: a graph file without an integer num_levels
     graph_path = tmp_path / "art" / "graph.json"
     doc = json.loads(graph_path.read_text())
@@ -137,6 +146,7 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["train", "-c", str(cfgp)]) == 3
     err = capsys.readouterr().err
     assert "config error" in err and "data error" in err
+    assert "numerical failure" in err
 
 
 def test_ablate_concepts_prints_both_rows(tmp_path, capsys):

@@ -44,7 +44,8 @@ def test_zero_steps_returns_initialization(world):
     g, ds = world
     m = make_model(g)
     clf = m.emit(np.array([3, 4]), Rng(0), training=False)
-    adapted = inner_adapt(m, clf, ds.features[:4], np.array([0, 1, 0, 1]), 0, 0.01)
+    adapted, = inner_adapt(m, [clf], [ds.features[:4]], [np.array([0, 1, 0, 1])], 0,
+                           0.01)
     assert adapted.classifier.weights is clf.weights
     assert adapted.classifier.bias is clf.bias
     assert adapted.high == list(high_pairs(m.params, m.enc_cfg))
@@ -54,7 +55,8 @@ def test_zero_rate_returns_initialization(world):
     g, ds = world
     m = make_model(g)
     clf = m.emit(np.array([3, 4]), Rng(0), training=False)
-    adapted = inner_adapt(m, clf, ds.features[:4], np.array([0, 1, 0, 1]), 5, 0.0)
+    adapted, = inner_adapt(m, [clf], [ds.features[:4]], [np.array([0, 1, 0, 1])], 5,
+                           0.0)
     assert adapted.classifier.weights is clf.weights
 
 
@@ -70,7 +72,7 @@ def test_single_step_matches_hand_gradient(world):
                          Tensor(b0, requires_grad=True), np.array([0, 1]))
     x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     y = np.array([0, 1])
-    adapted = inner_adapt(m, clf, x, y, 1, 0.5)
+    adapted, = inner_adapt(m, [clf], [x], [y], 1, 0.5)
 
     logits = x @ w0.T + b0
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
@@ -112,7 +114,7 @@ def test_single_step_matches_numeric_gradient(world):
     g_fd = numerical_grad(loss_at, vec0)
 
     lr = 0.01
-    adapted = inner_adapt(m, clf, ep.support_x, ep.support_y, 1, lr)
+    adapted, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 1, lr)
     (wh1, bh1) = adapted.high[0]
     stepped = [wh1.data, bh1.data,
                adapted.classifier.weights.data, adapted.classifier.bias.data]
@@ -127,7 +129,7 @@ def test_adaptation_never_touches_model_params(world):
     snap = {k: p.data.copy() for k, p in m.params.items()}
     ep = sample_entity_episode(ds, g, "meta-train", 2, 2, 5, Rng(8))
     clf = m.emit(ep.class_ids, Rng(1), training=True)
-    inner_adapt(m, clf, ep.support_x, ep.support_y, 4, 0.05)
+    inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 4, 0.05)
     for k, p in m.params.items():
         npt.assert_array_equal(p.data, snap[k])
 
@@ -137,17 +139,29 @@ def test_adaptation_never_touches_model_params(world):
 PARITY_ENCODERS = [([64, 64], 1), ([64, 64], 0), ([16, 16, 16], 1), ([], 0)]
 
 
-def _adapt_and_backprop(adapt, world, widths, low_layers, k_shot, steps,
-                        placement, lr=0.05):
-    """Adapt with ``adapt``, backpropagate the query loss; return the adapted
-    arrays, the loss and every parameter's gradient."""
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def _parity_tasks(world, widths, low_layers, k_shot, placement, n_tasks=3):
+    """A model and ``n_tasks`` different tasks: each has its own support set
+    and its own emitted classifier start."""
     g, ds = world
     enc = EncoderConfig(input_dim=8, widths=widths, low_layers=low_layers)
     gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8])
     m = Model(g, enc, gen, seed=3, refine_placement=placement)
-    ep = sample_entity_episode(ds, g, "meta-train", 3, k_shot, 5, Rng(4))
-    clf = m.emit(ep.class_ids, Rng(5), training=True)
-    adapted = adapt(m, clf, ep.support_x, ep.support_y, steps, lr)
+    eps = [sample_entity_episode(ds, g, "meta-train", 3, k_shot, 5, Rng(4 + t))
+           for t in range(n_tasks)]
+    clfs = [m.emit(ep.class_ids, Rng(5 + t), training=True)
+            for t, ep in enumerate(eps)]
+    return m, eps, clfs
+
+
+def _query_backprop(m, ep, adapted):
+    """Backpropagate ``adapted``'s query loss from zeroed gradients; return
+    the adapted arrays, the loss and every parameter's gradient."""
+    for p in m.params.values():
+        p.grad = None
     feats = task_features(m, adapted, Tensor(ep.query_x))
     loss = cross_entropy(affine(feats, transpose(adapted.classifier.weights),
                                 adapted.classifier.bias), ep.query_y)
@@ -163,20 +177,36 @@ def _adapt_and_backprop(adapt, world, widths, low_layers, k_shot, steps,
 @pytest.mark.parametrize("widths,low_layers", PARITY_ENCODERS)
 def test_inner_adapt_matches_tape_bitwise(world, widths, low_layers, k_shot, steps,
                                           placement):
-    args = (world, widths, low_layers, k_shot, steps, placement)
-    want_arrays, want_loss, want_grads = _adapt_and_backprop(tape_inner_adapt, *args)
-    arrays, loss, grads = _adapt_and_backprop(inner_adapt, *args)
-    assert len(arrays) == len(want_arrays) == 2 * (len(widths) - low_layers) + 2
-    for a, w in zip(arrays, want_arrays):
-        assert np.array_equal(a, w)
-    assert np.array_equal(loss, want_loss)
-    assert grads.keys() == want_grads.keys()
-    for n, w in want_grads.items():
-        assert (grads[n] is None) == (w is None), n
-        assert w is None or np.array_equal(grads[n], w), n
+    # the first task alone, then all three tasks adapted as one block
+    lr = 0.05
+    m, eps, clfs = _parity_tasks(world, widths, low_layers, k_shot, placement)
+    xs, ys = [ep.support_x for ep in eps], [ep.support_y for ep in eps]
+    wants = [_query_backprop(m, ep, tape_inner_adapt(m, clf, x, y, steps, lr))
+             for ep, clf, x, y in zip(eps, clfs, xs, ys)]
+    alone = inner_adapt(m, clfs[:1], xs[:1], ys[:1], steps, lr)
+    block = inner_adapt(m, clfs, xs, ys, steps, lr)
+    assert len(alone) == 1 and len(block) == 3
+    for ep, state, want in zip(eps[:1] + eps, alone + block, wants[:1] + wants):
+        arrays, loss, grads = _query_backprop(m, ep, state)
+        want_arrays, want_loss, want_grads = want
+        assert len(arrays) == len(want_arrays) == 2 * (len(widths) - low_layers) + 2
+        for a, w in zip(arrays, want_arrays):
+            assert a.shape == w.shape and np.array_equal(_bits(a), _bits(w))
+        assert np.array_equal(_bits(loss), _bits(want_loss))
+        assert grads.keys() == want_grads.keys()
+        for n, w in want_grads.items():
+            assert (grads[n] is None) == (w is None), n
+            assert w is None or np.array_equal(_bits(grads[n]), _bits(w)), n
 
 
-@pytest.mark.parametrize("adapt", [tape_inner_adapt, inner_adapt])
+def _inner_adapt_alone(m, clf, support_x, support_y, steps, lr):
+    (adapted,) = inner_adapt(m, [clf], [support_x], [support_y], steps, lr)
+    return adapted
+
+
+@pytest.mark.parametrize("adapt", [
+    pytest.param(tape_inner_adapt, id="tape_inner_adapt"),
+    pytest.param(_inner_adapt_alone, id="inner_adapt")])
 def test_inner_adapt_overflow_is_numerical_error(world, adapt):
     g, ds = world
     m = make_model(g)
@@ -187,6 +217,19 @@ def test_inner_adapt_overflow_is_numerical_error(world, adapt):
         adapt(m, clf, ep.support_x, ep.support_y, 5, 1e306)
 
 
+def test_inner_adapt_one_overflowing_task_fails_the_block(world):
+    m, eps, clfs = _parity_tasks(world, [16, 16], 1, 1, "write_back")
+    xs, ys = [ep.support_x for ep in eps], [ep.support_y for ep in eps]
+    assert len(inner_adapt(m, clfs, xs, ys, 5, 0.05)) == 3
+    # finite features whose logits overflow in the second step
+    xs[1] = np.asarray(xs[1], dtype=np.float64) * 1e200
+    for t in (0, 2):
+        _inner_adapt_alone(m, clfs[t], xs[t], ys[t], 5, 0.05)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="in the inner loop"):
+        inner_adapt(m, clfs, xs, ys, 5, 0.05)
+
+
 # ---------------------------------------------------------------------------
 # prediction and episode loss
 
@@ -195,7 +238,7 @@ def test_predict_rows_are_probabilities(world):
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 6, Rng(2))
     clf = m.emit(ep.class_ids, Rng(0), training=False)
-    adapted = inner_adapt(m, clf, ep.support_x, ep.support_y, 2, 0.01)
+    adapted, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 2, 0.01)
     probs = predict(m, adapted, ep.query_x)
     assert probs.data.shape == (12, 2)
     npt.assert_allclose(probs.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -416,13 +459,9 @@ def test_evaluate_embeds_once_and_records_no_tape(world, monkeypatch):
     assert not any(loss.requires_grad or loss._parents for loss in losses)
 
 
-@pytest.mark.parametrize("level", [None, 1])
-def test_evaluate_matches_episode_loss_bitwise(world, level):
-    g, ds = world
-    m = make_model(g)
-    cfg = EvalConfig(n_episodes=6, n_way=2, k_shot=2, n_query=4, adapt_steps=3,
-                     inner_lr=0.05, seed=9)
-    res = evaluate(m, ds, cfg, split="meta-train", level=level)
+def _episode_accuracies(m, ds, cfg, level):
+    """Each evaluation episode scored alone by ``episode_loss``."""
+    g = m.graph
     rng = Rng(cfg.seed).child("eval")
     want = []
     for i in range(cfg.n_episodes):
@@ -437,7 +476,43 @@ def test_evaluate_matches_episode_loss_bitwise(world, level):
                               inner_lr=cfg.inner_lr, rng=ep_rng.child("drop"),
                               training=False)
         want.append(acc)
-    assert np.array_equal(res.accuracies, np.array(want))
+    return np.array(want)
+
+
+@pytest.mark.parametrize("level", [None, 1])
+def test_evaluate_matches_episode_loss_bitwise(world, level):
+    g, ds = world
+    m = make_model(g)
+    cfg = EvalConfig(n_episodes=6, n_way=2, k_shot=2, n_query=4, adapt_steps=3,
+                     inner_lr=0.05, seed=9)
+    res = evaluate(m, ds, cfg, split="meta-train", level=level)
+    assert np.array_equal(res.accuracies, _episode_accuracies(m, ds, cfg, level))
+
+
+@pytest.mark.parametrize("n_episodes", [17, 33])
+def test_evaluate_blocks_match_episode_loss_bitwise(world, monkeypatch, n_episodes):
+    # more episodes than one block: a full block, then a part of one
+    g, ds = world
+    m = make_model(g)
+    cfg = EvalConfig(n_episodes=n_episodes, n_way=2, k_shot=2, n_query=4,
+                     adapt_steps=3, inner_lr=0.05, seed=4)
+    assert n_episodes > meta._BLOCK
+    res = evaluate(m, ds, cfg, split="meta-train")
+    assert np.array_equal(_bits(res.accuracies),
+                          _bits(_episode_accuracies(m, ds, cfg, None)))
+    monkeypatch.setattr(meta, "_BLOCK", 1)
+    alone = evaluate(m, ds, cfg, split="meta-train")
+    assert np.array_equal(_bits(alone.accuracies), _bits(res.accuracies))
+
+
+def test_evaluate_overflow_is_numerical_error(world):
+    g, ds = world
+    m = make_model(g)
+    cfg = EvalConfig(n_episodes=3, n_way=2, k_shot=1, n_query=5, adapt_steps=5,
+                     inner_lr=1e306, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="non-finite"):
+        evaluate(m, ds, cfg, split="meta-train")
 
 
 def test_evaluate_deterministic(world):
@@ -512,6 +587,14 @@ def test_train_config_validation():
         TrainConfig(outer_lr=float("-inf"))
     with pytest.raises(ConfigError, match="finite"):
         TrainConfig(level_weights={1: float("nan")})
+    for bad in (2.5, 1.0, True, "3"):
+        for name in ("n_episodes", "n_way", "k_shot", "adapt_steps", "seed"):
+            with pytest.raises(ConfigError, match="integer"):
+                EvalConfig(**{name: bad})
+        for name in ("iterations", "adapt_steps", "episodes_per_term",
+                     "decay_period", "n_query"):
+            with pytest.raises(ConfigError, match="integer"):
+                TrainConfig(**{name: bad})
     assert TrainConfig(level_weights={1: 2.0}).weight_for(1) == 2.0
     assert TrainConfig(concept_weight=0.5).weight_for(3) == 0.5
     assert TrainConfig(outer_lr=0.1).lr_at(999) == pytest.approx(0.01)

@@ -357,6 +357,15 @@ def test_rng_child_reproducible_and_independent():
     assert not np.array_equal(root.child("a").normal(size=4), root.child("b").normal(size=4))
 
 
+def test_rng_builds_its_generator_on_the_first_draw():
+    r = T.Rng(5).child("eval", 3, "sample")
+    assert "_gen" not in vars(r)
+    eager = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(5, spawn_key=r.key)))
+    npt.assert_array_equal(r.normal(size=6), eager.normal(0.0, 1.0, 6))
+    assert "_gen" in vars(r)
+
+
 def test_rng_state_roundtrip():
     r = T.Rng(9)
     r.normal(size=3)
