@@ -10,12 +10,15 @@ Three stages, all differentiable end to end:
 3. ``emit_classifier`` -- one more propagation + affine, rows L2-normalized
                         and scaled to norm ``scale``; the task's rows are
                         split into per-class weights (first ``feature_dim``
-                        columns) and bias (last column).
+                        columns) and bias (last column).  Tasks that share a
+                        frozen embedding re-propagate only the rows their
+                        refined classes touch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,19 +118,31 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_task: Tensor,
 
 def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids,
                     w_out: Tensor, b_out: Tensor, norm_scale: float,
-                    placement: str = "write_back") -> TaskClassifier:
+                    placement: str = "write_back", propagated=None) -> TaskClassifier:
     """Final propagation + affine + row normalization, scaled to ``norm_scale``.
 
     ``write_back`` places the refined task rows back into the full node matrix
     before the final propagation; ``task_only`` applies the output layer to the
     refined rows directly, skipping propagation for non-task rows.
+
+    ``propagated``, when given, is P·``z_all`` as a plain array, shared by
+    tasks that never backpropagate: the write-back then re-propagates only
+    the rows whose neighborhood meets the task's rows (``Propagation.reapply``,
+    at most a few rows per task) instead of the whole graph.  The affine
+    still runs on every row, because a product's row bits depend on its row
+    count; so the emitted rows are the bits of the full propagation.
     """
     ids = np.asarray(class_ids, dtype=np.intp)
     feature_dim = w_out.data.shape[1] - 1
     if placement == "write_back":
         z = write_rows(z_all, refined, ids)
-        u = affine(prop.apply(z), w_out, b_out)
-        rows = gather_rows(u, ids)
+        if propagated is None:
+            p = prop.apply(z)
+        elif z.requires_grad:
+            raise ValueError("a shared propagation carries no gradient")
+        else:
+            p = Tensor(prop.reapply(propagated, z.data, ids))
+        rows = gather_rows(affine(p, w_out, b_out), ids)
     elif placement == "task_only":
         rows = affine(refined, w_out, b_out)
     else:
@@ -138,19 +153,30 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
     return TaskClassifier(weights=weights, bias=bias, class_ids=ids)
 
 
+class SharedEmbedding(NamedTuple):
+    """A ``graph_embed`` output that tasks share out of training, and its
+    propagation P·z as a plain array, both computed once."""
+    z: Tensor
+    propagated: np.ndarray
+
+
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation, z0: Tensor,
                   class_ids, rng: Rng, training: bool,
-                  placement: str = "write_back", embedding: Tensor | None = None
-                  ) -> TaskClassifier:
+                  placement: str = "write_back",
+                  embedding: SharedEmbedding | None = None) -> TaskClassifier:
     """Full pipeline: embed all nodes, refine the task's rows, emit the head.
 
-    ``embedding``, when given, is a ``graph_embed`` output to use instead of
-    embedding the nodes again; out of training it is the same for every task.
+    ``embedding``, when given, is used instead of embedding the nodes again,
+    and its propagation lets the emit re-propagate only the task's touched
+    rows (see :func:`emit_classifier`); out of training both are the same
+    for every task.
     """
-    z = (graph_embed(params, cfg, prop, z0, rng, training) if embedding is None
-         else embedding)
+    if embedding is None:
+        z, propagated = graph_embed(params, cfg, prop, z0, rng, training), None
+    else:
+        z, propagated = embedding
     z_task = select_task_rows(z, class_ids)      # validates ids
     refined = refine_relations(params, cfg, z_task, rng, training)
     return emit_classifier(prop, z, refined, class_ids,
                            params["gen.out.W"], params["gen.out.b"],
-                           cfg.scale, placement)
+                           cfg.scale, placement, propagated)

@@ -19,7 +19,7 @@ from .data import SynthConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .graph import ConceptGraph
-from .meta import EvalConfig, Model, TrainConfig
+from .meta import EvalConfig, Model, TrainConfig, require_types
 
 
 @dataclass
@@ -60,15 +60,26 @@ class ExperimentConfig:
 _SECTIONS = {"paths": Paths, "data": SynthConfig, "encoder": EncoderConfig,
              "generator": GeneratorConfig, "train": TrainConfig,
              "eval": EvalConfig, "flags": Flags}
+# the type of the entries of each section's list fields
+_ENTRIES = {"data": {"sigma_levels": "float"}, "encoder": {"widths": "int"},
+            "generator": {"embed_widths": "int", "relation_widths": "int"}}
 
 
 def from_dict(d: dict) -> ExperimentConfig:
+    """The validated config of a parsed JSON document: every field must hold
+    a value of its declared type (see ``meta.require_types``), else
+    ``ConfigError``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - set(_SECTIONS))
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     built = {}
     for name, cls in _SECTIONS.items():
-        sub = dict(d.get(name, {}))
+        sub = d.get(name, {})
+        if not isinstance(sub, dict):
+            raise ConfigError(f"config section '{name}' must be an object, got {sub!r}")
+        sub = dict(sub)
         allowed = {f.name for f in fields(cls)}
         bad = sorted(set(sub) - allowed)
         if bad:
@@ -82,6 +93,10 @@ def from_dict(d: dict) -> ExperimentConfig:
             built[name] = cls(**sub)
         except TypeError as exc:
             raise ConfigError(f"bad '{name}' section: {exc}")
+        try:
+            require_types(built[name], **_ENTRIES.get(name, {}))
+        except ConfigError as exc:
+            raise ConfigError(f"{name}.{exc}")
     return ExperimentConfig(**built)
 
 
@@ -141,12 +156,19 @@ def apply_overrides(d: dict, overrides) -> dict:
 
 def load_config_dict(path) -> dict:
     try:
-        with open(path) as f:
-            return json.load(f)
+        with open(path, encoding="utf-8") as f:
+            d = json.load(f)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if not isinstance(d, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return d
 
 
 def canonical_json(cfg: ExperimentConfig) -> str:

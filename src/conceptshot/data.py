@@ -34,7 +34,10 @@ class Dataset:
             raise DataError("node_ids length does not match feature rows")
         if not np.all(np.isfinite(self.features)):
             raise DataError("dataset features contain non-finite values")
+        if self.node_ids.size and self.node_ids.min() < 0:
+            raise DataError(f"sample references node id {int(self.node_ids.min())}")
         self._by_class = None
+        self._counts = None
 
     @property
     def num_samples(self):
@@ -52,9 +55,16 @@ class Dataset:
             self._by_class = {int(c): np.sort(idx) for c, idx in zip(ids, splits)}
         return self._by_class.get(int(class_id), np.empty(0, dtype=np.intp))
 
+    def class_counts(self):
+        """Samples per node id, indexed by id up to the largest id present,
+        as a read-only array: one bincount, built on the first call."""
+        if self._counts is None:
+            self._counts = np.bincount(self.node_ids)
+            self._counts.flags.writeable = False
+        return self._counts
+
     def validate_against(self, g: ConceptGraph):
-        if self.node_ids.size and (self.node_ids.min() < 0
-                                   or self.node_ids.max() >= g.num_nodes):
+        if self.node_ids.size and self.node_ids.max() >= g.num_nodes:
             bad = int(self.node_ids.max())
             raise DataError(f"sample references node id {bad} absent from the graph")
 
@@ -76,10 +86,17 @@ def _check_way_shot(n_way, k_shot, n_query):
             f"n_query={n_query}")
 
 
+def _eligible(ds, candidates, need):
+    """The ids of ``candidates``, an id-ordered array, with at least
+    ``need`` samples each, in id order."""
+    counts = ds.class_counts()
+    cand = candidates[candidates < counts.size]     # larger ids have no samples
+    return cand[counts[cand] >= need]
+
+
 def _sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, what):
     need = k_shot + n_query
-    eligible = np.array([c for c in sorted(candidates)
-                         if ds.indices_for(c).size >= need], dtype=np.intp)
+    eligible = _eligible(ds, candidates, need)
     if eligible.size < n_way:
         raise DataError(
             f"need {n_way} classes with >={need} samples {what}, found {eligible.size}")
@@ -103,7 +120,7 @@ def sample_entity_episode(ds: Dataset, g: ConceptGraph, split: str, n_way: int,
     _check_way_shot(n_way, k_shot, n_query)
     if split not in ("meta-train", "meta-test"):
         raise ConfigError(f"entity episodes need split meta-train/meta-test, got '{split}'")
-    return _sample_episode(ds, g.split_ids(split), g.entity_level,
+    return _sample_episode(ds, g.ids_at(g.entity_level, split), g.entity_level,
                            n_way, k_shot, n_query, rng, f"in split '{split}'")
 
 
@@ -114,7 +131,7 @@ def sample_concept_episode(ds: Dataset, g: ConceptGraph, level: int, n_way: int,
     if not (0 <= level < g.entity_level):
         raise DataError("concept episodes must use non-leaf levels "
                         f"(got level {level}, entities at {g.entity_level})")
-    return _sample_episode(ds, g.level_ids(level), level,
+    return _sample_episode(ds, g.ids_at(level), level,
                            n_way, k_shot, n_query, rng, f"at level {level}")
 
 
@@ -125,7 +142,7 @@ def concept_levels_with(ds: Dataset, g: ConceptGraph, k_shot: int, n_query: int,
     need = k_shot + n_query
     out = []
     for level in range(g.entity_level):
-        n = sum(1 for c in g.level_ids(level) if ds.indices_for(c).size >= need)
+        n = _eligible(ds, g.ids_at(level), need).size
         if n >= min_ways:
             out.append((level, n))
     return out
@@ -223,12 +240,12 @@ def generate_synthetic(cfg: SynthConfig):
         if graph.is_entity(nid):
             if nid in weak_only:
                 continue
-            feats.append(leaf_samples(nid, cfg.samples_per_class))
+            block = leaf_samples(nid, cfg.samples_per_class)
         else:
             desc = graph.descendants_at_entity_level(nid)
             picks = sample_rng.integers(0, len(desc), cfg.samples_per_class)
             block = np.concatenate([leaf_samples(desc[p], 1) for p in picks])
-            feats.append(block)
+        feats.append(block.astype(np.float32))   # no float64 copy of the whole table
         labels.append(np.full(cfg.samples_per_class, nid, dtype=np.int32))
 
     proj = sem_rng.normal(size=(cfg.input_dim, cfg.semantic_dim)) / np.sqrt(cfg.input_dim)
@@ -238,7 +255,7 @@ def generate_synthetic(cfg: SynthConfig):
             size=(m, cfg.semantic_dim))
 
     graph = ConceptGraph(nodes, edges, semantics, cfg.num_levels)
-    ds = Dataset(np.concatenate(feats).astype(np.float32),
+    ds = Dataset(np.concatenate(feats),
                  np.concatenate(labels))
     return graph, ds
 
@@ -248,10 +265,10 @@ def generate_synthetic(cfg: SynthConfig):
 
 def save_dataset(ds: Dataset, path):
     n, d = ds.features.shape
-    blob = _DS_MAGIC + struct.pack("<BII", 1, n, d)
-    blob += ds.features.astype("<f4").tobytes()
-    blob += ds.node_ids.astype("<i4").tobytes()
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as f:          # no byte-string copy of the table
+        f.write(_DS_MAGIC + struct.pack("<BII", 1, n, d))
+        ds.features.astype("<f4", copy=False).tofile(f)
+        ds.node_ids.astype("<i4", copy=False).tofile(f)
 
 
 def load_dataset(path) -> Dataset:
@@ -260,6 +277,8 @@ def load_dataset(path) -> Dataset:
         blob = path.read_bytes()
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}")
+    except OSError as e:
+        raise DataError(f"cannot read dataset file {path}: {e}")
     if blob[:4] != _DS_MAGIC or len(blob) < 13:
         raise DataError(f"{path} is not a conceptshot dataset")
     ver, n, d = struct.unpack("<BII", blob[4:13])

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .tensor import Tensor, sym_neighbor_mean
+from .tensor import Tensor, neighbor_groups, neighbor_sums, sym_neighbor_mean
 
 VALID_SPLITS = ("meta-train", "meta-test", "weak", "none")
 
@@ -44,6 +44,7 @@ class ConceptGraph:
         self.num_levels = int(num_levels)
         self._validate(edges)
         self._nbrs = None
+        self._ids = None
 
     # -- derived views ------------------------------------------------------
 
@@ -59,11 +60,26 @@ class ConceptGraph:
         return self.nodes[node_id].level == self.entity_level
 
     def level_ids(self, level):
-        return [n.id for n in self.nodes if n.level == level]
+        return self.ids_at(level).tolist()
 
     def split_ids(self, split, level=None):
         lv = self.entity_level if level is None else level
-        return [n.id for n in self.nodes if n.level == lv and n.split == split]
+        return self.ids_at(lv, split).tolist()
+
+    def ids_at(self, level, split=None):
+        """The ids at ``level`` (of ``split``, when given) in id order, as a
+        read-only array; the arrays of every level and split are built on
+        the first call."""
+        if self._ids is None:
+            ids = {}
+            for n in self.nodes:
+                for key in (n.level, (n.level, n.split)):
+                    ids.setdefault(key, []).append(n.id)
+            self._ids = {k: np.array(v, dtype=np.intp) for k, v in ids.items()}
+            for a in self._ids.values():
+                a.flags.writeable = False
+        return self._ids.get(level if split is None else (level, split),
+                             np.empty(0, dtype=np.intp))
 
     def neighbors(self, node_id):
         if self._nbrs is None:
@@ -164,17 +180,37 @@ class ConceptGraph:
 class Propagation:
     """Row-stochastic neighborhood-averaging operator P = D^-1 (A [+ I]).
 
-    ``apply`` runs the operator differentiably with order-canonical summation;
-    ``dense`` materializes P for inspection and oracle checks.
+    The structure never changes, so its degree groups (the
+    ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here, and
+    every ``apply`` and its vjp reuse them.  ``apply`` runs the operator
+    differentiably with order-canonical summation; ``reapply`` re-propagates
+    only the rows that a rewrite of a few input rows changes; ``dense``
+    materializes P for inspection and oracle checks.
     """
 
     def __init__(self, nbr_idx, degrees, size):
         self.nbr_idx = nbr_idx
         self.degrees = degrees
         self.size = size
+        self.groups = neighbor_groups(nbr_idx, size)
 
     def apply(self, x: Tensor) -> Tensor:
-        return sym_neighbor_mean(x, self.nbr_idx, self.degrees)
+        return sym_neighbor_mean(x, self.groups, self.degrees)
+
+    def reapply(self, propagated, values, ids):
+        """P·values, given ``propagated`` = P·z for a z that differs from
+        ``values`` only in the rows ``ids``.  Row r changes only where N(r)
+        meets ``ids``; the structure is symmetric, so those rows are N(ids).
+        They are summed again by the same aggregation routine and divided by
+        the same degrees, so every row has the bits of ``apply(values)``.
+        Plain arrays, no tape."""
+        hit = np.zeros(self.size + 1, dtype=bool)
+        hit[self.nbr_idx[ids]] = True
+        rows = np.flatnonzero(hit[:-1])
+        out = propagated.copy()
+        out[rows] = (neighbor_sums(values, neighbor_groups(self.nbr_idx[rows], self.size))
+                     / self.degrees[rows, None])
+        return out
 
     @property
     def dense(self):
@@ -252,9 +288,13 @@ def save_graph(g: ConceptGraph, path, semantics_sidecar: str | None = None):
 def load_graph(path) -> ConceptGraph:
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataError(f"graph file not found: {path}")
+    except OSError as e:
+        raise DataError(f"cannot read graph file {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise DataError(f"graph file {path} is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise DataError(f"graph file {path} is not valid JSON: {e}")
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
@@ -285,6 +325,8 @@ def _load_semantics_sidecar(path: Path):
         blob = path.read_bytes()
     except FileNotFoundError:
         raise DataError(f"semantics sidecar not found: {path}")
+    except OSError as e:
+        raise DataError(f"cannot read semantics sidecar {path}: {e}")
     if blob[:4] != _SEM_MAGIC or len(blob) < 13:
         raise DataError(f"{path} is not a semantics sidecar")
     ver, m, d = struct.unpack("<BII", blob[4:13])

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import classifier_gen
-from .classifier_gen import (GeneratorConfig, TaskClassifier, emit_for_task,
-                             init_generator)
+from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
+                             emit_for_task, init_generator)
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
 from .encoder import (EncoderConfig, apply_layers, embed_low, high_pairs,
@@ -48,26 +48,33 @@ from .tensor import (Rng, SgdOptimizer, Tensor, add, affine, backward, carry,
                      stable_exp_parts, transpose)
 
 
-def _require_ints(cfg):
-    """Every int field of ``cfg`` must hold an int; a bool is not one."""
+_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
+          "str": "a string", "list": "a list", "dict": "an object"}
+
+
+def _is_kind(value, kind: str) -> bool:
+    if isinstance(value, bool):                  # a bool is not a number
+        return kind == "bool"
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, {"bool": bool, "str": str, "list": list, "dict": dict}[kind])
+
+
+def require_types(cfg, **entries):
+    """Every int, float, bool, str, list and dict field of ``cfg`` must hold a
+    value of that type; a float must also be finite, since a NaN would slip
+    past checks such as ``x < 0``.  Each keyword names a list or dict field
+    and the type its entries (a dict's values) must have."""
     for f in fields(cfg):
         v = getattr(cfg, f.name)
-        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, int)):
-            raise ConfigError(f"{f.name} must be an integer, got {v!r}")
-
-
-def _require_finite(cfg, **extra):
-    """Every float field of ``cfg``, and each value listed in ``extra``, must
-    be a finite number; a NaN would slip past checks such as ``x < 0``."""
-    named = [(f.name, [getattr(cfg, f.name)]) for f in fields(cfg) if f.type == "float"]
-    for name, values in named + list(extra.items()):
-        for v in values:
-            try:
-                finite = math.isfinite(v)
-            except TypeError:
-                finite = False
-            if not finite:
-                raise ConfigError(f"{name} must be a finite number, got {v!r}")
+        if f.type in _KINDS and not _is_kind(v, f.type):
+            raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
+        kind = entries.get(f.name)
+        for key, e in (v.items() if isinstance(v, dict) else enumerate(v)) if kind else ():
+            if not _is_kind(e, kind):
+                raise ConfigError(f"{f.name}[{key!r}] must be {_KINDS[kind]}, got {e!r}")
 
 
 @dataclass
@@ -82,7 +89,9 @@ class TrainConfig:
     adapt_steps: int = 5
     entity_weight: float = 1.0
     concept_weight: float = 1.0
-    level_weights: dict = field(default_factory=dict)  # per-level overrides
+    # per-level overrides of concept_weight; every key must be an abstract
+    # level of the graph (checked by train()), with or without enough classes
+    level_weights: dict = field(default_factory=dict)
     episodes_per_term: int = 1
     n_way: int = 5
     k_shot: int = 1
@@ -90,8 +99,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self)
-        _require_finite(self, level_weights=list(self.level_weights.values()))
+        require_types(self, level_weights="float")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("outer_lr", "inner_lr", "weight_decay",
@@ -132,8 +140,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self)
-        _require_finite(self)
+        require_types(self)
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if min(self.n_way, self.k_shot, self.n_query) < 1:
@@ -174,7 +181,7 @@ class Model:
                                           rng.child("generator")))
 
     def emit(self, class_ids, rng: Rng, training: bool,
-             embedding: Tensor | None = None) -> TaskClassifier:
+             embedding: SharedEmbedding | None = None) -> TaskClassifier:
         return emit_for_task(self.params, self.gen_cfg, self.prop,
                              self.semantic_input, class_ids, rng, training,
                              self.refine_placement, embedding)
@@ -428,6 +435,11 @@ def train(model: Model, ds: Dataset, cfg: TrainConfig, *, metrics_path=None,
     byte for byte.
     """
     ds.validate_against(model.graph)
+    abstract = range(model.graph.entity_level)
+    unknown = sorted(set(cfg.level_weights) - set(abstract))
+    if unknown:
+        raise ConfigError(f"train.level_weights names level(s) {unknown}, which are "
+                          f"not abstract levels of the graph ({list(abstract)})")
     levels = eligible_concept_levels(ds, model.graph, cfg)
     opt = SgdOptimizer(model.params, cfg.momentum, cfg.weight_decay)
     records = []
@@ -476,14 +488,18 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     per-episode accuracy vector is independent of execution order.  Nothing
     is backpropagated, so the episodes run on detached parameters, which
     record no tape, and share one node embedding, which is deterministic out
-    of training.  Episodes are sampled and emitted one by one, adapted by one
+    of training, together with its propagation P·z: both are computed once
+    per call, and each episode's write-back emit re-propagates only the rows
+    its classes touch (``Propagation.reapply``), not the whole graph.
+    Episodes are sampled and emitted one by one, adapted by one
     :func:`inner_adapt` call per block of ``_BLOCK``, and scored one by one;
     each episode's bits are those of :func:`episode_loss` on it alone.
     """
     g = model.graph
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
-    embedding = model.embed(rng.child("embed"), training=False)
+    z = model.embed(rng.child("embed"), training=False)
+    embedding = SharedEmbedding(z, model.prop.apply(z).data)
     accs = np.empty(cfg.n_episodes)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = []

@@ -33,7 +33,8 @@ __all__ = [
     "Rng", "Tensor", "backward", "grad",
     "add", "sub", "mul", "scale", "neg", "matmul", "transpose", "affine",
     "relu", "leaky_relu", "dropout", "softmax_rows", "cross_entropy",
-    "l2_normalize_rows", "gather_rows", "write_rows", "sym_neighbor_mean",
+    "l2_normalize_rows", "gather_rows", "write_rows", "neighbor_groups",
+    "neighbor_sums", "sym_neighbor_mean",
     "concat_rows", "concat_cols", "slice_cols", "reshape", "stack_rows", "mean_rows",
     "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry",
     "class_labels", "stable_exp_parts", "glorot_uniform", "SgdOptimizer",
@@ -449,16 +450,43 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # graph neighborhood averaging
 
-def sym_neighbor_mean(x: Tensor, nbr_idx, degrees) -> Tensor:
+def neighbor_groups(nbr_idx, pad: int) -> list:
+    """The rows of a padded neighbor table grouped by their number of
+    entries k: a list of ``(rows, idx)`` with ``idx`` the (r, k) entries of
+    those rows, ``pad`` left out.  Row positions are those of ``nbr_idx``."""
+    nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
+    counts = (nbr_idx != pad).sum(axis=1)
+    groups = []
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        groups.append((rows, nbr_idx[rows, :k]))
+    return groups
+
+
+def neighbor_sums(values, groups) -> np.ndarray:
+    """Each grouped row's neighborhood sum of ``values``: every group sums its
+    (r, k, d) block along k, sorted by value first when k >= 3.  A row's bits
+    depend only on its own entries, not on the other rows of its group."""
+    out = np.empty((sum(rows.size for rows, _ in groups), values.shape[1]))
+    for rows, idx in groups:
+        contrib = values[idx]                          # (r, k, d)
+        if idx.shape[1] > 2:
+            contrib = np.sort(contrib, axis=1)
+        out[rows] = contrib.sum(axis=1)
+    return out
+
+
+def sym_neighbor_mean(x: Tensor, groups, degrees) -> Tensor:
     """Row-normalized neighborhood sum over a *symmetric* adjacency structure.
 
-    ``nbr_idx`` is (n, max_deg): each row lists its entries in [0, n), then
-    pads with n; ``degrees`` the true neighbor counts.
+    ``groups`` is the :func:`neighbor_groups` table of the structure, built
+    once by its owner (``graph.Propagation``) and reused by every call;
+    ``degrees`` the true neighbor counts.
     out[i] = sum(x[j] for j in N(i)) / deg[i].
 
-    Rows are grouped by their number of entries k; each group sums an
-    (r, k, d) block along k, sorted by value first when k >= 3, so the
-    result is bitwise invariant under node relabeling (for k <= 2,
+    :func:`neighbor_sums` is the one aggregation routine: rows with k entries
+    sum an (r, k, d) block along k, sorted by value first when k >= 3, so
+    the result is bitwise invariant under node relabeling (for k <= 2,
     ``a + b == b + a`` exactly).  Each sum has the bits of the sorted row
     padded with ``+0.0`` to max_deg: numpy's sum starts from ``+0.0``, so
     no partial sum is ``-0.0`` and adding ``+0.0`` to it is exact.  (Not
@@ -467,30 +495,13 @@ def sym_neighbor_mean(x: Tensor, nbr_idx, degrees) -> Tensor:
     Symmetry of the structure is assumed (undirected edges), which makes the
     backward pass reuse the same groups.
     """
-    nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
     degrees = np.asarray(degrees, dtype=np.float64)
-    n = x.data.shape[0]
     if (degrees <= 0).any():
         raise NumericalError("neighborhood averaging with a zero-degree node")
-    counts = (nbr_idx != n).sum(axis=1)
-    groups = []
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        groups.append((rows, nbr_idx[rows, :k]))
-
-    def agg(values):
-        out = np.empty_like(values)
-        for rows, idx in groups:
-            contrib = values[idx]                      # (r, k, d)
-            if idx.shape[1] > 2:
-                contrib = np.sort(contrib, axis=1)
-            out[rows] = contrib.sum(axis=1)
-        return out
-
-    out = agg(x.data) / degrees[:, None]
+    out = neighbor_sums(x.data, groups) / degrees[:, None]
 
     def vjp(g):
-        return (agg(g / degrees[:, None]),)
+        return (neighbor_sums(g / degrees[:, None], groups),)
 
     return _node(out, (x,), vjp, "sym_neighbor_mean")
 

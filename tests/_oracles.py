@@ -1,6 +1,7 @@
 """Shared test oracles: central finite differences, error metrics, graph
 relabeling, the padded neighborhood sum that ``tensor.sym_neighbor_mean``
-replaces, and the taped inner loop that ``meta.inner_adapt`` replaces."""
+replaces, the per-call class filter that ``data._sample_episode`` replaces,
+and the taped inner loop that ``meta.inner_adapt`` replaces."""
 
 import numpy as np
 
@@ -47,6 +48,13 @@ def padded_neighbor_sum(values, nbr_idx):
     neighbors and summed."""
     padded = np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
     return np.sort(padded[nbr_idx], axis=1).sum(axis=1)
+
+
+def eligible_classes(ds, candidates, need):
+    """The episode sampler's class filter the per-call way: sort the
+    candidate ids and keep each one with at least ``need`` samples."""
+    return np.array([c for c in sorted(candidates) if ds.indices_for(c).size >= need],
+                    dtype=np.intp)
 
 
 def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):

@@ -140,7 +140,7 @@ def _op_cases(rng, seed):
         ("softmax_rows", [sx], lambda: T.softmax_rows(sx)),
         ("cross_entropy", [logit], lambda: T.cross_entropy(logit, labels)),
         ("sym_neighbor_mean", [px],
-         lambda: T.sym_neighbor_mean(px, prop.nbr_idx, prop.degrees)),
+         lambda: T.sym_neighbor_mean(px, prop.groups, prop.degrees)),
     ]
 
 

@@ -125,6 +125,20 @@ def test_exit_codes(tmp_path, capsys):
     for bad in ("train.iterations=1.5", "train.adapt_steps=2.5",
                 "train.episodes_per_term=1.5"):
         assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
+    # every section is type-checked: non-finite floats, non-integer ints,
+    # non-bool bools, and a section that is not an object
+    for bad in ("generator.scale=NaN", "generator.slope=NaN", "encoder.slope=NaN",
+                "encoder.slope=Infinity", "generator.scale=true", "flags.self_loops=no",
+                "train=3", "encoder.widths=[2.5,8]", "data.sigma_levels=[NaN,0.4,0.3]"):
+        assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
+    for bad in ("data.branching=2.5", 'data.semantic_noise="a"'):
+        assert main(["gen-data", "-c", str(cfgp), "--set", bad]) == 2
+    # config files that are not a JSON object, not UTF-8, or not a file
+    (tmp_path / "array.json").write_text("[1, 2]")
+    (tmp_path / "latin1.json").write_bytes(b'{"paths": {"graph": "\xff"}}')
+    (tmp_path / "art").mkdir()
+    for path in ("array.json", "latin1.json", "art"):
+        assert main(["train", "-c", str(tmp_path / path)]) == 2
     # data errors: artifacts missing
     assert main(["train", "-c", str(cfgp)]) == 3
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3
@@ -144,6 +158,20 @@ def test_exit_codes(tmp_path, capsys):
         graph_path.write_text(json.dumps(doc))
         assert main(["inspect-graph", "-c", str(cfgp)]) == 3
         assert main(["train", "-c", str(cfgp)]) == 3
+    # data errors: a graph file that is not UTF-8; artifact paths that are
+    # directories
+    graph_path.write_bytes(b"\xff\xfe{}")
+    assert main(["inspect-graph", "-c", str(cfgp)]) == 3
+    assert main(["train", "-c", str(cfgp)]) == 3
+    main(["gen-data", "-c", str(cfgp)])
+    for key in ("paths.graph", "paths.dataset"):
+        for command in ("inspect-graph", "train", "eval"):
+            assert main([command, "-c", str(cfgp), "--set", f"{key}={tmp_path}"]) == 3
+    # level_weights keys must be abstract levels of the graph (0 and 1 here);
+    # level 0 has too few classes for an episode, and is still allowed
+    assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"7":1}']) == 2
+    assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"2":1}']) == 2
+    assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"0":2}']) == 0
     err = capsys.readouterr().err
     assert "config error" in err and "data error" in err
     assert "numerical failure" in err

@@ -4,11 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from _oracles import eligible_classes
+from conceptshot import data
 from conceptshot.data import (Dataset, SynthConfig, class_separation,
                               concept_levels_with, generate_synthetic, load_dataset,
                               sample_concept_episode, sample_entity_episode,
                               save_dataset, summarize)
 from conceptshot.errors import ConfigError, DataError
+from conceptshot.graph import VALID_SPLITS
 from conceptshot.tensor import Rng
 
 
@@ -188,6 +191,38 @@ def test_concept_levels_with(small_world):
     g, ds = small_world
     levels = concept_levels_with(ds, g, k_shot=1, n_query=5)
     assert levels == [(1, 2)]  # root level has one class; level 1 has two
+
+
+def _sparse_worlds(small_world):
+    """The small world; one whose weak-only leaves have no samples; and one
+    whose largest ids have no samples."""
+    g, ds = small_world
+    yield g, ds
+    yield generate_synthetic(SynthConfig(branching=3, num_levels=3, input_dim=4,
+                                         semantic_dim=4, samples_per_class=6,
+                                         mix_mode=True, weak_fraction=0.3, seed=8))
+    keep = ds.node_ids < g.num_nodes - 2
+    yield g, Dataset(ds.features[keep], ds.node_ids[keep])
+
+
+def test_eligible_matches_sorted_filter(small_world):
+    for g, ds in _sparse_worlds(small_world):
+        counts = ds.class_counts()
+        for need in range(1, int(counts.max()) + 2):
+            for level in range(g.num_levels):
+                candidates = [g.ids_at(level)] + [g.ids_at(level, s)
+                                                  for s in VALID_SPLITS]
+                sorted_ids = [g.level_ids(level)] + [g.split_ids(s, level)
+                                                     for s in VALID_SPLITS]
+                for cand, old in zip(candidates, sorted_ids):
+                    got = data._eligible(ds, cand, need)
+                    want = eligible_classes(ds, old, need)
+                    assert got.dtype == want.dtype
+                    npt.assert_array_equal(got, want)
+            old_levels = [(lv, n) for lv in range(g.entity_level)
+                          for n in [eligible_classes(ds, g.level_ids(lv), need).size]
+                          if n >= 2]
+            assert concept_levels_with(ds, g, 1, need - 1) == old_levels
 
 
 # ---------------------------------------------------------------------------

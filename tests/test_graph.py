@@ -284,7 +284,7 @@ def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, self_loops):
         for d in widths:
             x = T.Tensor(with_signed_zeros(rng, (prop.size, d)), requires_grad=True)
             g = with_signed_zeros(rng, (prop.size, d))
-            out = T.sym_neighbor_mean(x, prop.nbr_idx, prop.degrees)
+            out = T.sym_neighbor_mean(x, prop.groups, prop.degrees)
             T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
             want = padded_neighbor_sum(x.data, prop.nbr_idx) / deg
             npt.assert_array_equal(bits(out.data), bits(want))
@@ -299,9 +299,31 @@ def test_sym_neighbor_mean_ignores_padding_width():
     rng = np.random.default_rng(3)
     for d in (1, 2, 5):
         x = with_signed_zeros(rng, (prop.size, d))
-        a = T.sym_neighbor_mean(T.Tensor(x), prop.nbr_idx, prop.degrees).data
-        b = T.sym_neighbor_mean(T.Tensor(x), wide, prop.degrees).data
+        a = T.sym_neighbor_mean(T.Tensor(x), prop.groups, prop.degrees).data
+        b = T.sym_neighbor_mean(T.Tensor(x), T.neighbor_groups(wide, prop.size),
+                                prop.degrees).data
         npt.assert_array_equal(bits(a), bits(b))
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_reapply_matches_apply_bitwise(name, self_loops):
+    # re-propagating only the rows that a rewrite of ``ids`` touches gives
+    # every row the bits of propagating the rewritten input in full
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng), self_loops=self_loops)
+        for d in (1, 2, 16):
+            z = with_signed_zeros(rng, (prop.size, d))
+            ids = rng.choice(prop.size, int(rng.integers(1, min(prop.size, 6) + 1)),
+                             replace=False)
+            rewritten = z.copy()
+            rewritten[ids] = with_signed_zeros(rng, (ids.size, d))
+            shared = prop.apply(T.Tensor(z)).data
+            kept = shared.copy()
+            got = prop.reapply(shared, rewritten, ids)
+            npt.assert_array_equal(bits(got), bits(prop.apply(T.Tensor(rewritten)).data))
+            npt.assert_array_equal(bits(shared), bits(kept))
 
 
 # ---------------------------------------------------------------------------

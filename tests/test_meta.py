@@ -6,8 +6,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conceptshot import classifier_gen, meta
-from conceptshot.classifier_gen import GeneratorConfig, TaskClassifier
+from conceptshot import classifier_gen, graph, meta
+from conceptshot.classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
+                                        emit_for_task)
 from conceptshot.data import (SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
 from conceptshot.encoder import EncoderConfig, high_pairs
@@ -457,6 +458,52 @@ def test_evaluate_embeds_once_and_records_no_tape(world, monkeypatch):
     assert calls == [False]
     assert len(losses) == 5
     assert not any(loss.requires_grad or loss._parents for loss in losses)
+
+
+@pytest.fixture(scope="module")
+def wide_world():
+    return generate_synthetic(SynthConfig(branching=4, num_levels=3, input_dim=8,
+                                          semantic_dim=8, samples_per_class=12,
+                                          seed=6))
+
+
+@pytest.mark.parametrize("level", [None, 1])
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, placement,
+                                                  semantics, self_loops, level):
+    # each head evaluate emits from the shared embedding and its propagation
+    # has the bits of one emitted from scratch; the graph is propagated once
+    # per hop and once more for the shared P z, whatever the episode count.
+    # Without self loops a task row's own propagated row comes from the
+    # shared P z, so a stale P z shows there.
+    g, ds = wide_world
+    m = make_model(g, semantics=semantics, refine_placement=placement,
+                   self_loops=self_loops)
+    emitted, applied = [], []
+    apply = graph.Propagation.apply
+
+    def keeping_emit(*args):
+        emitted.append((args, emit_for_task(*args)))
+        return emitted[-1][1]
+
+    def counting_apply(self, x):
+        applied.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
+    monkeypatch.setattr(graph.Propagation, "apply", counting_apply)
+    evaluate(m, ds, EvalConfig(n_episodes=6, n_way=3, k_shot=1, n_query=2,
+                               adapt_steps=1, seed=2), split="meta-train", level=level)
+    assert len(emitted) == 6
+    assert len(applied) == len(m.gen_cfg.embed_widths) + 1
+    monkeypatch.undo()
+    for args, clf in emitted:
+        assert isinstance(args[-1], SharedEmbedding)
+        alone = emit_for_task(*args[:-1])
+        assert np.array_equal(_bits(clf.weights.data), _bits(alone.weights.data))
+        assert np.array_equal(_bits(clf.bias.data), _bits(alone.bias.data))
 
 
 def _episode_accuracies(m, ds, cfg, level):

@@ -291,13 +291,15 @@ def test_fd_sym_neighbor_mean():
     nbr = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 3]])
     deg = np.array([2.0, 3.0, 2.0])
     rng = np.random.default_rng(12)
-    _fd_check(lambda t: T.sym_neighbor_mean(t, nbr, deg), rng.standard_normal((3, 2)))
+    _fd_check(lambda t: T.sym_neighbor_mean(t, T.neighbor_groups(nbr, 3), deg),
+              rng.standard_normal((3, 2)))
 
 
 def test_sym_neighbor_mean_path_values():
     nbr = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 3]])
     deg = np.array([2.0, 3.0, 2.0])
-    out = T.sym_neighbor_mean(T.Tensor([[1.0], [2.0], [3.0]]), nbr, deg)
+    out = T.sym_neighbor_mean(T.Tensor([[1.0], [2.0], [3.0]]), T.neighbor_groups(nbr, 3),
+                              deg)
     npt.assert_allclose(out.data, [[1.5], [2.0], [2.5]], atol=1e-15)
 
 
