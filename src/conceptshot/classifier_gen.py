@@ -83,16 +83,21 @@ def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
     return params
 
 
-def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation, z0: Tensor,
-                rng: Rng, training: bool) -> Tensor:
-    """Hop stack over all nodes; deterministic when ``training`` is False."""
-    if z0.data.shape[1] != params["gen.embed.0.W"].data.shape[0]:
+def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
+                z0: Tensor | SharedEmbedding, rng: Rng, training: bool) -> Tensor:
+    """Hop stack over all nodes; deterministic when ``training`` is False.
+
+    ``z0`` is a Tensor, or a :class:`SharedEmbedding` whose P·z0 (computed
+    once by the model) the first hop uses as is: the same bits."""
+    z, p = (z0, None) if isinstance(z0, Tensor) else z0
+    if z.data.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
-            f"semantic width {z0.data.shape[1]} does not match the first hop's "
+            f"semantic width {z.data.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
-    z = z0
     for h in range(len(cfg.embed_widths)):
-        z = leaky_relu(affine(prop.apply(z), params[f"gen.embed.{h}.W"],
+        if h or p is None:
+            p = prop.apply(z)
+        z = leaky_relu(affine(p, params[f"gen.embed.{h}.W"],
                               params[f"gen.embed.{h}.b"]), cfg.slope)
         z = dropout(z, cfg.keep_prob, rng, training)
     return z
@@ -154,14 +159,14 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
 
 
 class SharedEmbedding(NamedTuple):
-    """A ``graph_embed`` output that tasks share out of training, and its
-    propagation P·z as a plain array, both computed once."""
+    """A node matrix many calls share and its propagation P·z, computed once:
+    the generator's input, or a ``graph_embed`` output out of training."""
     z: Tensor
-    propagated: np.ndarray
+    propagated: Tensor
 
 
-def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation, z0: Tensor,
-                  class_ids, rng: Rng, training: bool,
+def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
+                  z0: Tensor | SharedEmbedding, class_ids, rng: Rng, training: bool,
                   placement: str = "write_back",
                   embedding: SharedEmbedding | None = None) -> TaskClassifier:
     """Full pipeline: embed all nodes, refine the task's rows, emit the head.
@@ -174,7 +179,7 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation, z0: Ten
     if embedding is None:
         z, propagated = graph_embed(params, cfg, prop, z0, rng, training), None
     else:
-        z, propagated = embedding
+        z, propagated = embedding.z, embedding.propagated.data
     z_task = select_task_rows(z, class_ids)      # validates ids
     refined = refine_relations(params, cfg, z_task, rng, training)
     return emit_classifier(prop, z, refined, class_ids,

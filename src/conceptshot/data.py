@@ -9,6 +9,7 @@ concept classes of one abstract level.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -104,7 +105,7 @@ def _sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, what):
     sx, sy, qx, qy = [], [], [], []
     for pos, c in enumerate(ids):
         pool = ds.indices_for(c)
-        picked = pool[rng.choice(np.arange(pool.size), need, replace=False)]
+        picked = pool[rng.choice(pool.size, need, replace=False)]
         sx.append(ds.features[picked[:k_shot]])
         qx.append(ds.features[picked[k_shot:]])
         sy.append(np.full(k_shot, pos, dtype=np.intp))
@@ -272,22 +273,25 @@ def save_dataset(ds: Dataset, path):
 
 
 def load_dataset(path) -> Dataset:
+    """The header, checked against the file's size, then each table read
+    straight into its array."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as f:
+            head = f.read(13)
+            if head[:4] != _DS_MAGIC or len(head) < 13:
+                raise DataError(f"{path} is not a conceptshot dataset")
+            ver, n, d = struct.unpack("<BII", head[4:])
+            expect = 13 + 4 * n * d + 4 * n
+            if ver != 1 or os.fstat(f.fileno()).st_size != expect:
+                raise DataError(f"dataset {path} is truncated or has a bad header")
+            feats = np.fromfile(f, dtype="<f4", count=n * d).reshape(n, d)
+            ids = np.fromfile(f, dtype="<i4", count=n)
     except FileNotFoundError:
         raise DataError(f"dataset file not found: {path}")
     except OSError as e:
         raise DataError(f"cannot read dataset file {path}: {e}")
-    if blob[:4] != _DS_MAGIC or len(blob) < 13:
-        raise DataError(f"{path} is not a conceptshot dataset")
-    ver, n, d = struct.unpack("<BII", blob[4:13])
-    expect = 13 + 4 * n * d + 4 * n
-    if ver != 1 or len(blob) != expect:
-        raise DataError(f"dataset {path} is truncated or has a bad header")
-    feats = np.frombuffer(blob, dtype="<f4", count=n * d, offset=13).reshape(n, d)
-    ids = np.frombuffer(blob, dtype="<i4", count=n, offset=13 + 4 * n * d)
-    return Dataset(feats.copy(), ids.copy())
+    return Dataset(feats, ids)
 
 
 def summarize(ds: Dataset, g: ConceptGraph) -> str:

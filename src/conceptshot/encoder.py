@@ -59,11 +59,6 @@ def embed_low(params: dict, cfg: EncoderConfig, x: Tensor) -> Tensor:
     return apply_layers(layer_pairs(params, cfg)[:cfg.low_layers], x, cfg.slope)
 
 
-def embed_high(params: dict, cfg: EncoderConfig, z: Tensor) -> Tensor:
-    """Adaptable portion (identity when low_layers == len(widths))."""
-    return apply_layers(layer_pairs(params, cfg)[cfg.low_layers:], z, cfg.slope)
-
-
 def high_pairs(params: dict, cfg: EncoderConfig):
     """The (W, b) tensors the inner loop adapts."""
     return layer_pairs(params, cfg)[cfg.low_layers:]

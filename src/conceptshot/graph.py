@@ -184,8 +184,7 @@ class Propagation:
     ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here, and
     every ``apply`` and its vjp reuse them.  ``apply`` runs the operator
     differentiably with order-canonical summation; ``reapply`` re-propagates
-    only the rows that a rewrite of a few input rows changes; ``dense``
-    materializes P for inspection and oracle checks.
+    only the rows that a rewrite of a few input rows changes.
     """
 
     def __init__(self, nbr_idx, degrees, size):
@@ -211,15 +210,6 @@ class Propagation:
         out[rows] = (neighbor_sums(values, neighbor_groups(self.nbr_idx[rows], self.size))
                      / self.degrees[rows, None])
         return out
-
-    @property
-    def dense(self):
-        p = np.zeros((self.size, self.size))
-        for i in range(self.size):
-            for j in self.nbr_idx[i]:
-                if j < self.size:
-                    p[i, j] = 1.0 / self.degrees[i]
-        return p
 
 
 def propagation_operator(g: ConceptGraph, self_loops: bool = True) -> Propagation:

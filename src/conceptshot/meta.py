@@ -17,10 +17,13 @@ initialization: the outer gradient still reaches the generator through the
 emitted classifier, and no second-derivative terms are formed.  The inner
 loop adapts a block of same-shaped tasks at once, stacked along a leading
 axis: each task's bits equal those of the loop run on it alone, and every
-array the tape would check is still checked for non-finite values.  Training
-adapts each episode as a block of one.  Evaluation never backpropagates; it
-runs on detached parameters, which record no tape, embeds the graph once per
-call instead of once per episode, and adapts its episodes in blocks.
+array the tape would check is still checked for non-finite values.  A
+training step adapts its episodes in one block per episode shape.  The query
+set is scored on plain arrays too, by the same forward and backward code, and
+enters the tape as one node whose vjp gives the taped chain's gradients bit
+for bit.  Evaluation never backpropagates; it runs on detached parameters,
+which record no tape, embeds the graph once per call instead of once per
+episode, and adapts its episodes in blocks.
 """
 
 from __future__ import annotations
@@ -39,13 +42,12 @@ from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
                              emit_for_task, init_generator)
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
-from .encoder import (EncoderConfig, apply_layers, embed_low, high_pairs,
-                      init_encoder, layer_pairs)
+from .encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
+from .encoder import apply_layers  # noqa: F401  (bench/run.py traces it here)
 from .errors import ConfigError, DataError, NumericalError
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, Tensor, add, affine, backward, carry,
-                     class_labels, cross_entropy, scale, softmax_rows,
-                     stable_exp_parts, transpose)
+from .tensor import (Rng, SgdOptimizer, Tensor, add, attach, backward, carry,
+                     class_labels, scale, stable_exp_parts)
 
 
 _KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
@@ -174,6 +176,9 @@ class Model:
         self.self_loops = self_loops
         self.semantic_input = Tensor(sem)
         self.prop = propagation_operator(graph, self_loops=self_loops)
+        # the generator's input never changes, so neither does its first hop's P·z0
+        self.generator_input = SharedEmbedding(self.semantic_input,
+                                               self.prop.apply(self.semantic_input))
         rng = Rng(seed).child("init")
         self.params = {}
         self.params.update(init_encoder(enc_cfg, rng.child("encoder")))
@@ -183,13 +188,13 @@ class Model:
     def emit(self, class_ids, rng: Rng, training: bool,
              embedding: SharedEmbedding | None = None) -> TaskClassifier:
         return emit_for_task(self.params, self.gen_cfg, self.prop,
-                             self.semantic_input, class_ids, rng, training,
+                             self.generator_input, class_ids, rng, training,
                              self.refine_placement, embedding)
 
     def embed(self, rng: Rng, training: bool) -> Tensor:
         """The generator's node embedding of the whole graph."""
         return classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
-                                          self.semantic_input, rng, training)
+                                          self.generator_input, rng, training)
 
     def detached(self) -> "Model":
         """This model over detached parameters (the same arrays): nothing
@@ -206,13 +211,9 @@ class AdaptedState:
     classifier: TaskClassifier
 
 
-def _head_logits(clf: TaskClassifier, feats: Tensor) -> Tensor:
-    return affine(feats, transpose(clf.weights), clf.bias)
-
-
-def _checked(a, op: str):
+def _checked(a, op: str, where: str = "the inner loop"):
     if not np.isfinite(a).all():
-        raise NumericalError(f"non-finite values produced by '{op}' in the inner loop")
+        raise NumericalError(f"non-finite values produced by '{op}' in {where}")
     return a
 
 
@@ -221,16 +222,46 @@ def _T(a):
     return a.swapaxes(-1, -2)
 
 
-def _layers_forward(pairs, x, slope: float):
+def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
     """``apply_layers`` on plain (stacked) arrays: the output, and each
-    layer's input and leaky-ReLU mask for the backward pass."""
+    layer's input and leaky-ReLU mask for :func:`_backward`."""
     saved = []
     for w, b in pairs:
-        a = _checked(x @ w + b, "affine")
+        a = _checked(x @ w + b, "affine", where)
         mask = np.where(a >= 0, 1.0, float(slope))
         saved.append((x, mask))
-        x = _checked(a * mask, "leaky_relu")
+        x = _checked(a * mask, "leaky_relu", where)
     return x, saved
+
+
+def _cross_entropy(logits, y, where: str = "the inner loop"):
+    """The sorted-denominator cross-entropy of (stacked) ``logits`` per task
+    against ``y``, all the block's labels in one flat vector, and its
+    gradient at the logits before the 1/n scale."""
+    n, n_cls = logits.shape[-2:]
+    rows = np.arange(y.size)
+    z, e, s = stable_exp_parts(_checked(logits, "affine", where))
+    loss = _checked((np.log(s[..., 0]) - z.reshape(-1, n_cls)[rows, y].reshape(-1, n))
+                    .mean(axis=-1), "cross_entropy", where)
+    g = e / s
+    g.reshape(-1, n_cls)[rows, y] -= 1.0
+    return loss, g
+
+
+def _backward(ws, saved, feats, w, g):
+    """The tape ops' vjps on plain (stacked) arrays: each layer's (W, b)
+    gradient, then the head's, from ``g`` at the logits ``feats @ w.T + b``;
+    ``ws`` and ``saved`` are the layers' weights and their forward record.
+    Biases keep a leading axis of one."""
+    grads = [_T(_T(feats) @ g), g.sum(axis=-2, keepdims=True)]
+    g_out = g @ w
+    for i in reversed(range(len(saved))):
+        x_in, mask = saved[i]
+        g = g_out * mask
+        grads[:0] = [_T(x_in) @ g, g.sum(axis=-2, keepdims=True)]
+        if i:
+            g_out = g @ _T(ws[i])
+    return grads
 
 
 def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
@@ -267,24 +298,11 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
                                      stack([c.bias.data[None] for c in clfs])]
     n, n_cls = x.shape[-2], vals[-2].shape[-2]
     y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
-    rows = np.arange(y.size)
     for _ in range(steps):
         feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, slope)
         w, b = vals[-2:]
-        z, e, s = stable_exp_parts(_checked(feats @ _T(w) + b, "affine"))
-        _checked((np.log(s[..., 0]) - z.reshape(-1, n_cls)[rows, y].reshape(-1, n))
-                 .mean(axis=-1), "cross_entropy")
-        g = e / s
-        g.reshape(-1, n_cls)[rows, y] -= 1.0
-        g = g * (1.0 / n)
-        grads = [_T(_T(feats) @ g), g.sum(axis=-2, keepdims=True)]
-        g_out = g @ w
-        for i in reversed(range(len(saved))):
-            x_in, mask = saved[i]
-            g = g_out * mask
-            grads[:0] = [_T(x_in) @ g, g.sum(axis=-2, keepdims=True)]
-            if i:
-                g_out = g @ _T(vals[2 * i])
+        _, g = _cross_entropy(feats @ _T(w) + b, y)
+        grads = _backward(vals[:-2:2], saved, feats, w, g * (1.0 / n))
         vals = [_checked(v + (-lr * d), "add") for v, d in zip(vals, grads)]
     states = []
     for j, clf in enumerate(clfs):
@@ -297,34 +315,39 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
     return states
 
 
-def task_features(model: Model, adapted: AdaptedState, x: Tensor) -> Tensor:
-    return apply_layers(adapted.high, embed_low(model.params, model.enc_cfg, x),
-                        model.enc_cfg.slope)
-
-
-def predict(model: Model, adapted: AdaptedState, x) -> Tensor:
-    """Per-row class probabilities for a query batch (rows sum to 1)."""
-    feats = task_features(model, adapted, Tensor(np.asarray(x, dtype=np.float64)))
-    return softmax_rows(_head_logits(adapted.classifier, feats))
-
-
 def episode_loss(model: Model, ep: Episode, *, adapt_steps: int, inner_lr: float,
                  rng: Rng, training: bool, adapted: AdaptedState | None = None):
     """Emit -> adapt -> query loss.  Returns (loss Tensor, query accuracy).
 
     ``adapted`` is an optional :func:`inner_adapt` result for this episode,
     adapted in a block with others; without it the episode is emitted and
-    adapted here, as a block of one.
+    adapted here, as a block of one.  The query set is scored on plain
+    arrays by the inner loop's forward and backward code, checked as the
+    tape checks it, and enters the tape as one node over the low, adapted
+    high and classifier (W, b): the bits of the op-by-op taped chain.
     """
     if adapted is None:
         clf = model.emit(ep.class_ids, rng, training)
         (adapted,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
                                  adapt_steps, inner_lr)
-    logits = _head_logits(adapted.classifier,
-                          task_features(model, adapted, Tensor(ep.query_x)))
-    loss = cross_entropy(logits, ep.query_y)
-    acc = float((logits.data.argmax(axis=1) == ep.query_y).mean())
-    return loss, acc
+    cfg, clf = model.enc_cfg, adapted.classifier
+    pairs = layer_pairs(model.params, cfg)[:cfg.low_layers] + list(adapted.high)
+    parents = [t for pair in pairs for t in pair] + [clf.weights, clf.bias]
+    ws, w = [a.data for a, _ in pairs], clf.weights.data
+    feats, saved = _layers_forward([(a.data, b.data) for a, b in pairs],
+                                   np.asarray(ep.query_x, dtype=np.float64),
+                                   cfg.slope, "the query loss")
+    logits = feats @ w.T + clf.bias.data
+    loss, p = _cross_entropy(logits, class_labels(ep.query_y, *logits.shape),
+                             "the query loss")
+    n = logits.shape[0]
+
+    def vjp(g):
+        grads = _backward(ws, saved, feats, w, p * (float(g) / n))
+        return [d.reshape(t.data.shape) for d, t in zip(grads, parents)]
+
+    acc = float((logits.argmax(axis=1) == ep.query_y).mean())
+    return attach(loss.reshape(()), parents, vjp, "query_loss"), acc
 
 
 # ---------------------------------------------------------------------------
@@ -350,51 +373,61 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
     them with their weights, backpropagate, and step the optimizer.
 
     All randomness is re-derived from (cfg.seed, iteration), so any term can
-    be replayed in isolation and the step itself is resumable.
+    be replayed in isolation and the step itself is resumable.  Every term's
+    episodes are sampled and emitted first, in term order; the episodes that
+    share a shape are then adapted by one :func:`inner_adapt` call (each
+    keeps the bits it would get alone), and each is scored by one
+    :func:`episode_loss` call, in term order again.
     """
     it_rng = Rng(cfg.seed).child("train", iteration)
-    rec = {"iteration": iteration, "lr": cfg.lr_at(iteration)}
+    rec = {"iteration": iteration, "lr": cfg.lr_at(iteration),
+           "entity_loss": float("nan"), "entity_acc": float("nan")}
+    terms = []                      # (name, weight, [[episode, dropout rng, head]])
 
-    def run_term(name, n_way, sample):
-        losses, accs = [], []
+    def add_term(name, weight, sample):
+        tasks = []
         for b in range(cfg.episodes_per_term):
-            ep = sample(n_way, it_rng.child("sample", name, b))
-            loss, acc = episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
-                                     inner_lr=cfg.inner_lr,
-                                     rng=it_rng.child("drop", name, b),
-                                     training=True)
-            losses.append(loss)
-            accs.append(acc)
-        return _mean_scalars(losses), float(np.mean(accs))
+            ep, drop = sample(it_rng.child("sample", name, b)), it_rng.child("drop", name, b)
+            tasks.append([ep, drop, model.emit(ep.class_ids, drop, True)])
+        terms.append((name, weight, tasks))
 
-    parts = []
-    rec["entity_loss"] = rec["entity_acc"] = float("nan")
     if cfg.entity_weight > 0:
-        term, acc = run_term("entity", cfg.n_way,
-                             lambda n, r: sample_entity_episode(
-                                 ds, model.graph, "meta-train", n,
-                                 cfg.k_shot, cfg.n_query, r))
-        rec["entity_loss"], rec["entity_acc"] = term.item(), acc
-        parts.append((cfg.entity_weight, term))
+        add_term("entity", cfg.entity_weight,
+                 lambda r: sample_entity_episode(ds, model.graph, "meta-train",
+                                                 cfg.n_way, cfg.k_shot, cfg.n_query, r))
     if cfg.concept_weight > 0 and not levels:
         raise ConfigError("concept weight is positive but no abstract level has "
                           "enough classes for an episode")
     for level, n_way in levels:
         w = cfg.weight_for(level)
         rec[f"concept{level}_loss"] = rec[f"concept{level}_acc"] = float("nan")
-        if w <= 0:
-            continue
-        term, acc = run_term(f"concept{level}", n_way,
-                             lambda n, r, lv=level: sample_concept_episode(
-                                 ds, model.graph, lv, n, cfg.k_shot, cfg.n_query, r))
-        rec[f"concept{level}_loss"], rec[f"concept{level}_acc"] = term.item(), acc
-        parts.append((w, term))
-    if not parts:
+        if w > 0:
+            add_term(f"concept{level}", w,
+                     lambda r, lv=level, n=n_way: sample_concept_episode(
+                         ds, model.graph, lv, n, cfg.k_shot, cfg.n_query, r))
+    if not terms:
         raise ConfigError("all loss weights are zero; nothing to train")
 
+    blocks = {}                     # episode shape -> its tasks, in term order
+    for task in (task for _, _, tasks in terms for task in tasks):
+        blocks.setdefault((task[0].support_x.shape, task[2].weights.data.shape),
+                          []).append(task)
+    for block in blocks.values():
+        states = inner_adapt(model, [clf for _, _, clf in block],
+                             [ep.support_x for ep, _, _ in block],
+                             [ep.support_y for ep, _, _ in block],
+                             cfg.adapt_steps, cfg.inner_lr)
+        for task, state in zip(block, states):
+            task[2] = state         # the emitted head gives way to its adapted state
     total = None
-    for w, term in parts:
-        piece = scale(term, w)
+    for name, weight, tasks in terms:
+        scored = [episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
+                               inner_lr=cfg.inner_lr, rng=drop, training=True,
+                               adapted=state) for ep, drop, state in tasks]
+        term = _mean_scalars([loss for loss, _ in scored])
+        rec[f"{name}_loss"] = term.item()
+        rec[f"{name}_acc"] = float(np.mean([acc for _, acc in scored]))
+        piece = scale(term, weight)
         total = piece if total is None else add(total, piece)
     rec["total_loss"] = total.item()
 
@@ -499,7 +532,7 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
     z = model.embed(rng.child("embed"), training=False)
-    embedding = SharedEmbedding(z, model.prop.apply(z).data)
+    embedding = SharedEmbedding(z, model.prop.apply(z))
     accs = np.empty(cfg.n_episodes)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = []

@@ -17,7 +17,8 @@ training) is built from the ops in this module.  Design points:
 * gradients are plain ndarrays and there is no grad-of-grad support:
   meta-gradients are first-order.  The inner loop in ``meta`` steps plain
   arrays off the tape and hands each adapted array back through ``carry``,
-  whose vjp is the identity to the array it started from.
+  whose vjp is the identity to the array it started from; the query loss is
+  computed off the tape too and enters it through one ``attach`` node.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "l2_normalize_rows", "gather_rows", "write_rows", "neighbor_groups",
     "neighbor_sums", "sym_neighbor_mean",
     "concat_rows", "concat_cols", "slice_cols", "reshape", "stack_rows", "mean_rows",
-    "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry",
+    "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry", "attach",
     "class_labels", "stable_exp_parts", "glorot_uniform", "SgdOptimizer",
 ]
 
@@ -83,12 +84,6 @@ class Rng:
     def permutation(self, n):
         return self._gen.permutation(n)
 
-    def get_state(self):
-        return self._gen.bit_generator.state
-
-    def set_state(self, state):
-        self._gen.bit_generator.state = state
-
 
 def _as_f64(x):
     a = np.asarray(x, dtype=np.float64)
@@ -102,7 +97,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, _op="leaf"):
         self.data = _as_f64(data)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NumericalError(f"non-finite values produced by '{_op}'")
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -117,30 +112,8 @@ class Tensor:
     def item(self) -> float:
         return self.data.item()
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _node(data, parents, vjp, op):
@@ -382,6 +355,12 @@ def carry(value, init: Tensor) -> Tensor:
     return _node(value, (init,), lambda g: (g,), "carry")
 
 
+def attach(value, parents, vjp, op: str) -> Tensor:
+    """``value``, computed off the tape from ``parents``, as one node whose
+    ``vjp`` maps its gradient to one gradient per parent."""
+    return _node(value, parents, vjp, op)
+
+
 # ---------------------------------------------------------------------------
 # normalization / losses
 
@@ -536,19 +515,12 @@ class SgdOptimizer:
             v = self.momentum * self.velocities[name] + g
             self.velocities[name] = v
             p.data = p.data - lr * v
-            if not np.all(np.isfinite(p.data)):
+            if not np.isfinite(p.data).all():
                 raise NumericalError(f"parameter '{name}' became non-finite after SGD step")
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def get_state(self):
-        return {k: v.copy() for k, v in self.velocities.items()}
-
-    def set_state(self, state):
-        for k in self.velocities:
-            self.velocities[k] = state[k].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Shared test oracles: central finite differences, error metrics, graph
-relabeling, the padded neighborhood sum that ``tensor.sym_neighbor_mean``
-replaces, the per-call class filter that ``data._sample_episode`` replaces,
-and the taped inner loop that ``meta.inner_adapt`` replaces."""
+relabeling, the dense propagation matrix, the padded neighborhood sum that
+``tensor.sym_neighbor_mean`` replaces, the per-call class filter and the
+``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
+loop that ``meta.inner_adapt`` replaces, the taped query path that
+``meta.episode_loss`` replaces, and the one-episode-at-a-time training step
+that ``meta.train_step`` replaces."""
 
 import numpy as np
 
@@ -41,6 +44,16 @@ def permute_graph(g, perm):
     return ConceptGraph(nodes, edges, sem, g.num_levels)
 
 
+def dense_propagation(prop):
+    """The propagation operator P of ``prop`` as a dense matrix."""
+    p = np.zeros((prop.size, prop.size))
+    for i in range(prop.size):
+        for j in prop.nbr_idx[i]:
+            if j < prop.size:
+                p[i, j] = 1.0 / prop.degrees[i]
+    return p
+
+
 def padded_neighbor_sum(values, nbr_idx):
     """Neighborhood sums the padded way: every row of ``nbr_idx`` (n as
     padding) gathers max_deg rows of ``values`` with a ``+0.0`` row in the
@@ -55,6 +68,31 @@ def eligible_classes(ds, candidates, need):
     candidate ids and keep each one with at least ``need`` samples."""
     return np.array([c for c in sorted(candidates) if ds.indices_for(c).size >= need],
                     dtype=np.intp)
+
+
+def arange_sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, what):
+    """The episode sampler drawing each class's samples from an explicit
+    ``np.arange`` of its pool positions."""
+    from conceptshot.data import Episode, _eligible
+    from conceptshot.errors import DataError
+
+    need = k_shot + n_query
+    eligible = _eligible(ds, candidates, need)
+    if eligible.size < n_way:
+        raise DataError(
+            f"need {n_way} classes with >={need} samples {what}, found {eligible.size}")
+    ids = rng.choice(eligible, n_way, replace=False)
+    sx, sy, qx, qy = [], [], [], []
+    for pos, c in enumerate(ids):
+        pool = ds.indices_for(c)
+        picked = pool[rng.choice(np.arange(pool.size), need, replace=False)]
+        sx.append(ds.features[picked[:k_shot]])
+        qx.append(ds.features[picked[k_shot:]])
+        sy.append(np.full(k_shot, pos, dtype=np.intp))
+        qy.append(np.full(n_query, pos, dtype=np.intp))
+    return Episode(class_ids=np.asarray(ids), level=level,
+                   support_x=np.concatenate(sx), support_y=np.concatenate(sy),
+                   query_x=np.concatenate(qx), query_y=np.concatenate(qy))
 
 
 def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
@@ -79,3 +117,96 @@ def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
             high = [tuple(stepped[2 * i:2 * i + 2]) for i in range(len(high))]
             w, b = stepped[-2], stepped[-1]
     return AdaptedState(high=high, classifier=TaskClassifier(w, b, clf.class_ids))
+
+
+def head_logits(clf, feats):
+    """The head's logits on the tape: feats @ W.T + b."""
+    from conceptshot.tensor import affine, transpose
+    return affine(feats, transpose(clf.weights), clf.bias)
+
+
+def task_features(model, adapted, x):
+    """The low encoder, then the adapted high layers, on the tape."""
+    from conceptshot.encoder import apply_layers, embed_low
+    return apply_layers(adapted.high, embed_low(model.params, model.enc_cfg, x),
+                        model.enc_cfg.slope)
+
+
+def predict(model, adapted, x):
+    """Per-row class probabilities for a query batch (rows sum to 1)."""
+    from conceptshot.tensor import Tensor, softmax_rows
+    feats = task_features(model, adapted, Tensor(np.asarray(x, dtype=np.float64)))
+    return softmax_rows(head_logits(adapted.classifier, feats))
+
+
+def tape_query_loss(model, adapted, ep):
+    """An adapted episode's query loss built op by op on the tape, and its
+    query accuracy."""
+    from conceptshot.tensor import Tensor, cross_entropy
+    logits = head_logits(adapted.classifier,
+                         task_features(model, adapted, Tensor(ep.query_x)))
+    return (cross_entropy(logits, ep.query_y),
+            float((logits.data.argmax(axis=1) == ep.query_y).mean()))
+
+
+def serial_train_step(model, opt, ds, cfg, levels, iteration):
+    """The training step one episode at a time: each episode is sampled,
+    emitted, adapted alone and scored by ``tape_query_loss``, term after
+    term; same random streams, record, loss combination and update."""
+    from conceptshot.data import sample_concept_episode, sample_entity_episode
+    from conceptshot.errors import ConfigError
+    from conceptshot.meta import inner_adapt
+    from conceptshot.tensor import Rng, add, backward, scale
+
+    it_rng = Rng(cfg.seed).child("train", iteration)
+    rec = {"iteration": iteration, "lr": cfg.lr_at(iteration)}
+
+    def run_term(name, n_way, sample):
+        losses, accs = [], []
+        for b in range(cfg.episodes_per_term):
+            ep = sample(n_way, it_rng.child("sample", name, b))
+            clf = model.emit(ep.class_ids, it_rng.child("drop", name, b), True)
+            (state,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
+                                   cfg.adapt_steps, cfg.inner_lr)
+            loss, acc = tape_query_loss(model, state, ep)
+            losses.append(loss)
+            accs.append(acc)
+        total = losses[0]
+        for t in losses[1:]:
+            total = add(total, t)
+        if len(losses) > 1:
+            total = scale(total, 1.0 / len(losses))
+        return total, float(np.mean(accs))
+
+    parts = []
+    rec["entity_loss"] = rec["entity_acc"] = float("nan")
+    if cfg.entity_weight > 0:
+        term, acc = run_term("entity", cfg.n_way,
+                             lambda n, r: sample_entity_episode(
+                                 ds, model.graph, "meta-train", n,
+                                 cfg.k_shot, cfg.n_query, r))
+        rec["entity_loss"], rec["entity_acc"] = term.item(), acc
+        parts.append((cfg.entity_weight, term))
+    if cfg.concept_weight > 0 and not levels:
+        raise ConfigError("no abstract level")
+    for level, n_way in levels:
+        w = cfg.weight_for(level)
+        rec[f"concept{level}_loss"] = rec[f"concept{level}_acc"] = float("nan")
+        if w <= 0:
+            continue
+        term, acc = run_term(f"concept{level}", n_way,
+                             lambda n, r, lv=level: sample_concept_episode(
+                                 ds, model.graph, lv, n, cfg.k_shot, cfg.n_query, r))
+        rec[f"concept{level}_loss"], rec[f"concept{level}_acc"] = term.item(), acc
+        parts.append((w, term))
+    if not parts:
+        raise ConfigError("nothing to train")
+    total = None
+    for w, term in parts:
+        piece = scale(term, w)
+        total = piece if total is None else add(total, piece)
+    rec["total_loss"] = total.item()
+    opt.zero_grad()
+    backward(total)
+    opt.step(rec["lr"])
+    return rec

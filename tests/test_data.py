@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import eligible_classes
+from _oracles import arange_sample_episode, eligible_classes
 from conceptshot import data
 from conceptshot.data import (Dataset, SynthConfig, class_separation,
                               concept_levels_with, generate_synthetic, load_dataset,
@@ -225,6 +225,29 @@ def test_eligible_matches_sorted_filter(small_world):
             assert concept_levels_with(ds, g, 1, need - 1) == old_levels
 
 
+def test_sampler_matches_arange_draw():
+    # drawing from the pool size gives the draws of an explicit np.arange
+    g, _ = generate_synthetic(SynthConfig(branching=3, num_levels=4, input_dim=4,
+                                          semantic_dim=4, samples_per_class=2, seed=8))
+    rng = np.random.default_rng(8)
+    ids = np.repeat(np.arange(g.num_nodes), rng.integers(30, 1500, g.num_nodes))
+    ds = Dataset(rng.standard_normal((ids.size, 4)), ids)   # pools of 30-1499
+    sources = [(g.ids_at(g.entity_level, split), g.entity_level, n_way)
+               for split in ("meta-train", "meta-test") for n_way in (1, 5)]
+    sources += [(g.ids_at(level), level, n_way)
+                for level, n_way in ((1, 3), (2, 2), (2, 5))]
+    for seed in range(100):
+        for cand, level, n_way in sources:
+            for k_shot, n_query in ((1, 1), (1, 15), (3, 20), (5, 25)):
+                args = (ds, cand, level, n_way, k_shot, n_query)
+                got = data._sample_episode(*args, Rng(seed), "here")
+                want = arange_sample_episode(*args, Rng(seed), "here")
+                for name in ("class_ids", "support_x", "support_y", "query_x",
+                             "query_y"):
+                    npt.assert_array_equal(getattr(got, name), getattr(want, name))
+                assert got.level == want.level
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -246,6 +269,26 @@ def test_dataset_load_errors(tmp_path):
     bad.write_bytes(b"CSDS" + b"\x01" + b"\x00" * 4)
     with pytest.raises(DataError, match="truncated|not a"):
         load_dataset(bad)
+
+
+def test_dataset_every_prefix_and_trailing_bytes(tmp_path):
+    ds = Dataset(np.arange(6, dtype=np.float32).reshape(3, 2), np.array([0, 2, 1]))
+    good = tmp_path / "good.bin"
+    save_dataset(ds, good)
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in range(len(blob)):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            load_dataset(bad)
+    bad.write_bytes(blob + b"\0")
+    with pytest.raises(DataError, match="truncated"):
+        load_dataset(bad)
+    with pytest.raises(DataError, match="cannot read"):
+        load_dataset(tmp_path)
+    back = load_dataset(good)
+    npt.assert_array_equal(back.features, ds.features)
+    npt.assert_array_equal(back.node_ids, ds.node_ids)
 
 
 def test_dataset_validators(small_world):

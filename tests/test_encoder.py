@@ -6,8 +6,8 @@ import pytest
 
 from _oracles import numerical_grad, rel_err
 from conceptshot import tensor as T
-from conceptshot.encoder import (EncoderConfig, apply_layers, embed_high, embed_low,
-                                 high_pairs, init_encoder, layer_pairs)
+from conceptshot.encoder import (EncoderConfig, apply_layers, embed_low, high_pairs,
+                                 init_encoder, layer_pairs)
 from conceptshot.errors import ConfigError
 
 
@@ -22,7 +22,7 @@ def test_high_all_layers_low_is_identity():
     cfg = EncoderConfig(input_dim=3, widths=[4, 4], low_layers=2)
     params = init_encoder(cfg, T.Rng(0))
     z = T.Tensor(np.ones((2, 4)))
-    assert embed_high(params, cfg, z) is z
+    assert apply_layers(high_pairs(params, cfg), z, cfg.slope) is z
     assert high_pairs(params, cfg) == []
 
 
@@ -47,7 +47,7 @@ def test_output_shape_and_feature_dim():
     assert cfg.feature_dim == 4
     params = init_encoder(cfg, T.Rng(2))
     x = T.Tensor(np.random.default_rng(2).standard_normal((9, 7)))
-    out = embed_high(params, cfg, embed_low(params, cfg, x))
+    out = apply_layers(high_pairs(params, cfg), embed_low(params, cfg, x), cfg.slope)
     assert out.shape == (9, 4)
 
 
@@ -59,7 +59,7 @@ def test_partition_invariance_bitwise(split):
     x = T.Tensor(np.random.default_rng(7).standard_normal((8, 5)))
     full_ref = apply_layers(layer_pairs(params, base), x).data
     cfg = EncoderConfig(input_dim=5, widths=[6, 6, 6, 6], low_layers=split)
-    out = embed_high(params, cfg, embed_low(params, cfg, x)).data
+    out = apply_layers(high_pairs(params, cfg), embed_low(params, cfg, x), cfg.slope).data
     npt.assert_array_equal(out, full_ref)
 
 
@@ -83,7 +83,8 @@ def test_fd_gradients_through_encoder():
     r = rng.standard_normal((6, 3))
 
     def forward():
-        out = embed_high(params, cfg, embed_low(params, cfg, T.Tensor(x)))
+        out = apply_layers(high_pairs(params, cfg), embed_low(params, cfg, T.Tensor(x)),
+                           cfg.slope)
         return T.sum_all(T.mul(out, T.Tensor(r)))
 
     names = list(params)

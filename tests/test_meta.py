@@ -11,17 +11,17 @@ from conceptshot.classifier_gen import (GeneratorConfig, SharedEmbedding, TaskCl
                                         emit_for_task)
 from conceptshot.data import (SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
-from conceptshot.encoder import EncoderConfig, high_pairs
+from conceptshot.encoder import EncoderConfig, high_pairs, layer_pairs
 from conceptshot.errors import ConfigError, DataError, NumericalError
 from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interval,
                               eligible_concept_levels, episode_loss, evaluate,
                               inner_adapt, load_checkpoint, metrics_columns,
-                              predict, save_checkpoint, task_features, train,
-                              train_step, write_metrics)
-from conceptshot.tensor import (Rng, SgdOptimizer, Tensor, affine, backward,
-                                cross_entropy, transpose)
+                              save_checkpoint, train, train_step, write_metrics)
+from conceptshot.tensor import (Rng, SgdOptimizer, Tensor, backward, grad, mul, scale,
+                                sum_all)
 
-from _oracles import numerical_grad, rel_err, tape_inner_adapt
+from _oracles import (numerical_grad, predict, rel_err, serial_train_step,
+                      tape_inner_adapt, tape_query_loss)
 
 
 @pytest.fixture(scope="module")
@@ -163,9 +163,7 @@ def _query_backprop(m, ep, adapted):
     the adapted arrays, the loss and every parameter's gradient."""
     for p in m.params.values():
         p.grad = None
-    feats = task_features(m, adapted, Tensor(ep.query_x))
-    loss = cross_entropy(affine(feats, transpose(adapted.classifier.weights),
-                                adapted.classifier.bias), ep.query_y)
+    loss, _ = tape_query_loss(m, adapted, ep)
     backward(loss)
     arrays = [t.data for pair in adapted.high for t in pair]
     arrays += [adapted.classifier.weights.data, adapted.classifier.bias.data]
@@ -233,6 +231,53 @@ def test_inner_adapt_one_overflowing_task_fails_the_block(world):
 
 # ---------------------------------------------------------------------------
 # prediction and episode loss
+
+@pytest.mark.parametrize("steps", [0, 2])
+@pytest.mark.parametrize("low_layers", [0, 1, 2])
+def test_query_node_matches_tape_bitwise(world, low_layers, steps):
+    # the one query node against the op-by-op taped chain: loss, accuracy
+    # and the gradient of each of its six parents, under an upstream scale
+    g, ds = world
+    enc = EncoderConfig(input_dim=8, widths=[16, 16], low_layers=low_layers)
+    gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8])
+    m = Model(g, enc, gen, seed=3)
+    for trial in range(4):
+        ep = sample_entity_episode(ds, g, "meta-train", 3, 2, 7, Rng(trial))
+        clf = m.emit(ep.class_ids, Rng(10 + trial), training=True)
+        state, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], steps, 0.05)
+        parents = [t for pair in layer_pairs(m.params, enc)[:low_layers] for t in pair]
+        parents += [t for pair in state.high for t in pair]
+        parents += [state.classifier.weights, state.classifier.bias]
+        assert len(parents) == 6
+        loss, acc = episode_loss(m, ep, adapt_steps=steps, inner_lr=0.05, rng=Rng(0),
+                                 training=True, adapted=state)
+        want_loss, want_acc = tape_query_loss(m, state, ep)
+        assert loss._parents == tuple(parents)
+        assert loss.data.shape == want_loss.data.shape == ()
+        assert np.array_equal(_bits(loss.data), _bits(want_loss.data))
+        assert acc == want_acc
+        got = grad(scale(loss, 0.7), parents)
+        want = grad(scale(want_loss, 0.7), parents)
+        for t, a, w in zip(parents, got, want):
+            assert a.shape == w.shape == t.data.shape
+            assert np.array_equal(_bits(a), _bits(w))
+
+
+def test_query_overflow_is_numerical_error(world):
+    g, ds = world
+    m = make_model(g)
+    ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, Rng(4))
+    clf = m.emit(ep.class_ids, Rng(5), training=True)
+    state, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 2, 0.05)
+    ep.query_x = np.full(ep.query_x.shape, 1e300)
+    m.params["enc.0.W"].data = m.params["enc.0.W"].data * 1e10   # x @ W overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            tape_query_loss(m, state, ep)
+        with pytest.raises(NumericalError, match="in the query loss"):
+            episode_loss(m, ep, adapt_steps=2, inner_lr=0.05, rng=Rng(0),
+                         training=True, adapted=state)
+
 
 def test_predict_rows_are_probabilities(world):
     g, ds = world
@@ -335,6 +380,75 @@ def test_objective_decomposition(world):
         assert cl.item() == rec[f"concept{level}_loss"]
         total += 1.3 * cl.item()
     assert abs(total - rec["total_loss"]) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def deep_world():
+    # abstract levels of 3 and 9 classes: at 4 ways the entity term and the
+    # level-2 term are 4-way, the level-1 term 3-way
+    return generate_synthetic(SynthConfig(branching=3, num_levels=4, input_dim=8,
+                                          semantic_dim=8, samples_per_class=10,
+                                          seed=4))
+
+
+# (TrainConfig overrides, episode shapes per step)
+STEP_CASES = {
+    "two_shapes": (dict(), 2),
+    "one_shape": (dict(n_way=3), 1),
+    "two_per_term": (dict(episodes_per_term=2), 2),
+    "no_entity": (dict(entity_weight=0.0), 2),
+    "level_weight_zero": (dict(level_weights={1: 0.0}), 1),
+}
+
+
+def _step_cfg(overrides):
+    base = dict(iterations=2, decay_period=100, n_way=4, k_shot=1, n_query=3,
+                adapt_steps=2, inner_lr=0.05, entity_weight=0.8, seed=11)
+    return TrainConfig(**{**base, **overrides})
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_train_step_matches_serial_oracle_bitwise(deep_world, case):
+    # the blocked step against one episode at a time with a taped query path:
+    # the record, every gradient, the parameters and the velocities, twice
+    g, ds = deep_world
+    cfg = _step_cfg(STEP_CASES[case][0])
+    levels = eligible_concept_levels(ds, g, cfg)
+    assert [lv for lv, _ in levels] == [1, 2]
+    ma, mb = make_model(g, seed=7), make_model(g, seed=7)
+    opts = [SgdOptimizer(m.params, cfg.momentum, cfg.weight_decay) for m in (ma, mb)]
+    for it in range(2):
+        rec = train_step(ma, opts[0], ds, cfg, levels, it)
+        want = serial_train_step(mb, opts[1], ds, cfg, levels, it)
+        assert list(rec) == list(want)
+        for k, v in want.items():
+            assert np.array_equal(_bits(float(rec[k])), _bits(float(v))), k
+        for n, p in mb.params.items():
+            for a, w in ((ma.params[n].grad, p.grad), (ma.params[n].data, p.data),
+                         (opts[0].velocities[n], opts[1].velocities[n])):
+                assert (a is None) == (w is None), n
+                assert w is None or np.array_equal(_bits(a), _bits(w)), n
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
+                                                                  monkeypatch, case):
+    # bench/run.py --trace 1 checks one episode_loss call per active episode
+    g, ds = deep_world
+    overrides, shapes = STEP_CASES[case]
+    cfg = _step_cfg(overrides)
+    levels = eligible_concept_levels(ds, g, cfg)
+    active = (cfg.entity_weight > 0) + sum(cfg.weight_for(lv) > 0 for lv, _ in levels)
+    calls = {"episode_loss": 0, "inner_adapt": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(meta, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(meta, name, counted)
+    m = make_model(g)
+    train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
+    assert calls == {"episode_loss": active * cfg.episodes_per_term,
+                     "inner_adapt": shapes}
 
 
 def test_zero_entity_weight_ignores_entity_stream(world):
@@ -475,7 +589,8 @@ def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, place
                                                   semantics, self_loops, level):
     # each head evaluate emits from the shared embedding and its propagation
     # has the bits of one emitted from scratch; the graph is propagated once
-    # per hop and once more for the shared P z, whatever the episode count.
+    # per hop after the first (the model holds the first hop's P z0) and once
+    # more for the shared P z, whatever the episode count.
     # Without self loops a task row's own propagated row comes from the
     # shared P z, so a stale P z shows there.
     g, ds = wide_world
@@ -497,11 +612,11 @@ def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, place
     evaluate(m, ds, EvalConfig(n_episodes=6, n_way=3, k_shot=1, n_query=2,
                                adapt_steps=1, seed=2), split="meta-train", level=level)
     assert len(emitted) == 6
-    assert len(applied) == len(m.gen_cfg.embed_widths) + 1
+    assert len(applied) == len(m.gen_cfg.embed_widths)
     monkeypatch.undo()
     for args, clf in emitted:
         assert isinstance(args[-1], SharedEmbedding)
-        alone = emit_for_task(*args[:-1])
+        alone = emit_for_task(*args[:3], m.semantic_input, *args[4:-1])
         assert np.array_equal(_bits(clf.weights.data), _bits(alone.weights.data))
         assert np.array_equal(_bits(clf.bias.data), _bits(alone.bias.data))
 
@@ -610,6 +725,31 @@ def test_one_hot_mode_uses_indicator_rows(world):
     m = Model(g, enc, gen, seed=7)
     npt.assert_array_equal(m.semantic_input.data, np.eye(g.num_nodes))
     assert m.params["gen.embed.0.W"].data.shape == (g.num_nodes, 16)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
+def test_generator_input_matches_raw_z0_bitwise(world, semantics, training):
+    # the model's P z0, propagated once, against propagating z0 in the call:
+    # the embedding and every generator gradient
+    g, _ = world
+    m = make_model(g, semantics=semantics)
+    assert m.generator_input.z is m.semantic_input
+    outs = []
+    for z0 in (m.generator_input, m.semantic_input):
+        for p in m.params.values():
+            p.grad = None
+        z = classifier_gen.graph_embed(m.params, m.gen_cfg, m.prop, z0, Rng(3),
+                                       training)
+        weights = np.cos(np.arange(z.data.size)).reshape(z.data.shape)
+        backward(sum_all(mul(z, Tensor(weights))))
+        outs.append((z.data, {n: p.grad for n, p in m.params.items()
+                              if n.startswith("gen.embed")}))
+    (za, ga), (zb, gb) = outs
+    assert np.array_equal(_bits(za), _bits(zb))
+    assert ga.keys() == gb.keys() and len(ga) == 2 * len(m.gen_cfg.embed_widths)
+    for n in ga:
+        assert np.array_equal(_bits(ga[n]), _bits(gb[n])), n
 
 
 def test_train_config_validation():

@@ -366,13 +366,3 @@ def test_rng_builds_its_generator_on_the_first_draw():
         np.random.PCG64(np.random.SeedSequence(5, spawn_key=r.key)))
     npt.assert_array_equal(r.normal(size=6), eager.normal(0.0, 1.0, 6))
     assert "_gen" in vars(r)
-
-
-def test_rng_state_roundtrip():
-    r = T.Rng(9)
-    r.normal(size=3)
-    state = r.get_state()
-    x = r.normal(size=5)
-    r2 = T.Rng(9)
-    r2.set_state(state)
-    npt.assert_array_equal(r2.normal(size=5), x)
