@@ -1,6 +1,6 @@
 """Task classifier generation from the concept graph.
 
-Three stages, all differentiable end to end:
+Three stages:
 
 1. ``graph_embed``   -- propagation hops over all nodes:
                         Z <- dropout(leaky_relu(P Z W + b)) per hop,
@@ -13,20 +13,29 @@ Three stages, all differentiable end to end:
                         columns) and bias (last column).  Tasks that share a
                         frozen embedding re-propagate only the rows their
                         refined classes touch.
+
+The stages run on plain arrays off the tape, checked as the tape checks
+(``tensor.checked``).  For one task a stage returns a Tensor: one node whose
+vjp repeats the tape ops' vjps in the tape's order.  For a list of tasks it
+returns (output, the Tensors it reads, backward), and ``emit_for_task``
+chains the stages over every task of a training step into one node.  Each
+task keeps the bits it gets alone: P acts per column, products run one per
+task, each task draws its dropout masks from its own stream in the taped
+order, and per-task gradients are summed left to right in task order.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .graph import Propagation, select_task_rows
-from .tensor import (Rng, Tensor, affine, dropout, gather_rows, glorot_uniform,
-                     grouped_mean, l2_normalize_rows, leaky_relu, concat_cols,
-                     reshape, scale as t_scale, slice_cols, add, write_rows)
+from .graph import Propagation, task_ids
+from .tensor import Rng, Tensor, attach, checked, glorot_uniform
 
 
 @dataclass
@@ -83,24 +92,91 @@ def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
     return params
 
 
+class SharedEmbedding(NamedTuple):
+    """A node matrix many calls share and its propagation P·z, computed once:
+    the generator's input, or a ``graph_embed`` output out of training."""
+    z: Tensor
+    propagated: Tensor
+
+
+_WHERE = "the classifier generator"
+
+
+def _fold(grads):
+    """Per-task gradients summed left to right, in task order."""
+    return functools.reduce(operator.add, grads)
+
+
+def _propagate(f, x):
+    """``f`` (P or its vjp) on each (N, d) matrix of a stack: all tasks'
+    columns in one call.  A lone column sums in lanes whose bits depend on
+    the neighborhood width, so one-column tasks go one at a time."""
+    if x.ndim == 2 or x.shape[2] == 1:
+        return f(x) if x.ndim == 2 else np.stack([f(m) for m in x])
+    t, n, d = x.shape
+    cols = f(x.transpose(1, 0, 2).reshape(n, t * d))
+    return np.ascontiguousarray(cols.reshape(n, t, d).transpose(1, 0, 2))
+
+
+def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
+    """affine, leaky ReLU, then (training) each task's dropout, on plain
+    arrays, one task's or stacked; the output and the record for the vjps."""
+    a = checked(x @ w + b, "affine", _WHERE)
+    lmask = np.where(a >= 0, 1.0, float(cfg.slope))
+    out, dmask = checked(a * lmask, "leaky_relu", _WHERE), None
+    if training and cfg.keep_prob < 1.0:
+        dmask = [(r.uniform(size=out.shape[-2:]) < cfg.keep_prob) / cfg.keep_prob
+                 for r in rngs]
+        dmask = dmask[0] if x.ndim == 2 and len(rngs) == 1 else np.stack(dmask)
+        out = checked(out * dmask, "dropout", _WHERE)
+    return out, (x, lmask, dmask)
+
+
+def _layer_back(g, rec):
+    """The gradient at the affine output, then the W and b gradients."""
+    x, lmask, dmask = rec
+    g = (g if dmask is None else g * dmask) * lmask
+    return g, x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
+
+
 def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
                 z0: Tensor | SharedEmbedding, rng: Rng, training: bool) -> Tensor:
     """Hop stack over all nodes; deterministic when ``training`` is False.
 
     ``z0`` is a Tensor, or a :class:`SharedEmbedding` whose P·z0 (computed
-    once by the model) the first hop uses as is: the same bits."""
+    once by the model) the first hop uses as is: the same bits.  Several
+    tasks share hop 0's affine and leaky ReLU and each later propagation."""
     z, p = (z0, None) if isinstance(z0, Tensor) else z0
     if z.data.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
             f"semantic width {z.data.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
-    for h in range(len(cfg.embed_widths)):
-        if h or p is None:
-            p = prop.apply(z)
-        z = leaky_relu(affine(p, params[f"gen.embed.{h}.W"],
-                              params[f"gen.embed.{h}.b"]), cfg.slope)
-        z = dropout(z, cfg.keep_prob, rng, training)
-    return z
+    rngs = [rng] if isinstance(rng, Rng) else rng
+    x0 = z if p is None else p      # what the first hop's gradient reaches
+    hops = [(params[f"gen.embed.{h}.W"], params[f"gen.embed.{h}.b"])
+            for h in range(len(cfg.embed_widths))]
+    x, recs = z.data, []
+    for h, (w, b) in enumerate(hops):
+        x = p.data if p is not None and not h else checked(
+            _propagate(prop.apply, x), "sym_neighbor_mean", _WHERE)
+        x, rec = _layer(x, w.data, b.data, cfg, rngs, training)
+        recs.append(rec)
+
+    def back(g):
+        grads = []
+        for h in reversed(range(len(hops))):
+            g, gw, gb = _layer_back(g, recs[h])
+            grads += [_fold(gw), _fold(gb)]
+            if h or x0.requires_grad:
+                g = g @ hops[h][0].data.T
+                g = _propagate(prop.apply_vjp, g) if h or p is None else g
+        return grads + [_fold(g)] * x0.requires_grad
+
+    ps = [t for pair in reversed(hops) for t in pair] + [x0] * x0.requires_grad
+    z = np.broadcast_to(x, (len(rngs),) + x.shape[-2:])
+    if isinstance(rng, Rng):
+        return attach(z[0], ps, lambda g: back(g[None]), "graph_embed")
+    return z, ps, back
 
 
 def refine_relations(params: dict, cfg: GeneratorConfig, z_task: Tensor,
@@ -109,16 +185,61 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_task: Tensor,
 
     All n^2 ordered pairs (i, j) -- i = j included -- are concatenated and
     pushed through the MLP; row i receives the mean over j of the outputs.
+    Several tasks: a list of row arrays and a list of streams.
     """
-    n = z_task.data.shape[0]
-    left = gather_rows(z_task, np.repeat(np.arange(n), n))
-    right = gather_rows(z_task, np.tile(np.arange(n), n))
-    h = concat_cols(left, right)
-    for i in range(len(cfg.relation_widths)):
-        h = leaky_relu(affine(h, params[f"gen.rel.{i}.W"], params[f"gen.rel.{i}.b"]),
-                       cfg.slope)
-        h = dropout(h, cfg.keep_prob, rng, training)
-    return add(z_task, grouped_mean(h, n))
+    single = isinstance(rng, Rng)
+    z_tasks, rngs = ([z_task.data], [rng]) if single else (z_task, rng)
+    layers = [(params[f"gen.rel.{i}.W"], params[f"gen.rel.{i}.b"])
+              for i in range(len(cfg.relation_widths))]
+    pairs = [(np.repeat(np.arange(len(zt)), len(zt)), np.tile(np.arange(len(zt)), len(zt)))
+             for zt in z_tasks]
+    out, recs = [], []
+    for zt, r, (left, right) in zip(z_tasks, rngs, pairs):
+        n, h, rec = len(zt), np.concatenate([zt[left], zt[right]], axis=1), []
+        for w, b in layers:
+            h, saved = _layer(h, w.data, b.data, cfg, [r], training)
+            rec.append(saved)
+        recs.append(rec)
+        mean = checked(np.sort(h.reshape(n, n, -1), axis=1).sum(axis=1) / n,
+                       "grouped_mean", _WHERE)
+        out.append(checked(zt + mean, "add", _WHERE))
+
+    def back(g_out):
+        g_in, per_task = [], []
+        for zt, rec, (left, right), g in zip(z_tasks, recs, pairs, g_out):
+            gh, grads = np.repeat(g / len(zt), len(zt), axis=0), []
+            for (w, _), r in zip(reversed(layers), reversed(rec)):
+                gh, gw, gb = _layer_back(gh, r)
+                grads, gh = grads + [gw, gb], gh @ w.data.T
+            per_task.append(grads)
+            gl, gr = np.zeros_like(zt), np.zeros_like(zt)
+            np.add.at(gl, left, gh[:, :zt.shape[1]])
+            np.add.at(gr, right, gh[:, zt.shape[1]:])
+            g_in.append((g + gl) + gr)      # residual, left rows, right rows
+        return g_in, [_fold(gs) for gs in zip(*per_task)]
+
+    ps = [t for pair in reversed(layers) for t in pair]
+    if single:
+        def grads(g):
+            (g_task,), rest = back([g])
+            return [g_task] + rest
+        return attach(out[0], [z_task] + ps, grads, "refine_relations")
+    return out, ps, back
+
+
+def _heads(rows: Tensor, ids, feature_dim: int) -> list:
+    """Each task's classifier: slice nodes of the emitted rows."""
+    def part(key):
+        def vjp(g):
+            gx = np.zeros_like(rows.data)
+            gx[key] = g
+            return (gx,)
+        return attach(rows.data[key].copy(), (rows,), vjp, "slice")
+
+    ends = np.cumsum([i.size for i in ids])
+    return [TaskClassifier(part((slice(e - i.size, e), slice(0, feature_dim))),
+                           part((slice(e - i.size, e), feature_dim)), i)
+            for i, e in zip(ids, ends)]
 
 
 def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids,
@@ -136,33 +257,61 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
     at most a few rows per task) instead of the whole graph.  The affine
     still runs on every row, because a product's row bits depend on its row
     count; so the emitted rows are the bits of the full propagation.
+
+    Several tasks: a stack of node matrices, lists of refined rows and of
+    class ids; the output holds every task's rows, task after task.
     """
-    ids = np.asarray(class_ids, dtype=np.intp)
-    feature_dim = w_out.data.shape[1] - 1
+    single, inputs = isinstance(z_all, Tensor), [z_all, refined]
+    if single:
+        z_all, refined = z_all.data[None], [refined.data]
+        class_ids = [np.asarray(class_ids, dtype=np.intp)]
+    w, b = w_out.data, b_out.data
     if placement == "write_back":
-        z = write_rows(z_all, refined, ids)
-        if propagated is None:
-            p = prop.apply(z)
-        elif z.requires_grad:
-            raise ValueError("a shared propagation carries no gradient")
-        else:
-            p = Tensor(prop.reapply(propagated, z.data, ids))
-        rows = gather_rows(affine(p, w_out, b_out), ids)
+        z = np.array(z_all)
+        for m, r, i in zip(z, refined, class_ids):
+            m[i] = r
+        pz = checked(_propagate(prop.apply, z) if propagated is None else np.stack(
+            [prop.reapply(propagated, m, i) for m, i in zip(z, class_ids)]),
+            "sym_neighbor_mean", _WHERE)
+        a = checked(pz @ w + b, "affine", _WHERE)
+        rows = np.concatenate([m[i] for m, i in zip(a, class_ids)])
     elif placement == "task_only":
-        rows = affine(refined, w_out, b_out)
+        rows = np.concatenate([checked(r @ w + b, "affine", _WHERE) for r in refined])
     else:
         raise ConfigError(f"unknown refine placement '{placement}'")
-    rows = t_scale(l2_normalize_rows(rows), norm_scale)
-    weights = slice_cols(rows, 0, feature_dim)
-    bias = reshape(slice_cols(rows, feature_dim, feature_dim + 1), (ids.size,))
-    return TaskClassifier(weights=weights, bias=bias, class_ids=ids)
+    norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
+    denom = np.maximum(norms, 1e-12)         # as tensor.l2_normalize_rows
+    out = checked(checked(rows / denom, "l2_normalize_rows", _WHERE) * float(norm_scale),
+                  "scale", _WHERE)
 
+    def back(g):
+        g = g * float(norm_scale)
+        dot = np.sum(rows * g, axis=1, keepdims=True)
+        g = np.split(np.where(norms > 1e-12, g / denom - rows * dot / denom ** 3, g / denom),
+                     np.cumsum([i.size for i in class_ids])[:-1])
+        if placement == "task_only":
+            return None, [gt @ w.T for gt in g], [
+                _fold(r.T @ gt for r, gt in zip(refined, g)), _fold(gt.sum(axis=0) for gt in g)]
+        ga = np.zeros(a.shape)
+        for m, gt, i in zip(ga, g, class_ids):
+            m[i] += gt
+        g_z = _propagate(prop.apply_vjp, ga @ w.T)
+        g_refined = [m[i] for m, i in zip(g_z, class_ids)]
+        for m, i in zip(g_z, class_ids):
+            m[i] = 0.0
+        return g_z, g_refined, [_fold(pz.swapaxes(1, 2) @ ga), _fold(ga.sum(axis=1))]
 
-class SharedEmbedding(NamedTuple):
-    """A node matrix many calls share and its propagation P·z, computed once:
-    the generator's input, or a ``graph_embed`` output out of training."""
-    z: Tensor
-    propagated: Tensor
+    if not single:
+        return out, [w_out, b_out], back
+    if propagated is not None and any(t.requires_grad for t in inputs):
+        raise ValueError("a shared propagation carries no gradient")
+
+    def grads(g):
+        g_z, g_refined, rest = back(g)
+        return [None if g_z is None else g_z[0], g_refined[0]] + rest
+
+    return _heads(attach(out, inputs + [w_out, b_out], grads, "emit_classifier"),
+                  class_ids, w.shape[1] - 1)[0]
 
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
@@ -174,14 +323,38 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     ``embedding``, when given, is used instead of embedding the nodes again,
     and its propagation lets the emit re-propagate only the task's touched
     rows (see :func:`emit_classifier`); out of training both are the same
-    for every task.
+    for every task, and nothing backpropagates through them.
+
+    Given a list of class id arrays and one stream per task, emits every
+    task in one pass, as one node, and returns one classifier per task, each
+    with the bits it gets alone.  Every task's ids are checked first.
     """
+    single = isinstance(rng, Rng)
+    rngs, ids = ([rng], [class_ids]) if single else (list(rng), list(class_ids))
+    ids = [task_ids(i, prop.size) for i in ids]
     if embedding is None:
-        z, propagated = graph_embed(params, cfg, prop, z0, rng, training), None
+        z, embed_params, embed_back = graph_embed(params, cfg, prop, z0, rngs, training)
     else:
-        z, propagated = embedding.z, embedding.propagated.data
-    z_task = select_task_rows(z, class_ids)      # validates ids
-    refined = refine_relations(params, cfg, z_task, rng, training)
-    return emit_classifier(prop, z, refined, class_ids,
-                           params["gen.out.W"], params["gen.out.b"],
-                           cfg.scale, placement, propagated)
+        z = np.broadcast_to(embedding.z.data, (len(ids),) + embedding.z.shape)
+        embed_params = []
+    refined, rel_params, refine_back = refine_relations(
+        params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
+    rows, out_params, emit_back = emit_classifier(
+        prop, z, refined, ids, params["gen.out.W"], params["gen.out.b"], cfg.scale,
+        placement, None if embedding is None else embedding.propagated.data)
+    parents = out_params + rel_params + embed_params
+    if embedding is not None and any(t.requires_grad for t in parents + [embedding.z]):
+        raise ValueError("a shared embedding carries no gradient")
+
+    def grads(g):
+        g_z, g_refined, out_grads = emit_back(g)
+        g_tasks, rel_grads = refine_back(g_refined)
+        g_select = np.zeros(z.shape)        # the row selection's vjp
+        for m, gt, i in zip(g_select, g_tasks, ids):
+            m[i] += gt
+        return out_grads + rel_grads + embed_back(
+            g_select if g_z is None else g_z + g_select)
+
+    heads = _heads(attach(rows, parents, grads, "emit_for_task"), ids,
+                   params["gen.out.W"].data.shape[1] - 1)
+    return heads[0] if single else heads

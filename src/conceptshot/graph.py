@@ -193,8 +193,16 @@ class Propagation:
         self.size = size
         self.groups = neighbor_groups(nbr_idx, size)
 
-    def apply(self, x: Tensor) -> Tensor:
-        return sym_neighbor_mean(x, self.groups, self.degrees)
+    def apply(self, x):
+        """P·x: a node on the tape for a Tensor; for a plain array, the same
+        bits off the tape (P acts per column, so stacked columns keep them)."""
+        if isinstance(x, Tensor):
+            return sym_neighbor_mean(x, self.groups, self.degrees)
+        return neighbor_sums(x, self.groups) / self.degrees[:, None]
+
+    def apply_vjp(self, g):
+        """The vjp of ``apply`` on plain arrays (``sym_neighbor_mean``'s)."""
+        return neighbor_sums(g / self.degrees[:, None], self.groups)
 
     def reapply(self, propagated, values, ids):
         """P·values, given ``propagated`` = P·z for a z that differs from
@@ -236,16 +244,15 @@ def propagation_operator(g: ConceptGraph, self_loops: bool = True) -> Propagatio
     return Propagation(nbr_idx, degrees, m)
 
 
-def select_task_rows(x: Tensor, class_ids) -> Tensor:
-    """Differentiable row selection with episode-grade validation."""
+def task_ids(class_ids, rows: int) -> np.ndarray:
+    """An episode's class ids as an index array, checked to be distinct and
+    in range for ``rows`` rows (DataError)."""
     ids = np.asarray(class_ids, dtype=np.intp)
     if len(set(ids.tolist())) != ids.size:
         raise DataError(f"selection: class ids contain duplicates: {sorted(ids.tolist())}")
-    if ids.size and (ids.min() < 0 or ids.max() >= x.data.shape[0]):
-        raise DataError(
-            f"selection: class id {int(ids.max())} out of range for {x.data.shape[0]} rows")
-    from .tensor import gather_rows
-    return gather_rows(x, ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        raise DataError(f"selection: class id {int(ids.max())} out of range for {rows} rows")
+    return ids
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,13 @@ emitted classifier, and no second-derivative terms are formed.  The inner
 loop adapts a block of same-shaped tasks at once, stacked along a leading
 axis: each task's bits equal those of the loop run on it alone, and every
 array the tape would check is still checked for non-finite values.  A
-training step adapts its episodes in one block per episode shape.  The query
-set is scored on plain arrays too, by the same forward and backward code, and
-enters the tape as one node whose vjp gives the taped chain's gradients bit
-for bit.  Evaluation never backpropagates; it runs on detached parameters,
-which record no tape, embeds the graph once per call instead of once per
-episode, and adapts its episodes in blocks.
+training step emits the classifiers of all its episodes in one generator pass
+(one tape node; see ``classifier_gen``) and adapts them in one block per
+episode shape.  The query set is scored on plain arrays too, by the same
+forward and backward code, and enters the tape as one node whose vjp gives
+the taped chain's gradients bit for bit.  Evaluation never backpropagates;
+it runs on detached parameters, which record no tape, embeds the graph once
+per call instead of once per episode, and adapts its episodes in blocks.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode
                    sample_entity_episode)
 from .encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
 from .encoder import apply_layers  # noqa: F401  (bench/run.py traces it here)
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, Tensor, add, attach, backward, carry,
+from .tensor import (Rng, SgdOptimizer, Tensor, add, attach, backward, carry, checked,
                      class_labels, scale, stable_exp_parts)
 
 
@@ -187,6 +188,8 @@ class Model:
 
     def emit(self, class_ids, rng: Rng, training: bool,
              embedding: SharedEmbedding | None = None) -> TaskClassifier:
+        """One task's classifier; with lists of class ids and of streams,
+        one classifier per task, from one generator pass."""
         return emit_for_task(self.params, self.gen_cfg, self.prop,
                              self.generator_input, class_ids, rng, training,
                              self.refine_placement, embedding)
@@ -211,12 +214,6 @@ class AdaptedState:
     classifier: TaskClassifier
 
 
-def _checked(a, op: str, where: str = "the inner loop"):
-    if not np.isfinite(a).all():
-        raise NumericalError(f"non-finite values produced by '{op}' in {where}")
-    return a
-
-
 def _T(a):
     """The transpose of each matrix in a stack (of a matrix, for 2-D input)."""
     return a.swapaxes(-1, -2)
@@ -227,10 +224,10 @@ def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
     layer's input and leaky-ReLU mask for :func:`_backward`."""
     saved = []
     for w, b in pairs:
-        a = _checked(x @ w + b, "affine", where)
+        a = checked(x @ w + b, "affine", where)
         mask = np.where(a >= 0, 1.0, float(slope))
         saved.append((x, mask))
-        x = _checked(a * mask, "leaky_relu", where)
+        x = checked(a * mask, "leaky_relu", where)
     return x, saved
 
 
@@ -240,9 +237,9 @@ def _cross_entropy(logits, y, where: str = "the inner loop"):
     gradient at the logits before the 1/n scale."""
     n, n_cls = logits.shape[-2:]
     rows = np.arange(y.size)
-    z, e, s = stable_exp_parts(_checked(logits, "affine", where))
-    loss = _checked((np.log(s[..., 0]) - z.reshape(-1, n_cls)[rows, y].reshape(-1, n))
-                    .mean(axis=-1), "cross_entropy", where)
+    z, e, s = stable_exp_parts(checked(logits, "affine", where))
+    loss = checked((np.log(s[..., 0]) - z.reshape(-1, n_cls)[rows, y].reshape(-1, n))
+                   .mean(axis=-1), "cross_entropy", where)
     g = e / s
     g.reshape(-1, n_cls)[rows, y] -= 1.0
     return loss, g
@@ -303,7 +300,8 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
         w, b = vals[-2:]
         _, g = _cross_entropy(feats @ _T(w) + b, y)
         grads = _backward(vals[:-2:2], saved, feats, w, g * (1.0 / n))
-        vals = [_checked(v + (-lr * d), "add") for v, d in zip(vals, grads)]
+        vals = [checked(v + (-lr * d), "add", "the inner loop")
+                for v, d in zip(vals, grads)]
     states = []
     for j, clf in enumerate(clfs):
         starts = init + [clf.weights, clf.bias]
@@ -374,10 +372,11 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
 
     All randomness is re-derived from (cfg.seed, iteration), so any term can
     be replayed in isolation and the step itself is resumable.  Every term's
-    episodes are sampled and emitted first, in term order; the episodes that
-    share a shape are then adapted by one :func:`inner_adapt` call (each
-    keeps the bits it would get alone), and each is scored by one
-    :func:`episode_loss` call, in term order again.
+    episodes are sampled first, in term order, and all are emitted by one
+    generator pass (one ``emit_for_task`` call, one ``graph_embed``); the
+    episodes that share a shape are then adapted by one :func:`inner_adapt`
+    call, and each is scored by one :func:`episode_loss` call, in term order
+    again.  Each episode keeps the bits it would get alone.
     """
     it_rng = Rng(cfg.seed).child("train", iteration)
     rec = {"iteration": iteration, "lr": cfg.lr_at(iteration),
@@ -385,11 +384,9 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
     terms = []                      # (name, weight, [[episode, dropout rng, head]])
 
     def add_term(name, weight, sample):
-        tasks = []
-        for b in range(cfg.episodes_per_term):
-            ep, drop = sample(it_rng.child("sample", name, b)), it_rng.child("drop", name, b)
-            tasks.append([ep, drop, model.emit(ep.class_ids, drop, True)])
-        terms.append((name, weight, tasks))
+        terms.append((name, weight, [[sample(it_rng.child("sample", name, b)),
+                                      it_rng.child("drop", name, b), None]
+                                     for b in range(cfg.episodes_per_term)]))
 
     if cfg.entity_weight > 0:
         add_term("entity", cfg.entity_weight,
@@ -408,9 +405,13 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
     if not terms:
         raise ConfigError("all loss weights are zero; nothing to train")
 
+    every = [task for _, _, tasks in terms for task in tasks]
+    heads = model.emit([ep.class_ids for ep, _, _ in every],
+                       [drop for _, drop, _ in every], True)
     blocks = {}                     # episode shape -> its tasks, in term order
-    for task in (task for _, _, tasks in terms for task in tasks):
-        blocks.setdefault((task[0].support_x.shape, task[2].weights.data.shape),
+    for task, head in zip(every, heads):
+        task[2] = head
+        blocks.setdefault((task[0].support_x.shape, head.weights.data.shape),
                           []).append(task)
     for block in blocks.values():
         states = inner_adapt(model, [clf for _, _, clf in block],

@@ -17,8 +17,10 @@ training) is built from the ops in this module.  Design points:
 * gradients are plain ndarrays and there is no grad-of-grad support:
   meta-gradients are first-order.  The inner loop in ``meta`` steps plain
   arrays off the tape and hands each adapted array back through ``carry``,
-  whose vjp is the identity to the array it started from; the query loss is
-  computed off the tape too and enters it through one ``attach`` node.
+  whose vjp is the identity to the array it started from; the query loss and
+  the classifier generator are computed off the tape too, on plain arrays
+  passed through ``checked``, and each enters it through one ``attach`` node
+  whose vjp repeats the tape ops' vjps in the tape's order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "l2_normalize_rows", "gather_rows", "write_rows", "neighbor_groups",
     "neighbor_sums", "sym_neighbor_mean",
     "concat_rows", "concat_cols", "slice_cols", "reshape", "stack_rows", "mean_rows",
-    "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry", "attach",
+    "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry", "attach", "checked",
     "class_labels", "stable_exp_parts", "glorot_uniform", "SgdOptimizer",
 ]
 
@@ -359,6 +361,13 @@ def attach(value, parents, vjp, op: str) -> Tensor:
     """``value``, computed off the tape from ``parents``, as one node whose
     ``vjp`` maps its gradient to one gradient per parent."""
     return _node(value, parents, vjp, op)
+
+
+def checked(a, op: str, where: str):
+    """``a``, computed off the tape, checked for NaN/Inf as a tape op's output."""
+    if not np.isfinite(a).all():
+        raise NumericalError(f"non-finite values produced by '{op}' in {where}")
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ relabeling, the dense propagation matrix, the padded neighborhood sum that
 ``tensor.sym_neighbor_mean`` replaces, the per-call class filter and the
 ``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
 loop that ``meta.inner_adapt`` replaces, the taped query path that
-``meta.episode_loss`` replaces, and the one-episode-at-a-time training step
-that ``meta.train_step`` replaces."""
+``meta.episode_loss`` replaces, the taped classifier generator (and its row
+selection) that ``classifier_gen`` replaces, and the one-episode-at-a-time
+training step that ``meta.train_step`` replaces."""
 
 import numpy as np
 
@@ -149,10 +150,75 @@ def tape_query_loss(model, adapted, ep):
             float((logits.data.argmax(axis=1) == ep.query_y).mean()))
 
 
+def tape_graph_embed(params, cfg, prop, z0, rng, training):
+    """The generator's hop stack built op by op on the tape."""
+    from conceptshot.tensor import Tensor, affine, dropout, leaky_relu
+    z, p = (z0, None) if isinstance(z0, Tensor) else z0
+    for h in range(len(cfg.embed_widths)):
+        if h or p is None:
+            p = prop.apply(z)
+        z = leaky_relu(affine(p, params[f"gen.embed.{h}.W"],
+                              params[f"gen.embed.{h}.b"]), cfg.slope)
+        z = dropout(z, cfg.keep_prob, rng, training)
+    return z
+
+
+def tape_refine_relations(params, cfg, z_task, rng, training):
+    """The residual pairwise refinement built op by op on the tape."""
+    from conceptshot.tensor import (add, affine, concat_cols, dropout, gather_rows,
+                                    grouped_mean, leaky_relu)
+    n = z_task.data.shape[0]
+    left = gather_rows(z_task, np.repeat(np.arange(n), n))
+    right = gather_rows(z_task, np.tile(np.arange(n), n))
+    h = concat_cols(left, right)
+    for i in range(len(cfg.relation_widths)):
+        h = leaky_relu(affine(h, params[f"gen.rel.{i}.W"], params[f"gen.rel.{i}.b"]),
+                       cfg.slope)
+        h = dropout(h, cfg.keep_prob, rng, training)
+    return add(z_task, grouped_mean(h, n))
+
+
+def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_scale,
+                         placement="write_back"):
+    """The final propagation, affine, row normalization and split, op by op."""
+    from conceptshot.classifier_gen import TaskClassifier
+    from conceptshot.tensor import (affine, gather_rows, l2_normalize_rows, reshape,
+                                    scale, slice_cols, write_rows)
+    ids = np.asarray(class_ids, dtype=np.intp)
+    feature_dim = w_out.data.shape[1] - 1
+    if placement == "write_back":
+        z = write_rows(z_all, refined, ids)
+        rows = gather_rows(affine(prop.apply(z), w_out, b_out), ids)
+    else:
+        rows = affine(refined, w_out, b_out)
+    rows = scale(l2_normalize_rows(rows), norm_scale)
+    weights = slice_cols(rows, 0, feature_dim)
+    bias = reshape(slice_cols(rows, feature_dim, feature_dim + 1), (ids.size,))
+    return TaskClassifier(weights=weights, bias=bias, class_ids=ids)
+
+
+def select_task_rows(x, class_ids):
+    """An episode's rows of ``x`` on the tape, its class ids checked first."""
+    from conceptshot.graph import task_ids
+    from conceptshot.tensor import gather_rows
+    return gather_rows(x, task_ids(class_ids, x.data.shape[0]))
+
+
+def tape_emit_for_task(params, cfg, prop, z0, class_ids, rng, training,
+                       placement="write_back"):
+    """One task's classifier emitted by the taped stages above."""
+    z = tape_graph_embed(params, cfg, prop, z0, rng, training)
+    refined = tape_refine_relations(params, cfg, select_task_rows(z, class_ids), rng,
+                                    training)
+    return tape_emit_classifier(prop, z, refined, class_ids, params["gen.out.W"],
+                                params["gen.out.b"], cfg.scale, placement)
+
+
 def serial_train_step(model, opt, ds, cfg, levels, iteration):
     """The training step one episode at a time: each episode is sampled,
-    emitted, adapted alone and scored by ``tape_query_loss``, term after
-    term; same random streams, record, loss combination and update."""
+    emitted by ``tape_emit_for_task``, adapted alone and scored by
+    ``tape_query_loss``, term after term; same random streams, record, loss
+    combination and update."""
     from conceptshot.data import sample_concept_episode, sample_entity_episode
     from conceptshot.errors import ConfigError
     from conceptshot.meta import inner_adapt
@@ -165,7 +231,10 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
         losses, accs = [], []
         for b in range(cfg.episodes_per_term):
             ep = sample(n_way, it_rng.child("sample", name, b))
-            clf = model.emit(ep.class_ids, it_rng.child("drop", name, b), True)
+            clf = tape_emit_for_task(model.params, model.gen_cfg, model.prop,
+                                     model.generator_input, ep.class_ids,
+                                     it_rng.child("drop", name, b), True,
+                                     model.refine_placement)
             (state,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
                                    cfg.adapt_steps, cfg.inner_lr)
             loss, acc = tape_query_loss(model, state, ep)

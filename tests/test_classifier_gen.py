@@ -4,12 +4,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import numerical_grad, permute_graph, rel_err
-from conceptshot import tensor as T
+from _oracles import numerical_grad, permute_graph, rel_err, tape_emit_for_task
+from conceptshot import classifier_gen, tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier, emit_for_task,
                                         graph_embed, init_generator, refine_relations)
+from conceptshot.data import SynthConfig, generate_synthetic
+from conceptshot.encoder import EncoderConfig
 from conceptshot.errors import ConfigError, DataError
 from conceptshot.graph import ConceptGraph, NodeRecord, propagation_operator
+from conceptshot.meta import Model
 
 
 def chain3_graph(sem):
@@ -225,6 +228,19 @@ def test_emit_validates_class_ids():
                       [3, 4], T.Rng(0), training=False, placement="elsewhere")
 
 
+def test_emit_checks_every_task_before_generator_work(monkeypatch):
+    g = tree7()
+    cfg = small_cfg()
+    params = init_generator(cfg, 3, 2, T.Rng(9))
+    calls = []
+    monkeypatch.setattr(classifier_gen, "graph_embed", lambda *args: calls.append(args))
+    for bad, match in (([3, 3], "duplicates"), ([3, 7], "out of range")):
+        with pytest.raises(DataError, match=match):
+            emit_for_task(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
+                          [[3, 4], [5], bad], [T.Rng(k) for k in range(3)], training=True)
+    assert calls == []
+
+
 def test_one_hot_mode_config():
     cfg = small_cfg(semantics="one-hot")
     assert cfg.semantics == "one-hot"
@@ -266,3 +282,65 @@ def test_fd_through_generator(placement):
             return val
 
         assert rel_err(ga, numerical_grad(f, keep)) < 1e-5, n
+
+
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+def _emit_against_tape(placement, semantics, keep_prob, training, shared,
+                       embed_widths=(6, 4), relation_widths=(5, 4)):
+    """Three tasks of 1, 4 and 5 classes emitted in one call against each
+    emitted alone by the taped stages: weights, bias and every generator
+    gradient under a random upstream gradient, summed over the tasks in
+    task order.  The root has 9 neighbors, so its sums are sorted."""
+    g, _ = generate_synthetic(SynthConfig(branching=8, num_levels=3, input_dim=6,
+                                          semantic_dim=5, samples_per_class=2, seed=3))
+    m = Model(g, EncoderConfig(input_dim=6, widths=[4], low_layers=0),
+              GeneratorConfig(embed_widths=list(embed_widths),
+                              relation_widths=list(relation_widths),
+                              keep_prob=keep_prob, semantics=semantics),
+              refine_placement=placement, seed=2)
+    z0 = m.generator_input if shared else m.semantic_input
+    ids = [np.array([40]), np.array([9, 17, 0, 33]), np.array([70, 3, 12, 64, 8])]
+    upstream = np.random.default_rng(5)
+    ups = [(upstream.standard_normal((i.size, 4)), upstream.standard_normal(i.size))
+           for i in ids]
+    gen = {n: p for n, p in m.params.items() if n.startswith("gen.")}
+
+    def run(emit):
+        heads = emit()
+        total = None
+        for head, (uw, ub) in zip(heads, ups):
+            loss = T.add(T.sum_all(T.mul(head.weights, T.Tensor(uw))),
+                         T.sum_all(T.mul(head.bias, T.Tensor(ub))))
+            total = loss if total is None else T.add(total, loss)
+        return heads, T.grad(total, list(gen.values()))
+
+    got = run(lambda: emit_for_task(m.params, m.gen_cfg, m.prop, z0, ids,
+                                    [T.Rng(7).child(k) for k in range(3)], training,
+                                    placement))
+    want = run(lambda: [tape_emit_for_task(m.params, m.gen_cfg, m.prop, z0, i,
+                                           T.Rng(7).child(k), training, placement)
+                        for k, i in enumerate(ids)])
+    for a, b in zip(got[0], want[0]):
+        assert np.array_equal(_bits(a.weights.data), _bits(b.weights.data))
+        assert np.array_equal(_bits(a.bias.data), _bits(b.bias.data))
+    for n, a, b in zip(gen, got[1], want[1]):
+        assert np.array_equal(_bits(a), _bits(b)), n
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("keep_prob", [0.9, 1.0])
+@pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+def test_emit_matches_tape_bitwise(placement, semantics, keep_prob, training, shared):
+    _emit_against_tape(placement, semantics, keep_prob, training, shared)
+
+
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+def test_one_column_emit_matches_tape_bitwise(placement):
+    # one-column node matrices over the root's 9 neighbors, where a column
+    # summed alone and one summed beside others can differ in bits
+    _emit_against_tape(placement, "embeddings", 0.9, True, False, (1, 1), (2, 1))

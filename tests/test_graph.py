@@ -6,11 +6,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from _oracles import dense_propagation, padded_neighbor_sum, permute_graph
+from _oracles import dense_propagation, padded_neighbor_sum, permute_graph, select_task_rows
 from conceptshot import tensor as T
 from conceptshot.errors import DataError, NumericalError
 from conceptshot.graph import (ConceptGraph, NodeRecord, describe, load_graph,
-                               propagation_operator, save_graph, select_task_rows)
+                               propagation_operator, save_graph)
 
 
 def chain3(**kw):

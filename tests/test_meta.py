@@ -279,6 +279,21 @@ def test_query_overflow_is_numerical_error(world):
                          training=True, adapted=state)
 
 
+@pytest.mark.parametrize("factor, match", [
+    (1e300, "non-finite"), (1e308, "'sym_neighbor_mean' in the classifier generator")])
+def test_generator_overflow_is_numerical_error(world, factor, match):
+    # at 1e300 the generator's forward stays finite and the update overflows;
+    # at 1e308 hop 1's propagation overflows, as on the tape
+    g, ds = world
+    m = make_model(g)
+    m.params["gen.embed.0.W"].data = m.params["gen.embed.0.W"].data * factor
+    cfg = small_cfg()
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match=match):
+        train_step(m, SgdOptimizer(m.params), ds, cfg, eligible_concept_levels(ds, g, cfg),
+                   0)
+
+
 def test_predict_rows_are_probabilities(world):
     g, ds = world
     m = make_model(g)
@@ -433,22 +448,24 @@ def test_train_step_matches_serial_oracle_bitwise(deep_world, case):
 @pytest.mark.parametrize("case", list(STEP_CASES))
 def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
                                                                   monkeypatch, case):
-    # bench/run.py --trace 1 checks one episode_loss call per active episode
+    # bench/run.py --trace 1 checks one episode_loss call per active episode;
+    # the generator embeds the graph once per step, for every episode
     g, ds = deep_world
     overrides, shapes = STEP_CASES[case]
     cfg = _step_cfg(overrides)
     levels = eligible_concept_levels(ds, g, cfg)
     active = (cfg.entity_weight > 0) + sum(cfg.weight_for(lv) > 0 for lv, _ in levels)
-    calls = {"episode_loss": 0, "inner_adapt": 0}
-    for name in calls:
-        def counted(*args, _fn=getattr(meta, name), _name=name, **kwargs):
+    calls = {"episode_loss": 0, "inner_adapt": 0, "graph_embed": 0}
+    for owner, name in ((meta, "episode_loss"), (meta, "inner_adapt"),
+                        (classifier_gen, "graph_embed")):
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(meta, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     m = make_model(g)
     train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
     assert calls == {"episode_loss": active * cfg.episodes_per_term,
-                     "inner_adapt": shapes}
+                     "inner_adapt": shapes, "graph_embed": 1}
 
 
 def test_zero_entity_weight_ignores_entity_stream(world):
