@@ -11,16 +11,17 @@ Three stages:
                         and scaled to norm ``scale``; the task's rows are
                         split into per-class weights (first ``feature_dim``
                         columns) and bias (last column).  Tasks that share a
-                        frozen embedding re-propagate only the rows their
-                        refined classes touch.
+                        frozen embedding reuse one write-back buffer and
+                        re-propagate only the rows their classes touch.
 
 The stages run on plain arrays off the tape, checked as the tape checks
 (``tensor.checked``).  For one task a stage returns a Tensor: one node whose
 vjp repeats the tape ops' vjps in the tape's order.  For a list of tasks it
 returns (output, the Tensors it reads, backward), and ``emit_for_task``
-chains the stages over every task of a training step into one node.  Each
-task keeps the bits it gets alone: P acts per column, products run one per
-task, each task draws its dropout masks from its own stream in the taped
+chains the stages over every task of a training step or eval block into
+one node.  Each task keeps the bits it gets alone: P acts per column,
+products run one per task (tasks of one class count share one relation-MLP
+stack), each task draws its dropout masks from its own stream in the taped
 order, and per-task gradients are summed left to right in task order.
 """
 
@@ -185,37 +186,45 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_task: Tensor,
 
     All n^2 ordered pairs (i, j) -- i = j included -- are concatenated and
     pushed through the MLP; row i receives the mean over j of the outputs.
-    Several tasks: a list of row arrays and a list of streams.
+    Several tasks: a list of row arrays and a list of streams; the tasks
+    that share a class count run the MLP, the sorted mean and the backward
+    as one stack, each reduction along one task's own axis.
     """
     single = isinstance(rng, Rng)
     z_tasks, rngs = ([z_task.data], [rng]) if single else (z_task, rng)
     layers = [(params[f"gen.rel.{i}.W"], params[f"gen.rel.{i}.b"])
               for i in range(len(cfg.relation_widths))]
-    pairs = [(np.repeat(np.arange(len(zt)), len(zt)), np.tile(np.arange(len(zt)), len(zt)))
-             for zt in z_tasks]
-    out, recs = [], []
-    for zt, r, (left, right) in zip(z_tasks, rngs, pairs):
-        n, h, rec = len(zt), np.concatenate([zt[left], zt[right]], axis=1), []
+    stacks = {}                     # n -> its tasks' positions
+    for k, zt in enumerate(z_tasks):
+        stacks.setdefault(len(zt), []).append(k)
+    pairs = {n: (np.repeat(np.arange(n), n), np.tile(np.arange(n), n)) for n in stacks}
+    out, recs = [None] * len(z_tasks), {}
+    for n, ks in stacks.items():
+        zs, (left, right) = np.stack([z_tasks[k] for k in ks]), pairs[n]
+        h, recs[n] = np.concatenate([zs[:, left], zs[:, right]], axis=2), []
         for w, b in layers:
-            h, saved = _layer(h, w.data, b.data, cfg, [r], training)
-            rec.append(saved)
-        recs.append(rec)
-        mean = checked(np.sort(h.reshape(n, n, -1), axis=1).sum(axis=1) / n,
+            h, saved = _layer(h, w.data, b.data, cfg, [rngs[k] for k in ks], training)
+            recs[n].append(saved)
+        mean = checked(np.sort(h.reshape(len(ks), n, n, -1), axis=2).sum(axis=2) / n,
                        "grouped_mean", _WHERE)
-        out.append(checked(zt + mean, "add", _WHERE))
+        for k, o in zip(ks, checked(zs + mean, "add", _WHERE)):
+            out[k] = o
 
     def back(g_out):
-        g_in, per_task = [], []
-        for zt, rec, (left, right), g in zip(z_tasks, recs, pairs, g_out):
-            gh, grads = np.repeat(g / len(zt), len(zt), axis=0), []
-            for (w, _), r in zip(reversed(layers), reversed(rec)):
+        g_in, per_task = [None] * len(z_tasks), [None] * len(z_tasks)
+        for n, ks in stacks.items():
+            g = np.stack([g_out[k] for k in ks])
+            gh, grads = np.repeat(g / n, n, axis=1), []
+            for (w, _), r in zip(reversed(layers), reversed(recs[n])):
                 gh, gw, gb = _layer_back(gh, r)
                 grads, gh = grads + [gw, gb], gh @ w.data.T
-            per_task.append(grads)
-            gl, gr = np.zeros_like(zt), np.zeros_like(zt)
-            np.add.at(gl, left, gh[:, :zt.shape[1]])
-            np.add.at(gr, right, gh[:, zt.shape[1]:])
-            g_in.append((g + gl) + gr)      # residual, left rows, right rows
+            d, (left, right) = g.shape[2], pairs[n]
+            gl, gr = np.zeros_like(g), np.zeros_like(g)
+            np.add.at(gl, (slice(None), left), gh[..., :d])
+            np.add.at(gr, (slice(None), right), gh[..., d:])
+            g = (g + gl) + gr               # residual, left rows, right rows
+            for j, k in enumerate(ks):
+                g_in[k], per_task[k] = g[j], [x[j] for x in grads]
         return g_in, [_fold(gs) for gs in zip(*per_task)]
 
     ps = [t for pair in reversed(layers) for t in pair]
@@ -251,28 +260,42 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
     before the final propagation; ``task_only`` applies the output layer to the
     refined rows directly, skipping propagation for non-task rows.
 
-    ``propagated``, when given, is P·``z_all`` as a plain array, shared by
-    tasks that never backpropagate: the write-back then re-propagates only
-    the rows whose neighborhood meets the task's rows (``Propagation.reapply``,
-    at most a few rows per task) instead of the whole graph.  The affine
-    still runs on every row, because a product's row bits depend on its row
-    count; so the emitted rows are the bits of the full propagation.
-
     Several tasks: a stack of node matrices, lists of refined rows and of
     class ids; the output holds every task's rows, task after task.
+
+    ``propagated``, when given, is P·z for the one node matrix z all tasks
+    share, and nothing backpropagates.  The write-back then runs the tasks
+    through one buffer each for z, P·z and the affine output: a task writes
+    its rows in, re-propagates the rows they touch (``Propagation.reapply``),
+    runs the affine on every row (a row's bits depend on the row count) and
+    restores the touched rows.  A task's touched rows are checked as it
+    runs, a shared row the first time a task leaves it untouched.
     """
     single, inputs = isinstance(z_all, Tensor), [z_all, refined]
     if single:
         z_all, refined = z_all.data[None], [refined.data]
         class_ids = [np.asarray(class_ids, dtype=np.intp)]
     w, b = w_out.data, b_out.data
-    if placement == "write_back":
+    if placement == "write_back" and propagated is not None:
+        z = z_all[0]
+        z_buf, pz, a = np.array(z), propagated.copy(), np.empty((len(z), w.shape[1]))
+        unchecked, rows = np.ones(len(z), dtype=bool), []   # shared rows not yet checked
+        for r, i in zip(refined, class_ids):
+            z_buf[i] = r
+            hit, values = prop.reapply(z_buf, i)
+            pz[hit] = values
+            look, unchecked = unchecked | hit, unchecked & hit
+            checked(pz[look], "sym_neighbor_mean", _WHERE)
+            np.matmul(pz, w, out=a)         # the bias goes on the rows used
+            checked(a[look] + b, "affine", _WHERE)
+            rows.append(a[i] + b)
+            z_buf[i], pz[hit] = z[i], propagated[hit]
+        rows = np.concatenate(rows)
+    elif placement == "write_back":
         z = np.array(z_all)
         for m, r, i in zip(z, refined, class_ids):
             m[i] = r
-        pz = checked(_propagate(prop.apply, z) if propagated is None else np.stack(
-            [prop.reapply(propagated, m, i) for m, i in zip(z, class_ids)]),
-            "sym_neighbor_mean", _WHERE)
+        pz = checked(_propagate(prop.apply, z), "sym_neighbor_mean", _WHERE)
         a = checked(pz @ w + b, "affine", _WHERE)
         rows = np.concatenate([m[i] for m, i in zip(a, class_ids)])
     elif placement == "task_only":
@@ -320,14 +343,14 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
                   embedding: SharedEmbedding | None = None) -> TaskClassifier:
     """Full pipeline: embed all nodes, refine the task's rows, emit the head.
 
-    ``embedding``, when given, is used instead of embedding the nodes again,
-    and its propagation lets the emit re-propagate only the task's touched
-    rows (see :func:`emit_classifier`); out of training both are the same
-    for every task, and nothing backpropagates through them.
-
     Given a list of class id arrays and one stream per task, emits every
     task in one pass, as one node, and returns one classifier per task, each
     with the bits it gets alone.  Every task's ids are checked first.
+
+    ``embedding``, when given, is used instead of embedding the nodes again,
+    and its propagation lets the write-back re-propagate only each task's
+    touched rows (see :func:`emit_classifier`); out of training both are the
+    same for every task, and nothing backpropagates through them.
     """
     single = isinstance(rng, Rng)
     rngs, ids = ([rng], [class_ids]) if single else (list(rng), list(class_ids))

@@ -14,7 +14,8 @@ import sys
 
 from .config import (ExperimentConfig, apply_overrides, build_model, config_hash,
                      from_dict, load_config_dict, save_config, set_path, to_dict)
-from .data import generate_synthetic, load_dataset, save_dataset, summarize
+from .data import (generate_synthetic, load_dataset, save_dataset, summarize,
+                   write_text_atomic)
 from .errors import ConfigError, DataError, NumericalError
 from .graph import describe, load_graph, save_graph
 from .meta import evaluate, load_checkpoint, train
@@ -77,10 +78,8 @@ def cmd_eval(cfg: ExperimentConfig, split: str, level, untrained: bool) -> int:
         load_checkpoint(cfg.paths.checkpoint, model)
     res = evaluate(model, ds, cfg.eval, split=split, level=level)
     _ensure_parent(cfg.paths.eval_csv)
-    with open(cfg.paths.eval_csv, "w", newline="") as f:
-        f.write("episode,accuracy\n")
-        for i, a in enumerate(res.accuracies):
-            f.write(f"{i},{a!r}\n")
+    write_text_atomic(cfg.paths.eval_csv, ["episode,accuracy\n"] + [
+        f"{i},{a!r}\n" for i, a in enumerate(res.accuracies)])
     _save_effective(cfg, cfg.paths.eval_csv, "eval")
     where = f"split {split}" if level is None else f"level {level}"
     print(f"accuracy {res.mean:.4f} ± {res.half_width:.4f} "

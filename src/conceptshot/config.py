@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .classifier_gen import GeneratorConfig
-from .data import SynthConfig
+from .data import SynthConfig, write_text_atomic
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .graph import ConceptGraph
@@ -180,9 +180,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def save_config(cfg: ExperimentConfig, path):
-    with open(path, "w") as f:
-        json.dump(to_dict(cfg), f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_text_atomic(path, [json.dumps(to_dict(cfg), sort_keys=True, indent=2), "\n"])
 
 
 def build_model(cfg: ExperimentConfig, graph: ConceptGraph) -> Model:

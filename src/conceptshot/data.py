@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -263,6 +264,19 @@ def generate_synthetic(cfg: SynthConfig):
 
 # ---------------------------------------------------------------------------
 # serialization
+
+def write_text_atomic(path, chunks):
+    """Write the strings ``chunks`` to a temporary file beside ``path``, then
+    move it over ``path``: a failure leaves the old file and no temporary."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)              # left only when something failed
+
 
 def save_dataset(ds: Dataset, path):
     n, d = ds.features.shape

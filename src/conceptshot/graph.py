@@ -204,20 +204,17 @@ class Propagation:
         """The vjp of ``apply`` on plain arrays (``sym_neighbor_mean``'s)."""
         return neighbor_sums(g / self.degrees[:, None], self.groups)
 
-    def reapply(self, propagated, values, ids):
-        """P·values, given ``propagated`` = P·z for a z that differs from
-        ``values`` only in the rows ``ids``.  Row r changes only where N(r)
-        meets ``ids``; the structure is symmetric, so those rows are N(ids).
-        They are summed again by the same aggregation routine and divided by
-        the same degrees, so every row has the bits of ``apply(values)``.
-        Plain arrays, no tape."""
+    def reapply(self, values, ids):
+        """(row mask, P·values on those rows) for the rows of P·values that
+        a rewrite of the rows ``ids`` changes: r changes only where N(r)
+        meets ``ids``, and the structure is symmetric, so those are N(ids).
+        They are summed by the same aggregation routine and divided by the
+        same degrees, so each has the bits of ``apply(values)``.  No tape."""
         hit = np.zeros(self.size + 1, dtype=bool)
         hit[self.nbr_idx[ids]] = True
-        rows = np.flatnonzero(hit[:-1])
-        out = propagated.copy()
-        out[rows] = (neighbor_sums(values, neighbor_groups(self.nbr_idx[rows], self.size))
-                     / self.degrees[rows, None])
-        return out
+        hit = hit[:-1]
+        return hit, (neighbor_sums(values, neighbor_groups(self.nbr_idx[hit], self.size))
+                     / self.degrees[hit, None])
 
 
 def propagation_operator(g: ConceptGraph, self_loops: bool = True) -> Propagation:

@@ -24,7 +24,8 @@ episode shape.  The query set is scored on plain arrays too, by the same
 forward and backward code, and enters the tape as one node whose vjp gives
 the taped chain's gradients bit for bit.  Evaluation never backpropagates;
 it runs on detached parameters, which record no tape, embeds the graph once
-per call instead of once per episode, and adapts its episodes in blocks.
+per call instead of once per episode, and emits and adapts its episodes in
+blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from . import classifier_gen
 from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
                              emit_for_task, init_generator)
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
-                   sample_entity_episode)
+                   sample_entity_episode, write_text_atomic)
 from .encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
 from .encoder import apply_layers  # noqa: F401  (bench/run.py traces it here)
 from .errors import ConfigError, DataError
@@ -453,11 +454,9 @@ def _fmt_cell(v):
 
 
 def write_metrics(path, columns, records):
-    with open(path, "w", newline="") as f:
-        f.write(",".join(columns) + "\n")
-        for rec in records:
-            f.write(",".join(_fmt_cell(rec.get(c, float("nan")))
-                             for c in columns) + "\n")
+    write_text_atomic(path, [",".join(columns) + "\n"] + [
+        ",".join(_fmt_cell(rec.get(c, float("nan"))) for c in columns) + "\n"
+        for rec in records])
 
 
 def train(model: Model, ds: Dataset, cfg: TrainConfig, *, metrics_path=None,
@@ -509,7 +508,7 @@ def confidence_interval(accuracies):
     return m, float(1.96 * a.std(ddof=1) / np.sqrt(a.size))
 
 
-# Eval episodes adapted by one inner_adapt call; the results do not depend on it.
+# Eval episodes emitted and adapted together; the results do not depend on it.
 _BLOCK = 16
 
 
@@ -525,33 +524,28 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     of training, together with its propagation P·z: both are computed once
     per call, and each episode's write-back emit re-propagates only the rows
     its classes touch (``Propagation.reapply``), not the whole graph.
-    Episodes are sampled and emitted one by one, adapted by one
-    :func:`inner_adapt` call per block of ``_BLOCK``, and scored one by one;
-    each episode's bits are those of :func:`episode_loss` on it alone.
+    Episodes come in blocks of ``_BLOCK``: a block's episodes are sampled,
+    then emitted by one ``Model.emit`` call and adapted by one
+    :func:`inner_adapt` call, then scored one by one; each episode's bits
+    are those of :func:`episode_loss` on it alone.
     """
     g = model.graph
+    sample, where = ((sample_entity_episode, split) if level in (None, g.entity_level)
+                     else (sample_concept_episode, level))
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
     z = model.embed(rng.child("embed"), training=False)
     embedding = SharedEmbedding(z, model.prop.apply(z))
     accs = np.empty(cfg.n_episodes)
     for start in range(0, cfg.n_episodes, _BLOCK):
-        block = []
-        for i in range(start, min(start + _BLOCK, cfg.n_episodes)):
-            ep_rng = rng.child(i)
-            if level is None or level == g.entity_level:
-                ep = sample_entity_episode(ds, g, split, cfg.n_way, cfg.k_shot,
-                                           cfg.n_query, ep_rng.child("sample"))
-            else:
-                ep = sample_concept_episode(ds, g, level, cfg.n_way, cfg.k_shot,
-                                            cfg.n_query, ep_rng.child("sample"))
-            drop = ep_rng.child("drop")
-            block.append((ep, drop, model.emit(ep.class_ids, drop, False, embedding)))
-        adapted = inner_adapt(model, [clf for _, _, clf in block],
-                              [ep.support_x for ep, _, _ in block],
-                              [ep.support_y for ep, _, _ in block],
-                              cfg.adapt_steps, cfg.inner_lr)
-        for i, ((ep, drop, _), state) in enumerate(zip(block, adapted), start):
+        block = range(start, min(start + _BLOCK, cfg.n_episodes))
+        eps = [sample(ds, g, where, cfg.n_way, cfg.k_shot, cfg.n_query,
+                      rng.child(i, "sample")) for i in block]
+        drops = [rng.child(i, "drop") for i in block]
+        heads = model.emit([ep.class_ids for ep in eps], drops, False, embedding)
+        adapted = inner_adapt(model, heads, [ep.support_x for ep in eps],
+                              [ep.support_y for ep in eps], cfg.adapt_steps, cfg.inner_lr)
+        for i, (ep, drop, state) in enumerate(zip(eps, drops, adapted), start):
             _, accs[i] = episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
                                       inner_lr=cfg.inner_lr, rng=drop,
                                       training=False, adapted=state)

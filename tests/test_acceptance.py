@@ -357,6 +357,7 @@ def test_06_equivariance_exact():
 # ---------------------------------------------------------------------------
 # 7-9. directional benchmark claims
 
+@pytest.mark.slow
 def test_07_concept_regularization_helps():
     t0 = time.monotonic()
     wins = 0
@@ -369,6 +370,7 @@ def test_07_concept_regularization_helps():
     assert time.monotonic() - t0 < 1800.0
 
 
+@pytest.mark.slow
 def test_08_semantic_embeddings_help():
     greater = 0
     for seed in BENCH_SEEDS:
@@ -380,6 +382,7 @@ def test_08_semantic_embeddings_help():
     assert greater >= 3, f"embeddings strictly better on only {greater}/5 seeds"
 
 
+@pytest.mark.slow
 def test_09_weak_only_training_beats_chance():
     for seed in BENCH_SEEDS:
         acc = bench_accuracy(seed, entity_weight=0.0)

@@ -6,11 +6,12 @@ import pytest
 
 from _oracles import numerical_grad, permute_graph, rel_err, tape_emit_for_task
 from conceptshot import classifier_gen, tensor as T
-from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier, emit_for_task,
-                                        graph_embed, init_generator, refine_relations)
+from conceptshot.classifier_gen import (GeneratorConfig, SharedEmbedding, emit_classifier,
+                                        emit_for_task, graph_embed, init_generator,
+                                        refine_relations)
 from conceptshot.data import SynthConfig, generate_synthetic
 from conceptshot.encoder import EncoderConfig
-from conceptshot.errors import ConfigError, DataError
+from conceptshot.errors import ConfigError, DataError, NumericalError
 from conceptshot.graph import ConceptGraph, NodeRecord, propagation_operator
 from conceptshot.meta import Model
 
@@ -241,6 +242,46 @@ def test_emit_checks_every_task_before_generator_work(monkeypatch):
     assert calls == []
 
 
+def _shared(params, cfg, prop, z0):
+    z = graph_embed(params, cfg, prop, z0, T.Rng(0), training=False)
+    return SharedEmbedding(z, prop.apply(z))
+
+
+@pytest.mark.parametrize("self_loops", [True, False])
+def test_shared_embedding_emit_matches_alone_bitwise(self_loops):
+    # tasks of several levels in one call: without self loops the rows of
+    # [1, 2] are untouched by it but touched by [3, 4] before it, so the
+    # write-back buffer must be restored between tasks
+    g = tree7()
+    cfg = small_cfg()
+    params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
+    prop = propagation_operator(g, self_loops=self_loops)
+    z0 = T.Tensor(g.semantics)
+    ids = [[3, 4], [1, 2], [5, 6, 3], [0]]
+    heads = emit_for_task(params, cfg, prop, z0, ids, [T.Rng(k) for k in range(4)], False,
+                          embedding=_shared(params, cfg, prop, z0))
+    for i, head in zip(ids, heads):
+        alone = emit_for_task(params, cfg, prop, z0, i, T.Rng(0), training=False)
+        assert np.array_equal(_bits(head.weights.data), _bits(alone.weights.data))
+        assert np.array_equal(_bits(head.bias.data), _bits(alone.bias.data))
+
+
+def test_shared_embedding_emit_checks_untouched_rows():
+    # node 6 overflows the output affine, and no task touches its row
+    g = tree7()
+    cfg = small_cfg()
+    params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
+    prop = propagation_operator(g)
+    z0 = T.Tensor(g.semantics)
+    shared = _shared(params, cfg, prop, z0)
+    z = shared.z.data.copy()
+    z[6] = 1e300
+    params["gen.out.W"].data = params["gen.out.W"].data * 1e10
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'affine'"):
+        emit_for_task(params, cfg, prop, z0, [[3, 4]], [T.Rng(0)], False,
+                      embedding=SharedEmbedding(T.Tensor(z), prop.apply(T.Tensor(z))))
+
+
 def test_one_hot_mode_config():
     cfg = small_cfg(semantics="one-hot")
     assert cfg.semantics == "one-hot"
@@ -288,12 +329,15 @@ def _bits(a):
     return np.asarray(a).view(np.int64)
 
 
+THREE_TASKS = [np.array([40]), np.array([9, 17, 0, 33]), np.array([70, 3, 12, 64, 8])]
+
+
 def _emit_against_tape(placement, semantics, keep_prob, training, shared,
-                       embed_widths=(6, 4), relation_widths=(5, 4)):
-    """Three tasks of 1, 4 and 5 classes emitted in one call against each
-    emitted alone by the taped stages: weights, bias and every generator
-    gradient under a random upstream gradient, summed over the tasks in
-    task order.  The root has 9 neighbors, so its sums are sorted."""
+                       embed_widths=(6, 4), relation_widths=(5, 4), ids=THREE_TASKS):
+    """Tasks (by default three, of 1, 4 and 5 classes) emitted in one call
+    against each emitted alone by the taped stages: weights, bias and every
+    generator gradient under a random upstream gradient, summed over the
+    tasks in task order.  The root has 9 neighbors, so its sums are sorted."""
     g, _ = generate_synthetic(SynthConfig(branching=8, num_levels=3, input_dim=6,
                                           semantic_dim=5, samples_per_class=2, seed=3))
     m = Model(g, EncoderConfig(input_dim=6, widths=[4], low_layers=0),
@@ -302,7 +346,6 @@ def _emit_against_tape(placement, semantics, keep_prob, training, shared,
                               keep_prob=keep_prob, semantics=semantics),
               refine_placement=placement, seed=2)
     z0 = m.generator_input if shared else m.semantic_input
-    ids = [np.array([40]), np.array([9, 17, 0, 33]), np.array([70, 3, 12, 64, 8])]
     upstream = np.random.default_rng(5)
     ups = [(upstream.standard_normal((i.size, 4)), upstream.standard_normal(i.size))
            for i in ids]
@@ -318,7 +361,7 @@ def _emit_against_tape(placement, semantics, keep_prob, training, shared,
         return heads, T.grad(total, list(gen.values()))
 
     got = run(lambda: emit_for_task(m.params, m.gen_cfg, m.prop, z0, ids,
-                                    [T.Rng(7).child(k) for k in range(3)], training,
+                                    [T.Rng(7).child(k) for k in range(len(ids))], training,
                                     placement))
     want = run(lambda: [tape_emit_for_task(m.params, m.gen_cfg, m.prop, z0, i,
                                            T.Rng(7).child(k), training, placement)
@@ -344,3 +387,12 @@ def test_one_column_emit_matches_tape_bitwise(placement):
     # one-column node matrices over the root's 9 neighbors, where a column
     # summed alone and one summed beside others can differ in bits
     _emit_against_tape(placement, "embeddings", 0.9, True, False, (1, 1), (2, 1))
+
+
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+def test_stacked_relations_match_tape_bitwise(placement, shared):
+    # tasks of 1, 4, 5, 4 and 5 classes: the two 4-way and the two 5-way
+    # tasks each run the relation MLP and its backward as one stack
+    ids = THREE_TASKS + [np.array([21, 50, 5, 66]), np.array([1, 30, 45, 60, 72])]
+    _emit_against_tape(placement, "embeddings", 0.9, True, shared, ids=ids)

@@ -71,6 +71,26 @@ def test_train_then_eval_flow(tmp_path, capsys):
     assert lines[0] == "episode,accuracy" and len(lines) == 5
 
 
+def test_eval_csv_is_written_atomically(tmp_path, monkeypatch):
+    cfgp = write_config(tmp_path)
+    main(["gen-data", "-c", str(cfgp)])
+    assert main(["eval", "-c", str(cfgp), "--untrained"]) == 0
+    csv = tmp_path / "art" / "eval.csv"
+    before = csv.read_bytes()
+    lines = before.decode().splitlines()
+    assert lines[0] == "episode,accuracy"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3"]
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        main(["eval", "-c", str(cfgp), "--untrained", "--set", "eval.seed=9"])
+    assert csv.read_bytes() == before
+    assert not [p.name for p in csv.parent.iterdir() if p.name.endswith(".tmp")]
+
+
 def test_metrics_reruns_byte_identical(tmp_path):
     cfgp = write_config(tmp_path)
     main(["gen-data", "-c", str(cfgp)])

@@ -103,3 +103,20 @@ def test_build_model_honors_flags():
     bad = from_dict({**to_dict(cfg), "flags": {"first_order": False}})
     with pytest.raises(ConfigError, match="first_order"):
         build_model(bad, g)
+
+
+def test_save_config_is_atomic(tmp_path, monkeypatch):
+    p = tmp_path / "saved.json"
+    save_config(from_dict({}), p)
+    before = p.read_bytes()
+    assert before == (json.dumps(to_dict(from_dict({})), sort_keys=True, indent=2)
+                      + "\n").encode()
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", refuse)
+    with pytest.raises(OSError, match="disk full"):
+        save_config(from_dict({"data": {"branching": 3}}), p)
+    assert p.read_bytes() == before
+    assert [q.name for q in tmp_path.iterdir()] == ["saved.json"]

@@ -299,3 +299,18 @@ def test_dataset_validators(small_world):
         rogue.validate_against(g)
     with pytest.raises(DataError, match="non-finite"):
         Dataset(np.array([[np.nan]], dtype=np.float32), np.array([0]))
+
+
+def test_write_text_atomic_keeps_the_old_file_on_error(tmp_path):
+    path = tmp_path / "out.csv"
+    data.write_text_atomic(path, ["a,b\n", "1,2\n"])
+    assert path.read_bytes() == b"a,b\n1,2\n"
+
+    def failing():
+        yield "c,d\n"
+        raise RuntimeError("mid-write")
+
+    with pytest.raises(RuntimeError, match="mid-write"):
+        data.write_text_atomic(path, failing())
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

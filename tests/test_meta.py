@@ -551,6 +551,15 @@ def test_write_metrics_formats_nan(tmp_path):
     assert p.read_text() == "iteration,entity_loss\n0,nan\n"
 
 
+def test_write_metrics_keeps_the_old_file_on_error(tmp_path):
+    p = tmp_path / "m.csv"
+    write_metrics(p, ["iteration"], [{"iteration": 0}])
+    with pytest.raises(ValueError):
+        write_metrics(p, ["iteration"], [{"iteration": 1}, {"iteration": "bad"}])
+    assert p.read_bytes() == b"iteration\n0\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["m.csv"]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -598,21 +607,9 @@ def wide_world():
                                           seed=6))
 
 
-@pytest.mark.parametrize("level", [None, 1])
-@pytest.mark.parametrize("self_loops", [True, False])
-@pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
-@pytest.mark.parametrize("placement", ["write_back", "task_only"])
-def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, placement,
-                                                  semantics, self_loops, level):
-    # each head evaluate emits from the shared embedding and its propagation
-    # has the bits of one emitted from scratch; the graph is propagated once
-    # per hop after the first (the model holds the first hop's P z0) and once
-    # more for the shared P z, whatever the episode count.
-    # Without self loops a task row's own propagated row comes from the
-    # shared P z, so a stale P z shows there.
-    g, ds = wide_world
-    m = make_model(g, semantics=semantics, refine_placement=placement,
-                   self_loops=self_loops)
+def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level):
+    """``evaluate`` on ``n_episodes`` episodes: each ``emit_for_task`` call
+    it made with its arguments and heads, and each P applied meanwhile."""
     emitted, applied = [], []
     apply = graph.Propagation.apply
 
@@ -626,16 +623,60 @@ def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, place
 
     monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
     monkeypatch.setattr(graph.Propagation, "apply", counting_apply)
-    evaluate(m, ds, EvalConfig(n_episodes=6, n_way=3, k_shot=1, n_query=2,
+    evaluate(m, ds, EvalConfig(n_episodes=n_episodes, n_way=3, k_shot=1, n_query=2,
                                adapt_steps=1, seed=2), split="meta-train", level=level)
-    assert len(emitted) == 6
-    assert len(applied) == len(m.gen_cfg.embed_widths)
     monkeypatch.undo()
-    for args, clf in emitted:
+    return emitted, applied
+
+
+def _assert_heads_alone(m, emitted):
+    # every head of a block's emit, from the shared embedding and its
+    # propagation, has the bits of its task emitted alone from scratch
+    for args, heads in emitted:
         assert isinstance(args[-1], SharedEmbedding)
-        alone = emit_for_task(*args[:3], m.semantic_input, *args[4:-1])
-        assert np.array_equal(_bits(clf.weights.data), _bits(alone.weights.data))
-        assert np.array_equal(_bits(clf.bias.data), _bits(alone.bias.data))
+        assert len(heads) == len(args[4]) == len(args[5])
+        for ids, drop, clf in zip(args[4], args[5], heads):
+            alone = emit_for_task(*args[:3], m.semantic_input, ids, drop, *args[6:-1])
+            assert np.array_equal(_bits(clf.weights.data), _bits(alone.weights.data))
+            assert np.array_equal(_bits(clf.bias.data), _bits(alone.bias.data))
+
+
+@pytest.mark.parametrize("level", [None, 1])
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, placement,
+                                                  semantics, self_loops, level):
+    # the 6 episodes are one block, emitted by one call; the graph is
+    # propagated once per hop after the first (the model holds the first
+    # hop's P z0) and once more for the shared P z, whatever the episode
+    # count.  Without self loops a task row's own propagated row comes from
+    # the shared P z, so a stale P z shows there.
+    g, ds = wide_world
+    m = make_model(g, semantics=semantics, refine_placement=placement,
+                   self_loops=self_loops)
+    emitted, applied = _evaluate_emitting(m, ds, monkeypatch, 6, level)
+    assert len(emitted) == 1 and len(emitted[0][1]) == 6
+    assert len(applied) == len(m.gen_cfg.embed_widths)
+    _assert_heads_alone(m, emitted)
+
+
+@pytest.mark.parametrize("n_episodes", [1, 5, 16, 17])
+@pytest.mark.parametrize("level", [None, 1])
+@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
+@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+def test_evaluate_block_heads_match_emit_alone_bitwise(wide_world, monkeypatch, placement,
+                                                       semantics, self_loops, level,
+                                                       n_episodes):
+    # one emit per block of 16 episodes: 17 episodes make blocks of 16 and 1
+    g, ds = wide_world
+    m = make_model(g, semantics=semantics, refine_placement=placement,
+                   self_loops=self_loops)
+    emitted, _ = _evaluate_emitting(m, ds, monkeypatch, n_episodes, level)
+    assert [len(heads) for _, heads in emitted] == [16] * (n_episodes // 16) + (
+        [n_episodes % 16] if n_episodes % 16 else [])
+    _assert_heads_alone(m, emitted)
 
 
 def _episode_accuracies(m, ds, cfg, level):
