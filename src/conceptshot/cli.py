@@ -12,26 +12,18 @@ import copy
 import os
 import sys
 
+from .artifact import write_text_atomic
 from .config import (ExperimentConfig, apply_overrides, build_model, config_hash,
-                     from_dict, load_config_dict, save_config, set_path, to_dict)
-from .data import (generate_synthetic, load_dataset, save_dataset, summarize,
-                   write_text_atomic)
+                     from_dict, load_config_dict, save_config, set_path)
+from .data import generate_synthetic, load_dataset, save_dataset, summarize
 from .errors import ConfigError, DataError, NumericalError
 from .graph import describe, load_graph, save_graph
 from .meta import evaluate, load_checkpoint, train
-from .tensor import Tensor
-
-
-def _ensure_parent(path):
-    d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
 
 
 def _save_effective(cfg: ExperimentConfig, anchor_path: str, command: str):
     out = os.path.join(os.path.dirname(anchor_path) or ".",
                        f"effective-config.{command}.json")
-    _ensure_parent(out)
     save_config(cfg, out)
     return out
 
@@ -48,8 +40,6 @@ def _load_world(cfg: ExperimentConfig):
 
 def cmd_gen_data(cfg: ExperimentConfig) -> int:
     g, ds = generate_synthetic(cfg.data)
-    _ensure_parent(cfg.paths.graph)
-    _ensure_parent(cfg.paths.dataset)
     save_graph(g, cfg.paths.graph)
     save_dataset(ds, cfg.paths.dataset)
     _save_effective(cfg, cfg.paths.graph, "gen-data")
@@ -61,8 +51,6 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
 def cmd_train(cfg: ExperimentConfig) -> int:
     g, ds = _load_world(cfg)
     model = build_model(cfg, g)
-    _ensure_parent(cfg.paths.checkpoint)
-    _ensure_parent(cfg.paths.metrics)
     train(model, ds, cfg.train, metrics_path=cfg.paths.metrics,
           checkpoint_path=cfg.paths.checkpoint, config_hash=config_hash(cfg),
           log=print)
@@ -71,16 +59,22 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _evaluate_and_write(cfg: ExperimentConfig, model, ds, split="meta-test", level=None):
+    """Evaluate ``model``; write each episode's accuracy to ``paths.eval_csv``
+    and the effective config beside it."""
+    res = evaluate(model, ds, cfg.eval, split=split, level=level)
+    write_text_atomic(cfg.paths.eval_csv, ["episode,accuracy\n"] + [
+        f"{i},{a!r}\n" for i, a in enumerate(res.accuracies)])
+    _save_effective(cfg, cfg.paths.eval_csv, "eval")
+    return res
+
+
 def cmd_eval(cfg: ExperimentConfig, split: str, level, untrained: bool) -> int:
     g, ds = _load_world(cfg)
     model = build_model(cfg, g)
     if not untrained:
         load_checkpoint(cfg.paths.checkpoint, model)
-    res = evaluate(model, ds, cfg.eval, split=split, level=level)
-    _ensure_parent(cfg.paths.eval_csv)
-    write_text_atomic(cfg.paths.eval_csv, ["episode,accuracy\n"] + [
-        f"{i},{a!r}\n" for i, a in enumerate(res.accuracies)])
-    _save_effective(cfg, cfg.paths.eval_csv, "eval")
+    res = _evaluate_and_write(cfg, model, ds, split, level)
     where = f"split {split}" if level is None else f"level {level}"
     print(f"accuracy {res.mean:.4f} ± {res.half_width:.4f} "
           f"({cfg.eval.n_episodes} episodes, {cfg.eval.n_way}-way "
@@ -140,11 +134,10 @@ def cmd_ablate(base_dict: dict, axis: str) -> int:
         print(f"[{label}] training ...")
         g, ds = _load_world(cfg)
         model = build_model(cfg, g)
-        _ensure_parent(cfg.paths.checkpoint)
         train(model, ds, cfg.train, metrics_path=cfg.paths.metrics,
               checkpoint_path=cfg.paths.checkpoint, config_hash=config_hash(cfg))
-        res = evaluate(model, ds, cfg.eval)
         _save_effective(cfg, cfg.paths.checkpoint, "train")
+        res = _evaluate_and_write(cfg, model, ds)
         rows.append((label, res))
     width = max(len(label) for label, _ in rows)
     print(f"\n{axis} sweep ({base.eval.n_way}-way {base.eval.k_shot}-shot, "

@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .classifier_gen import GeneratorConfig
-from .data import SynthConfig, write_text_atomic
+from .artifact import write_text_atomic
+from .data import SynthConfig
 from .encoder import EncoderConfig
 from .errors import ConfigError
 from .graph import ConceptGraph
@@ -34,7 +35,6 @@ class Paths:
 @dataclass
 class Flags:
     self_loops: bool = True
-    first_order: bool = True
     refine_placement: str = "write_back"
 
 
@@ -186,6 +186,5 @@ def save_config(cfg: ExperimentConfig, path):
 def build_model(cfg: ExperimentConfig, graph: ConceptGraph) -> Model:
     return Model(graph, cfg.encoder, cfg.generator,
                  self_loops=cfg.flags.self_loops,
-                 first_order=cfg.flags.first_order,
                  refine_placement=cfg.flags.refine_placement,
                  seed=cfg.train.seed)

@@ -9,19 +9,17 @@ concept classes of one abstract level.
 
 from __future__ import annotations
 
-import os
-import struct
-from contextlib import suppress
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import read_binary, write_binary
 from .errors import ConfigError, DataError
 from .graph import ConceptGraph, NodeRecord
 from .tensor import Rng
 
 _DS_MAGIC = b"CSDS"
+_DS_FORMAT = "conceptshot-dataset"
 
 
 class Dataset:
@@ -265,46 +263,26 @@ def generate_synthetic(cfg: SynthConfig):
 # ---------------------------------------------------------------------------
 # serialization
 
-def write_text_atomic(path, chunks):
-    """Write the strings ``chunks`` to a temporary file beside ``path``, then
-    move it over ``path``: a failure leaves the old file and no temporary."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="") as f:
-            f.writelines(chunks)
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)              # left only when something failed
-
-
 def save_dataset(ds: Dataset, path):
+    """The ``artifact`` framing: a header of the table sizes, then the
+    float32 features and the int32 node ids."""
     n, d = ds.features.shape
-    with open(path, "wb") as f:          # no byte-string copy of the table
-        f.write(_DS_MAGIC + struct.pack("<BII", 1, n, d))
-        ds.features.astype("<f4", copy=False).tofile(f)
-        ds.node_ids.astype("<i4", copy=False).tofile(f)
+    write_binary(path, _DS_MAGIC,
+                 {"format": _DS_FORMAT, "version": 2, "rows": n, "dim": d},
+                 [ds.features.astype("<f4", copy=False),
+                  ds.node_ids.astype("<i4", copy=False)])
+
+
+def _dataset_layout(header):
+    if header.get("format") != _DS_FORMAT or header.get("version") != 2:
+        raise DataError(f"unsupported dataset format {header.get('format')!r} "
+                        f"version {header.get('version')!r}")
+    n, d = header["rows"], header["dim"]
+    return [("<f4", (n, d)), ("<i4", (n,))]
 
 
 def load_dataset(path) -> Dataset:
-    """The header, checked against the file's size, then each table read
-    straight into its array."""
-    path = Path(path)
-    try:
-        with open(path, "rb") as f:
-            head = f.read(13)
-            if head[:4] != _DS_MAGIC or len(head) < 13:
-                raise DataError(f"{path} is not a conceptshot dataset")
-            ver, n, d = struct.unpack("<BII", head[4:])
-            expect = 13 + 4 * n * d + 4 * n
-            if ver != 1 or os.fstat(f.fileno()).st_size != expect:
-                raise DataError(f"dataset {path} is truncated or has a bad header")
-            feats = np.fromfile(f, dtype="<f4", count=n * d).reshape(n, d)
-            ids = np.fromfile(f, dtype="<i4", count=n)
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}")
-    except OSError as e:
-        raise DataError(f"cannot read dataset file {path}: {e}")
+    _, (feats, ids) = read_binary(path, _DS_MAGIC, "dataset", _dataset_layout)
     return Dataset(feats, ids)
 
 

@@ -9,18 +9,17 @@ adjacent levels and the parent-link graph must be acyclic (a forest).
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifact import write_text_atomic
 from .errors import DataError, NumericalError
 from .tensor import Tensor, neighbor_groups, neighbor_sums, sym_neighbor_mean
 
 VALID_SPLITS = ("meta-train", "meta-test", "weak", "none")
 
-_SEM_MAGIC = b"CSEM"
 _FORMAT_NAME = "conceptshot-graph"
 
 
@@ -255,10 +254,8 @@ def task_ids(class_ids, rows: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
-def save_graph(g: ConceptGraph, path, semantics_sidecar: str | None = None):
-    """Write the graph as a JSON document; semantics embedded at full precision
-    or referenced as a little-endian float32 sidecar next to the graph file."""
-    path = Path(path)
+def save_graph(g: ConceptGraph, path):
+    """Write the graph as a JSON document, semantics at full precision."""
     doc = {
         "format": _FORMAT_NAME,
         "version": 1,
@@ -266,17 +263,9 @@ def save_graph(g: ConceptGraph, path, semantics_sidecar: str | None = None):
         "nodes": [{"id": n.id, "name": n.name, "level": n.level, "split": n.split}
                   for n in g.nodes],
         "edges": [[i, j] for i, j in g.edges],
+        "semantics": {"dim": int(g.semantics.shape[1]), "values": g.semantics.tolist()},
     }
-    if semantics_sidecar:
-        m, d = g.semantics.shape
-        blob = _SEM_MAGIC + struct.pack("<BII", 1, m, d)
-        blob += g.semantics.astype("<f4").tobytes()
-        (path.parent / semantics_sidecar).write_bytes(blob)
-        doc["semantics"] = {"dim": d, "file": semantics_sidecar}
-    else:
-        doc["semantics"] = {"dim": int(g.semantics.shape[1]),
-                            "values": g.semantics.tolist()}
-    path.write_text(json.dumps(doc, indent=1) + "\n")
+    write_text_atomic(path, [json.dumps(doc, indent=1), "\n"])
 
 
 def load_graph(path) -> ConceptGraph:
@@ -297,10 +286,7 @@ def load_graph(path) -> ConceptGraph:
     if not isinstance(sem, dict):
         raise DataError(f"malformed graph document {path}: semantics must be an object")
     try:
-        if "file" in sem:
-            semantics = _load_semantics_sidecar(path.parent / sem["file"])
-        else:
-            semantics = np.asarray(sem.get("values"), dtype=np.float64)
+        semantics = np.asarray(sem["values"], dtype=np.float64)
         nodes = [NodeRecord(id=int(n["id"]), name=str(n["name"]), level=int(n["level"]),
                             split=str(n.get("split", "none")))
                  for n in doc["nodes"]]
@@ -312,23 +298,6 @@ def load_graph(path) -> ConceptGraph:
         raise DataError(f"malformed graph document {path}: "
                         f"num_levels must be an integer, got {num_levels!r}")
     return ConceptGraph(nodes, edges, semantics, num_levels)
-
-
-def _load_semantics_sidecar(path: Path):
-    try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        raise DataError(f"semantics sidecar not found: {path}")
-    except OSError as e:
-        raise DataError(f"cannot read semantics sidecar {path}: {e}")
-    if blob[:4] != _SEM_MAGIC or len(blob) < 13:
-        raise DataError(f"{path} is not a semantics sidecar")
-    ver, m, d = struct.unpack("<BII", blob[4:13])
-    expect = 13 + 4 * m * d
-    if ver != 1 or len(blob) != expect:
-        raise DataError(f"semantics sidecar {path} is truncated or has a bad header")
-    vals = np.frombuffer(blob, dtype="<f4", offset=13).reshape(m, d)
-    return vals.astype(np.float64)
 
 
 def describe(g: ConceptGraph) -> str:

@@ -31,19 +31,18 @@ blocks.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import operator
-import struct
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import classifier_gen
+from .artifact import read_binary, write_binary, write_text_atomic
 from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
                              emit_for_task, init_generator)
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
-                   sample_entity_episode, write_text_atomic)
+                   sample_entity_episode)
 from .encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
 from .encoder import apply_layers  # noqa: F401  (bench/run.py traces it here)
 from .errors import ConfigError, DataError
@@ -162,11 +161,7 @@ class Model:
 
     def __init__(self, graph: ConceptGraph, enc_cfg: EncoderConfig,
                  gen_cfg: GeneratorConfig, *, self_loops: bool = True,
-                 first_order: bool = True, refine_placement: str = "write_back",
-                 seed: int = 0):
-        if not first_order:
-            raise ConfigError("only detached (first-order) inner-loop gradients "
-                              "are supported; first_order must stay true")
+                 refine_placement: str = "write_back", seed: int = 0):
         if refine_placement not in ("write_back", "task_only"):
             raise ConfigError(f"unknown refine placement '{refine_placement}'")
         sem = (np.eye(graph.num_nodes) if gen_cfg.semantics == "one-hot"
@@ -175,7 +170,6 @@ class Model:
         self.enc_cfg = enc_cfg
         self.gen_cfg = gen_cfg
         self.refine_placement = refine_placement
-        self.self_loops = self_loops
         self.semantic_input = Tensor(sem)
         self.prop = propagation_operator(graph, self_loops=self_loops)
         # the generator's input never changes, so neither does its first hop's P·z0
@@ -561,8 +555,9 @@ _CKPT_MAGIC = b"CSCK"
 
 def save_checkpoint(path, model: Model, opt: SgdOptimizer, *, iteration: int = 0,
                     config_hash: str = "", seed: int = 0):
-    """Versioned binary: header (names, shapes, counters) + raw float64 data
-    for every parameter and optimizer velocity, in sorted-name order."""
+    """The ``artifact`` framing: a header of names, shapes and counters, then
+    every parameter and every optimizer velocity as raw float64, in
+    sorted-name order."""
     names = sorted(model.params)
     header = {
         "format": "conceptshot-checkpoint",
@@ -572,67 +567,36 @@ def save_checkpoint(path, model: Model, opt: SgdOptimizer, *, iteration: int = 0
         "seed": int(seed),
         "params": [[n, list(model.params[n].data.shape)] for n in names],
     }
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for n in names:
-            f.write(np.ascontiguousarray(model.params[n].data, dtype="<f8").tobytes())
-        for n in names:
-            f.write(np.ascontiguousarray(opt.velocities[n], dtype="<f8").tobytes())
+    tables = [model.params[n].data for n in names] + [opt.velocities[n] for n in names]
+    write_binary(path, _CKPT_MAGIC, header, [t.astype("<f8", copy=False) for t in tables])
 
 
 def load_checkpoint(path, model: Model, opt: SgdOptimizer | None = None,
                     expected_hash: str | None = None) -> dict:
     """Restore parameters (and velocities, if ``opt`` given) in place."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except FileNotFoundError:
-        raise DataError(f"checkpoint file not found: {path}")
-    except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}")
-    if raw[:4] != _CKPT_MAGIC:
-        raise DataError(f"{path} is not a checkpoint file")
-    try:
-        (hlen,) = struct.unpack_from("<I", raw, 4)
-        if len(raw) < 8 + hlen:
-            raise ValueError("the header is truncated")
-        header = json.loads(raw[8:8 + hlen].decode())
+    names = sorted(model.params)
+
+    def layout(header):
         version = header.get("version")
         entries = [(n, tuple(int(d) for d in s)) for n, s in header["params"]]
         config_hash = header["config_hash"]
-    except (struct.error, ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"{path} has a malformed checkpoint header: {exc}")
-    if version != 1:
-        raise DataError(f"unsupported checkpoint version {version}")
-    if expected_hash is not None and config_hash != expected_hash:
-        raise DataError("checkpoint was produced under a different configuration "
-                        f"(hash {config_hash!r} != {expected_hash!r})")
-    if [n for n, _ in entries] != sorted(model.params):
-        raise DataError("checkpoint parameter names do not match the model")
-    for n, shape in entries:
-        if model.params[n].data.shape != shape:
-            raise DataError(f"checkpoint parameter '{n}' has shape {shape}, "
-                            f"model expects {model.params[n].data.shape}")
-    off = 8 + hlen
-    size = off + 2 * 8 * sum(model.params[n].data.size for n, _ in entries)
-    if len(raw) != size:  # every parameter, then every velocity
-        raise DataError(f"checkpoint file is {len(raw)} bytes, expected {size}: "
-                        + ("truncated" if len(raw) < size else "trailing bytes"))
+        if version != 1:
+            raise DataError(f"unsupported checkpoint version {version}")
+        if expected_hash is not None and config_hash != expected_hash:
+            raise DataError("checkpoint was produced under a different configuration "
+                            f"(hash {config_hash!r} != {expected_hash!r})")
+        if [n for n, _ in entries] != names:
+            raise DataError("checkpoint parameter names do not match the model")
+        for n, shape in entries:
+            if model.params[n].data.shape != shape:
+                raise DataError(f"checkpoint parameter '{n}' has shape {shape}, "
+                                f"model expects {model.params[n].data.shape}")
+        return [("<f8", shape) for _, shape in entries] * 2   # params, then velocities
 
-    def take(shape):
-        nonlocal off
-        end = off + 8 * int(np.prod(shape, dtype=np.int64))
-        out = np.frombuffer(raw[off:end], dtype="<f8").reshape(shape)
-        off = end
-        return out.astype(np.float64)
-
-    for n, shape in entries:
-        model.params[n].data = take(shape)
+    header, tables = read_binary(path, _CKPT_MAGIC, "checkpoint", layout)
+    for n, value in zip(names, tables):
+        model.params[n].data = value
         model.params[n].grad = None
     if opt is not None:
-        for n, shape in entries:
-            opt.velocities[n] = take(shape)
+        opt.velocities.update(zip(names, tables[len(names):]))
     return header

@@ -34,12 +34,11 @@ from .errors import ConfigError, NumericalError
 
 __all__ = [
     "Rng", "Tensor", "backward", "grad",
-    "add", "sub", "mul", "scale", "neg", "matmul", "transpose", "affine",
-    "relu", "leaky_relu", "dropout", "softmax_rows", "cross_entropy",
+    "add", "mul", "scale", "transpose", "affine",
+    "leaky_relu", "dropout", "softmax_rows", "cross_entropy",
     "l2_normalize_rows", "gather_rows", "write_rows", "neighbor_groups",
-    "neighbor_sums", "sym_neighbor_mean",
-    "concat_rows", "concat_cols", "slice_cols", "reshape", "stack_rows", "mean_rows",
-    "grouped_mean", "sum_all", "mean_all", "stop_gradient", "carry", "attach", "checked",
+    "neighbor_sums", "sym_neighbor_mean", "concat_cols", "slice_cols", "reshape",
+    "grouped_mean", "sum_all", "carry", "attach", "checked",
     "class_labels", "stable_exp_parts", "glorot_uniform", "SgdOptimizer",
 ]
 
@@ -144,13 +143,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                  "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    return _node(out, (a, b),
-                 lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-                 "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
     return _node(out, (a, b),
@@ -162,21 +154,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     return _node(x.data * c, (x,), lambda g: (g * c,), "scale")
-
-
-def neg(x: Tensor) -> Tensor:
-    return _node(-x.data, (x,), lambda g: (-g,), "neg")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
-    return _node(out, (a, b),
-                 lambda g: (g @ b.data.T, a.data.T @ g),
-                 "matmul")
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -197,12 +174,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities
-
-def relu(x: Tensor) -> Tensor:
-    # subgradient convention at 0: positive branch (slope 1)
-    mask = (x.data >= 0).astype(np.float64)
-    return _node(x.data * mask, (x,), lambda g: (g * mask,), "relu")
-
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
     mask = np.where(x.data >= 0, 1.0, float(slope))
@@ -255,20 +226,6 @@ def write_rows(x: Tensor, rows: Tensor, idx) -> Tensor:
     return _node(out, (x, rows), vjp, "write_rows")
 
 
-def concat_rows(*xs: Tensor) -> Tensor:
-    out = np.concatenate([x.data for x in xs], axis=0)
-    sizes = [x.data.shape[0] for x in xs]
-
-    def vjp(g):
-        pieces, at = [], 0
-        for n in sizes:
-            pieces.append(g[at:at + n])
-            at += n
-        return tuple(pieces)
-
-    return _node(out, xs, vjp, "concat_rows")
-
-
 def concat_cols(*xs: Tensor) -> Tensor:
     out = np.concatenate([x.data for x in xs], axis=1)
     widths = [x.data.shape[1] for x in xs]
@@ -300,19 +257,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),), "reshape")
 
 
-def stack_rows(vectors) -> Tensor:
-    vectors = tuple(vectors)
-    out = np.stack([v.data for v in vectors], axis=0)
-    return _node(out, vectors, lambda g: tuple(g[i] for i in range(len(vectors))), "stack_rows")
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    n = x.data.shape[0]
-    return _node(x.data.mean(axis=0), (x,),
-                 lambda g: (np.broadcast_to(g / n, x.data.shape).copy(),),
-                 "mean_rows")
-
-
 def grouped_mean(x: Tensor, group_size: int) -> Tensor:
     """Mean over consecutive row blocks: (G*B, d) -> (G, d).
 
@@ -333,15 +277,6 @@ def grouped_mean(x: Tensor, group_size: int) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     return _node(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),), "sum_all")
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    return _node(x.data.mean(), (x,), lambda g: (np.full_like(x.data, float(g) / n),), "mean_all")
-
-
-def stop_gradient(x: Tensor) -> Tensor:
-    return Tensor(x.data, requires_grad=False)
 
 
 def carry(value, init: Tensor) -> Tensor:

@@ -205,8 +205,10 @@ def test_ablate_concepts_prints_both_rows(tmp_path, capsys):
                  "--set", "eval.n_episodes=2"]) == 0
     out = capsys.readouterr().out
     assert "concepts-on" in out and "concepts-off" in out
-    assert (tmp_path / "art" / "ablate-concepts" / "concepts-off"
-            / "model.ckpt").exists()
+    variant = tmp_path / "art" / "ablate-concepts" / "concepts-off"
+    assert (variant / "model.ckpt").exists()
+    rows = (variant / "eval-episodes.csv").read_text().splitlines()
+    assert rows[0] == "episode,accuracy" and len(rows) - 1 == 2
 
 
 def test_ablate_generates_data_when_missing(tmp_path, capsys):

@@ -16,7 +16,6 @@ def test_empty_dict_is_valid():
     assert cfg.encoder.input_dim == cfg.data.input_dim
     assert cfg.train.iterations == 2000
     assert cfg.eval.n_episodes == 600
-    assert cfg.flags.first_order is True
 
 
 def test_round_trip_identity():
@@ -34,6 +33,8 @@ def test_unknown_names_rejected():
         from_dict({"trian": {}})
     with pytest.raises(ConfigError, match="train.lr"):
         from_dict({"train": {"lr": 0.1}})
+    with pytest.raises(ConfigError, match="unknown config key.*flags.first_order"):
+        from_dict({"flags": {"first_order": True}})     # a removed key
 
 
 def test_encoder_dim_mismatch_rejected():
@@ -100,9 +101,6 @@ def test_build_model_honors_flags():
     g, _ = generate_synthetic(cfg.data)
     m = build_model(cfg, g)
     assert m.refine_placement == "write_back"
-    bad = from_dict({**to_dict(cfg), "flags": {"first_order": False}})
-    with pytest.raises(ConfigError, match="first_order"):
-        build_model(bad, g)
 
 
 def test_save_config_is_atomic(tmp_path, monkeypatch):

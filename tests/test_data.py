@@ -262,12 +262,30 @@ def test_dataset_roundtrip_bit_exact(tmp_path, small_world):
     assert (tmp_path / "again.bin").read_bytes() == p.read_bytes()
 
 
+def test_dataset_bytes_are_the_artifact_framing(tmp_path):
+    ds = Dataset(np.array([[1.5, -2.0]], dtype=np.float32), np.array([3]))
+    p = tmp_path / "data.bin"
+    save_dataset(ds, p)
+    head = b'{"dim":2,"format":"conceptshot-dataset","rows":1,"version":2}'
+    assert p.read_bytes() == (b"CSDS" + len(head).to_bytes(4, "little") + head
+                              + ds.features.astype("<f4").tobytes()
+                              + np.array([3], dtype="<i4").tobytes())
+    old = head.replace(b'"version":2', b'"version":1')
+    p.write_bytes(b"CSDS" + len(old).to_bytes(4, "little") + old + b"\0" * 12)
+    with pytest.raises(DataError, match="unsupported dataset format.*version 1"):
+        load_dataset(p)
+
+
 def test_dataset_load_errors(tmp_path):
     with pytest.raises(DataError, match="not found"):
         load_dataset(tmp_path / "missing.bin")
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"CSDS" + b"\x01" + b"\x00" * 4)
-    with pytest.raises(DataError, match="truncated|not a"):
+    with pytest.raises(DataError, match="malformed dataset header"):
+        load_dataset(bad)
+    # a whole 1x1 dataset in the old layout: u8 version 1, u32 rows, u32 dim
+    bad.write_bytes(b"CSDS\x01" + (1).to_bytes(4, "little") * 2 + b"\0" * 8)
+    with pytest.raises(DataError, match="truncated"):
         load_dataset(bad)
 
 
@@ -282,7 +300,7 @@ def test_dataset_every_prefix_and_trailing_bytes(tmp_path):
         with pytest.raises(DataError):
             load_dataset(bad)
     bad.write_bytes(blob + b"\0")
-    with pytest.raises(DataError, match="truncated"):
+    with pytest.raises(DataError, match="trailing bytes"):
         load_dataset(bad)
     with pytest.raises(DataError, match="cannot read"):
         load_dataset(tmp_path)
@@ -299,18 +317,3 @@ def test_dataset_validators(small_world):
         rogue.validate_against(g)
     with pytest.raises(DataError, match="non-finite"):
         Dataset(np.array([[np.nan]], dtype=np.float32), np.array([0]))
-
-
-def test_write_text_atomic_keeps_the_old_file_on_error(tmp_path):
-    path = tmp_path / "out.csv"
-    data.write_text_atomic(path, ["a,b\n", "1,2\n"])
-    assert path.read_bytes() == b"a,b\n1,2\n"
-
-    def failing():
-        yield "c,d\n"
-        raise RuntimeError("mid-write")
-
-    with pytest.raises(RuntimeError, match="mid-write"):
-        data.write_text_atomic(path, failing())
-    assert path.read_bytes() == b"a,b\n1,2\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -107,15 +107,6 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert (tmp_path / "tree2.graph.json").read_bytes() == p.read_bytes()
 
 
-def test_sidecar_roundtrip(tmp_path):
-    g = binary_tree_7()
-    # float32-representable semantics survive the sidecar exactly
-    g.semantics = g.semantics.astype(np.float32).astype(np.float64)
-    save_graph(g, tmp_path / "g.json", semantics_sidecar="g.semb")
-    g2 = load_graph(tmp_path / "g.json")
-    assert g2 == g
-
-
 def test_load_missing_file():
     with pytest.raises(DataError, match="not found"):
         load_graph("/nonexistent/g.json")
@@ -142,9 +133,10 @@ def test_load_rejects_foreign_document(tmp_path):
     lambda doc: doc.update(num_levels="3"),
     lambda doc: doc.update(semantics=doc["semantics"]["values"]),
     lambda doc: doc.update(semantics={"file": 3}),
+    lambda doc: doc.update(semantics={"file": "g.semb"}),    # no sidecars
     lambda doc: doc.update(semantics={"values": [["x"]]}),
 ], ids=["no-num-levels", "float-num-levels", "string-num-levels", "semantics-list",
-        "sidecar-number", "semantics-strings"])
+        "sidecar-number", "sidecar-reference", "semantics-strings"])
 def test_load_rejects_malformed_fields(tmp_path, edit):
     p = tmp_path / "g.json"
     save_graph(binary_tree_7(), p)

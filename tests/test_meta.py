@@ -763,12 +763,6 @@ def test_confidence_interval_degenerate():
 # ---------------------------------------------------------------------------
 # configuration guards
 
-def test_model_rejects_second_order(world):
-    g, _ = world
-    with pytest.raises(ConfigError, match="first_order"):
-        make_model(g, first_order=False)
-
-
 def test_model_rejects_unknown_placement(world):
     g, _ = world
     with pytest.raises(ConfigError, match="placement"):

@@ -21,32 +21,9 @@ def scalar_loss(out):
 # ---------------------------------------------------------------------------
 # forward values
 
-def test_matmul_identity():
-    a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = T.matmul(a, T.Tensor(np.eye(2)))
-    npt.assert_array_equal(out.data, a.data)
-
-
-def test_matmul_1x2_2x1():
-    out = T.matmul(T.Tensor([[1.0, 2.0]]), T.Tensor([[3.0], [4.0]]))
-    assert out.data.shape == (1, 1)
-    assert out.item() == 11.0
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
-
-
 def test_leaky_relu_negative():
     out = T.leaky_relu(T.Tensor([[-10.0]]), slope=0.1)
     assert out.item() == -1.0
-
-
-def test_relu_at_zero_uses_positive_branch():
-    x = T.Tensor([[0.0]], requires_grad=True)
-    T.backward(T.sum_all(T.relu(x)))
-    assert x.grad[0, 0] == 1.0
 
 
 def test_cross_entropy_uniform_logits():
@@ -90,13 +67,6 @@ def test_softmax_shift_invariance_exact():
     npt.assert_array_equal(p1, p2)
 
 
-def test_concat_and_stack_and_mean():
-    a, b = T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0])
-    npt.assert_array_equal(T.concat_rows(a, b).data, [1.0, 2.0, 3.0, 4.0])
-    npt.assert_array_equal(T.stack_rows([a, b]).data, [[1.0, 2.0], [3.0, 4.0]])
-    npt.assert_array_equal(T.mean_rows(T.Tensor([[0.0, 2.0], [2.0, 0.0]])).data, [1.0, 1.0])
-
-
 def test_grouped_mean_block_order_invariant():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((12, 3))
@@ -106,13 +76,6 @@ def test_grouped_mean_block_order_invariant():
         for b in range(3):
             shuffled[b * 4:(b + 1) * 4] = shuffled[b * 4 + rng.permutation(4)]
         npt.assert_array_equal(T.grouped_mean(T.Tensor(shuffled), 4).data, base)
-
-
-def test_stop_gradient_blocks():
-    x = T.Tensor([[2.0]], requires_grad=True)
-    y = T.sum_all(T.mul(T.stop_gradient(x), x))  # d/dx of const*x = const
-    T.backward(y)
-    assert x.grad[0, 0] == 2.0
 
 
 def test_carry_passes_gradient_straight_to_its_start():
@@ -222,12 +185,6 @@ def _fd_check(build, *arrays, tol=1e-6, h=1e-5):
 RNG = np.random.default_rng(42)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_fd_matmul(seed):
-    rng = np.random.default_rng(seed)
-    _fd_check(T.matmul, rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))
-
-
 def test_fd_affine():
     _fd_check(T.affine, RNG.standard_normal((5, 3)), RNG.standard_normal((3, 4)),
               RNG.standard_normal(4))
@@ -236,7 +193,6 @@ def test_fd_affine():
 def test_fd_activations():
     x = RNG.standard_normal((4, 5)) + 0.3  # keep clear of the kink
     x[np.abs(x) < 1e-2] = 0.5
-    _fd_check(T.relu, x)
     _fd_check(lambda t: T.leaky_relu(t, 0.1), x)
 
 
@@ -266,23 +222,18 @@ def test_fd_row_plumbing():
     x = rng.standard_normal((6, 3))
     _fd_check(lambda t: T.gather_rows(t, [5, 0, 0, 3]), x)  # duplicates accumulate
     _fd_check(lambda t, r: T.write_rows(t, r, [4, 1]), x, rng.standard_normal((2, 3)))
-    _fd_check(lambda a, b: T.concat_rows(a, b), x, rng.standard_normal((2, 3)))
     _fd_check(lambda a, b: T.concat_cols(a, b), x, rng.standard_normal((6, 2)))
     _fd_check(lambda t: T.slice_cols(t, 1, 3), x)
     _fd_check(lambda t: T.grouped_mean(t, 3), x)
-    _fd_check(T.mean_rows, x)
     _fd_check(T.transpose, x)
-    _fd_check(T.mean_all, x)
 
 
 def test_fd_arithmetic():
     rng = np.random.default_rng(11)
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
     _fd_check(T.add, a, b)
-    _fd_check(T.sub, a, b)
     _fd_check(T.mul, a, b)
     _fd_check(lambda t: T.scale(t, -1.7), a)
-    _fd_check(T.neg, a)
     _fd_check(T.add, a, rng.standard_normal(4))  # row-broadcast add
 
 
