@@ -9,7 +9,8 @@ table is read, and every malformed or unreadable file becomes ``DataError``.
 
 Every write goes to a temporary file beside its target, in a parent
 directory created when missing, and is moved over the target by
-``os.replace``: a failure leaves the old file and no temporary.
+``os.replace``: a failure leaves the old file and no temporary, and an
+``OSError`` becomes a ``DataError`` that names the target.
 """
 
 from __future__ import annotations
@@ -26,14 +27,16 @@ from .errors import DataError
 
 def _write_atomic(path, mode: str, write):
     path = os.fspath(path)
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, mode, newline=None if "b" in mode else "") as f:
             write(f)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}")
     finally:
-        with suppress(FileNotFoundError):
+        with suppress(OSError):
             os.unlink(tmp)              # left only when something failed
 
 

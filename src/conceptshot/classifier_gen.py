@@ -15,14 +15,14 @@ Three stages:
                         re-propagate only the rows their classes touch.
 
 The stages run on plain arrays off the tape, checked as the tape checks
-(``tensor.checked``).  For one task a stage returns a Tensor: one node whose
-vjp repeats the tape ops' vjps in the tape's order.  For a list of tasks it
-returns (output, the Tensors it reads, backward), and ``emit_for_task``
-chains the stages over every task of a training step or eval block into
-one node.  Each task keeps the bits it gets alone: P acts per column,
-products run one per task (tasks of one class count share one relation-MLP
-stack), each task draws its dropout masks from its own stream in the taped
-order, and per-task gradients are summed left to right in task order.
+(``tensor.checked``).  Each takes a list of tasks and returns (output, the
+Tensors it reads, backward), where backward repeats the tape ops' vjps in the
+tape's order; ``emit_for_task`` chains the stages over every task of a
+training step or eval block into one node.  Each task keeps the bits it gets
+alone: P acts per column, products run one per task (tasks of one class count
+share one relation-MLP stack), each task draws its dropout masks from its own
+stream in the taped order, and per-task gradients are summed left to right in
+task order.
 """
 
 from __future__ import annotations
@@ -141,18 +141,19 @@ def _layer_back(g, rec):
 
 
 def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                z0: Tensor | SharedEmbedding, rng: Rng, training: bool) -> Tensor:
-    """Hop stack over all nodes; deterministic when ``training`` is False.
+                z0: Tensor | SharedEmbedding, rngs: list, training: bool):
+    """Hop stack over all nodes, for the tasks whose dropout streams are
+    ``rngs``; deterministic when ``training`` is False.  The output is a
+    (tasks, nodes, width) stack.
 
     ``z0`` is a Tensor, or a :class:`SharedEmbedding` whose P·z0 (computed
-    once by the model) the first hop uses as is: the same bits.  Several
-    tasks share hop 0's affine and leaky ReLU and each later propagation."""
+    once by the model) the first hop uses as is: the same bits.  The tasks
+    share hop 0's affine and leaky ReLU and each later propagation."""
     z, p = (z0, None) if isinstance(z0, Tensor) else z0
     if z.data.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
             f"semantic width {z.data.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
-    rngs = [rng] if isinstance(rng, Rng) else rng
     x0 = z if p is None else p      # what the first hop's gradient reaches
     hops = [(params[f"gen.embed.{h}.W"], params[f"gen.embed.{h}.b"])
             for h in range(len(cfg.embed_widths))]
@@ -174,24 +175,19 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
         return grads + [_fold(g)] * x0.requires_grad
 
     ps = [t for pair in reversed(hops) for t in pair] + [x0] * x0.requires_grad
-    z = np.broadcast_to(x, (len(rngs),) + x.shape[-2:])
-    if isinstance(rng, Rng):
-        return attach(z[0], ps, lambda g: back(g[None]), "graph_embed")
-    return z, ps, back
+    return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), ps, back
 
 
-def refine_relations(params: dict, cfg: GeneratorConfig, z_task: Tensor,
-                     rng: Rng, training: bool) -> Tensor:
-    """Residual pairwise refinement over the task's rows.
+def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
+                     rngs: list, training: bool):
+    """Residual pairwise refinement over each task's rows.
 
     All n^2 ordered pairs (i, j) -- i = j included -- are concatenated and
     pushed through the MLP; row i receives the mean over j of the outputs.
-    Several tasks: a list of row arrays and a list of streams; the tasks
-    that share a class count run the MLP, the sorted mean and the backward
-    as one stack, each reduction along one task's own axis.
+    ``z_tasks`` is a list of row arrays, one per stream of ``rngs``; the
+    tasks that share a class count run the MLP, the sorted mean and the
+    backward as one stack, each reduction along one task's own axis.
     """
-    single = isinstance(rng, Rng)
-    z_tasks, rngs = ([z_task.data], [rng]) if single else (z_task, rng)
     layers = [(params[f"gen.rel.{i}.W"], params[f"gen.rel.{i}.b"])
               for i in range(len(cfg.relation_widths))]
     stacks = {}                     # n -> its tasks' positions
@@ -227,13 +223,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_task: Tensor,
                 g_in[k], per_task[k] = g[j], [x[j] for x in grads]
         return g_in, [_fold(gs) for gs in zip(*per_task)]
 
-    ps = [t for pair in reversed(layers) for t in pair]
-    if single:
-        def grads(g):
-            (g_task,), rest = back([g])
-            return [g_task] + rest
-        return attach(out[0], [z_task] + ps, grads, "refine_relations")
-    return out, ps, back
+    return out, [t for pair in reversed(layers) for t in pair], back
 
 
 def _heads(rows: Tensor, ids, feature_dim: int) -> list:
@@ -251,17 +241,18 @@ def _heads(rows: Tensor, ids, feature_dim: int) -> list:
             for i, e in zip(ids, ends)]
 
 
-def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids,
+def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
                     w_out: Tensor, b_out: Tensor, norm_scale: float,
-                    placement: str = "write_back", propagated=None) -> TaskClassifier:
+                    placement: str = "write_back", propagated=None):
     """Final propagation + affine + row normalization, scaled to ``norm_scale``.
 
     ``write_back`` places the refined task rows back into the full node matrix
     before the final propagation; ``task_only`` applies the output layer to the
     refined rows directly, skipping propagation for non-task rows.
 
-    Several tasks: a stack of node matrices, lists of refined rows and of
-    class ids; the output holds every task's rows, task after task.
+    ``z_all`` is a stack of node matrices, one per task, beside lists of
+    refined rows and of class id arrays; the output holds every task's rows,
+    task after task.
 
     ``propagated``, when given, is P·z for the one node matrix z all tasks
     share, and nothing backpropagates.  The write-back then runs the tasks
@@ -271,10 +262,6 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
     restores the touched rows.  A task's touched rows are checked as it
     runs, a shared row the first time a task leaves it untouched.
     """
-    single, inputs = isinstance(z_all, Tensor), [z_all, refined]
-    if single:
-        z_all, refined = z_all.data[None], [refined.data]
-        class_ids = [np.asarray(class_ids, dtype=np.intp)]
     w, b = w_out.data, b_out.data
     if placement == "write_back" and propagated is not None:
         z = z_all[0]
@@ -324,17 +311,7 @@ def emit_classifier(prop: Propagation, z_all: Tensor, refined: Tensor, class_ids
             m[i] = 0.0
         return g_z, g_refined, [_fold(pz.swapaxes(1, 2) @ ga), _fold(ga.sum(axis=1))]
 
-    if not single:
-        return out, [w_out, b_out], back
-    if propagated is not None and any(t.requires_grad for t in inputs):
-        raise ValueError("a shared propagation carries no gradient")
-
-    def grads(g):
-        g_z, g_refined, rest = back(g)
-        return [None if g_z is None else g_z[0], g_refined[0]] + rest
-
-    return _heads(attach(out, inputs + [w_out, b_out], grads, "emit_classifier"),
-                  class_ids, w.shape[1] - 1)[0]
+    return out, [w_out, b_out], back
 
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,

@@ -48,13 +48,19 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_train(cfg: ExperimentConfig) -> int:
+def _train_and_write(cfg: ExperimentConfig, log=None):
+    """(model, dataset): ``cfg``'s model trained, logging to ``log``, with its
+    checkpoint, its metrics and the effective config beside them written."""
     g, ds = _load_world(cfg)
     model = build_model(cfg, g)
     train(model, ds, cfg.train, metrics_path=cfg.paths.metrics,
-          checkpoint_path=cfg.paths.checkpoint, config_hash=config_hash(cfg),
-          log=print)
+          checkpoint_path=cfg.paths.checkpoint, config_hash=config_hash(cfg), log=log)
     _save_effective(cfg, cfg.paths.checkpoint, "train")
+    return model, ds
+
+
+def cmd_train(cfg: ExperimentConfig) -> int:
+    _train_and_write(cfg, log=print)
     print(f"wrote {cfg.paths.checkpoint} and {cfg.paths.metrics}")
     return 0
 
@@ -132,13 +138,7 @@ def cmd_ablate(base_dict: dict, axis: str) -> int:
         set_path(vd, "paths.eval_csv", os.path.join(sub, "eval-episodes.csv"))
         cfg = from_dict(vd)
         print(f"[{label}] training ...")
-        g, ds = _load_world(cfg)
-        model = build_model(cfg, g)
-        train(model, ds, cfg.train, metrics_path=cfg.paths.metrics,
-              checkpoint_path=cfg.paths.checkpoint, config_hash=config_hash(cfg))
-        _save_effective(cfg, cfg.paths.checkpoint, "train")
-        res = _evaluate_and_write(cfg, model, ds)
-        rows.append((label, res))
+        rows.append((label, _evaluate_and_write(cfg, *_train_and_write(cfg))))
     width = max(len(label) for label, _ in rows)
     print(f"\n{axis} sweep ({base.eval.n_way}-way {base.eval.k_shot}-shot, "
           f"{base.eval.n_episodes} episodes, seed {base.train.seed}):")

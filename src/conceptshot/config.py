@@ -166,6 +166,8 @@ def load_config_dict(path) -> dict:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config file {path} is nested too deep to parse")
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return d

@@ -280,6 +280,8 @@ def load_graph(path) -> ConceptGraph:
         raise DataError(f"graph file {path} is not UTF-8 text: {e}")
     except json.JSONDecodeError as e:
         raise DataError(f"graph file {path} is not valid JSON: {e}")
+    except RecursionError:
+        raise DataError(f"graph file {path} is nested too deep to parse")
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise DataError(f"{path} is not a {_FORMAT_NAME} file")
     sem = doc.get("semantics", {})

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -190,9 +189,10 @@ class Model:
                              self.refine_placement, embedding)
 
     def embed(self, rng: Rng, training: bool) -> Tensor:
-        """The generator's node embedding of the whole graph."""
-        return classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
-                                          self.generator_input, rng, training)
+        """The generator's node embedding of the whole graph, off the tape."""
+        (z,), _, _ = classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
+                                                self.generator_input, [rng], training)
+        return Tensor(z)
 
     def detached(self) -> "Model":
         """This model over detached parameters (the same arrays): nothing
@@ -279,15 +279,13 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
     high = high_pairs(model.params, model.enc_cfg)
     if not (steps and lr):
         return [AdaptedState(high=list(high), classifier=clf) for clf in clfs]
-    # a block of one is not stacked: every step below also works on 2-D arrays
-    stack = np.stack if len(clfs) > 1 else operator.itemgetter(0)
     slope = model.enc_cfg.slope
     low = layer_pairs(model.params, model.enc_cfg)[:model.enc_cfg.low_layers]
     x, _ = _layers_forward([(w.data, b.data) for w, b in low],
-                           np.asarray(stack(support_xs), dtype=np.float64), slope)
+                           np.asarray(np.stack(support_xs), dtype=np.float64), slope)
     init = [t for pair in high for t in pair]
-    vals = [t.data for t in init] + [stack([c.weights.data for c in clfs]),
-                                     stack([c.bias.data[None] for c in clfs])]
+    vals = [t.data for t in init] + [np.stack([c.weights.data for c in clfs]),
+                                     np.stack([c.bias.data[None] for c in clfs])]
     n, n_cls = x.shape[-2], vals[-2].shape[-2]
     y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
     for _ in range(steps):
@@ -308,21 +306,40 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
     return states
 
 
-def episode_loss(model: Model, ep: Episode, *, adapt_steps: int, inner_lr: float,
-                 rng: Rng, training: bool, adapted: AdaptedState | None = None):
+def adapt_episodes(model: Model, eps, rngs, training: bool, steps: int,
+                   lr: float, embedding: SharedEmbedding | None = None) -> list:
+    """Emit the classifier of every episode of ``eps`` (each with its stream
+    of ``rngs``) in one :meth:`Model.emit` call, then adapt the episodes that
+    share a shape as one :func:`inner_adapt` block; one
+    :class:`AdaptedState` per episode, in order, each with the bits it gets
+    alone."""
+    heads = model.emit([ep.class_ids for ep in eps], rngs, training, embedding)
+    blocks = {}                     # episode shape -> its positions, in order
+    for k, (ep, head) in enumerate(zip(eps, heads)):
+        blocks.setdefault((ep.support_x.shape, head.weights.data.shape), []).append(k)
+    states = {}
+    for ks in blocks.values():
+        states.update(zip(ks, inner_adapt(model, [heads[k] for k in ks],
+                                          [eps[k].support_x for k in ks],
+                                          [eps[k].support_y for k in ks], steps, lr)))
+    return [states[k] for k in range(len(eps))]
+
+
+def episode_loss(model: Model, ep: Episode, *, adapt_steps: int = 0, inner_lr: float = 0.0,
+                 rng: Rng | None = None, training: bool = False,
+                 adapted: AdaptedState | None = None):
     """Emit -> adapt -> query loss.  Returns (loss Tensor, query accuracy).
 
-    ``adapted`` is an optional :func:`inner_adapt` result for this episode,
-    adapted in a block with others; without it the episode is emitted and
-    adapted here, as a block of one.  The query set is scored on plain
-    arrays by the inner loop's forward and backward code, checked as the
-    tape checks it, and enters the tape as one node over the low, adapted
-    high and classifier (W, b): the bits of the op-by-op taped chain.
+    ``adapted`` is this episode's :func:`adapt_episodes` result, adapted with
+    others; without it the episode is emitted and adapted here, alone, by
+    ``adapt_steps`` steps of ``inner_lr`` from stream ``rng``.  The query set
+    is scored on plain arrays by the inner loop's forward and backward code,
+    checked as the tape checks it, and enters the tape as one node over the
+    low, adapted high and classifier (W, b): the bits of the op-by-op taped
+    chain.
     """
     if adapted is None:
-        clf = model.emit(ep.class_ids, rng, training)
-        (adapted,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
-                                 adapt_steps, inner_lr)
+        (adapted,) = adapt_episodes(model, [ep], [rng], training, adapt_steps, inner_lr)
     cfg, clf = model.enc_cfg, adapted.classifier
     pairs = layer_pairs(model.params, cfg)[:cfg.low_layers] + list(adapted.high)
     parents = [t for pair in pairs for t in pair] + [clf.weights, clf.bias]
@@ -367,20 +384,19 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
 
     All randomness is re-derived from (cfg.seed, iteration), so any term can
     be replayed in isolation and the step itself is resumable.  Every term's
-    episodes are sampled first, in term order, and all are emitted by one
-    generator pass (one ``emit_for_task`` call, one ``graph_embed``); the
-    episodes that share a shape are then adapted by one :func:`inner_adapt`
-    call, and each is scored by one :func:`episode_loss` call, in term order
-    again.  Each episode keeps the bits it would get alone.
+    episodes are sampled first, in term order, then emitted and adapted
+    together by :func:`adapt_episodes` (one generator pass, one
+    :func:`inner_adapt` block per episode shape), and each is scored by one
+    :func:`episode_loss` call, in term order again.  Each episode keeps the
+    bits it would get alone.
     """
     it_rng = Rng(cfg.seed).child("train", iteration)
     rec = {"iteration": iteration, "lr": cfg.lr_at(iteration),
            "entity_loss": float("nan"), "entity_acc": float("nan")}
-    terms = []                      # (name, weight, [[episode, dropout rng, head]])
+    terms = []                      # (name, weight, its episodes)
 
     def add_term(name, weight, sample):
-        terms.append((name, weight, [[sample(it_rng.child("sample", name, b)),
-                                      it_rng.child("drop", name, b), None]
+        terms.append((name, weight, [sample(it_rng.child("sample", name, b))
                                      for b in range(cfg.episodes_per_term)]))
 
     if cfg.entity_weight > 0:
@@ -400,26 +416,13 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
     if not terms:
         raise ConfigError("all loss weights are zero; nothing to train")
 
-    every = [task for _, _, tasks in terms for task in tasks]
-    heads = model.emit([ep.class_ids for ep, _, _ in every],
-                       [drop for _, drop, _ in every], True)
-    blocks = {}                     # episode shape -> its tasks, in term order
-    for task, head in zip(every, heads):
-        task[2] = head
-        blocks.setdefault((task[0].support_x.shape, head.weights.data.shape),
-                          []).append(task)
-    for block in blocks.values():
-        states = inner_adapt(model, [clf for _, _, clf in block],
-                             [ep.support_x for ep, _, _ in block],
-                             [ep.support_y for ep, _, _ in block],
-                             cfg.adapt_steps, cfg.inner_lr)
-        for task, state in zip(block, states):
-            task[2] = state         # the emitted head gives way to its adapted state
+    states = iter(adapt_episodes(
+        model, [ep for _, _, eps in terms for ep in eps],
+        [it_rng.child("drop", name, b) for name, _, eps in terms for b in range(len(eps))],
+        True, cfg.adapt_steps, cfg.inner_lr))
     total = None
-    for name, weight, tasks in terms:
-        scored = [episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
-                               inner_lr=cfg.inner_lr, rng=drop, training=True,
-                               adapted=state) for ep, drop, state in tasks]
+    for name, weight, eps in terms:
+        scored = [episode_loss(model, ep, adapted=next(states)) for ep in eps]
         term = _mean_scalars([loss for loss, _ in scored])
         rec[f"{name}_loss"] = term.item()
         rec[f"{name}_acc"] = float(np.mean([acc for _, acc in scored]))
@@ -519,9 +522,8 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     per call, and each episode's write-back emit re-propagates only the rows
     its classes touch (``Propagation.reapply``), not the whole graph.
     Episodes come in blocks of ``_BLOCK``: a block's episodes are sampled,
-    then emitted by one ``Model.emit`` call and adapted by one
-    :func:`inner_adapt` call, then scored one by one; each episode's bits
-    are those of :func:`episode_loss` on it alone.
+    then emitted and adapted by :func:`adapt_episodes`, then scored one by
+    one; each episode's bits are those of :func:`episode_loss` on it alone.
     """
     g = model.graph
     sample, where = ((sample_entity_episode, split) if level in (None, g.entity_level)
@@ -535,14 +537,10 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
         block = range(start, min(start + _BLOCK, cfg.n_episodes))
         eps = [sample(ds, g, where, cfg.n_way, cfg.k_shot, cfg.n_query,
                       rng.child(i, "sample")) for i in block]
-        drops = [rng.child(i, "drop") for i in block]
-        heads = model.emit([ep.class_ids for ep in eps], drops, False, embedding)
-        adapted = inner_adapt(model, heads, [ep.support_x for ep in eps],
-                              [ep.support_y for ep in eps], cfg.adapt_steps, cfg.inner_lr)
-        for i, (ep, drop, state) in enumerate(zip(eps, drops, adapted), start):
-            _, accs[i] = episode_loss(model, ep, adapt_steps=cfg.adapt_steps,
-                                      inner_lr=cfg.inner_lr, rng=drop,
-                                      training=False, adapted=state)
+        adapted = adapt_episodes(model, eps, [rng.child(i, "drop") for i in block], False,
+                                 cfg.adapt_steps, cfg.inner_lr, embedding)
+        for i, (ep, state) in enumerate(zip(eps, adapted), start):
+            _, accs[i] = episode_loss(model, ep, adapted=state)
     mean, half = confidence_interval(accs)
     return EvalResult(mean=mean, half_width=half, accuracies=accs)
 

@@ -86,18 +86,13 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def _as_f64(x):
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """Node in the computation tape: a float64 array plus backward metadata."""
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
 
     def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, _op="leaf"):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(self.data).all():
             raise NumericalError(f"non-finite values produced by '{_op}'")
         self.requires_grad = bool(requires_grad)
@@ -286,7 +281,7 @@ def carry(value, init: Tensor) -> Tensor:
     has exactly this gradient, so the steps can be taken on plain arrays and
     attached once at the end.
     """
-    value = _as_f64(value)
+    value = np.asarray(value, dtype=np.float64)
     if value.shape != init.data.shape:
         raise ValueError(f"carry shape {value.shape} != {init.data.shape}")
     return _node(value, (init,), lambda g: (g,), "carry")
@@ -487,34 +482,19 @@ def _topo(root: Tensor):
     return order  # parents precede users; root last
 
 
-def _backprop(root: Tensor, targets=None):
-    """Return the tape order (parents first) and {id(node): grad ndarray}
-    for the subgraph feeding ``targets``.
-
-    ``targets=None`` propagates everywhere (used by ``backward``).
-    """
+def _backprop(root: Tensor):
+    """Return the tape order (parents first) and {id(node): grad ndarray}."""
     if root.data.size != 1:
         raise ValueError("backward/grad require a scalar root")
     order = _topo(root)
-    if targets is not None:
-        depends = {}
-        for node in order:  # parents first
-            depends[id(node)] = id(node) in targets or any(
-                depends.get(id(p), False) for p in node._parents)
-        if not depends.get(id(root), False):
-            return order, {}
     grads = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node._vjp is None:
             continue
-        if targets is not None and not depends[id(node)]:
-            continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node._parents, parent_grads):
             if pg is None or not p.requires_grad:
-                continue
-            if targets is not None and not depends.get(id(p), False):
                 continue
             pg = np.broadcast_to(pg, p.data.shape) if pg.shape != p.data.shape else pg
             if id(p) in grads:
@@ -526,18 +506,14 @@ def _backprop(root: Tensor, targets=None):
 
 def backward(root: Tensor):
     """Accumulate d(root)/d(leaf) into ``.grad`` of every requires-grad leaf."""
-    order, grads = _backprop(root, targets=None)
+    order, grads = _backprop(root)
     for node in order:
         if node.requires_grad and not node._parents and id(node) in grads:
             node.grad = grads[id(node)] if node.grad is None else node.grad + grads[id(node)]
 
 
 def grad(root: Tensor, wrt) -> list:
-    """d(root)/d(t) for each tensor in ``wrt`` without touching ``.grad``.
-
-    The walk is pruned to the subgraph between ``wrt`` and the root, so
-    inner-loop gradients do not pay for (or leak into) the rest of the tape.
-    """
-    wrt = list(wrt)
-    _, grads = _backprop(root, targets={id(t) for t in wrt})
+    """d(root)/d(t) for each tensor in ``wrt`` without touching ``.grad``
+    (zeros for one the root does not depend on)."""
+    _, grads = _backprop(root)
     return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]

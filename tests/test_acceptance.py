@@ -204,9 +204,9 @@ def test_03_neighbor_averaging_oracles():
     cfg = GeneratorConfig(embed_widths=[1], relation_widths=[2, 1])
     params = init_generator(cfg, 1, 1, T.Rng(0))
     params["gen.embed.0.W"].data = np.array([[1.0]])
-    out = graph_embed(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
-                      T.Rng(0), training=False)
-    npt.assert_allclose(out.data, [[1.5], [2.0], [2.5]], rtol=0, atol=1e-12)
+    (out,), _, _ = graph_embed(params, cfg, propagation_operator(g),
+                               T.Tensor(g.semantics), [T.Rng(0)], training=False)
+    npt.assert_allclose(out, [[1.5], [2.0], [2.5]], rtol=0, atol=1e-12)
 
     # brute-force neighbor sums on 10 random hierarchies of at most 12 nodes
     for trial in range(10):
@@ -270,13 +270,13 @@ def test_04_row_norm_contract():
     # a row that is [3, 4] before normalization, scaled to norm 0.2
     nodes = [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(2, "x", 1)]
     lone = propagation_operator(ConceptGraph(nodes, [(0, 2)], np.zeros((3, 2)), 2))
-    head = emit_classifier(lone, T.Tensor(np.zeros((3, 2))),
-                           T.Tensor([[3.0, 4.0]]), [1], T.Tensor(np.eye(2)),
-                           T.Tensor(np.zeros(2)), 0.2)
-    assert head.weights.data[0, 0] == (3.0 / 5.0) * 0.2
-    assert head.bias.data[0] == (4.0 / 5.0) * 0.2
-    npt.assert_allclose([head.weights.data[0, 0], head.bias.data[0]],
-                        [0.12, 0.16], rtol=0, atol=1e-15)
+    rows, _, _ = emit_classifier(lone, np.zeros((1, 3, 2)), [np.array([[3.0, 4.0]])],
+                                 [np.array([1])], T.Tensor(np.eye(2)),
+                                 T.Tensor(np.zeros(2)), 0.2)
+    weights, bias = rows[:, :1], rows[:, 1]
+    assert weights[0, 0] == (3.0 / 5.0) * 0.2
+    assert bias[0] == (4.0 / 5.0) * 0.2
+    npt.assert_allclose([weights[0, 0], bias[0]], [0.12, 0.16], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------

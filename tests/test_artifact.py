@@ -43,7 +43,7 @@ def test_saves_are_atomic(tmp_path, monkeypatch, kind):
         raise OSError("disk full")
 
     monkeypatch.setattr("os.replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(DataError, match="cannot write .*disk full"):
         _save(kind, path, seed=1)
     assert path.read_bytes() == before
     assert [p.name for p in path.parent.iterdir()] == ["artifact.bin"]

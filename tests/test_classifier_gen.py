@@ -37,6 +37,12 @@ def small_cfg(**kw):
     return GeneratorConfig(**kw)
 
 
+def embed_one(params, cfg, prop, z0, rng, training):
+    """``graph_embed``'s node matrix for one task."""
+    (z,), _, _ = graph_embed(params, cfg, prop, z0, [rng], training)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # graph embedding
 
@@ -46,9 +52,9 @@ def test_single_hop_chain_oracle():
     cfg = GeneratorConfig(embed_widths=[1], relation_widths=[2, 1])
     params = init_generator(cfg, 1, 1, T.Rng(0))
     params["gen.embed.0.W"].data = np.array([[1.0]])
-    out = graph_embed(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
-                      T.Rng(0), training=False)
-    npt.assert_allclose(out.data, [[1.5], [2.0], [2.5]], atol=1e-12)
+    out = embed_one(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
+                    T.Rng(0), training=False)
+    npt.assert_allclose(out, [[1.5], [2.0], [2.5]], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -57,8 +63,8 @@ def test_hop_matches_bruteforce_neighbor_sums(seed):
     g = tree7(sem_dim=3, seed=seed)
     cfg = GeneratorConfig(embed_widths=[4], relation_widths=[2, 4])
     params = init_generator(cfg, 3, 2, T.Rng(seed))
-    out = graph_embed(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
-                      T.Rng(0), training=False).data
+    out = embed_one(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
+                    T.Rng(0), training=False)
     w, b = params["gen.embed.0.W"].data, params["gen.embed.0.b"].data
     for i in range(7):
         nbrs = [j for j in range(7) if (min(i, j), max(i, j)) in set(g.edges)] + [i]
@@ -72,9 +78,9 @@ def test_zero_semantics_zero_bias_gives_zero():
     g = tree7()
     cfg = small_cfg()
     params = init_generator(cfg, 3, 2, T.Rng(1))
-    out = graph_embed(params, cfg, propagation_operator(g),
-                      T.Tensor(np.zeros((7, 3))), T.Rng(0), training=False)
-    npt.assert_array_equal(out.data, np.zeros((7, 3)))
+    out = embed_one(params, cfg, propagation_operator(g),
+                    T.Tensor(np.zeros((7, 3))), T.Rng(0), training=False)
+    npt.assert_array_equal(out, np.zeros((7, 3)))
 
 
 def test_semantics_width_mismatch_is_config_error():
@@ -83,7 +89,7 @@ def test_semantics_width_mismatch_is_config_error():
     params = init_generator(cfg, 5, 2, T.Rng(1))  # expects width 5, graph has 3
     with pytest.raises(ConfigError, match="semantic width 3"):
         graph_embed(params, cfg, propagation_operator(g), T.Tensor(g.semantics),
-                    T.Rng(0), training=False)
+                    [T.Rng(0)], training=False)
 
 
 def test_dropout_trains_deterministically_by_rng():
@@ -92,15 +98,15 @@ def test_dropout_trains_deterministically_by_rng():
     params = init_generator(cfg, 3, 2, T.Rng(2))
     z = T.Tensor(g.semantics)
     prop = propagation_operator(g)
-    a = graph_embed(params, cfg, prop, z, T.Rng(5), training=True).data
-    b = graph_embed(params, cfg, prop, z, T.Rng(5), training=True).data
-    c = graph_embed(params, cfg, prop, z, T.Rng(6), training=True).data
+    a = embed_one(params, cfg, prop, z, T.Rng(5), training=True)
+    b = embed_one(params, cfg, prop, z, T.Rng(5), training=True)
+    c = embed_one(params, cfg, prop, z, T.Rng(6), training=True)
     npt.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     # eval mode ignores the rng entirely
     npt.assert_array_equal(
-        graph_embed(params, cfg, prop, z, T.Rng(5), training=False).data,
-        graph_embed(params, cfg, prop, z, T.Rng(6), training=False).data)
+        embed_one(params, cfg, prop, z, T.Rng(5), training=False),
+        embed_one(params, cfg, prop, z, T.Rng(6), training=False))
 
 
 # ---------------------------------------------------------------------------
@@ -111,16 +117,16 @@ def test_zero_mlp_is_pure_residual():
     params = init_generator(cfg, 3, 2, T.Rng(3))
     for k in ("gen.rel.0.W", "gen.rel.1.W"):
         params[k].data = np.zeros_like(params[k].data)
-    z = T.Tensor(np.random.default_rng(3).standard_normal((4, 3)))
-    out = refine_relations(params, cfg, z, T.Rng(0), training=False)
-    npt.assert_array_equal(out.data, z.data)
+    z = np.random.default_rng(3).standard_normal((4, 3))
+    (out,), _, _ = refine_relations(params, cfg, [z], [T.Rng(0)], training=False)
+    npt.assert_array_equal(out, z)
 
 
 def test_single_class_refinement_shape():
     cfg = small_cfg()
     params = init_generator(cfg, 3, 2, T.Rng(4))
-    z = T.Tensor(np.random.default_rng(4).standard_normal((1, 3)))
-    out = refine_relations(params, cfg, z, T.Rng(0), training=False)
+    z = np.random.default_rng(4).standard_normal((1, 3))
+    (out,), _, _ = refine_relations(params, cfg, [z], [T.Rng(0)], training=False)
     assert out.shape == (1, 3)
 
 
@@ -143,13 +149,15 @@ def isolated_node_setup():
 def test_emit_345_case(placement):
     """Pre-normalization row [3, 4] with scale 0.2 -> weights 0.12, bias 0.16."""
     prop = isolated_node_setup()
-    z_all = T.Tensor(np.zeros((3, 2)))
-    refined = T.Tensor([[3.0, 4.0]])
+    z_all = np.zeros((1, 3, 2))
+    refined = [np.array([[3.0, 4.0]])]
     eye = T.Tensor(np.eye(2))
     zero = T.Tensor(np.zeros(2))
-    head = emit_classifier(prop, z_all, refined, [1], eye, zero, 0.2, placement)
-    assert head.weights.data[0, 0] == (3.0 / 5.0) * 0.2
-    assert head.bias.data[0] == (4.0 / 5.0) * 0.2
+    rows, _, _ = emit_classifier(prop, z_all, refined, [np.array([1])], eye, zero, 0.2,
+                                 placement)
+    weights, bias = rows[:, :1], rows[:, 1]
+    assert weights[0, 0] == (3.0 / 5.0) * 0.2
+    assert bias[0] == (4.0 / 5.0) * 0.2
 
 
 def test_emit_scale_zero_gives_zero_head():
@@ -243,7 +251,7 @@ def test_emit_checks_every_task_before_generator_work(monkeypatch):
 
 
 def _shared(params, cfg, prop, z0):
-    z = graph_embed(params, cfg, prop, z0, T.Rng(0), training=False)
+    z = T.Tensor(embed_one(params, cfg, prop, z0, T.Rng(0), training=False))
     return SharedEmbedding(z, prop.apply(z))
 
 

@@ -71,7 +71,7 @@ def test_train_then_eval_flow(tmp_path, capsys):
     assert lines[0] == "episode,accuracy" and len(lines) == 5
 
 
-def test_eval_csv_is_written_atomically(tmp_path, monkeypatch):
+def test_eval_csv_is_written_atomically(tmp_path, monkeypatch, capsys):
     cfgp = write_config(tmp_path)
     main(["gen-data", "-c", str(cfgp)])
     assert main(["eval", "-c", str(cfgp), "--untrained"]) == 0
@@ -85,10 +85,23 @@ def test_eval_csv_is_written_atomically(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr("os.replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
-        main(["eval", "-c", str(cfgp), "--untrained", "--set", "eval.seed=9"])
+    capsys.readouterr()
+    assert main(["eval", "-c", str(cfgp), "--untrained", "--set", "eval.seed=9"]) == 3
+    assert "data error: cannot write" in capsys.readouterr().err
     assert csv.read_bytes() == before
     assert not [p.name for p in csv.parent.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_unwritable_output_path_exits_3(tmp_path, capsys):
+    cfgp = write_config(tmp_path)
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory")
+    capsys.readouterr()
+    assert main(["gen-data", "-c", str(cfgp),
+                 "--set", f"paths.graph={blocker / 'graph.json'}"]) == 3
+    err = capsys.readouterr().err
+    assert "data error: cannot write" in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_metrics_reruns_byte_identical(tmp_path):
@@ -153,11 +166,13 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
     for bad in ("data.branching=2.5", 'data.semantic_noise="a"'):
         assert main(["gen-data", "-c", str(cfgp), "--set", bad]) == 2
-    # config files that are not a JSON object, not UTF-8, or not a file
+    # config files that are not a JSON object, not UTF-8, nested too deep to
+    # parse, or not a file
     (tmp_path / "array.json").write_text("[1, 2]")
     (tmp_path / "latin1.json").write_bytes(b'{"paths": {"graph": "\xff"}}')
+    (tmp_path / "deep.json").write_text("[" * 100_000)
     (tmp_path / "art").mkdir()
-    for path in ("array.json", "latin1.json", "art"):
+    for path in ("array.json", "latin1.json", "deep.json", "art"):
         assert main(["train", "-c", str(tmp_path / path)]) == 2
     # data errors: artifacts missing
     assert main(["train", "-c", str(cfgp)]) == 3
@@ -178,11 +193,12 @@ def test_exit_codes(tmp_path, capsys):
         graph_path.write_text(json.dumps(doc))
         assert main(["inspect-graph", "-c", str(cfgp)]) == 3
         assert main(["train", "-c", str(cfgp)]) == 3
-    # data errors: a graph file that is not UTF-8; artifact paths that are
-    # directories
-    graph_path.write_bytes(b"\xff\xfe{}")
-    assert main(["inspect-graph", "-c", str(cfgp)]) == 3
-    assert main(["train", "-c", str(cfgp)]) == 3
+    # data errors: a graph file that is not UTF-8 or is nested too deep to
+    # parse; artifact paths that are directories
+    for blob in (b"\xff\xfe{}", b"[" * 100_000):
+        graph_path.write_bytes(blob)
+        assert main(["inspect-graph", "-c", str(cfgp)]) == 3
+        assert main(["train", "-c", str(cfgp)]) == 3
     main(["gen-data", "-c", str(cfgp)])
     for key in ("paths.graph", "paths.dataset"):
         for command in ("inspect-graph", "train", "eval"):

@@ -8,7 +8,7 @@ from conceptshot.config import (apply_overrides, build_model, canonical_json,
                                 config_hash, default_config, from_dict,
                                 load_config_dict, save_config, to_dict)
 from conceptshot.data import SynthConfig, generate_synthetic
-from conceptshot.errors import ConfigError
+from conceptshot.errors import ConfigError, DataError
 
 
 def test_empty_dict_is_valid():
@@ -77,6 +77,13 @@ def test_config_file_errors(tmp_path):
         load_config_dict(bad)
 
 
+def test_config_file_nested_too_deep(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(ConfigError, match="nested too deep"):
+        load_config_dict(deep)
+
+
 def test_hash_tracks_content():
     a, b = default_config(), default_config()
     assert config_hash(a) == config_hash(b)
@@ -114,7 +121,7 @@ def test_save_config_is_atomic(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr("os.replace", refuse)
-    with pytest.raises(OSError, match="disk full"):
+    with pytest.raises(DataError, match="cannot write .*disk full"):
         save_config(from_dict({"data": {"branching": 3}}), p)
     assert p.read_bytes() == before
     assert [q.name for q in tmp_path.iterdir()] == ["saved.json"]

@@ -119,6 +119,28 @@ def test_load_rejects_malformed_json(tmp_path):
         load_graph(p)
 
 
+def test_load_rejects_json_nested_too_deep(tmp_path):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    with pytest.raises(DataError, match="nested too deep"):
+        load_graph(p)
+
+
+def test_graph_every_prefix(tmp_path):
+    good = tmp_path / "good.json"
+    save_graph(binary_tree_7(), good)
+    blob = good.read_bytes()
+    assert blob.endswith(b"}\n")
+    bad = tmp_path / "bad.json"
+    for cut in range(len(blob) - 1):
+        bad.write_bytes(blob[:cut])
+        with pytest.raises(DataError):
+            load_graph(bad)
+    # the one prefix left drops only the final newline: the whole document
+    bad.write_bytes(blob[:-1])
+    assert load_graph(bad) == load_graph(good)
+
+
 def test_load_rejects_foreign_document(tmp_path):
     p = tmp_path / "other.json"
     for text in ('{"format": "something-else"}', "[]"):
