@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Propagation, task_ids
-from .tensor import Rng, Tensor, attach, checked, glorot_uniform
+from .tensor import Rng, Tensor, attach, checked, glorot_uniform, quiet_fp
 
 
 @dataclass
@@ -140,6 +140,7 @@ def _layer_back(g, rec):
     return g, x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
 
+@quiet_fp
 def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
                 z0: Tensor | SharedEmbedding, rngs: list, training: bool):
     """Hop stack over all nodes, for the tasks whose dropout streams are
@@ -178,6 +179,7 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
     return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), ps, back
 
 
+@quiet_fp
 def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
                      rngs: list, training: bool):
     """Residual pairwise refinement over each task's rows.
@@ -241,6 +243,7 @@ def _heads(rows: Tensor, ids, feature_dim: int) -> list:
             for i, e in zip(ids, ends)]
 
 
+@quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
                     w_out: Tensor, b_out: Tensor, norm_scale: float,
                     placement: str = "write_back", propagated=None):
@@ -290,7 +293,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     else:
         raise ConfigError(f"unknown refine placement '{placement}'")
     norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
-    denom = np.maximum(norms, 1e-12)         # as tensor.l2_normalize_rows
+    denom = np.maximum(norms, 1e-12)         # zero rows stay zero
     out = checked(checked(rows / denom, "l2_normalize_rows", _WHERE) * float(norm_scale),
                   "scale", _WHERE)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Rng, Tensor, affine, glorot_uniform, leaky_relu
+from .tensor import Rng, Tensor, glorot_uniform
 
 
 @dataclass
@@ -46,17 +46,6 @@ def init_encoder(cfg: EncoderConfig, rng: Rng) -> dict:
 
 def layer_pairs(params: dict, cfg: EncoderConfig):
     return [(params[f"enc.{i}.W"], params[f"enc.{i}.b"]) for i in range(len(cfg.widths))]
-
-
-def apply_layers(pairs, x: Tensor, slope: float = 0.1) -> Tensor:
-    for w, b in pairs:
-        x = leaky_relu(affine(x, w, b), slope)
-    return x
-
-
-def embed_low(params: dict, cfg: EncoderConfig, x: Tensor) -> Tensor:
-    """Task-frozen portion of the encoder (identity when low_layers == 0)."""
-    return apply_layers(layer_pairs(params, cfg)[:cfg.low_layers], x, cfg.slope)
 
 
 def high_pairs(params: dict, cfg: EncoderConfig):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifact import write_text_atomic
 from .errors import DataError, NumericalError
-from .tensor import Tensor, neighbor_groups, neighbor_sums, sym_neighbor_mean
+from .tensor import neighbor_groups, neighbor_sums
 
 VALID_SPLITS = ("meta-train", "meta-test", "weak", "none")
 
@@ -181,9 +181,11 @@ class Propagation:
 
     The structure never changes, so its degree groups (the
     ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here, and
-    every ``apply`` and its vjp reuse them.  ``apply`` runs the operator
-    differentiably with order-canonical summation; ``reapply`` re-propagates
-    only the rows that a rewrite of a few input rows changes.
+    every ``apply`` and its vjp reuse them.  ``apply`` and ``apply_vjp`` run
+    the operator and its transpose on plain arrays only, with
+    order-canonical summation (``tensor.neighbor_sums``).
+    ``reapply`` re-propagates only the rows that a rewrite of a few input
+    rows changes.
     """
 
     def __init__(self, nbr_idx, degrees, size):
@@ -193,14 +195,13 @@ class Propagation:
         self.groups = neighbor_groups(nbr_idx, size)
 
     def apply(self, x):
-        """P·x: a node on the tape for a Tensor; for a plain array, the same
-        bits off the tape (P acts per column, so stacked columns keep them)."""
-        if isinstance(x, Tensor):
-            return sym_neighbor_mean(x, self.groups, self.degrees)
+        """P·x for a plain array (P acts per column, so stacked columns keep
+        their bits)."""
         return neighbor_sums(x, self.groups) / self.degrees[:, None]
 
     def apply_vjp(self, g):
-        """The vjp of ``apply`` on plain arrays (``sym_neighbor_mean``'s)."""
+        """The vjp of ``apply``: P is symmetric in structure, so Pᵀ·g reuses
+        the same groups."""
         return neighbor_sums(g / self.degrees[:, None], self.groups)
 
     def reapply(self, values, ids):

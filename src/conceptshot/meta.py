@@ -31,7 +31,9 @@ blocks.
 from __future__ import annotations
 
 import copy
+import functools
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -43,11 +45,10 @@ from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
 from .encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
-from .encoder import apply_layers  # noqa: F401  (bench/run.py traces it here)
 from .errors import ConfigError, DataError
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, Tensor, add, attach, backward, carry, checked,
-                     class_labels, scale, stable_exp_parts)
+from .tensor import (Rng, SgdOptimizer, Tensor, attach, backward, carry, checked,
+                     class_labels, quiet_fp, stable_exp_parts)
 
 
 _KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
@@ -173,7 +174,7 @@ class Model:
         self.prop = propagation_operator(graph, self_loops=self_loops)
         # the generator's input never changes, so neither does its first hop's P·z0
         self.generator_input = SharedEmbedding(self.semantic_input,
-                                               self.prop.apply(self.semantic_input))
+                                               Tensor(self.prop.apply(sem)))
         rng = Rng(seed).child("init")
         self.params = {}
         self.params.update(init_encoder(enc_cfg, rng.child("encoder")))
@@ -215,8 +216,8 @@ def _T(a):
 
 
 def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
-    """``apply_layers`` on plain (stacked) arrays: the output, and each
-    layer's input and leaky-ReLU mask for :func:`_backward`."""
+    """The encoder layers (affine, leaky ReLU) on plain (stacked) arrays: the
+    output, and each layer's input and leaky-ReLU mask for :func:`_backward`."""
     saved = []
     for w, b in pairs:
         a = checked(x @ w + b, "affine", where)
@@ -256,6 +257,7 @@ def _backward(ws, saved, feats, w, g):
     return grads
 
 
+@quiet_fp
 def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
                 lr: float) -> list:
     """Fit {high encoder, classifier} to each task's support set with
@@ -325,6 +327,7 @@ def adapt_episodes(model: Model, eps, rngs, training: bool, steps: int,
     return [states[k] for k in range(len(eps))]
 
 
+@quiet_fp
 def episode_loss(model: Model, ep: Episode, *, adapt_steps: int = 0, inner_lr: float = 0.0,
                  rng: Rng | None = None, training: bool = False,
                  adapted: AdaptedState | None = None):
@@ -370,11 +373,20 @@ def eligible_concept_levels(ds: Dataset, g: ConceptGraph, cfg: TrainConfig):
     return [(level, min(cfg.n_way, n)) for level, n in pairs]
 
 
-def _mean_scalars(losses):
-    total = losses[0]
-    for t in losses[1:]:
-        total = add(total, t)
-    return total if len(losses) == 1 else scale(total, 1.0 / len(losses))
+def _weighted_terms(terms):
+    """(the step's loss, each term's mean) for ``terms``, a list of (weight,
+    the term's episode losses): one node over every episode loss, with the
+    bits of the taped chain of ``add`` and ``scale`` ops.  A term's mean adds
+    its losses left to right and scales by 1/n (exact when n = 1), the loss
+    adds the weighted means left to right, and each episode loss gets the
+    gradient (g * w) * (1/n)."""
+    scales = [(float(w), 1.0 / len(losses)) for w, losses in terms]
+    means = [functools.reduce(operator.add, [t.item() for t in losses]) * s
+             for (_, losses), (_, s) in zip(terms, scales)]
+    total = functools.reduce(operator.add, [m * w for m, (w, _) in zip(means, scales)])
+    return attach(total, [t for _, losses in terms for t in losses],
+                  lambda g: [g * w * s for (w, s), (_, losses) in zip(scales, terms)
+                             for _ in losses], "weighted_terms"), means
 
 
 def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
@@ -420,14 +432,14 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
         model, [ep for _, _, eps in terms for ep in eps],
         [it_rng.child("drop", name, b) for name, _, eps in terms for b in range(len(eps))],
         True, cfg.adapt_steps, cfg.inner_lr))
-    total = None
+    scored = []                     # (weight, the term's episode losses)
     for name, weight, eps in terms:
-        scored = [episode_loss(model, ep, adapted=next(states)) for ep in eps]
-        term = _mean_scalars([loss for loss, _ in scored])
-        rec[f"{name}_loss"] = term.item()
-        rec[f"{name}_acc"] = float(np.mean([acc for _, acc in scored]))
-        piece = scale(term, weight)
-        total = piece if total is None else add(total, piece)
+        losses, accs = zip(*[episode_loss(model, ep, adapted=next(states)) for ep in eps])
+        scored.append((weight, losses))
+        rec[f"{name}_acc"] = float(np.mean(accs))
+    total, means = _weighted_terms(scored)
+    for (name, _, _), mean in zip(terms, means):
+        rec[f"{name}_loss"] = mean
     rec["total_loss"] = total.item()
 
     opt.zero_grad()
@@ -531,7 +543,7 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
     z = model.embed(rng.child("embed"), training=False)
-    embedding = SharedEmbedding(z, model.prop.apply(z))
+    embedding = SharedEmbedding(z, Tensor(model.prop.apply(z.data)))
     accs = np.empty(cfg.n_episodes)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_episodes))

@@ -1,11 +1,12 @@
 """Shared test oracles: central finite differences, error metrics, graph
 relabeling, the dense propagation matrix, the padded neighborhood sum that
-``tensor.sym_neighbor_mean`` replaces, the per-call class filter and the
+``tensor.neighbor_sums`` replaces, the per-call class filter and the
 ``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
 loop that ``meta.inner_adapt`` replaces, the taped query path that
 ``meta.episode_loss`` replaces, the taped classifier generator (and its row
 selection) that ``classifier_gen`` replaces, and the one-episode-at-a-time
-training step that ``meta.train_step`` replaces."""
+training step that ``meta.train_step`` replaces.  The taped chains are
+built from the reference ops of ``_tape``."""
 
 import numpy as np
 
@@ -100,10 +101,11 @@ def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
     """The inner loop built on the tape: each step differentiates the support
     loss with ``grad`` and adds the detached step ``-lr * g`` as a constant,
     so every adapted tensor is a chain of ``add`` nodes over its start."""
+    from _tape import add, affine, apply_layers, cross_entropy, embed_low, transpose
     from conceptshot.classifier_gen import TaskClassifier
-    from conceptshot.encoder import apply_layers, embed_low, high_pairs
+    from conceptshot.encoder import high_pairs
     from conceptshot.meta import AdaptedState
-    from conceptshot.tensor import Tensor, add, affine, cross_entropy, grad, transpose
+    from conceptshot.tensor import Tensor, grad
 
     high = list(high_pairs(model.params, model.enc_cfg))
     w, b = clf.weights, clf.bias
@@ -122,20 +124,21 @@ def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
 
 def head_logits(clf, feats):
     """The head's logits on the tape: feats @ W.T + b."""
-    from conceptshot.tensor import affine, transpose
+    from _tape import affine, transpose
     return affine(feats, transpose(clf.weights), clf.bias)
 
 
 def task_features(model, adapted, x):
     """The low encoder, then the adapted high layers, on the tape."""
-    from conceptshot.encoder import apply_layers, embed_low
+    from _tape import apply_layers, embed_low
     return apply_layers(adapted.high, embed_low(model.params, model.enc_cfg, x),
                         model.enc_cfg.slope)
 
 
 def predict(model, adapted, x):
     """Per-row class probabilities for a query batch (rows sum to 1)."""
-    from conceptshot.tensor import Tensor, softmax_rows
+    from _tape import softmax_rows
+    from conceptshot.tensor import Tensor
     feats = task_features(model, adapted, Tensor(np.asarray(x, dtype=np.float64)))
     return softmax_rows(head_logits(adapted.classifier, feats))
 
@@ -143,7 +146,8 @@ def predict(model, adapted, x):
 def tape_query_loss(model, adapted, ep):
     """An adapted episode's query loss built op by op on the tape, and its
     query accuracy."""
-    from conceptshot.tensor import Tensor, cross_entropy
+    from _tape import cross_entropy
+    from conceptshot.tensor import Tensor
     logits = head_logits(adapted.classifier,
                          task_features(model, adapted, Tensor(ep.query_x)))
     return (cross_entropy(logits, ep.query_y),
@@ -152,11 +156,12 @@ def tape_query_loss(model, adapted, ep):
 
 def tape_graph_embed(params, cfg, prop, z0, rng, training):
     """The generator's hop stack built op by op on the tape."""
-    from conceptshot.tensor import Tensor, affine, dropout, leaky_relu
+    from _tape import affine, dropout, leaky_relu, sym_neighbor_mean
+    from conceptshot.tensor import Tensor
     z, p = (z0, None) if isinstance(z0, Tensor) else z0
     for h in range(len(cfg.embed_widths)):
         if h or p is None:
-            p = prop.apply(z)
+            p = sym_neighbor_mean(z, prop.groups, prop.degrees)
         z = leaky_relu(affine(p, params[f"gen.embed.{h}.W"],
                               params[f"gen.embed.{h}.b"]), cfg.slope)
         z = dropout(z, cfg.keep_prob, rng, training)
@@ -165,8 +170,8 @@ def tape_graph_embed(params, cfg, prop, z0, rng, training):
 
 def tape_refine_relations(params, cfg, z_task, rng, training):
     """The residual pairwise refinement built op by op on the tape."""
-    from conceptshot.tensor import (add, affine, concat_cols, dropout, gather_rows,
-                                    grouped_mean, leaky_relu)
+    from _tape import (add, affine, concat_cols, dropout, gather_rows, grouped_mean,
+                       leaky_relu)
     n = z_task.data.shape[0]
     left = gather_rows(z_task, np.repeat(np.arange(n), n))
     right = gather_rows(z_task, np.tile(np.arange(n), n))
@@ -182,13 +187,14 @@ def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_sca
                          placement="write_back"):
     """The final propagation, affine, row normalization and split, op by op."""
     from conceptshot.classifier_gen import TaskClassifier
-    from conceptshot.tensor import (affine, gather_rows, l2_normalize_rows, reshape,
-                                    scale, slice_cols, write_rows)
+    from _tape import (affine, gather_rows, l2_normalize_rows, reshape, scale, slice_cols,
+                       sym_neighbor_mean, write_rows)
     ids = np.asarray(class_ids, dtype=np.intp)
     feature_dim = w_out.data.shape[1] - 1
     if placement == "write_back":
         z = write_rows(z_all, refined, ids)
-        rows = gather_rows(affine(prop.apply(z), w_out, b_out), ids)
+        rows = gather_rows(affine(sym_neighbor_mean(z, prop.groups, prop.degrees),
+                                  w_out, b_out), ids)
     else:
         rows = affine(refined, w_out, b_out)
     rows = scale(l2_normalize_rows(rows), norm_scale)
@@ -199,8 +205,8 @@ def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_sca
 
 def select_task_rows(x, class_ids):
     """An episode's rows of ``x`` on the tape, its class ids checked first."""
+    from _tape import gather_rows
     from conceptshot.graph import task_ids
-    from conceptshot.tensor import gather_rows
     return gather_rows(x, task_ids(class_ids, x.data.shape[0]))
 
 
@@ -219,10 +225,11 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
     emitted by ``tape_emit_for_task``, adapted alone and scored by
     ``tape_query_loss``, term after term; same random streams, record, loss
     combination and update."""
+    from _tape import add, scale
     from conceptshot.data import sample_concept_episode, sample_entity_episode
     from conceptshot.errors import ConfigError
     from conceptshot.meta import inner_adapt
-    from conceptshot.tensor import Rng, add, backward, scale
+    from conceptshot.tensor import Rng, backward
 
     it_rng = Rng(cfg.seed).child("train", iteration)
     rec = {"iteration": iteration, "lr": cfg.lr_at(iteration)}

@@ -13,6 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import _tape
 from _oracles import numerical_grad, permute_graph, rel_err
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
@@ -76,7 +77,7 @@ def test_01_desk_scale_substitution():
 
 def _weighted_scalar(out, rng):
     w = T.Tensor(rng.standard_normal(out.data.shape))
-    return T.sum_all(T.mul(out, w))
+    return _tape.sum_all(_tape.mul(out, w))
 
 
 def _leaf(rng, *shape, off=0.0):
@@ -109,27 +110,27 @@ def _op_cases(rng, seed):
     write_idx = np.array([0, 3])
 
     return [
-        ("add", [a, b], lambda: T.add(a, b)),
-        ("add_broadcast", [a, v], lambda: T.add(a, v)),
-        ("mul", [a, b], lambda: T.mul(a, b)),
-        ("mul_broadcast", [a, v], lambda: T.mul(a, v)),
-        ("scale", [a], lambda: T.scale(a, -1.7)),
-        ("transpose", [m1], lambda: T.transpose(m1)),
-        ("affine", [m1, w, bias], lambda: T.affine(m1, w, bias)),
-        ("leaky_relu", [k], lambda: T.leaky_relu(k, 0.1)),
-        ("dropout", [a], lambda: T.dropout(a, 0.8, T.Rng(seed).child("dr"), True)),
-        ("gather_rows", [gx], lambda: T.gather_rows(gx, gather_idx)),
-        ("write_rows", [wx, wr], lambda: T.write_rows(wx, wr, write_idx)),
-        ("concat_cols", [m1], lambda: T.concat_cols(m1, m1)),
-        ("slice_cols", [a], lambda: T.slice_cols(a, 1, 3)),
-        ("reshape", [a], lambda: T.reshape(a, (4, 3))),
-        ("grouped_mean", [cx], lambda: T.grouped_mean(cx, 2)),
-        ("sum_all", [a], lambda: T.sum_all(a)),
-        ("l2_normalize_rows", [nx], lambda: T.l2_normalize_rows(nx)),
-        ("softmax_rows", [sx], lambda: T.softmax_rows(sx)),
-        ("cross_entropy", [logit], lambda: T.cross_entropy(logit, labels)),
+        ("add", [a, b], lambda: _tape.add(a, b)),
+        ("add_broadcast", [a, v], lambda: _tape.add(a, v)),
+        ("mul", [a, b], lambda: _tape.mul(a, b)),
+        ("mul_broadcast", [a, v], lambda: _tape.mul(a, v)),
+        ("scale", [a], lambda: _tape.scale(a, -1.7)),
+        ("transpose", [m1], lambda: _tape.transpose(m1)),
+        ("affine", [m1, w, bias], lambda: _tape.affine(m1, w, bias)),
+        ("leaky_relu", [k], lambda: _tape.leaky_relu(k, 0.1)),
+        ("dropout", [a], lambda: _tape.dropout(a, 0.8, T.Rng(seed).child("dr"), True)),
+        ("gather_rows", [gx], lambda: _tape.gather_rows(gx, gather_idx)),
+        ("write_rows", [wx, wr], lambda: _tape.write_rows(wx, wr, write_idx)),
+        ("concat_cols", [m1], lambda: _tape.concat_cols(m1, m1)),
+        ("slice_cols", [a], lambda: _tape.slice_cols(a, 1, 3)),
+        ("reshape", [a], lambda: _tape.reshape(a, (4, 3))),
+        ("grouped_mean", [cx], lambda: _tape.grouped_mean(cx, 2)),
+        ("sum_all", [a], lambda: _tape.sum_all(a)),
+        ("l2_normalize_rows", [nx], lambda: _tape.l2_normalize_rows(nx)),
+        ("softmax_rows", [sx], lambda: _tape.softmax_rows(sx)),
+        ("cross_entropy", [logit], lambda: _tape.cross_entropy(logit, labels)),
         ("sym_neighbor_mean", [px],
-         lambda: T.sym_neighbor_mean(px, prop.groups, prop.degrees)),
+         lambda: _tape.sym_neighbor_mean(px, prop.groups, prop.degrees)),
     ]
 
 
@@ -214,7 +215,7 @@ def test_03_neighbor_averaging_oracles():
         g = _random_hierarchy(rng)
         n = g.num_nodes
         z = rng.standard_normal((n, 3))
-        got = propagation_operator(g).apply(T.Tensor(z)).data
+        got = propagation_operator(g).apply(z)
         edge_set = set(g.edges)
         for i in range(n):
             nbrs = [j for j in range(n)

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conceptshot import classifier_gen, graph, meta
+from conceptshot import classifier_gen, graph, meta, tensor
 from conceptshot.classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
                                         emit_for_task)
 from conceptshot.data import (SynthConfig, generate_synthetic,
@@ -17,8 +17,9 @@ from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interva
                               eligible_concept_levels, episode_loss, evaluate,
                               inner_adapt, load_checkpoint, metrics_columns,
                               save_checkpoint, train, train_step, write_metrics)
-from conceptshot.tensor import Rng, SgdOptimizer, Tensor, backward, grad, scale
+from conceptshot.tensor import Rng, SgdOptimizer, Tensor, backward, grad
 
+from _tape import scale
 from _oracles import (numerical_grad, predict, rel_err, serial_train_step,
                       tape_inner_adapt, tape_query_loss)
 
@@ -465,6 +466,22 @@ def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
     train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
     assert calls == {"episode_loss": active * cfg.episodes_per_term,
                      "inner_adapt": shapes, "graph_embed": 1}
+
+
+@pytest.mark.parametrize("case", list(STEP_CASES))
+def test_train_step_tape_holds_only_leaves_carry_and_attach(deep_world, monkeypatch, case):
+    # the program records no op-by-op tape: every node of the step's tape is
+    # a leaf, a carried inner-loop result or one of the attached off-tape nodes
+    g, ds = deep_world
+    cfg = _step_cfg(STEP_CASES[case][0])
+    roots = []
+    monkeypatch.setattr(meta, "backward", lambda root: roots.append(root))
+    m = make_model(g)
+    train_step(m, SgdOptimizer(m.params), ds, cfg, eligible_concept_levels(ds, g, cfg), 0)
+    (root,) = roots
+    ops = {node._op for node in tensor._topo(root)}
+    assert ops <= {"leaf", "carry", "emit_for_task", "slice", "query_loss", "weighted_terms"}
+    assert root._op == "weighted_terms"
 
 
 def test_zero_entity_weight_ignores_entity_stream(world):
