@@ -7,7 +7,8 @@ Three stages:
 2. ``refine_relations`` -- every ordered pair of the task's rows (including
                         i = i) goes through a small MLP; each row gets the
                         mean of its pair outputs added back (residual),
-3. ``emit_classifier`` -- one more propagation + affine, rows L2-normalized
+3. ``emit_classifier`` -- the refined rows written back into the node matrix,
+                        one more propagation + affine, rows L2-normalized
                         and scaled to norm ``scale``; the task's rows are
                         split into per-class weights (first ``feature_dim``
                         columns) and bias (last column).  Tasks that share a
@@ -142,26 +143,26 @@ def _layer_back(g, rec):
 
 @quiet_fp
 def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                z0: Tensor | SharedEmbedding, rngs: list, training: bool):
+                z0: SharedEmbedding, rngs: list, training: bool):
     """Hop stack over all nodes, for the tasks whose dropout streams are
     ``rngs``; deterministic when ``training`` is False.  The output is a
     (tasks, nodes, width) stack.
 
-    ``z0`` is a Tensor, or a :class:`SharedEmbedding` whose P·z0 (computed
-    once by the model) the first hop uses as is: the same bits.  The tasks
-    share hop 0's affine and leaky ReLU and each later propagation."""
-    z, p = (z0, None) if isinstance(z0, Tensor) else z0
+    ``z0`` is the generator input and its P·z0, computed once by the model,
+    which the first hop uses as is: the bits of propagating z0 here.  The
+    tasks share hop 0's affine and leaky ReLU and each later propagation.
+    Nothing backpropagates into ``z0``."""
+    z, p = z0
     if z.data.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
             f"semantic width {z.data.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
-    x0 = z if p is None else p      # what the first hop's gradient reaches
     hops = [(params[f"gen.embed.{h}.W"], params[f"gen.embed.{h}.b"])
             for h in range(len(cfg.embed_widths))]
-    x, recs = z.data, []
+    x, recs = p.data, []
     for h, (w, b) in enumerate(hops):
-        x = p.data if p is not None and not h else checked(
-            _propagate(prop.apply, x), "sym_neighbor_mean", _WHERE)
+        if h:
+            x = checked(_propagate(prop.apply, x), "propagation", _WHERE)
         x, rec = _layer(x, w.data, b.data, cfg, rngs, training)
         recs.append(rec)
 
@@ -170,12 +171,11 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
         for h in reversed(range(len(hops))):
             g, gw, gb = _layer_back(g, recs[h])
             grads += [_fold(gw), _fold(gb)]
-            if h or x0.requires_grad:
-                g = g @ hops[h][0].data.T
-                g = _propagate(prop.apply_vjp, g) if h or p is None else g
-        return grads + [_fold(g)] * x0.requires_grad
+            if h:
+                g = _propagate(prop.apply_vjp, g @ hops[h][0].data.T)
+        return grads
 
-    ps = [t for pair in reversed(hops) for t in pair] + [x0] * x0.requires_grad
+    ps = [t for pair in reversed(hops) for t in pair]
     return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), ps, back
 
 
@@ -245,17 +245,15 @@ def _heads(rows: Tensor, ids, feature_dim: int) -> list:
 
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
-                    w_out: Tensor, b_out: Tensor, norm_scale: float,
-                    placement: str = "write_back", propagated=None):
-    """Final propagation + affine + row normalization, scaled to ``norm_scale``.
-
-    ``write_back`` places the refined task rows back into the full node matrix
-    before the final propagation; ``task_only`` applies the output layer to the
-    refined rows directly, skipping propagation for non-task rows.
+                    w_out: Tensor, b_out: Tensor, norm_scale: float, propagated=None):
+    """Write-back, final propagation + affine, row normalization scaled to
+    ``norm_scale``.
 
     ``z_all`` is a stack of node matrices, one per task, beside lists of
-    refined rows and of class id arrays; the output holds every task's rows,
-    task after task.
+    refined rows and of class id arrays.  Each task's refined rows are
+    written back into its node matrix, which is propagated, and the output
+    layer runs on the task's rows of the result; the output holds every
+    task's rows, task after task.
 
     ``propagated``, when given, is P·z for the one node matrix z all tasks
     share, and nothing backpropagates.  The write-back then runs the tasks
@@ -266,7 +264,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     runs, a shared row the first time a task leaves it untouched.
     """
     w, b = w_out.data, b_out.data
-    if placement == "write_back" and propagated is not None:
+    if propagated is not None:
         z = z_all[0]
         z_buf, pz, a = np.array(z), propagated.copy(), np.empty((len(z), w.shape[1]))
         unchecked, rows = np.ones(len(z), dtype=bool), []   # shared rows not yet checked
@@ -275,23 +273,19 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
             hit, values = prop.reapply(z_buf, i)
             pz[hit] = values
             look, unchecked = unchecked | hit, unchecked & hit
-            checked(pz[look], "sym_neighbor_mean", _WHERE)
+            checked(pz[look], "propagation", _WHERE)
             np.matmul(pz, w, out=a)         # the bias goes on the rows used
             checked(a[look] + b, "affine", _WHERE)
             rows.append(a[i] + b)
             z_buf[i], pz[hit] = z[i], propagated[hit]
         rows = np.concatenate(rows)
-    elif placement == "write_back":
+    else:
         z = np.array(z_all)
         for m, r, i in zip(z, refined, class_ids):
             m[i] = r
-        pz = checked(_propagate(prop.apply, z), "sym_neighbor_mean", _WHERE)
+        pz = checked(_propagate(prop.apply, z), "propagation", _WHERE)
         a = checked(pz @ w + b, "affine", _WHERE)
         rows = np.concatenate([m[i] for m, i in zip(a, class_ids)])
-    elif placement == "task_only":
-        rows = np.concatenate([checked(r @ w + b, "affine", _WHERE) for r in refined])
-    else:
-        raise ConfigError(f"unknown refine placement '{placement}'")
     norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
     denom = np.maximum(norms, 1e-12)         # zero rows stay zero
     out = checked(checked(rows / denom, "l2_normalize_rows", _WHERE) * float(norm_scale),
@@ -302,9 +296,6 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         dot = np.sum(rows * g, axis=1, keepdims=True)
         g = np.split(np.where(norms > 1e-12, g / denom - rows * dot / denom ** 3, g / denom),
                      np.cumsum([i.size for i in class_ids])[:-1])
-        if placement == "task_only":
-            return None, [gt @ w.T for gt in g], [
-                _fold(r.T @ gt for r, gt in zip(refined, g)), _fold(gt.sum(axis=0) for gt in g)]
         ga = np.zeros(a.shape)
         for m, gt, i in zip(ga, g, class_ids):
             m[i] += gt
@@ -318,23 +309,21 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
 
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                  z0: Tensor | SharedEmbedding, class_ids, rng: Rng, training: bool,
-                  placement: str = "write_back",
-                  embedding: SharedEmbedding | None = None) -> TaskClassifier:
-    """Full pipeline: embed all nodes, refine the task's rows, emit the head.
+                  z0: SharedEmbedding, class_ids: list, rngs: list, training: bool,
+                  embedding: SharedEmbedding | None = None) -> list:
+    """Full pipeline: embed all nodes, refine each task's rows, emit the heads.
 
     Given a list of class id arrays and one stream per task, emits every
     task in one pass, as one node, and returns one classifier per task, each
-    with the bits it gets alone.  Every task's ids are checked first.
+    with the bits it gets alone.  Every task's ids are checked first.  ``z0``
+    is the generator input (see :func:`graph_embed`).
 
     ``embedding``, when given, is used instead of embedding the nodes again,
     and its propagation lets the write-back re-propagate only each task's
     touched rows (see :func:`emit_classifier`); out of training both are the
     same for every task, and nothing backpropagates through them.
     """
-    single = isinstance(rng, Rng)
-    rngs, ids = ([rng], [class_ids]) if single else (list(rng), list(class_ids))
-    ids = [task_ids(i, prop.size) for i in ids]
+    ids = [task_ids(i, prop.size) for i in class_ids]
     if embedding is None:
         z, embed_params, embed_back = graph_embed(params, cfg, prop, z0, rngs, training)
     else:
@@ -344,7 +333,7 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
         params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
     rows, out_params, emit_back = emit_classifier(
         prop, z, refined, ids, params["gen.out.W"], params["gen.out.b"], cfg.scale,
-        placement, None if embedding is None else embedding.propagated.data)
+        None if embedding is None else embedding.propagated.data)
     parents = out_params + rel_params + embed_params
     if embedding is not None and any(t.requires_grad for t in parents + [embedding.z]):
         raise ValueError("a shared embedding carries no gradient")
@@ -355,9 +344,7 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
         g_select = np.zeros(z.shape)        # the row selection's vjp
         for m, gt, i in zip(g_select, g_tasks, ids):
             m[i] += gt
-        return out_grads + rel_grads + embed_back(
-            g_select if g_z is None else g_z + g_select)
+        return out_grads + rel_grads + embed_back(g_z + g_select)
 
-    heads = _heads(attach(rows, parents, grads, "emit_for_task"), ids,
-                   params["gen.out.W"].data.shape[1] - 1)
-    return heads[0] if single else heads
+    return _heads(attach(rows, parents, grads, "emit_for_task"), ids,
+                  params["gen.out.W"].data.shape[1] - 1)

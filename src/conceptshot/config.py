@@ -1,9 +1,9 @@
 """One JSON document for a whole experiment.
 
 Sections mirror the library's config dataclasses: ``paths``, ``data``,
-``encoder``, ``generator``, ``train``, ``eval`` and ``flags``.  Everything has
-a default, so ``{}`` is a valid file; unknown sections or keys are rejected
-with the offending name.  Dotted command-line overrides (``train.seed=3``)
+``encoder``, ``generator``, ``train`` and ``eval``.  Everything has a default,
+so ``{}`` is a valid file; unknown sections or keys are rejected with the
+offending name.  Dotted command-line overrides (``train.seed=3``)
 are applied to the raw dictionary before validation, so they win over file
 values and show up in the saved effective config.
 """
@@ -33,12 +33,6 @@ class Paths:
 
 
 @dataclass
-class Flags:
-    self_loops: bool = True
-    refine_placement: str = "write_back"
-
-
-@dataclass
 class ExperimentConfig:
     paths: Paths = field(default_factory=Paths)
     data: SynthConfig = field(default_factory=SynthConfig)
@@ -46,7 +40,6 @@ class ExperimentConfig:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    flags: Flags = field(default_factory=Flags)
 
     def __post_init__(self):
         if self.encoder is None:
@@ -59,7 +52,7 @@ class ExperimentConfig:
 
 _SECTIONS = {"paths": Paths, "data": SynthConfig, "encoder": EncoderConfig,
              "generator": GeneratorConfig, "train": TrainConfig,
-             "eval": EvalConfig, "flags": Flags}
+             "eval": EvalConfig}
 # the type of the entries of each section's list fields
 _ENTRIES = {"data": {"sigma_levels": "float"}, "encoder": {"widths": "int"},
             "generator": {"embed_widths": "int", "relation_widths": "int"}}
@@ -186,7 +179,4 @@ def save_config(cfg: ExperimentConfig, path):
 
 
 def build_model(cfg: ExperimentConfig, graph: ConceptGraph) -> Model:
-    return Model(graph, cfg.encoder, cfg.generator,
-                 self_loops=cfg.flags.self_loops,
-                 refine_placement=cfg.flags.refine_placement,
-                 seed=cfg.train.seed)
+    return Model(graph, cfg.encoder, cfg.generator, seed=cfg.train.seed)

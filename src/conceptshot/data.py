@@ -187,6 +187,15 @@ class SynthConfig:
             raise ConfigError("samples_per_class, input_dim, semantic_dim must be positive")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
+        if not (0.0 <= self.weak_fraction < 1.0):
+            raise ConfigError(f"weak_fraction must be in [0,1), got {self.weak_fraction}")
+        if self.mix_mode:
+            leaves = self.branching ** (self.num_levels - 1)
+            if leaves - round(self.weak_fraction * leaves) < 2:
+                raise ConfigError(f"weak_fraction={self.weak_fraction} leaves fewer than "
+                                  f"two of {leaves} leaves for meta-train and meta-test")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(cfg: SynthConfig):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .artifact import write_text_atomic
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .tensor import neighbor_groups, neighbor_sums
 
 VALID_SPLITS = ("meta-train", "meta-test", "weak", "none")
@@ -177,7 +177,7 @@ class ConceptGraph:
 # propagation operator
 
 class Propagation:
-    """Row-stochastic neighborhood-averaging operator P = D^-1 (A [+ I]).
+    """Row-stochastic neighborhood-averaging operator P = D^-1 (A + I).
 
     The structure never changes, so its degree groups (the
     ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here, and
@@ -217,22 +217,11 @@ class Propagation:
                      / self.degrees[hit, None])
 
 
-def propagation_operator(g: ConceptGraph, self_loops: bool = True) -> Propagation:
-    """Build P from the graph adjacency; ``self_loops`` adds I before normalizing.
-
-    Without self loops an isolated node has no mass to average and the
-    operator is undefined; that case is rejected here.
-    """
+def propagation_operator(g: ConceptGraph) -> Propagation:
+    """Build P = D^-1 (A + I) from the graph adjacency; the self loop gives
+    every node, an isolated one included, a degree of at least 1."""
     m = g.num_nodes
-    lists = []
-    for i in range(m):
-        nbrs = list(g.neighbors(i))
-        if self_loops:
-            nbrs.append(i)
-        if not nbrs:
-            raise NumericalError(
-                f"node {i} has degree 0 without self loops; propagation undefined")
-        lists.append(sorted(nbrs))
+    lists = [sorted(g.neighbors(i) + [i]) for i in range(m)]
     degrees = np.array([len(v) for v in lists], dtype=np.float64)
     maxdeg = max(len(v) for v in lists)
     nbr_idx = np.full((m, maxdeg), m, dtype=np.intp)

@@ -106,7 +106,7 @@ class TrainConfig:
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("outer_lr", "inner_lr", "weight_decay",
-                     "entity_weight", "concept_weight"):
+                     "entity_weight", "concept_weight", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not (0.0 <= self.momentum < 1.0):
@@ -148,8 +148,8 @@ class EvalConfig:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if min(self.n_way, self.k_shot, self.n_query) < 1:
             raise ConfigError("n_way, k_shot and n_query must be positive")
-        if self.adapt_steps < 0 or self.inner_lr < 0:
-            raise ConfigError("adapt_steps and inner_lr must be non-negative")
+        if min(self.adapt_steps, self.inner_lr, self.seed) < 0:
+            raise ConfigError("adapt_steps, inner_lr and seed must be non-negative")
 
 
 class Model:
@@ -160,40 +160,34 @@ class Model:
     """
 
     def __init__(self, graph: ConceptGraph, enc_cfg: EncoderConfig,
-                 gen_cfg: GeneratorConfig, *, self_loops: bool = True,
-                 refine_placement: str = "write_back", seed: int = 0):
-        if refine_placement not in ("write_back", "task_only"):
-            raise ConfigError(f"unknown refine placement '{refine_placement}'")
+                 gen_cfg: GeneratorConfig, *, seed: int = 0):
         sem = (np.eye(graph.num_nodes) if gen_cfg.semantics == "one-hot"
                else graph.semantics)
         self.graph = graph
         self.enc_cfg = enc_cfg
         self.gen_cfg = gen_cfg
-        self.refine_placement = refine_placement
-        self.semantic_input = Tensor(sem)
-        self.prop = propagation_operator(graph, self_loops=self_loops)
+        self.prop = propagation_operator(graph)
         # the generator's input never changes, so neither does its first hop's P·z0
-        self.generator_input = SharedEmbedding(self.semantic_input,
-                                               Tensor(self.prop.apply(sem)))
+        self.generator_input = SharedEmbedding(Tensor(sem), Tensor(self.prop.apply(sem)))
         rng = Rng(seed).child("init")
         self.params = {}
         self.params.update(init_encoder(enc_cfg, rng.child("encoder")))
         self.params.update(init_generator(gen_cfg, sem.shape[1], enc_cfg.feature_dim,
                                           rng.child("generator")))
 
-    def emit(self, class_ids, rng: Rng, training: bool,
-             embedding: SharedEmbedding | None = None) -> TaskClassifier:
-        """One task's classifier; with lists of class ids and of streams,
-        one classifier per task, from one generator pass."""
+    def emit(self, class_ids: list, rngs: list, training: bool,
+             embedding: SharedEmbedding | None = None) -> list:
+        """One classifier per task of ``class_ids`` (each with its stream of
+        ``rngs``), from one generator pass."""
         return emit_for_task(self.params, self.gen_cfg, self.prop,
-                             self.generator_input, class_ids, rng, training,
-                             self.refine_placement, embedding)
+                             self.generator_input, class_ids, rngs, training, embedding)
 
-    def embed(self, rng: Rng, training: bool) -> Tensor:
-        """The generator's node embedding of the whole graph, off the tape."""
+    def embed(self, rng: Rng, training: bool) -> SharedEmbedding:
+        """The generator's node embedding z of the whole graph and its P·z,
+        off the tape."""
         (z,), _, _ = classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
                                                 self.generator_input, [rng], training)
-        return Tensor(z)
+        return SharedEmbedding(Tensor(z), Tensor(self.prop.apply(z)))
 
     def detached(self) -> "Model":
         """This model over detached parameters (the same arrays): nothing
@@ -542,8 +536,7 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
                      else (sample_concept_episode, level))
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
-    z = model.embed(rng.child("embed"), training=False)
-    embedding = SharedEmbedding(z, Tensor(model.prop.apply(z.data)))
+    embedding = model.embed(rng.child("embed"), training=False)
     accs = np.empty(cfg.n_episodes)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_episodes))

@@ -1,8 +1,9 @@
 """Shared test oracles: central finite differences, error metrics, graph
-relabeling, the dense propagation matrix, the padded neighborhood sum that
-``tensor.neighbor_sums`` replaces, the per-call class filter and the
-``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
-loop that ``meta.inner_adapt`` replaces, the taped query path that
+relabeling, the generator input a model forms, the dense propagation
+matrix, the padded neighborhood sum that ``tensor.neighbor_sums`` replaces,
+the per-call class filter and the ``np.arange`` draw that
+``data._sample_episode`` replaces, the taped inner loop that
+``meta.inner_adapt`` replaces, the taped query path that
 ``meta.episode_loss`` replaces, the taped classifier generator (and its row
 selection) that ``classifier_gen`` replaces, and the one-episode-at-a-time
 training step that ``meta.train_step`` replaces.  The taped chains are
@@ -44,6 +45,15 @@ def permute_graph(g, perm):
     sem = np.empty_like(g.semantics)
     sem[perm] = g.semantics
     return ConceptGraph(nodes, edges, sem, g.num_levels)
+
+
+def generator_input(prop, sem):
+    """The generator input ``meta.Model`` forms from node semantics ``sem``:
+    z0 and its propagation P·z0."""
+    from conceptshot.classifier_gen import SharedEmbedding
+    from conceptshot.tensor import Tensor
+    z = Tensor(sem)
+    return SharedEmbedding(z, Tensor(prop.apply(z.data)))
 
 
 def dense_propagation(prop):
@@ -183,20 +193,17 @@ def tape_refine_relations(params, cfg, z_task, rng, training):
     return add(z_task, grouped_mean(h, n))
 
 
-def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_scale,
-                         placement="write_back"):
-    """The final propagation, affine, row normalization and split, op by op."""
+def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_scale):
+    """The write-back, final propagation, affine, row normalization and
+    split, op by op."""
     from conceptshot.classifier_gen import TaskClassifier
     from _tape import (affine, gather_rows, l2_normalize_rows, reshape, scale, slice_cols,
                        sym_neighbor_mean, write_rows)
     ids = np.asarray(class_ids, dtype=np.intp)
     feature_dim = w_out.data.shape[1] - 1
-    if placement == "write_back":
-        z = write_rows(z_all, refined, ids)
-        rows = gather_rows(affine(sym_neighbor_mean(z, prop.groups, prop.degrees),
-                                  w_out, b_out), ids)
-    else:
-        rows = affine(refined, w_out, b_out)
+    z = write_rows(z_all, refined, ids)
+    rows = gather_rows(affine(sym_neighbor_mean(z, prop.groups, prop.degrees), w_out, b_out),
+                       ids)
     rows = scale(l2_normalize_rows(rows), norm_scale)
     weights = slice_cols(rows, 0, feature_dim)
     bias = reshape(slice_cols(rows, feature_dim, feature_dim + 1), (ids.size,))
@@ -210,14 +217,14 @@ def select_task_rows(x, class_ids):
     return gather_rows(x, task_ids(class_ids, x.data.shape[0]))
 
 
-def tape_emit_for_task(params, cfg, prop, z0, class_ids, rng, training,
-                       placement="write_back"):
-    """One task's classifier emitted by the taped stages above."""
+def tape_emit_for_task(params, cfg, prop, z0, class_ids, rng, training):
+    """One task's classifier emitted by the taped stages above; ``z0`` is a
+    raw node matrix or a generator input with its P·z0."""
     z = tape_graph_embed(params, cfg, prop, z0, rng, training)
     refined = tape_refine_relations(params, cfg, select_task_rows(z, class_ids), rng,
                                     training)
     return tape_emit_classifier(prop, z, refined, class_ids, params["gen.out.W"],
-                                params["gen.out.b"], cfg.scale, placement)
+                                params["gen.out.b"], cfg.scale)
 
 
 def serial_train_step(model, opt, ds, cfg, levels, iteration):
@@ -240,8 +247,7 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
             ep = sample(n_way, it_rng.child("sample", name, b))
             clf = tape_emit_for_task(model.params, model.gen_cfg, model.prop,
                                      model.generator_input, ep.class_ids,
-                                     it_rng.child("drop", name, b), True,
-                                     model.refine_placement)
+                                     it_rng.child("drop", name, b), True)
             (state,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
                                    cfg.adapt_steps, cfg.inner_lr)
             loss, acc = tape_query_loss(model, state, ep)

@@ -14,7 +14,7 @@ import numpy.testing as npt
 import pytest
 
 import _tape
-from _oracles import numerical_grad, permute_graph, rel_err
+from _oracles import generator_input, numerical_grad, permute_graph, rel_err
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
                                         emit_for_task, graph_embed, init_generator)
@@ -205,8 +205,9 @@ def test_03_neighbor_averaging_oracles():
     cfg = GeneratorConfig(embed_widths=[1], relation_widths=[2, 1])
     params = init_generator(cfg, 1, 1, T.Rng(0))
     params["gen.embed.0.W"].data = np.array([[1.0]])
-    (out,), _, _ = graph_embed(params, cfg, propagation_operator(g),
-                               T.Tensor(g.semantics), [T.Rng(0)], training=False)
+    prop = propagation_operator(g)
+    (out,), _, _ = graph_embed(params, cfg, prop, generator_input(prop, g.semantics),
+                               [T.Rng(0)], training=False)
     npt.assert_allclose(out, [[1.5], [2.0], [2.5]], rtol=0, atol=1e-12)
 
     # brute-force neighbor sums on 10 random hierarchies of at most 12 nodes
@@ -254,7 +255,7 @@ def test_04_row_norm_contract():
                                           semantic_dim=6, samples_per_class=4,
                                           seed=1))
     prop = propagation_operator(g)
-    z0 = T.Tensor(g.semantics)
+    z0 = generator_input(prop, g.semantics)
     rng = np.random.default_rng(0)
     for trial in range(1000):
         beta = float(rng.uniform(0.0, 1.0))
@@ -262,9 +263,7 @@ def test_04_row_norm_contract():
                               scale=beta)
         params = init_generator(cfg, 6, 4, T.Rng(trial))
         ids = rng.choice(g.num_nodes, size=3, replace=False)
-        placement = ("write_back", "task_only")[trial % 2]
-        head = emit_for_task(params, cfg, prop, z0, ids, T.Rng(trial), True,
-                             placement)
+        (head,) = emit_for_task(params, cfg, prop, z0, [ids], [T.Rng(trial)], True)
         rows = np.concatenate([head.weights.data, head.bias.data[:, None]], axis=1)
         assert (np.linalg.norm(rows, axis=1) <= beta + 1e-9).all()
 
@@ -313,11 +312,11 @@ def test_06_equivariance_exact():
         ids = rng.choice(7, size=3, replace=False)
         perm = rng.permutation(7)
         gp = permute_graph(g, perm)
-        a = emit_for_task(params, cfg, propagation_operator(g),
-                          T.Tensor(g.semantics), ids, T.Rng(0), training=False)
-        b = emit_for_task(params, cfg, propagation_operator(gp),
-                          T.Tensor(gp.semantics), perm[ids], T.Rng(0),
-                          training=False)
+        prop, prop_p = propagation_operator(g), propagation_operator(gp)
+        (a,) = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics),
+                             [ids], [T.Rng(0)], training=False)
+        (b,) = emit_for_task(params, cfg, prop_p, generator_input(prop_p, gp.semantics),
+                             [perm[ids]], [T.Rng(0)], training=False)
         npt.assert_array_equal(a.weights.data, b.weights.data)
         npt.assert_array_equal(a.bias.data, b.bias.data)
 

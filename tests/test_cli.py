@@ -141,6 +141,15 @@ def test_override_is_echoed_into_effective_config(tmp_path):
     assert saved["data"]["seed"] == 99
 
 
+def test_config_file_naming_flags_exits_2(tmp_path, capsys):
+    # the removed ``flags`` section is an unknown section, from a file too
+    cfgp = write_config(tmp_path, flags={"self_loops": True})
+    capsys.readouterr()
+    assert main(["gen-data", "-c", str(cfgp)]) == 2
+    assert "flags" in capsys.readouterr().err
+    assert not (tmp_path / "art").exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     cfgp = write_config(tmp_path)
     # config errors
@@ -161,11 +170,19 @@ def test_exit_codes(tmp_path, capsys):
     # every section is type-checked: non-finite floats, non-integer ints,
     # non-bool bools, and a section that is not an object
     for bad in ("generator.scale=NaN", "generator.slope=NaN", "encoder.slope=NaN",
-                "encoder.slope=Infinity", "generator.scale=true", "flags.self_loops=no",
+                "encoder.slope=Infinity", "generator.scale=true", "data.mix_mode=no",
                 "train=3", "encoder.widths=[2.5,8]", "data.sigma_levels=[NaN,0.4,0.3]"):
         assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
     for bad in ("data.branching=2.5", 'data.semantic_noise="a"'):
         assert main(["gen-data", "-c", str(cfgp), "--set", bad]) == 2
+    # negative seeds, and a weak fraction outside [0, 1) or one that leaves
+    # fewer than two leaves for meta-train and meta-test
+    for cmd, bad in (("gen-data", "data.seed=-1"), ("train", "train.seed=-1"),
+                     ("eval", "eval.seed=-1")):
+        assert main([cmd, "-c", str(cfgp), "--set", bad]) == 2
+    for frac in ("-0.5", "1.0", "0.999"):
+        assert main(["gen-data", "-c", str(cfgp), "--set", "data.mix_mode=true",
+                     "--set", f"data.weak_fraction={frac}"]) == 2
     # config files that are not a JSON object, not UTF-8, nested too deep to
     # parse, or not a file
     (tmp_path / "array.json").write_text("[1, 2]")

@@ -4,10 +4,9 @@ import json
 
 import pytest
 
-from conceptshot.config import (apply_overrides, build_model, canonical_json,
-                                config_hash, default_config, from_dict,
-                                load_config_dict, save_config, to_dict)
-from conceptshot.data import SynthConfig, generate_synthetic
+from conceptshot.config import (apply_overrides, canonical_json, config_hash,
+                                default_config, from_dict, load_config_dict,
+                                save_config, to_dict)
 from conceptshot.errors import ConfigError, DataError
 
 
@@ -33,8 +32,8 @@ def test_unknown_names_rejected():
         from_dict({"trian": {}})
     with pytest.raises(ConfigError, match="train.lr"):
         from_dict({"train": {"lr": 0.1}})
-    with pytest.raises(ConfigError, match="unknown config key.*flags.first_order"):
-        from_dict({"flags": {"first_order": True}})     # a removed key
+    with pytest.raises(ConfigError, match="unknown config section.*flags"):
+        from_dict({"flags": {}})     # a removed section
 
 
 def test_encoder_dim_mismatch_rejected():
@@ -45,12 +44,12 @@ def test_encoder_dim_mismatch_rejected():
 def test_overrides_parse_and_apply():
     d = apply_overrides({}, ["train.seed=5", "generator.semantics=one-hot",
                              "data.sigma_levels=[1.0, 0.5, 0.1]",
-                             "flags.self_loops=false"])
+                             "data.mix_mode=true"])
     cfg = from_dict(d)
     assert cfg.train.seed == 5
     assert cfg.generator.semantics == "one-hot"
     assert cfg.data.sigma_levels == [1.0, 0.5, 0.1]
-    assert cfg.flags.self_loops is False
+    assert cfg.data.mix_mode is True
 
 
 def test_override_beats_file_value(tmp_path):
@@ -97,17 +96,6 @@ def test_save_config_round_trip(tmp_path):
     p = tmp_path / "saved.json"
     save_config(cfg, p)
     assert from_dict(load_config_dict(p)) == cfg
-
-
-def test_build_model_honors_flags():
-    cfg = from_dict({"data": {"branching": 2, "num_levels": 3, "input_dim": 8,
-                              "semantic_dim": 8, "samples_per_class": 6},
-                     "encoder": {"widths": [8, 8], "low_layers": 1},
-                     "generator": {"embed_widths": [8, 8],
-                                   "relation_widths": [8, 8]}})
-    g, _ = generate_synthetic(cfg.data)
-    m = build_model(cfg, g)
-    assert m.refine_placement == "write_back"
 
 
 def test_save_config_is_atomic(tmp_path, monkeypatch):

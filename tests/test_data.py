@@ -56,6 +56,22 @@ def test_mix_mode_reserves_weak_only_leaves():
         assert not (set(ep.class_ids.tolist()) & set(weak_leaves))
 
 
+def test_weak_fraction_range_checked():
+    # outside [0, 1), or leaving fewer than two leaves for meta-train and
+    # meta-test; without mix_mode no leaf is weak-only, so only the range counts
+    for frac in (-0.5, 1.0, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="weak_fraction"):
+            SynthConfig(mix_mode=True, weak_fraction=frac)
+        with pytest.raises(ConfigError, match="weak_fraction"):
+            SynthConfig(weak_fraction=frac)
+    with pytest.raises(ConfigError, match="fewer than two of 4 leaves"):
+        SynthConfig(num_levels=3, mix_mode=True, weak_fraction=0.7)
+    assert SynthConfig(num_levels=3, mix_mode=True, weak_fraction=0.5).weak_fraction == 0.5
+    assert SynthConfig(num_levels=3, weak_fraction=0.9).weak_fraction == 0.9
+    g, _ = generate_synthetic(SynthConfig(num_levels=3, mix_mode=True, weak_fraction=0.5))
+    assert [len(g.split_ids(s)) for s in ("weak", "meta-train", "meta-test")] == [2, 1, 1]
+
+
 def test_zero_sigma_collapses_to_prototypes():
     cfg = SynthConfig(branching=2, num_levels=3, input_dim=4, semantic_dim=4,
                       sigma_levels=[0.0, 0.0, 0.0], samples_per_class=5, seed=4)

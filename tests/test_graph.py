@@ -9,7 +9,7 @@ import pytest
 import _tape
 from _oracles import dense_propagation, padded_neighbor_sum, permute_graph, select_task_rows
 from conceptshot import tensor as T
-from conceptshot.errors import DataError, NumericalError
+from conceptshot.errors import DataError
 from conceptshot.graph import (ConceptGraph, NodeRecord, describe, load_graph,
                                propagation_operator, save_graph)
 
@@ -190,8 +190,6 @@ def test_propagation_isolated_node_one_hot():
     g = ConceptGraph(nodes, [(0, 2)], np.zeros((3, 2)), 2)
     prop = propagation_operator(g)
     npt.assert_array_equal(dense_propagation(prop)[1], [0.0, 1.0, 0.0])
-    with pytest.raises(NumericalError, match="degree 0"):
-        propagation_operator(g, self_loops=False)
 
 
 def test_propagation_rows_sum_to_one():
@@ -202,14 +200,9 @@ def test_propagation_rows_sum_to_one():
     nodes += [NodeRecord(i, f"l{i}", 1) for i in range(n_top, 20)]
     edges = [(rng.integers(0, n_top), i) for i in range(n_top, 20)]
     g = ConceptGraph(nodes, edges, rng.standard_normal((20, 3)), 2)
-    for self_loops in (True, False):
-        try:
-            p = dense_propagation(propagation_operator(g, self_loops=self_loops))
-        except NumericalError:
-            assert not self_loops  # a childless top node is legal
-            continue
-        npt.assert_allclose(p.sum(axis=1), np.ones(20), atol=1e-12)
-        assert (p >= 0).all()
+    p = dense_propagation(propagation_operator(g))
+    npt.assert_allclose(p.sum(axis=1), np.ones(20), atol=1e-12)
+    assert (p >= 0).all()
 
 
 def test_apply_matches_dense_matmul():
@@ -220,10 +213,10 @@ def test_apply_matches_dense_matmul():
     npt.assert_allclose(prop.apply(z), dense_propagation(prop) @ z, atol=1e-12)
 
 
-def test_bare_variant_matches_unaugmented_matrix():
+def test_propagation_matches_augmented_matrix():
     g = binary_tree_7()
-    prop = propagation_operator(g, self_loops=False)
-    a = np.zeros((7, 7))
+    prop = propagation_operator(g)
+    a = np.eye(7)
     for i, j in g.edges:
         a[i, j] = a[j, i] = 1.0
     npt.assert_allclose(dense_propagation(prop), a / a.sum(axis=1, keepdims=True), atol=1e-15)
@@ -286,12 +279,12 @@ ORACLE_GRAPHS = {
 }
 
 
-@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("seed", [7, 8])
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, self_loops):
-    rng = np.random.default_rng(7)
+def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, seed):
+    rng = np.random.default_rng(seed)
     for trial in range(40):
-        prop = propagation_operator(ORACLE_GRAPHS[name](rng), self_loops=self_loops)
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng))
         deg = prop.degrees[:, None]
         # one column reduces along a contiguous axis, where numpy sums eight
         # lanes at a time from eight entries on, so the padding width shows
@@ -320,15 +313,15 @@ def test_sym_neighbor_mean_ignores_padding_width():
         npt.assert_array_equal(bits(a), bits(b))
 
 
-@pytest.mark.parametrize("self_loops", [True, False])
+@pytest.mark.parametrize("seed", [11, 12])
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-def test_reapply_matches_apply_bitwise(name, self_loops):
+def test_reapply_matches_apply_bitwise(name, seed):
     # re-propagating only the rows that a rewrite of ``ids`` touches, those
     # with a neighbor in ``ids``, gives every row the bits of propagating
     # the rewritten input in full
-    rng = np.random.default_rng(11)
+    rng = np.random.default_rng(seed)
     for trial in range(40):
-        prop = propagation_operator(ORACLE_GRAPHS[name](rng), self_loops=self_loops)
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng))
         for d in (1, 2, 16):
             z = with_signed_zeros(rng, (prop.size, d))
             ids = rng.choice(prop.size, int(rng.integers(1, min(prop.size, 6) + 1)),

@@ -19,9 +19,9 @@ from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interva
                               save_checkpoint, train, train_step, write_metrics)
 from conceptshot.tensor import Rng, SgdOptimizer, Tensor, backward, grad
 
-from _tape import scale
+from _tape import mul, scale, sum_all
 from _oracles import (numerical_grad, predict, rel_err, serial_train_step,
-                      tape_inner_adapt, tape_query_loss)
+                      tape_graph_embed, tape_inner_adapt, tape_query_loss)
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +31,17 @@ def world():
                                           seed=5))
 
 
-def make_model(g, seed=7, scale=0.2, semantics="embeddings", **kwargs):
+def make_model(g, seed=7, scale=0.2, semantics="embeddings"):
     enc = EncoderConfig(input_dim=8, widths=[16, 16], low_layers=1)
     gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8],
                           scale=scale, semantics=semantics)
-    return Model(g, enc, gen, seed=seed, **kwargs)
+    return Model(g, enc, gen, seed=seed)
+
+
+def emit_one(m, class_ids, rng, training):
+    """One task's classifier, emitted alone."""
+    (clf,) = m.emit([class_ids], [rng], training)
+    return clf
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +50,7 @@ def make_model(g, seed=7, scale=0.2, semantics="embeddings", **kwargs):
 def test_zero_steps_returns_initialization(world):
     g, ds = world
     m = make_model(g)
-    clf = m.emit(np.array([3, 4]), Rng(0), training=False)
+    clf = emit_one(m, np.array([3, 4]), Rng(0), training=False)
     adapted, = inner_adapt(m, [clf], [ds.features[:4]], [np.array([0, 1, 0, 1])], 0,
                            0.01)
     assert adapted.classifier.weights is clf.weights
@@ -55,7 +61,7 @@ def test_zero_steps_returns_initialization(world):
 def test_zero_rate_returns_initialization(world):
     g, ds = world
     m = make_model(g)
-    clf = m.emit(np.array([3, 4]), Rng(0), training=False)
+    clf = emit_one(m, np.array([3, 4]), Rng(0), training=False)
     adapted, = inner_adapt(m, [clf], [ds.features[:4]], [np.array([0, 1, 0, 1])], 5,
                            0.0)
     assert adapted.classifier.weights is clf.weights
@@ -94,7 +100,7 @@ def test_single_step_matches_numeric_gradient(world):
     gen = GeneratorConfig(embed_widths=[8, 6], relation_widths=[8, 6])
     m = Model(g, enc, gen, seed=3)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 3, 5, Rng(4))
-    clf = m.emit(ep.class_ids, Rng(0), training=False)
+    clf = emit_one(m, ep.class_ids, Rng(0), training=False)
     (wh, bh), = high_pairs(m.params, m.enc_cfg)
     starts = [wh.data.copy(), bh.data.copy(),
               clf.weights.data.copy(), clf.bias.data.copy()]
@@ -129,7 +135,7 @@ def test_adaptation_never_touches_model_params(world):
     m = make_model(g)
     snap = {k: p.data.copy() for k, p in m.params.items()}
     ep = sample_entity_episode(ds, g, "meta-train", 2, 2, 5, Rng(8))
-    clf = m.emit(ep.class_ids, Rng(1), training=True)
+    clf = emit_one(m, ep.class_ids, Rng(1), training=True)
     inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 4, 0.05)
     for k, p in m.params.items():
         npt.assert_array_equal(p.data, snap[k])
@@ -144,16 +150,16 @@ def _bits(a):
     return np.asarray(a).view(np.int64)
 
 
-def _parity_tasks(world, widths, low_layers, k_shot, placement, n_tasks=3):
-    """A model and ``n_tasks`` different tasks: each has its own support set
-    and its own emitted classifier start."""
+def _parity_tasks(world, widths, low_layers, k_shot, n_tasks=3, n_way=3):
+    """A model and ``n_tasks`` different ``n_way`` tasks: each has its own
+    support set and its own emitted classifier start."""
     g, ds = world
     enc = EncoderConfig(input_dim=8, widths=widths, low_layers=low_layers)
     gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8])
-    m = Model(g, enc, gen, seed=3, refine_placement=placement)
-    eps = [sample_entity_episode(ds, g, "meta-train", 3, k_shot, 5, Rng(4 + t))
+    m = Model(g, enc, gen, seed=3)
+    eps = [sample_entity_episode(ds, g, "meta-train", n_way, k_shot, 5, Rng(4 + t))
            for t in range(n_tasks)]
-    clfs = [m.emit(ep.class_ids, Rng(5 + t), training=True)
+    clfs = [emit_one(m, ep.class_ids, Rng(5 + t), training=True)
             for t, ep in enumerate(eps)]
     return m, eps, clfs
 
@@ -170,15 +176,14 @@ def _query_backprop(m, ep, adapted):
     return arrays, loss.data, {n: p.grad for n, p in m.params.items()}
 
 
-@pytest.mark.parametrize("placement", ["write_back", "task_only"])
+@pytest.mark.parametrize("n_way", [2, 3])
 @pytest.mark.parametrize("steps", [1, 5])
 @pytest.mark.parametrize("k_shot", [1, 3])
 @pytest.mark.parametrize("widths,low_layers", PARITY_ENCODERS)
-def test_inner_adapt_matches_tape_bitwise(world, widths, low_layers, k_shot, steps,
-                                          placement):
+def test_inner_adapt_matches_tape_bitwise(world, widths, low_layers, k_shot, steps, n_way):
     # the first task alone, then all three tasks adapted as one block
     lr = 0.05
-    m, eps, clfs = _parity_tasks(world, widths, low_layers, k_shot, placement)
+    m, eps, clfs = _parity_tasks(world, widths, low_layers, k_shot, n_way=n_way)
     xs, ys = [ep.support_x for ep in eps], [ep.support_y for ep in eps]
     wants = [_query_backprop(m, ep, tape_inner_adapt(m, clf, x, y, steps, lr))
              for ep, clf, x, y in zip(eps, clfs, xs, ys)]
@@ -210,14 +215,14 @@ def test_inner_adapt_overflow_is_numerical_error(world, adapt):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, Rng(4))
-    clf = m.emit(ep.class_ids, Rng(5), training=True)
+    clf = emit_one(m, ep.class_ids, Rng(5), training=True)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="non-finite"):
         adapt(m, clf, ep.support_x, ep.support_y, 5, 1e306)
 
 
 def test_inner_adapt_one_overflowing_task_fails_the_block(world):
-    m, eps, clfs = _parity_tasks(world, [16, 16], 1, 1, "write_back")
+    m, eps, clfs = _parity_tasks(world, [16, 16], 1, 1)
     xs, ys = [ep.support_x for ep in eps], [ep.support_y for ep in eps]
     assert len(inner_adapt(m, clfs, xs, ys, 5, 0.05)) == 3
     # finite features whose logits overflow in the second step
@@ -243,7 +248,7 @@ def test_query_node_matches_tape_bitwise(world, low_layers, steps):
     m = Model(g, enc, gen, seed=3)
     for trial in range(4):
         ep = sample_entity_episode(ds, g, "meta-train", 3, 2, 7, Rng(trial))
-        clf = m.emit(ep.class_ids, Rng(10 + trial), training=True)
+        clf = emit_one(m, ep.class_ids, Rng(10 + trial), training=True)
         state, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], steps, 0.05)
         parents = [t for pair in layer_pairs(m.params, enc)[:low_layers] for t in pair]
         parents += [t for pair in state.high for t in pair]
@@ -267,7 +272,7 @@ def test_query_overflow_is_numerical_error(world):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, Rng(4))
-    clf = m.emit(ep.class_ids, Rng(5), training=True)
+    clf = emit_one(m, ep.class_ids, Rng(5), training=True)
     state, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 2, 0.05)
     ep.query_x = np.full(ep.query_x.shape, 1e300)
     m.params["enc.0.W"].data = m.params["enc.0.W"].data * 1e10   # x @ W overflows
@@ -280,7 +285,7 @@ def test_query_overflow_is_numerical_error(world):
 
 
 @pytest.mark.parametrize("factor, match", [
-    (1e300, "non-finite"), (1e308, "'sym_neighbor_mean' in the classifier generator")])
+    (1e300, "non-finite"), (1e308, "'propagation' in the classifier generator")])
 def test_generator_overflow_is_numerical_error(world, factor, match):
     # at 1e300 the generator's forward stays finite and the update overflows;
     # at 1e308 hop 1's propagation overflows, as on the tape
@@ -298,7 +303,7 @@ def test_predict_rows_are_probabilities(world):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 6, Rng(2))
-    clf = m.emit(ep.class_ids, Rng(0), training=False)
+    clf = emit_one(m, ep.class_ids, Rng(0), training=False)
     adapted, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 2, 0.01)
     probs = predict(m, adapted, ep.query_x)
     assert probs.data.shape == (12, 2)
@@ -623,7 +628,7 @@ def wide_world():
                                           seed=6))
 
 
-def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level):
+def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
     """``evaluate`` on ``n_episodes`` episodes: each ``emit_for_task`` call
     it made with its arguments and heads, and each P applied meanwhile."""
     emitted, applied = [], []
@@ -639,60 +644,56 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level):
 
     monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
     monkeypatch.setattr(graph.Propagation, "apply", counting_apply)
-    evaluate(m, ds, EvalConfig(n_episodes=n_episodes, n_way=3, k_shot=1, n_query=2,
+    evaluate(m, ds, EvalConfig(n_episodes=n_episodes, n_way=n_way, k_shot=1, n_query=2,
                                adapt_steps=1, seed=2), split="meta-train", level=level)
     monkeypatch.undo()
     return emitted, applied
 
 
-def _assert_heads_alone(m, emitted):
+def _assert_heads_alone(emitted):
     # every head of a block's emit, from the shared embedding and its
     # propagation, has the bits of its task emitted alone from scratch
     for args, heads in emitted:
         assert isinstance(args[-1], SharedEmbedding)
         assert len(heads) == len(args[4]) == len(args[5])
         for ids, drop, clf in zip(args[4], args[5], heads):
-            alone = emit_for_task(*args[:3], m.semantic_input, ids, drop, *args[6:-1])
+            (alone,) = emit_for_task(*args[:4], [ids], [drop], *args[6:-1])
             assert np.array_equal(_bits(clf.weights.data), _bits(alone.weights.data))
             assert np.array_equal(_bits(clf.bias.data), _bits(alone.bias.data))
 
 
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("n_way", [2, 3])
 @pytest.mark.parametrize("level", [None, 1])
-@pytest.mark.parametrize("self_loops", [True, False])
 @pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
-@pytest.mark.parametrize("placement", ["write_back", "task_only"])
-def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, placement,
-                                                  semantics, self_loops, level):
+def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, semantics,
+                                                  level, n_way, seed):
     # the 6 episodes are one block, emitted by one call; the graph is
     # propagated once per hop after the first (the model holds the first
     # hop's P z0) and once more for the shared P z, whatever the episode
-    # count.  Without self loops a task row's own propagated row comes from
-    # the shared P z, so a stale P z shows there.
+    # count
     g, ds = wide_world
-    m = make_model(g, semantics=semantics, refine_placement=placement,
-                   self_loops=self_loops)
-    emitted, applied = _evaluate_emitting(m, ds, monkeypatch, 6, level)
+    m = make_model(g, seed=seed, semantics=semantics)
+    emitted, applied = _evaluate_emitting(m, ds, monkeypatch, 6, level, n_way)
     assert len(emitted) == 1 and len(emitted[0][1]) == 6
     assert len(applied) == len(m.gen_cfg.embed_widths)
-    _assert_heads_alone(m, emitted)
+    _assert_heads_alone(emitted)
 
 
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("n_way", [2, 3])
 @pytest.mark.parametrize("n_episodes", [1, 5, 16, 17])
 @pytest.mark.parametrize("level", [None, 1])
-@pytest.mark.parametrize("self_loops", [True, False])
 @pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
-@pytest.mark.parametrize("placement", ["write_back", "task_only"])
-def test_evaluate_block_heads_match_emit_alone_bitwise(wide_world, monkeypatch, placement,
-                                                       semantics, self_loops, level,
-                                                       n_episodes):
+def test_evaluate_block_heads_match_emit_alone_bitwise(wide_world, monkeypatch, semantics,
+                                                       level, n_episodes, n_way, seed):
     # one emit per block of 16 episodes: 17 episodes make blocks of 16 and 1
     g, ds = wide_world
-    m = make_model(g, semantics=semantics, refine_placement=placement,
-                   self_loops=self_loops)
-    emitted, _ = _evaluate_emitting(m, ds, monkeypatch, n_episodes, level)
+    m = make_model(g, seed=seed, semantics=semantics)
+    emitted, _ = _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way)
     assert [len(heads) for _, heads in emitted] == [16] * (n_episodes // 16) + (
         [n_episodes % 16] if n_episodes % 16 else [])
-    _assert_heads_alone(m, emitted)
+    _assert_heads_alone(emitted)
 
 
 def _episode_accuracies(m, ds, cfg, level):
@@ -779,43 +780,34 @@ def test_confidence_interval_degenerate():
 # ---------------------------------------------------------------------------
 # configuration guards
 
-def test_model_rejects_unknown_placement(world):
-    g, _ = world
-    with pytest.raises(ConfigError, match="placement"):
-        make_model(g, refine_placement="everywhere")
-
-
 def test_one_hot_mode_uses_indicator_rows(world):
     g, _ = world
     enc = EncoderConfig(input_dim=8, widths=[16, 16], low_layers=1)
     gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8],
                           semantics="one-hot")
     m = Model(g, enc, gen, seed=7)
-    npt.assert_array_equal(m.semantic_input.data, np.eye(g.num_nodes))
+    npt.assert_array_equal(m.generator_input.z.data, np.eye(g.num_nodes))
     assert m.params["gen.embed.0.W"].data.shape == (g.num_nodes, 16)
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
 def test_generator_input_matches_raw_z0_bitwise(world, semantics, training):
-    # the model's P z0, propagated once, against propagating z0 in the call:
-    # the embedding and every generator gradient
+    # the model's P z0, propagated once, against the taped hops propagating
+    # the raw z0 in the call: the embedding and every generator gradient
     g, _ = world
     m = make_model(g, semantics=semantics)
-    assert m.generator_input.z is m.semantic_input
-    outs = []
-    for z0 in (m.generator_input, m.semantic_input):
-        (z,), reads, back = classifier_gen.graph_embed(m.params, m.gen_cfg, m.prop, z0,
-                                                       [Rng(3)], training)
-        weights = np.cos(np.arange(z.size)).reshape(z.shape)
-        grads = {id(t): d for t, d in zip(reads, back(weights[None]))}
-        outs.append((z, {n: grads[id(p)] for n, p in m.params.items()
-                         if n.startswith("gen.embed")}))
-    (za, ga), (zb, gb) = outs
-    assert np.array_equal(_bits(za), _bits(zb))
-    assert ga.keys() == gb.keys() and len(ga) == 2 * len(m.gen_cfg.embed_widths)
-    for n in ga:
-        assert np.array_equal(_bits(ga[n]), _bits(gb[n])), n
+    (z,), reads, back = classifier_gen.graph_embed(m.params, m.gen_cfg, m.prop,
+                                                   m.generator_input, [Rng(3)], training)
+    weights = np.cos(np.arange(z.size)).reshape(z.shape)
+    got = {id(t): d for t, d in zip(reads, back(weights[None]))}
+    want = tape_graph_embed(m.params, m.gen_cfg, m.prop, m.generator_input.z, Rng(3),
+                            training)
+    embed = [p for n, p in m.params.items() if n.startswith("gen.embed")]
+    assert np.array_equal(_bits(z), _bits(want.data))
+    assert len(got) == len(embed) == 2 * len(m.gen_cfg.embed_widths)
+    for p, w in zip(embed, grad(sum_all(mul(want, Tensor(weights))), embed)):
+        assert np.array_equal(_bits(got[id(p)]), _bits(w))
 
 
 def test_train_config_validation():
