@@ -20,10 +20,10 @@ The stages run on plain arrays off the tape, checked as the tape checks
 Tensors it reads, backward), where backward repeats the tape ops' vjps in the
 tape's order; ``emit_for_task`` chains the stages over every task of a
 training step or eval block into one node.  Each task keeps the bits it gets
-alone: P acts per column, products run one per task (tasks of one class count
-share one relation-MLP stack), each task draws its dropout masks from its own
-stream in the taped order, and per-task gradients are summed left to right in
-task order.
+alone: P acts on each node matrix of a task stack on its own, products run
+one per task (tasks of one class count share one relation-MLP stack), each
+task draws its dropout masks from its own stream in the taped order, and
+per-task gradients are summed left to right in task order.
 """
 
 from __future__ import annotations
@@ -109,17 +109,6 @@ def _fold(grads):
     return functools.reduce(operator.add, grads)
 
 
-def _propagate(f, x):
-    """``f`` (P or its vjp) on each (N, d) matrix of a stack: all tasks'
-    columns in one call.  A lone column sums in lanes whose bits depend on
-    the neighborhood width, so one-column tasks go one at a time."""
-    if x.ndim == 2 or x.shape[2] == 1:
-        return f(x) if x.ndim == 2 else np.stack([f(m) for m in x])
-    t, n, d = x.shape
-    cols = f(x.transpose(1, 0, 2).reshape(n, t * d))
-    return np.ascontiguousarray(cols.reshape(n, t, d).transpose(1, 0, 2))
-
-
 def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
     """affine, leaky ReLU, then (training) each task's dropout, on plain
     arrays, one task's or stacked; the output and the record for the vjps."""
@@ -162,7 +151,7 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
     x, recs = p.data, []
     for h, (w, b) in enumerate(hops):
         if h:
-            x = checked(_propagate(prop.apply, x), "propagation", _WHERE)
+            x = checked(prop.apply(x), "propagation", _WHERE)
         x, rec = _layer(x, w.data, b.data, cfg, rngs, training)
         recs.append(rec)
 
@@ -172,7 +161,7 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
             g, gw, gb = _layer_back(g, recs[h])
             grads += [_fold(gw), _fold(gb)]
             if h:
-                g = _propagate(prop.apply_vjp, g @ hops[h][0].data.T)
+                g = prop.apply_vjp(g @ hops[h][0].data.T)
         return grads
 
     ps = [t for pair in reversed(hops) for t in pair]
@@ -283,7 +272,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         z = np.array(z_all)
         for m, r, i in zip(z, refined, class_ids):
             m[i] = r
-        pz = checked(_propagate(prop.apply, z), "propagation", _WHERE)
+        pz = checked(prop.apply(z), "propagation", _WHERE)
         a = checked(pz @ w + b, "affine", _WHERE)
         rows = np.concatenate([m[i] for m, i in zip(a, class_ids)])
     norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
@@ -299,7 +288,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         ga = np.zeros(a.shape)
         for m, gt, i in zip(ga, g, class_ids):
             m[i] += gt
-        g_z = _propagate(prop.apply_vjp, ga @ w.T)
+        g_z = prop.apply_vjp(ga @ w.T)
         g_refined = [m[i] for m, i in zip(g_z, class_ids)]
         for m, i in zip(g_z, class_ids):
             m[i] = 0.0

@@ -182,10 +182,10 @@ class Propagation:
     The structure never changes, so its degree groups (the
     ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here, and
     every ``apply`` and its vjp reuse them.  ``apply`` and ``apply_vjp`` run
-    the operator and its transpose on plain arrays only, with
-    order-canonical summation (``tensor.neighbor_sums``).
-    ``reapply`` re-propagates only the rows that a rewrite of a few input
-    rows changes.
+    the operator and its transpose on plain arrays only, on one (n, d) node
+    matrix or on any (..., n, d) stack of them, with order-canonical
+    summation (``tensor.neighbor_sums``).  ``reapply`` re-propagates only
+    the rows that a rewrite of a few input rows changes.
     """
 
     def __init__(self, nbr_idx, degrees, size):
@@ -195,8 +195,8 @@ class Propagation:
         self.groups = neighbor_groups(nbr_idx, size)
 
     def apply(self, x):
-        """P·x for a plain array (P acts per column, so stacked columns keep
-        their bits)."""
+        """P·x for each (n, d) node matrix of the (..., n, d) array ``x``;
+        each matrix of a stack gets the bits it gets alone."""
         return neighbor_sums(x, self.groups) / self.degrees[:, None]
 
     def apply_vjp(self, g):

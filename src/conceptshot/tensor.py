@@ -33,7 +33,7 @@ from .errors import NumericalError
 __all__ = [
     "Rng", "Tensor", "attach", "carry", "checked", "quiet_fp", "class_labels",
     "stable_exp_parts", "neighbor_groups", "neighbor_sums", "glorot_uniform",
-    "SgdOptimizer", "backward", "grad",
+    "SgdOptimizer", "backward",
 ]
 
 
@@ -176,23 +176,78 @@ def neighbor_groups(nbr_idx, pad: int) -> list:
     return groups
 
 
+# Blocks of at least this many lanes (the entries of one neighbor slice) per
+# comparator sort faster through the network than through ``np.sort``: the
+# crossover measured on a 2-vCPU x86 host lay between 16 and 64 for k <= 16.
+_LANES_PER_COMPARATOR = 64
+_NETWORK_MAX_K = 16
+
+
+@functools.cache
+def _comparators(k: int) -> tuple:
+    """Batcher's odd-even merge sorting network on k wires, as (i, j) pairs
+    with i < j, in order: putting min on i and max on j at each pair sorts
+    any k values."""
+    pairs, p = [], 1
+    while p < k:
+        q = p
+        while q:
+            for j in range(q % p, k - q, 2 * q):
+                pairs += [(i + j, i + j + q) for i in range(min(q, k - j - q))
+                          if (i + j) // (2 * p) == (i + j + q) // (2 * p)]
+            q //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sorted_slices(block) -> list:
+    """The k slices of a (..., k, r, d) block, sorted by value along k: by
+    the comparator network (whole-slice ``np.minimum``/``np.maximum``) where
+    k <= ``_NETWORK_MAX_K`` and each comparator has at least
+    ``_LANES_PER_COMPARATOR`` lanes, by one ``np.sort`` otherwise.  Both
+    give the same sorted values but for the signs of zeros, which a sum from
+    ``+0.0`` does not see.  The network writes into ``block``."""
+    k = block.shape[-3]
+    network = _comparators(k) if k <= _NETWORK_MAX_K else None
+    if network is None or block.size < _LANES_PER_COMPARATOR * len(network) * k:
+        block, network = np.sort(block, axis=-3), ()
+    parts = [block[..., j, :, :] for j in range(k)]
+    for i, j in network:
+        low = np.minimum(parts[i], parts[j])
+        np.maximum(parts[i], parts[j], out=parts[j])
+        parts[i] = low
+    return parts
+
+
 def neighbor_sums(values, groups) -> np.ndarray:
-    """Each grouped row's neighborhood sum of ``values``: every group sums its
-    (r, k, d) block along k, sorted by value first when k >= 3.  A row's bits
-    depend only on its own entries, not on the other rows of its group.
+    """Each grouped row's neighborhood sum of ``values``, a (..., n, d) stack
+    of node matrices, each summed on its own.
+
+    A group's k neighbor slices are gathered at once as a (..., k, r, d)
+    block, sorted by value along k when k >= 3 (``_sorted_slices``: the
+    comparator network or ``np.sort``, whichever is faster for the block)
+    and added left to right from ``+0.0``.  A sum's bits depend only on its
+    own entries, not on the other rows, columns or stack members of the call
+    nor on the padding width of the table.
 
     The sums are bitwise invariant under node relabeling: sorted for k >= 3,
-    and for k <= 2 ``a + b == b + a`` exactly.  Each sum has the bits of the
-    sorted row padded with ``+0.0`` to max_deg: numpy's sum starts from
-    ``+0.0``, so no partial sum is ``-0.0`` and adding ``+0.0`` to it is
-    exact.  (Not so for one column and eight or more entries: numpy sums a
-    padded one-column row in eight lanes, whose bits depend on max_deg.)"""
-    out = np.empty((sum(rows.size for rows, _ in groups), values.shape[1]))
+    and for k <= 2 ``a + b == b + a`` exactly.  Starting from ``+0.0``, no
+    partial sum is ``-0.0``, so zeros of either sign, in any order, add
+    nothing: each sum has the bits of its sorted row padded with ``+0.0``
+    to any width and added the same way."""
+    out = np.empty(values.shape[:-2] + (sum(rows.size for rows, _ in groups),
+                                        values.shape[-1]))
     for rows, idx in groups:
-        contrib = values[idx]                          # (r, k, d)
+        block = np.take(values, idx.T, axis=-2)         # (..., k, r, d), a copy
         if idx.shape[1] > 2:
-            contrib = np.sort(contrib, axis=1)
-        out[rows] = contrib.sum(axis=1)
+            parts = _sorted_slices(block)
+        else:                                           # a + b == b + a
+            parts = [block[..., j, :, :] for j in range(idx.shape[1])]
+        acc = parts[0]
+        acc += 0.0
+        for part in parts[1:]:
+            acc += part
+        out[..., rows, :] = acc
     return out
 
 
@@ -257,7 +312,7 @@ def _topo(root: Tensor):
 def _backprop(root: Tensor):
     """Return the tape order (parents first) and {id(node): grad ndarray}."""
     if root.data.size != 1:
-        raise ValueError("backward/grad require a scalar root")
+        raise ValueError("backward requires a scalar root")
     order = _topo(root)
     grads = {id(root): np.ones_like(root.data)}
     for node in reversed(order):
@@ -282,10 +337,3 @@ def backward(root: Tensor):
     for node in order:
         if node.requires_grad and not node._parents and id(node) in grads:
             node.grad = grads[id(node)] if node.grad is None else node.grad + grads[id(node)]
-
-
-def grad(root: Tensor, wrt) -> list:
-    """d(root)/d(t) for each tensor in ``wrt`` without touching ``.grad``
-    (zeros for one the root does not depend on)."""
-    _, grads = _backprop(root)
-    return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]

@@ -69,10 +69,14 @@ def dense_propagation(prop):
 def padded_neighbor_sum(values, nbr_idx):
     """Neighborhood sums the padded way: every row of ``nbr_idx`` (n as
     padding) gathers max_deg rows of ``values`` with a ``+0.0`` row in the
-    padding slots, and the whole (n, max_deg, d) block is sorted along the
-    neighbors and summed."""
+    padding slots, the whole (n, max_deg, d) block is sorted along the
+    neighbors, and its slices are added left to right from ``+0.0``."""
     padded = np.concatenate([values, np.zeros((1, values.shape[1]))], axis=0)
-    return np.sort(padded[nbr_idx], axis=1).sum(axis=1)
+    block = np.sort(padded[nbr_idx], axis=1)
+    out = np.zeros((len(nbr_idx), values.shape[1]))
+    for j in range(block.shape[1]):
+        out = out + block[:, j]
+    return out
 
 
 def eligible_classes(ds, candidates, need):
@@ -111,11 +115,11 @@ def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
     """The inner loop built on the tape: each step differentiates the support
     loss with ``grad`` and adds the detached step ``-lr * g`` as a constant,
     so every adapted tensor is a chain of ``add`` nodes over its start."""
-    from _tape import add, affine, apply_layers, cross_entropy, embed_low, transpose
+    from _tape import add, affine, apply_layers, cross_entropy, embed_low, grad, transpose
     from conceptshot.classifier_gen import TaskClassifier
     from conceptshot.encoder import high_pairs
     from conceptshot.meta import AdaptedState
-    from conceptshot.tensor import Tensor, grad
+    from conceptshot.tensor import Tensor
 
     high = list(high_pairs(model.params, model.enc_cfg))
     w, b = clf.weights, clf.bias

@@ -2,13 +2,15 @@
 ``tensor.attach``, with the arithmetic the off-tape code in ``src/``
 repeats.  Finite differences check their vjps, and the bitwise oracles in
 ``_oracles`` build the op-by-op taped chains from them that the program's
-off-tape paths are pinned to."""
+off-tape paths are pinned to.  ``grad`` reads gradients off the tape without
+touching ``.grad``."""
 
 import numpy as np
 
 from conceptshot.encoder import layer_pairs
 from conceptshot.errors import ConfigError, NumericalError
-from conceptshot.tensor import Rng, Tensor, attach, class_labels, neighbor_sums, stable_exp_parts
+from conceptshot.tensor import (Rng, Tensor, _backprop, attach, class_labels, neighbor_sums,
+                                stable_exp_parts)
 
 
 def _unbroadcast(g, shape):
@@ -19,6 +21,13 @@ def _unbroadcast(g, shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g
+
+
+def grad(root: Tensor, wrt) -> list:
+    """d(root)/d(t) for each tensor in ``wrt`` without touching ``.grad``
+    (zeros for one the root does not depend on)."""
+    _, grads = _backprop(root)
+    return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
 
 
 # ---------------------------------------------------------------------------

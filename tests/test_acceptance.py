@@ -140,7 +140,7 @@ def _check_fd(leaves, forward, rng, tol):
         return out if out.data.ndim == 0 else _weighted_scalar(out, rng)
 
     rng_state = rng.bit_generator.state
-    analytic = T.grad(scalar(), leaves)
+    analytic = _tape.grad(scalar(), leaves)
     for leaf, g_a in zip(leaves, analytic):
         def f(x):
             old = leaf.data
@@ -179,7 +179,7 @@ def test_02_finite_difference_gradients():
                                    rng=T.Rng(seed).child("drop"), training=True)
             return loss
 
-        analytic = T.grad(run(), tensors)
+        analytic = _tape.grad(run(), tensors)
         for t, g_a in zip(tensors, analytic):
             def f(x):
                 old = t.data

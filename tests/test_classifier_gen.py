@@ -313,7 +313,7 @@ def test_fd_through_generator(ids):
 
     targets = dict(params)
     names = list(targets)
-    analytic = T.grad(forward(), [targets[n] for n in names])
+    analytic = _tape.grad(forward(), [targets[n] for n in names])
     for n, ga in zip(names, analytic):
         keep = targets[n].data.copy()
 
@@ -363,7 +363,7 @@ def _emit_against_tape(semantics, keep_prob, training, embed_widths=(6, 4),
             loss = _tape.add(_tape.sum_all(_tape.mul(head.weights, T.Tensor(uw))),
                              _tape.sum_all(_tape.mul(head.bias, T.Tensor(ub))))
             total = loss if total is None else _tape.add(total, loss)
-        return heads, T.grad(total, list(gen.values()))
+        return heads, _tape.grad(total, list(gen.values()))
 
     got = run(lambda: m.emit(ids, [T.Rng(7).child(k) for k in range(len(ids))], training))
     want = run(lambda: [tape_emit_for_task(m.params, m.gen_cfg, m.prop, m.generator_input.z,

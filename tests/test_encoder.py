@@ -89,7 +89,7 @@ def test_fd_gradients_through_encoder():
         return _tape.sum_all(_tape.mul(out, T.Tensor(r)))
 
     names = list(params)
-    analytic = T.grad(forward(), [params[n] for n in names])
+    analytic = _tape.grad(forward(), [params[n] for n in names])
     for n, g in zip(names, analytic):
         keep = params[n].data.copy()
 

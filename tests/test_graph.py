@@ -286,10 +286,7 @@ def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, seed):
     for trial in range(40):
         prop = propagation_operator(ORACLE_GRAPHS[name](rng))
         deg = prop.degrees[:, None]
-        # one column reduces along a contiguous axis, where numpy sums eight
-        # lanes at a time from eight entries on, so the padding width shows
-        widths = (2, 3, 16) if prop.nbr_idx.shape[1] >= 8 else (1, 2, 16)
-        for d in widths:
+        for d in (1, 2, 3, 16):
             x = T.Tensor(with_signed_zeros(rng, (prop.size, d)), requires_grad=True)
             g = with_signed_zeros(rng, (prop.size, d))
             out = _tape.sym_neighbor_mean(x, prop.groups, prop.degrees)
@@ -298,6 +295,22 @@ def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, seed):
             npt.assert_array_equal(bits(out.data), bits(want))
             npt.assert_array_equal(bits(x.grad), bits(padded_neighbor_sum(g / deg,
                                                                           prop.nbr_idx)))
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_padded_oracle_keeps_numpy_sum_bits_from_two_columns(name, seed):
+    # from two columns on, numpy sums a (rows, neighbors, d) block along the
+    # neighbors one slice at a time from +0.0, which is the oracle's order;
+    # one column it sums in eight lanes from eight entries on
+    rng = np.random.default_rng(seed)
+    for trial in range(20):
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng))
+        for d in (2, 3, 16):
+            x = with_signed_zeros(rng, (prop.size, d))
+            padded = np.concatenate([x, np.zeros((1, d))], axis=0)
+            npt.assert_array_equal(bits(padded_neighbor_sum(x, prop.nbr_idx)),
+                                   bits(np.sort(padded[prop.nbr_idx], axis=1).sum(axis=1)))
 
 
 def test_sym_neighbor_mean_ignores_padding_width():

@@ -17,9 +17,9 @@ from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interva
                               eligible_concept_levels, episode_loss, evaluate,
                               inner_adapt, load_checkpoint, metrics_columns,
                               save_checkpoint, train, train_step, write_metrics)
-from conceptshot.tensor import Rng, SgdOptimizer, Tensor, backward, grad
+from conceptshot.tensor import Rng, SgdOptimizer, Tensor, backward
 
-from _tape import mul, scale, sum_all
+from _tape import grad, mul, scale, sum_all
 from _oracles import (numerical_grad, predict, rel_err, serial_train_step,
                       tape_graph_embed, tape_inner_adapt, tape_query_loss)
 
@@ -339,7 +339,6 @@ def test_episode_loss_grad_reaches_every_group(world):
     ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 5, Rng(1))
     loss, _ = episode_loss(m, ep, adapt_steps=0, inner_lr=0.01,
                            rng=Rng(1), training=False)
-    from conceptshot.tensor import grad
     names = ["enc.0.W", "enc.1.W", "gen.embed.0.W", "gen.rel.0.W", "gen.out.W"]
     gs = grad(loss, [m.params[n] for n in names])
     for n, gv in zip(names, gs):

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _tape
-from _oracles import numerical_grad, rel_err
+from _oracles import numerical_grad, padded_neighbor_sum, rel_err
 from conceptshot import tensor as T
 from conceptshot.errors import ConfigError, NumericalError
 
@@ -148,7 +149,7 @@ def test_backward_twice_accumulates():
 
 def test_grad_does_not_touch_dot_grad():
     x = T.Tensor([2.0], requires_grad=True)
-    (g,) = T.grad(_tape.sum_all(_tape.scale(x, 3.0)), [x])
+    (g,) = _tape.grad(_tape.sum_all(_tape.scale(x, 3.0)), [x])
     assert g[0] == 3.0 and x.grad is None
 
 
@@ -157,7 +158,7 @@ def test_grad_wrt_interior_node():
     x = T.Tensor([5.0], requires_grad=True)
     y = _tape.scale(x, 2.0)
     z = _tape.sum_all(_tape.mul(y, y))
-    (gy,) = T.grad(z, [y])
+    (gy,) = _tape.grad(z, [y])
     assert gy[0] == 20.0  # 2*y, not chained to x
 
 
@@ -174,7 +175,7 @@ def _fd_check(build, *arrays, tol=1e-6, h=1e-5):
     """build(*tensors) -> output tensor; checks every input's gradient."""
     tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
     loss = scalar_loss(build(*tensors))
-    analytic = T.grad(loss, tensors)
+    analytic = _tape.grad(loss, tensors)
     for i, a in enumerate(arrays):
         def f(x, i=i):
             args = list(arrays)
@@ -204,7 +205,7 @@ def test_fd_cross_entropy():
     y = rng.integers(0, 4, 6)
     x = T.Tensor(logits, requires_grad=True)
     loss = _tape.cross_entropy(x, y)
-    (analytic,) = T.grad(loss, [x])
+    (analytic,) = _tape.grad(loss, [x])
     numeric = numerical_grad(lambda v: _tape.cross_entropy(T.Tensor(v), y).item(), logits)
     assert rel_err(analytic, numeric) < 1e-6
 
@@ -254,6 +255,124 @@ def test_sym_neighbor_mean_path_values():
     out = _tape.sym_neighbor_mean(T.Tensor([[1.0], [2.0], [3.0]]), T.neighbor_groups(nbr, 3),
                               deg)
     npt.assert_allclose(out.data, [[1.5], [2.0], [2.5]], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# neighborhood sums: the comparator network, the sort, and the padded oracle
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("k", range(1, T._NETWORK_MAX_K + 1))
+def test_comparator_network_sorts_every_zero_one_input(k):
+    # a comparator network that sorts every 0/1 sequence sorts every input
+    wires = list(((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).T)
+    for i, j in T._comparators(k):
+        assert i < j
+        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+    assert (np.diff(np.stack(wires, axis=1), axis=1) >= 0).all()
+
+
+def padded_table(rng, degrees):
+    """A neighbor table of n = len(degrees) rows, row i holding degrees[i]
+    entries drawn from [0, n) with repeats, then the padding n."""
+    n = len(degrees)
+    table = np.full((n, max(degrees)), n, dtype=np.intp)
+    for i, k in enumerate(degrees):
+        table[i, :k] = rng.integers(0, n, k)
+    return table
+
+
+def signed_values(rng, shape):
+    """Values over twelve decades with 30% -0.0 and 10% +0.0 entries, so that
+    a change of summation order shows in the bits."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    u = rng.uniform(size=shape)
+    x[u < 0.3] = -0.0
+    x[(u >= 0.3) & (u < 0.4)] = 0.0
+    return x
+
+
+# Up to 400 rows (drawn from the seed, uniformly), most with the first of a
+# few degrees, so that groups fall on both sides of the network's selection.
+neighbor_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "degrees": st.lists(st.one_of(st.integers(1, 16), st.integers(17, 40)),
+                        min_size=1, max_size=3),
+    "d": st.integers(1, 8),
+    "stack": st.sampled_from([(), (1,), (2,), (3,)]),
+})
+
+
+def draw_case(case):
+    rng = np.random.default_rng(case["seed"])
+    n = int(rng.integers(1, 401))
+    share = np.array([8.0, 2.0, 1.0][:len(case["degrees"])])
+    table = padded_table(rng, rng.choice(case["degrees"], n, p=share / share.sum()))
+    return rng, table, signed_values(rng, case["stack"] + (n, case["d"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(neighbor_cases)
+def test_neighbor_sums_match_padded_oracle_and_stack_alone_bitwise(case):
+    rng, table, x = draw_case(case)
+    groups = T.neighbor_groups(table, len(table))
+    got = T.neighbor_sums(x, groups)
+    members = x.reshape((-1,) + x.shape[-2:])
+    for m, g in zip(members, got.reshape((-1,) + got.shape[-2:])):
+        npt.assert_array_equal(bits(g), bits(padded_neighbor_sum(m, table)))
+        npt.assert_array_equal(bits(g), bits(T.neighbor_sums(m, groups)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(neighbor_cases)
+def test_neighbor_sums_relabeling_permutes_output_bitwise(case):
+    # row i becomes row perm[i], its entries are relabeled and shuffled
+    rng, table, x = draw_case(case)
+    n = len(table)
+    perm = rng.permutation(n)
+    relabeled = np.full_like(table, n)
+    for i, row in enumerate(table):
+        entries = perm[row[row < n]]
+        relabeled[perm[i], :entries.size] = rng.permutation(entries)
+    moved = np.empty_like(x)
+    moved[..., perm, :] = x
+    got = T.neighbor_sums(moved, T.neighbor_groups(relabeled, n))
+    want = T.neighbor_sums(x, T.neighbor_groups(table, n))
+    npt.assert_array_equal(bits(got[..., perm, :]), bits(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(neighbor_cases, st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_neighbor_sums_nonfinite_row_reaches_exactly_its_neighborhoods(case, bad):
+    rng, table, x = draw_case(case)
+    n = len(table)
+    x = np.clip(x, -1e6, 1e6)           # no finite sum overflows
+    row = int(rng.integers(n))
+    x[..., row, :] = bad
+    with np.errstate(invalid="ignore"):
+        got = T.neighbor_sums(x, T.neighbor_groups(table, n))
+    reached = (table == row).any(axis=1)
+    npt.assert_array_equal(~np.isfinite(got), np.broadcast_to(reached[:, None], got.shape))
+
+
+@pytest.mark.parametrize("k", [3, 5, 10, 16])
+@pytest.mark.parametrize("stack", [(), (3,)])
+@pytest.mark.parametrize("d", [1, 8])
+def test_network_and_sort_give_identical_bits(monkeypatch, k, stack, d):
+    # the same blocks once all through the network, once all through np.sort,
+    # and the padded oracle
+    rng = np.random.default_rng(k * 10 + d)
+    table = padded_table(rng, rng.choice([k, k + 1], 50))
+    x = signed_values(rng, stack + (50, d))
+    groups = T.neighbor_groups(table, 50)
+    monkeypatch.setattr(T, "_LANES_PER_COMPARATOR", 0)
+    network = T.neighbor_sums(x, groups)
+    monkeypatch.setattr(T, "_LANES_PER_COMPARATOR", np.inf)
+    npt.assert_array_equal(bits(network), bits(T.neighbor_sums(x, groups)))
+    want = [padded_neighbor_sum(m, table) for m in x.reshape((-1, 50, d))]
+    npt.assert_array_equal(bits(network), bits(np.reshape(want, network.shape)))
 
 
 # ---------------------------------------------------------------------------
