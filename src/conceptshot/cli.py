@@ -35,6 +35,9 @@ def _load_world(cfg: ExperimentConfig):
     g = load_graph(cfg.paths.graph)
     ds = load_dataset(cfg.paths.dataset)
     ds.validate_against(g)
+    if ds.input_dim != cfg.encoder.input_dim:
+        raise DataError(f"dataset {cfg.paths.dataset} has input dim {ds.input_dim}, "
+                        f"the config's encoder.input_dim is {cfg.encoder.input_dim}")
     return g, ds
 
 
@@ -44,6 +47,7 @@ def cmd_gen_data(cfg: ExperimentConfig) -> int:
     save_dataset(ds, cfg.paths.dataset)
     _save_effective(cfg, cfg.paths.graph, "gen-data")
     print(f"wrote {cfg.paths.graph} and {cfg.paths.dataset}")
+    print(describe(g))
     print(summarize(ds, g))
     return 0
 

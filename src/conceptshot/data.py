@@ -238,25 +238,6 @@ def generate_synthetic(cfg: SynthConfig):
     for nid in range(int(starts[entity_level])):
         nodes[nid].split = "weak"
 
-    noise = cfg.sigma_levels[-1]
-    feats, labels = [], []
-
-    def leaf_samples(leaf_id, count):
-        return protos[leaf_id] + noise * sample_rng.normal(size=(count, cfg.input_dim))
-
-    graph = ConceptGraph(nodes, edges, np.zeros((m, 1)), cfg.num_levels)  # for descendants
-    for nid in range(m):
-        if graph.is_entity(nid):
-            if nid in weak_only:
-                continue
-            block = leaf_samples(nid, cfg.samples_per_class)
-        else:
-            desc = graph.descendants_at_entity_level(nid)
-            picks = sample_rng.integers(0, len(desc), cfg.samples_per_class)
-            block = np.concatenate([leaf_samples(desc[p], 1) for p in picks])
-        feats.append(block.astype(np.float32))   # no float64 copy of the whole table
-        labels.append(np.full(cfg.samples_per_class, nid, dtype=np.int32))
-
     proj = sem_rng.normal(size=(cfg.input_dim, cfg.semantic_dim)) / np.sqrt(cfg.input_dim)
     semantics = protos @ proj
     if cfg.semantic_noise:
@@ -264,8 +245,23 @@ def generate_synthetic(cfg: SynthConfig):
             size=(m, cfg.semantic_dim))
 
     graph = ConceptGraph(nodes, edges, semantics, cfg.num_levels)
-    ds = Dataset(np.concatenate(feats),
-                 np.concatenate(labels))
+
+    # the node at (level, k) has the span contiguous leaves from
+    # starts[entity_level] + k * span; a concept sample is one of them
+    noise, n, d = cfg.sigma_levels[-1], cfg.samples_per_class, cfg.input_dim
+    feats, kept = [], []
+    for level in range(cfg.num_levels):
+        span = cfg.branching ** (entity_level - level)
+        for k in range(sizes[level]):
+            nid = int(starts[level] + k)
+            if nid in weak_only:
+                continue
+            leaf = (nid if level == entity_level
+                    else starts[entity_level] + k * span + sample_rng.integers(0, span, n))
+            block = protos[leaf] + noise * sample_rng.normal(size=(n, d))
+            feats.append(block.astype(np.float32))  # no float64 copy of the whole table
+            kept.append(nid)
+    ds = Dataset(np.concatenate(feats), np.repeat(np.array(kept, dtype=np.int32), n))
     return graph, ds
 
 
@@ -296,19 +292,14 @@ def load_dataset(path) -> Dataset:
 
 
 def summarize(ds: Dataset, g: ConceptGraph) -> str:
-    """Plain-text generation report (deterministic; no timestamps)."""
-    lines = [f"samples: {ds.num_samples}   input dim: {ds.input_dim}",
-             f"graph: {g.num_nodes} nodes over {g.num_levels} levels"]
+    """Plain-text report of the samples (deterministic; no timestamps); the
+    graph's own structure is :func:`graph.describe`'s."""
+    lines = [f"samples: {ds.num_samples}   input dim: {ds.input_dim}"]
     for level in range(g.num_levels):
-        ids = g.level_ids(level)
-        counts = [ds.indices_for(i).size for i in ids]
+        ids = g.ids_at(level)
+        n = sum(ds.indices_for(i).size for i in ids)
         tag = " (entities)" if level == g.entity_level else ""
-        lines.append(f"level {level}{tag}: {len(ids)} classes, "
-                     f"{int(np.sum(counts))} samples")
-    for split in ("meta-train", "meta-test", "weak"):
-        n = len(g.split_ids(split))
-        if n:
-            lines.append(f"entity split '{split}': {n} classes")
+        lines.append(f"level {level}{tag}: {ids.size} classes, {n} samples")
     within, between = class_separation(ds, g)
     if within is not None:
         lines.append(f"mean within-class distance: {within:.4f}")
@@ -319,7 +310,7 @@ def summarize(ds: Dataset, g: ConceptGraph) -> str:
 def class_separation(ds: Dataset, g: ConceptGraph):
     """(mean within-entity-class pairwise distance, mean distance between class means)."""
     means, within = [], []
-    for c in g.level_ids(g.entity_level):
+    for c in g.ids_at(g.entity_level):
         idx = ds.indices_for(c)
         if idx.size < 2:
             continue

@@ -55,16 +55,6 @@ class ConceptGraph:
     def entity_level(self):
         return self.num_levels - 1
 
-    def is_entity(self, node_id):
-        return self.nodes[node_id].level == self.entity_level
-
-    def level_ids(self, level):
-        return self.ids_at(level).tolist()
-
-    def split_ids(self, split, level=None):
-        lv = self.entity_level if level is None else level
-        return self.ids_at(lv, split).tolist()
-
     def ids_at(self, level, split=None):
         """The ids at ``level`` (of ``split``, when given) in id order, as a
         read-only array; the arrays of every level and split are built on
@@ -88,23 +78,6 @@ class ConceptGraph:
                 nbrs[j].append(i)
             self._nbrs = [sorted(v) for v in nbrs]
         return self._nbrs[node_id]
-
-    def children(self, node_id):
-        lv = self.nodes[node_id].level
-        return [j for j in self.neighbors(node_id) if self.nodes[j].level == lv + 1]
-
-    def descendants_at_entity_level(self, node_id):
-        """Leaf ids reachable downward from ``node_id`` (the node itself if a leaf)."""
-        if self.is_entity(node_id):
-            return [node_id]
-        out, frontier = [], [node_id]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for c in self.children(u):
-                    (out if self.is_entity(c) else nxt).append(c)
-            frontier = nxt
-        return sorted(set(out))
 
     # -- validation ---------------------------------------------------------
 
@@ -297,11 +270,10 @@ def describe(g: ConceptGraph) -> str:
     lines = [f"nodes: {g.num_nodes}   edges: {len(g.edges)}   levels: {g.num_levels}"
              f"   semantic dim: {g.semantics.shape[1]}"]
     for lv in range(g.num_levels):
-        ids = g.level_ids(lv)
         tag = " (entities)" if lv == g.entity_level else ""
-        lines.append(f"level {lv}{tag}: {len(ids)} nodes")
+        lines.append(f"level {lv}{tag}: {g.ids_at(lv).size} nodes")
     for split in VALID_SPLITS:
-        n = len(g.split_ids(split))
+        n = g.ids_at(g.entity_level, split).size
         if n:
             lines.append(f"entity split '{split}': {n} classes")
     return "\n".join(lines)

@@ -322,21 +322,15 @@ def adapt_episodes(model: Model, eps, rngs, training: bool, steps: int,
 
 
 @quiet_fp
-def episode_loss(model: Model, ep: Episode, *, adapt_steps: int = 0, inner_lr: float = 0.0,
-                 rng: Rng | None = None, training: bool = False,
-                 adapted: AdaptedState | None = None):
-    """Emit -> adapt -> query loss.  Returns (loss Tensor, query accuracy).
+def episode_loss(model: Model, ep: Episode, adapted: AdaptedState):
+    """Query loss of ``ep`` under ``adapted``, its :func:`adapt_episodes`
+    result.  Returns (loss Tensor, query accuracy).
 
-    ``adapted`` is this episode's :func:`adapt_episodes` result, adapted with
-    others; without it the episode is emitted and adapted here, alone, by
-    ``adapt_steps`` steps of ``inner_lr`` from stream ``rng``.  The query set
-    is scored on plain arrays by the inner loop's forward and backward code,
-    checked as the tape checks it, and enters the tape as one node over the
-    low, adapted high and classifier (W, b): the bits of the op-by-op taped
-    chain.
+    The query set is scored on plain arrays by the inner loop's forward and
+    backward code, checked as the tape checks it, and enters the tape as one
+    node over the low, adapted high and classifier (W, b): the bits of the
+    op-by-op taped chain.
     """
-    if adapted is None:
-        (adapted,) = adapt_episodes(model, [ep], [rng], training, adapt_steps, inner_lr)
     cfg, clf = model.enc_cfg, adapted.classifier
     pairs = layer_pairs(model.params, cfg)[:cfg.low_layers] + list(adapted.high)
     parents = [t for pair in pairs for t in pair] + [clf.weights, clf.bias]
@@ -529,7 +523,7 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     its classes touch (``Propagation.reapply``), not the whole graph.
     Episodes come in blocks of ``_BLOCK``: a block's episodes are sampled,
     then emitted and adapted by :func:`adapt_episodes`, then scored one by
-    one; each episode's bits are those of :func:`episode_loss` on it alone.
+    one by :func:`episode_loss`; each episode gets the bits it gets alone.
     """
     g = model.graph
     sample, where = ((sample_entity_episode, split) if level in (None, g.entity_level)

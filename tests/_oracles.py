@@ -4,8 +4,9 @@ matrix, the padded neighborhood sum that ``tensor.neighbor_sums`` replaces,
 the per-call class filter and the ``np.arange`` draw that
 ``data._sample_episode`` replaces, the taped inner loop that
 ``meta.inner_adapt`` replaces, the taped query path that
-``meta.episode_loss`` replaces, the taped classifier generator (and its row
-selection) that ``classifier_gen`` replaces, and the one-episode-at-a-time
+``meta.episode_loss`` replaces, the query loss of one episode adapted
+alone, the taped classifier generator (and its row selection) that
+``classifier_gen`` replaces, and the one-episode-at-a-time
 training step that ``meta.train_step`` replaces.  The taped chains are
 built from the reference ops of ``_tape``."""
 
@@ -134,6 +135,14 @@ def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
             high = [tuple(stepped[2 * i:2 * i + 2]) for i in range(len(high))]
             w, b = stepped[-2], stepped[-1]
     return AdaptedState(high=high, classifier=TaskClassifier(w, b, clf.class_ids))
+
+
+def lone_episode_loss(model, ep, adapt_steps, inner_lr, rng, training):
+    """``meta.episode_loss`` of one episode emitted and adapted alone, by
+    ``adapt_steps`` steps of ``inner_lr`` from stream ``rng``."""
+    from conceptshot.meta import adapt_episodes, episode_loss
+    (state,) = adapt_episodes(model, [ep], [rng], training, adapt_steps, inner_lr)
+    return episode_loss(model, ep, state)
 
 
 def head_logits(clf, feats):

@@ -14,7 +14,8 @@ import numpy.testing as npt
 import pytest
 
 import _tape
-from _oracles import generator_input, numerical_grad, permute_graph, rel_err
+from _oracles import (generator_input, lone_episode_loss, numerical_grad,
+                      permute_graph, rel_err)
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
                                         emit_for_task, graph_embed, init_generator)
@@ -24,7 +25,7 @@ from conceptshot.data import (Episode, SynthConfig, generate_synthetic,
 from conceptshot.encoder import EncoderConfig
 from conceptshot.graph import ConceptGraph, NodeRecord, propagation_operator
 from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interval,
-                              episode_loss, evaluate, train)
+                              evaluate, train)
 
 # frozen benchmark: 1 + 4 + 16 + 64 nodes, mid-difficulty noise profile
 BENCH_DATA = dict(branching=4, num_levels=4, input_dim=32, semantic_dim=16,
@@ -69,7 +70,7 @@ def test_01_desk_scale_substitution():
     assert cfg.input_dim == 32
     assert BENCH_ITERATIONS == 2000
     g, ds = generate_synthetic(cfg)
-    assert len(g.level_ids(g.entity_level)) == 64
+    assert g.ids_at(g.entity_level).size == 64
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +176,8 @@ def test_02_finite_difference_gradients():
         tensors = [model.params[n] for n in names]
 
         def run():
-            loss, _ = episode_loss(model, ep, adapt_steps=0, inner_lr=0.01,
-                                   rng=T.Rng(seed).child("drop"), training=True)
+            loss, _ = lone_episode_loss(model, ep, adapt_steps=0, inner_lr=0.01,
+                                        rng=T.Rng(seed).child("drop"), training=True)
             return loss
 
         analytic = _tape.grad(run(), tensors)
@@ -287,8 +288,8 @@ def test_05_chance_level():
     for seed in range(20):
         ep = sample_entity_episode(ds, model.graph, "meta-test", 5, 1, 15,
                                    T.Rng(seed))
-        loss, _ = episode_loss(model, ep, adapt_steps=0, inner_lr=0.01,
-                               rng=T.Rng(seed), training=False)
+        loss, _ = lone_episode_loss(model, ep, adapt_steps=0, inner_lr=0.01,
+                                    rng=T.Rng(seed), training=False)
         assert abs(loss.item() - math.log(5)) <= 1e-10
     res = evaluate(model, ds, EvalConfig(n_episodes=600, adapt_steps=0, seed=7),
                    split="meta-test")
@@ -335,10 +336,10 @@ def test_06_equivariance_exact():
         ep2 = Episode(class_ids=ep.class_ids[perm], level=ep.level,
                       support_x=ep.support_x, support_y=inv[ep.support_y],
                       query_x=ep.query_x, query_y=inv[ep.query_y])
-        l1, a1 = episode_loss(model, ep, adapt_steps=2, inner_lr=0.01,
-                              rng=T.Rng(0), training=False)
-        l2, a2 = episode_loss(model, ep2, adapt_steps=2, inner_lr=0.01,
-                              rng=T.Rng(0), training=False)
+        l1, a1 = lone_episode_loss(model, ep, adapt_steps=2, inner_lr=0.01,
+                                   rng=T.Rng(0), training=False)
+        l2, a2 = lone_episode_loss(model, ep2, adapt_steps=2, inner_lr=0.01,
+                                   rng=T.Rng(0), training=False)
         assert a1 == a2
         assert l1.item() == l2.item()
 

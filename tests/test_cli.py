@@ -37,6 +37,8 @@ def test_gen_data_writes_and_is_idempotent(tmp_path, capsys):
     assert main(["gen-data", "-c", str(cfgp)]) == 0
     out = capsys.readouterr().out
     assert "wrote" in out and "effective config hash" in out
+    assert out.count("entity split 'meta-train': 7 classes") == 1
+    assert "level 1: 3 classes, 36 samples" in out
     graph = (tmp_path / "art" / "graph.json").read_bytes()
     data = (tmp_path / "art" / "data.bin").read_bytes()
     assert main(["gen-data", "-c", str(cfgp)]) == 0
@@ -53,7 +55,8 @@ def test_inspect_reports_tree_arithmetic(tmp_path, capsys):
     # branching 3, 3 levels: 1 + 3 + 9 nodes, 12 edges
     assert "nodes: 13   edges: 12   levels: 3" in out
     assert "level 2 (entities): 9 nodes" in out
-    assert "entity split 'meta-train': 7 classes" in out
+    assert out.count("entity split 'meta-train': 7 classes") == 1
+    assert "level 2 (entities): 9 classes, 108 samples" in out
 
 
 def test_train_then_eval_flow(tmp_path, capsys):
@@ -228,6 +231,11 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "data error" in err
     assert "numerical failure" in err
+    # data errors: a dataset whose width is not the config's input dim
+    for command in (["train"], ["eval", "--untrained"]):
+        assert main(command + ["-c", str(cfgp), "--set", "data.input_dim=6"]) == 3
+        assert ("has input dim 8, the config's encoder.input_dim is 6"
+                in capsys.readouterr().err)
 
 
 def test_ablate_concepts_prints_both_rows(tmp_path, capsys):

@@ -1,8 +1,12 @@
 """Samplers, synthetic generator, dataset round trips."""
 
+import hashlib
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import arange_sample_episode, eligible_classes
 from conceptshot import data
@@ -27,7 +31,7 @@ def small_world():
 def test_tree_arithmetic():
     g, ds = generate_synthetic(SynthConfig(branching=2, num_levels=3, seed=0))
     assert g.num_nodes == 7
-    assert len(g.level_ids(g.entity_level)) == 4
+    assert g.ids_at(g.entity_level).size == 4
     assert len(g.edges) == 6
     # every class (entity + concept) carries samples_per_class samples
     assert ds.num_samples == 7 * 50
@@ -35,10 +39,9 @@ def test_tree_arithmetic():
 
 def test_split_fractions():
     g, _ = generate_synthetic(SynthConfig(branching=4, num_levels=4, seed=1))
-    leaves = g.level_ids(g.entity_level)
-    assert len(leaves) == 64
-    train = g.split_ids("meta-train")
-    test = g.split_ids("meta-test")
+    assert g.ids_at(g.entity_level).size == 64
+    train = g.ids_at(g.entity_level, "meta-train").tolist()
+    test = g.ids_at(g.entity_level, "meta-test").tolist()
     assert len(train) == 51 and len(test) == 13
     assert not (set(train) & set(test))
 
@@ -46,7 +49,7 @@ def test_split_fractions():
 def test_mix_mode_reserves_weak_only_leaves():
     cfg = SynthConfig(branching=4, num_levels=3, mix_mode=True, seed=2)
     g, ds = generate_synthetic(cfg)
-    weak_leaves = g.split_ids("weak")
+    weak_leaves = g.ids_at(g.entity_level, "weak").tolist()
     assert len(weak_leaves) == round(0.2 * 16)
     for c in weak_leaves:  # weak-only leaves contribute no directly-labeled samples
         assert ds.indices_for(c).size == 0
@@ -69,7 +72,7 @@ def test_weak_fraction_range_checked():
     assert SynthConfig(num_levels=3, mix_mode=True, weak_fraction=0.5).weak_fraction == 0.5
     assert SynthConfig(num_levels=3, weak_fraction=0.9).weak_fraction == 0.9
     g, _ = generate_synthetic(SynthConfig(num_levels=3, mix_mode=True, weak_fraction=0.5))
-    assert [len(g.split_ids(s)) for s in ("weak", "meta-train", "meta-test")] == [2, 1, 1]
+    assert [g.ids_at(2, s).size for s in ("weak", "meta-train", "meta-test")] == [2, 1, 1]
 
 
 def test_zero_sigma_collapses_to_prototypes():
@@ -94,6 +97,64 @@ def test_generator_is_pure_function_of_config():
     assert not np.array_equal(a[1].features, c[1].features)
 
 
+# sha256 prefixes of the generated bytes on a grid of trees, the acceptance
+# benchmark's data last: the features, node ids, each node's level and split,
+# and the edges (the semantics go through a BLAS matmul and are left out)
+PINNED_GENERATIONS = [
+    (dict(branching=2, num_levels=2, seed=0), "94c47354f0154766"),
+    (dict(branching=2, num_levels=4, mix_mode=True, seed=1), "78f38e006c63e624"),
+    (dict(branching=3, num_levels=3, seed=7), "619a31eeb176c48f"),
+    (dict(branching=3, num_levels=3, mix_mode=True, weak_fraction=0.3, seed=7),
+     "c44f37f70eeea8ce"),
+    (dict(branching=4, num_levels=2, mix_mode=True, input_dim=5, samples_per_class=7,
+          seed=2), "0efb3010bdca3352"),
+    (dict(branching=5, num_levels=3, sigma_levels=[1.0, 0.5, 0.0], seed=3),
+     "0fa14d097c6a3331"),
+    (dict(branching=8, num_levels=3, mix_mode=True, input_dim=4, samples_per_class=9,
+          seed=1), "487c7237707a16f0"),
+    (dict(branching=4, num_levels=4, input_dim=32, semantic_dim=16, samples_per_class=50,
+          sigma_levels=[0.6, 0.4, 0.3, 1.0], seed=0), "08424126437844ef"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", PINNED_GENERATIONS)
+def test_generated_bytes_are_pinned(kwargs, digest):
+    g, ds = generate_synthetic(SynthConfig(**kwargs))
+    h = hashlib.sha256()
+    h.update(ds.features.astype("<f4").tobytes())
+    h.update(ds.node_ids.astype("<i4").tobytes())
+    h.update(json.dumps([[n.level, n.split] for n in g.nodes]).encode())
+    h.update(np.asarray(g.edges, dtype="<i8").tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(1, 4), st.integers(1, 6),
+       st.integers(0, 2**16))
+def test_noiseless_concept_samples_are_samples_of_leaves_beneath(
+        branching, num_levels, input_dim, samples, seed):
+    # no observation noise: a leaf's samples are its prototype, and each
+    # sample of a concept node is the sample of one leaf beneath it
+    sigmas = [0.5] * (num_levels - 1) + [0.0]
+    g, ds = generate_synthetic(SynthConfig(
+        branching=branching, num_levels=num_levels, input_dim=input_dim,
+        semantic_dim=2, sigma_levels=sigmas, samples_per_class=samples, seed=seed))
+    leaf_rows = {}
+    for c in g.ids_at(g.entity_level):
+        x = ds.features[ds.indices_for(c)]
+        npt.assert_array_equal(x, np.tile(x[0], (samples, 1)))
+        leaf_rows[int(c)] = x[0]
+    for level in range(g.entity_level):
+        for c in g.ids_at(level):
+            beneath = [int(c)]
+            for lv in range(level + 1, num_levels):
+                beneath = [j for u in beneath for j in g.neighbors(u)
+                           if g.nodes[j].level == lv]
+            assert len(beneath) == branching ** (g.entity_level - level)
+            for row in ds.features[ds.indices_for(c)]:
+                assert any(np.array_equal(row, leaf_rows[j]) for j in beneath)
+
+
 def test_classes_separate_with_default_sigmas(small_world):
     within, between = class_separation(*reversed(small_world))
     assert within < between
@@ -102,7 +163,7 @@ def test_classes_separate_with_default_sigmas(small_world):
 def test_weak_samples_labeled_with_level_ids(small_world):
     g, ds = small_world
     for level in range(g.entity_level):
-        for c in g.level_ids(level):
+        for c in g.ids_at(level):
             assert ds.indices_for(c).size == 25
 
 
@@ -188,9 +249,8 @@ def test_class_draw_uniformity(small_world):
     for _ in range(10_000):
         ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 1, rng)
         counts[ep.class_ids] += 1
-    pool = g.split_ids("meta-train") + g.split_ids("meta-test")
     # 3 of the 4 leaves are meta-train; each should appear in 2/3 of draws
-    freqs = counts[g.split_ids("meta-train")] / 10_000
+    freqs = counts[g.ids_at(g.entity_level, "meta-train")] / 10_000
     npt.assert_allclose(freqs, 2 / 3, atol=0.02)
 
 
@@ -228,15 +288,13 @@ def test_eligible_matches_sorted_filter(small_world):
             for level in range(g.num_levels):
                 candidates = [g.ids_at(level)] + [g.ids_at(level, s)
                                                   for s in VALID_SPLITS]
-                sorted_ids = [g.level_ids(level)] + [g.split_ids(s, level)
-                                                     for s in VALID_SPLITS]
-                for cand, old in zip(candidates, sorted_ids):
+                for cand in candidates:
                     got = data._eligible(ds, cand, need)
-                    want = eligible_classes(ds, old, need)
+                    want = eligible_classes(ds, cand.tolist(), need)
                     assert got.dtype == want.dtype
                     npt.assert_array_equal(got, want)
             old_levels = [(lv, n) for lv in range(g.entity_level)
-                          for n in [eligible_classes(ds, g.level_ids(lv), need).size]
+                          for n in [eligible_classes(ds, g.ids_at(lv).tolist(), need).size]
                           if n >= 2]
             assert concept_levels_with(ds, g, 1, need - 1) == old_levels
 

@@ -39,9 +39,8 @@ def test_chain_loads_and_queries():
     g = chain3()
     assert g.num_nodes == 3 and g.entity_level == 2
     assert g.neighbors(1) == [0, 2]
-    assert g.is_entity(2) and not g.is_entity(1)
-    assert g.level_ids(1) == [1]
-    assert g.descendants_at_entity_level(0) == [2]
+    assert g.ids_at(g.entity_level).tolist() == [2]
+    assert g.ids_at(1).tolist() == [1]
 
 
 def test_same_level_edge_rejected():

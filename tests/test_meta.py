@@ -20,8 +20,9 @@ from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interva
 from conceptshot.tensor import Rng, SgdOptimizer, Tensor, backward
 
 from _tape import grad, mul, scale, sum_all
-from _oracles import (numerical_grad, predict, rel_err, serial_train_step,
-                      tape_graph_embed, tape_inner_adapt, tape_query_loss)
+from _oracles import (lone_episode_loss, numerical_grad, predict, rel_err,
+                      serial_train_step, tape_graph_embed, tape_inner_adapt,
+                      tape_query_loss)
 
 
 @pytest.fixture(scope="module")
@@ -254,8 +255,7 @@ def test_query_node_matches_tape_bitwise(world, low_layers, steps):
         parents += [t for pair in state.high for t in pair]
         parents += [state.classifier.weights, state.classifier.bias]
         assert len(parents) == 6
-        loss, acc = episode_loss(m, ep, adapt_steps=steps, inner_lr=0.05, rng=Rng(0),
-                                 training=True, adapted=state)
+        loss, acc = episode_loss(m, ep, state)
         want_loss, want_acc = tape_query_loss(m, state, ep)
         assert loss._parents == tuple(parents)
         assert loss.data.shape == want_loss.data.shape == ()
@@ -280,8 +280,7 @@ def test_query_overflow_is_numerical_error(world):
         with pytest.raises(NumericalError, match="non-finite"):
             tape_query_loss(m, state, ep)
         with pytest.raises(NumericalError, match="in the query loss"):
-            episode_loss(m, ep, adapt_steps=2, inner_lr=0.05, rng=Rng(0),
-                         training=True, adapted=state)
+            episode_loss(m, ep, state)
 
 
 @pytest.mark.parametrize("factor, match", [
@@ -317,8 +316,8 @@ def test_chance_loss_is_log_n():
                                            seed=6))
     m = make_model(g, scale=0.0)  # zero-norm head -> all-zero logits
     ep = sample_entity_episode(ds, g, "meta-train", 5, 1, 5, Rng(3))
-    loss, acc = episode_loss(m, ep, adapt_steps=0, inner_lr=0.01,
-                             rng=Rng(9), training=False)
+    loss, acc = lone_episode_loss(m, ep, adapt_steps=0, inner_lr=0.01,
+                                  rng=Rng(9), training=False)
     assert loss.item() == pytest.approx(math.log(5), abs=1e-10)
 
 
@@ -327,8 +326,8 @@ def test_episode_loss_finite_and_positive(world):
     m = make_model(g)
     for seed in range(5):
         ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 5, Rng(seed))
-        loss, acc = episode_loss(m, ep, adapt_steps=3, inner_lr=0.01,
-                                 rng=Rng(seed), training=True)
+        loss, acc = lone_episode_loss(m, ep, adapt_steps=3, inner_lr=0.01,
+                                      rng=Rng(seed), training=True)
         assert np.isfinite(loss.item()) and loss.item() > 0
         assert 0.0 <= acc <= 1.0
 
@@ -337,8 +336,8 @@ def test_episode_loss_grad_reaches_every_group(world):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 5, Rng(1))
-    loss, _ = episode_loss(m, ep, adapt_steps=0, inner_lr=0.01,
-                           rng=Rng(1), training=False)
+    loss, _ = lone_episode_loss(m, ep, adapt_steps=0, inner_lr=0.01,
+                                rng=Rng(1), training=False)
     names = ["enc.0.W", "enc.1.W", "gen.embed.0.W", "gen.rel.0.W", "gen.out.W"]
     gs = grad(loss, [m.params[n] for n in names])
     for n, gv in zip(names, gs):
@@ -356,10 +355,10 @@ def test_class_order_invariance(world):
     ep2 = Episode(class_ids=ep.class_ids[perm], level=ep.level,
                   support_x=ep.support_x, support_y=inv[ep.support_y],
                   query_x=ep.query_x, query_y=inv[ep.query_y])
-    l1, a1 = episode_loss(m, ep, adapt_steps=2, inner_lr=0.01,
-                          rng=Rng(0), training=False)
-    l2, a2 = episode_loss(m, ep2, adapt_steps=2, inner_lr=0.01,
-                          rng=Rng(0), training=False)
+    l1, a1 = lone_episode_loss(m, ep, adapt_steps=2, inner_lr=0.01,
+                               rng=Rng(0), training=False)
+    l2, a2 = lone_episode_loss(m, ep2, adapt_steps=2, inner_lr=0.01,
+                               rng=Rng(0), training=False)
     assert l1.item() == l2.item()
     assert a1 == a2
 
@@ -386,16 +385,16 @@ def test_objective_decomposition(world):
     base = Rng(cfg.seed).child("train", 5)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 5,
                                base.child("sample", "entity", 0))
-    el, _ = episode_loss(mb, ep, adapt_steps=2, inner_lr=cfg.inner_lr,
-                         rng=base.child("drop", "entity", 0), training=True)
+    el, _ = lone_episode_loss(mb, ep, adapt_steps=2, inner_lr=cfg.inner_lr,
+                              rng=base.child("drop", "entity", 0), training=True)
     assert el.item() == rec["entity_loss"]
     total = 0.7 * el.item()
     for level, n_way in levels:
         ep = sample_concept_episode(ds, g, level, n_way, 1, 5,
                                     base.child("sample", f"concept{level}", 0))
-        cl, _ = episode_loss(mb, ep, adapt_steps=2, inner_lr=cfg.inner_lr,
-                             rng=base.child("drop", f"concept{level}", 0),
-                             training=True)
+        cl, _ = lone_episode_loss(mb, ep, adapt_steps=2, inner_lr=cfg.inner_lr,
+                                  rng=base.child("drop", f"concept{level}", 0),
+                                  training=True)
         assert cl.item() == rec[f"concept{level}_loss"]
         total += 1.3 * cl.item()
     assert abs(total - rec["total_loss"]) <= 1e-12
@@ -708,9 +707,9 @@ def _episode_accuracies(m, ds, cfg, level):
         else:
             ep = sample_concept_episode(ds, g, level, cfg.n_way, cfg.k_shot,
                                         cfg.n_query, ep_rng.child("sample"))
-        _, acc = episode_loss(m, ep, adapt_steps=cfg.adapt_steps,
-                              inner_lr=cfg.inner_lr, rng=ep_rng.child("drop"),
-                              training=False)
+        _, acc = lone_episode_loss(m, ep, adapt_steps=cfg.adapt_steps,
+                                   inner_lr=cfg.inner_lr, rng=ep_rng.child("drop"),
+                                   training=False)
         want.append(acc)
     return np.array(want)
 
