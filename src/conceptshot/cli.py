@@ -38,6 +38,13 @@ def _load_world(cfg: ExperimentConfig):
     if ds.input_dim != cfg.encoder.input_dim:
         raise DataError(f"dataset {cfg.paths.dataset} has input dim {ds.input_dim}, "
                         f"the config's encoder.input_dim is {cfg.encoder.input_dim}")
+    # branching is not compared: a graph file need not be a balanced tree
+    for what, found, key, wanted in (
+            ("semantic dim", g.semantics.shape[1], "semantic_dim", cfg.data.semantic_dim),
+            ("level count", g.num_levels, "num_levels", cfg.data.num_levels)):
+        if found != wanted:
+            raise DataError(f"graph {cfg.paths.graph} has {what} {found}, "
+                            f"the config's data.{key} is {wanted}")
     return g, ds
 
 

@@ -236,6 +236,14 @@ def test_exit_codes(tmp_path, capsys):
         assert main(command + ["-c", str(cfgp), "--set", "data.input_dim=6"]) == 3
         assert ("has input dim 8, the config's encoder.input_dim is 6"
                 in capsys.readouterr().err)
+    # data errors: a graph whose semantic dim or level count is not the config's
+    for bad, message in (("data.semantic_dim=6", "has semantic dim 8, the config's "
+                                                 "data.semantic_dim is 6"),
+                         ("data.num_levels=4", "has level count 3, the config's "
+                                               "data.num_levels is 4")):
+        for command in (["train"], ["eval", "--untrained"]):
+            assert main(command + ["-c", str(cfgp), "--set", bad]) == 3
+            assert message in capsys.readouterr().err
 
 
 def test_ablate_concepts_prints_both_rows(tmp_path, capsys):
