@@ -111,15 +111,22 @@ def _fold(grads):
 
 def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
     """affine, leaky ReLU, then (training) each task's dropout, on plain
-    arrays, one task's or stacked; the output and the record for the vjps."""
-    a = checked(x @ w + b, "affine", _WHERE)
-    lmask = np.where(a >= 0, 1.0, float(cfg.slope))
-    out, dmask = checked(a * lmask, "leaky_relu", _WHERE), None
+    arrays, one task's or stacked; the output and the record for the vjps.
+    The bias, leaky ReLU and dropout write into the product ``x @ w``, except
+    where one task's rows meet several tasks' masks."""
+    out = x @ w
+    out += b
+    lmask = np.where(checked(out, "affine", _WHERE) >= 0, 1.0, float(cfg.slope))
+    out, dmask = checked(np.multiply(out, lmask, out=out), "leaky_relu", _WHERE), None
     if training and cfg.keep_prob < 1.0:
-        dmask = [(r.uniform(size=out.shape[-2:]) < cfg.keep_prob) / cfg.keep_prob
-                 for r in rngs]
-        dmask = dmask[0] if x.ndim == 2 and len(rngs) == 1 else np.stack(dmask)
-        out = checked(out * dmask, "dropout", _WHERE)
+        dmask = np.empty((len(rngs),) + out.shape[-2:])
+        for r, m in zip(rngs, dmask):
+            r.uniform_into(m)
+        dmask = np.divide(dmask < cfg.keep_prob, cfg.keep_prob, out=dmask)
+        if x.ndim == 2 and len(rngs) == 1:
+            dmask = dmask[0]
+        out = checked(np.multiply(out, dmask, out=out if out.shape == dmask.shape else None),
+                      "dropout", _WHERE)
     return out, (x, lmask, dmask)
 
 

@@ -17,7 +17,11 @@ initialization: the outer gradient still reaches the generator through the
 emitted classifier, and no second-derivative terms are formed.  The inner
 loop adapts a block of same-shaped tasks at once, stacked along a leading
 axis: each task's bits equal those of the loop run on it alone, and every
-array the tape would check is still checked for non-finite values.  A
+array the tape would check is still checked for non-finite values.  After its
+first step the loop updates the adapted arrays in place, and the forward and
+backward passes write the bias, activation and softmax into arrays they made
+themselves: each such write is the IEEE operation the tape would do on the
+same operands, into an array of the same memory layout, so no bit moves.  A
 training step emits the classifiers of all its episodes in one generator pass
 (one tape node; see ``classifier_gen``) and adapts them in one block per
 episode shape.  The query set is scored on plain arrays too, by the same
@@ -214,10 +218,11 @@ def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
     output, and each layer's input and leaky-ReLU mask for :func:`_backward`."""
     saved = []
     for w, b in pairs:
-        a = checked(x @ w + b, "affine", where)
-        mask = np.where(a >= 0, 1.0, float(slope))
+        a = x @ w
+        a += b
+        mask = np.where(checked(a, "affine", where) >= 0, 1.0, float(slope))
         saved.append((x, mask))
-        x = checked(a * mask, "leaky_relu", where)
+        x = checked(np.multiply(a, mask, out=a), "leaky_relu", where)
     return x, saved
 
 
@@ -230,7 +235,7 @@ def _cross_entropy(logits, y, where: str = "the inner loop"):
     z, e, s = stable_exp_parts(checked(logits, "affine", where))
     loss = checked((np.log(s[..., 0]) - z.reshape(-1, n_cls)[rows, y].reshape(-1, n))
                    .mean(axis=-1), "cross_entropy", where)
-    g = e / s
+    g = np.divide(e, s, out=e)
     g.reshape(-1, n_cls)[rows, y] -= 1.0
     return loss, g
 
@@ -244,7 +249,7 @@ def _backward(ws, saved, feats, w, g):
     g_out = g @ w
     for i in reversed(range(len(saved))):
         x_in, mask = saved[i]
-        g = g_out * mask
+        g = np.multiply(g_out, mask, out=g_out)
         grads[:0] = [_T(x_in) @ g, g.sum(axis=-2, keepdims=True)]
         if i:
             g_out = g @ _T(ws[i])
@@ -268,7 +273,15 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
     every reduction runs along one task's own axis, so each task's adapted
     values are the ones a taped loop would give it alone, bit for bit,
     whatever the block.  Every intermediate is checked for non-finite values
-    as the tape checks it; one bad task fails the whole block.  Each adapted
+    as the tape checks it; one bad task fails the whole block.
+
+    Each step scales its fresh gradients by -lr in place.  The first step
+    adds them to the model's high-layer arrays and the emitted heads' into
+    new (tasks, ...) arrays, and every later step adds into those, so
+    neither the model nor the heads are written and a block holds one
+    array per adapted parameter.  The new arrays are C-contiguous like the
+    taped loop's sums: a matmul operand's strides pick the BLAS kernel, and
+    with it the bits.  Each adapted
     array is attached by one ``carry`` node whose gradient is the identity
     back to its initialization, so the outer gradient still reaches the
     generator through the emitted classifier."""
@@ -284,12 +297,18 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
                                      np.stack([c.bias.data[None] for c in clfs])]
     n, n_cls = x.shape[-2], vals[-2].shape[-2]
     y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
-    for _ in range(steps):
+    for step in range(steps):
         feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, slope)
         w, b = vals[-2:]
-        _, g = _cross_entropy(feats @ _T(w) + b, y)
-        grads = _backward(vals[:-2:2], saved, feats, w, g * (1.0 / n))
-        vals = [checked(v + (-lr * d), "add", "the inner loop")
+        logits = feats @ _T(w)
+        logits += b
+        _, g = _cross_entropy(logits, y)
+        g *= 1.0 / n
+        grads = _backward(vals[:-2:2], saved, feats, w, g)
+        for d in grads:
+            d *= -lr
+        # step 0 must not write into the model's or the heads' arrays
+        vals = [checked(np.add(v, d, out=v if step else None), "add", "the inner loop")
                 for v, d in zip(vals, grads)]
     states = []
     for j, clf in enumerate(clfs):
@@ -338,7 +357,8 @@ def episode_loss(model: Model, ep: Episode, adapted: AdaptedState):
     feats, saved = _layers_forward([(a.data, b.data) for a, b in pairs],
                                    np.asarray(ep.query_x, dtype=np.float64),
                                    cfg.slope, "the query loss")
-    logits = feats @ w.T + clf.bias.data
+    logits = feats @ w.T
+    logits += clf.bias.data
     loss, p = _cross_entropy(logits, class_labels(ep.query_y, *logits.shape),
                              "the query loss")
     n = logits.shape[0]
@@ -506,7 +526,11 @@ def confidence_interval(accuracies):
 
 
 # Eval episodes emitted and adapted together; the results do not depend on it.
-_BLOCK = 16
+# 64 runs a whole benchmark eval chunk (40 or 20 episodes) as one block.  With
+# the in-place inner loop a block holds, per episode and adapted 64-wide layer,
+# its adapted (64, 64) weights and one step's gradient: 2 x 32 KB, about 4 MB
+# for a block of 64 episodes with one such layer, as in the benchmark.
+_BLOCK = 64
 
 
 def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-test",
@@ -525,13 +549,17 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     then emitted and adapted by :func:`adapt_episodes`, then scored one by
     one by :func:`episode_loss`; each episode gets the bits it gets alone.
     """
+    try:
+        accs = np.empty(cfg.n_episodes)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"eval.n_episodes = {cfg.n_episodes} is too large for the "
+                          f"vector of episode accuracies ({exc})") from None
     g = model.graph
     sample, where = ((sample_entity_episode, split) if level in (None, g.entity_level)
                      else (sample_concept_episode, level))
     rng = Rng(cfg.seed).child("eval")
     model = model.detached()
     embedding = model.embed(rng.child("embed"), training=False)
-    accs = np.empty(cfg.n_episodes)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_episodes))
         eps = [sample(ds, g, where, cfg.n_way, cfg.k_shot, cfg.n_query,

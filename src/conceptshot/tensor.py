@@ -67,6 +67,11 @@ class Rng:
     def uniform(self, size=None, low=0.0, high=1.0):
         return self._gen.uniform(low, high, size)
 
+    def uniform_into(self, out):
+        """Fill the float64 array ``out`` with the draws ``uniform(size=out.shape)``
+        would return (``0.0 + 1.0 * d`` is ``d``), and return it."""
+        return self._gen.random(out=out)
+
     def normal(self, size=None, scale=1.0):
         return self._gen.normal(0.0, scale, size)
 

@@ -199,6 +199,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3
     main(["gen-data", "-c", str(cfgp)])
     assert main(["eval", "-c", str(cfgp)]) == 3  # no checkpoint yet
+    # config errors: an episode count whose accuracy vector numpy cannot
+    # even describe (no memory is allocated)
+    assert main(["eval", "-c", str(cfgp), "--untrained",
+                 "--set", "eval.n_episodes=100000000000000000000"]) == 2
     # numerical errors: a huge inner rate overflows
     assert main(["eval", "-c", str(cfgp), "--untrained",
                  "--set", "eval.inner_lr=1e306"]) == 4

@@ -132,14 +132,22 @@ def test_single_step_matches_numeric_gradient(world):
 
 
 def test_adaptation_never_touches_model_params(world):
+    # the steps after the first update in place: neither the model's arrays
+    # nor the emitted heads' may be written, alone or in a block
     g, ds = world
     m = make_model(g)
     snap = {k: p.data.copy() for k, p in m.params.items()}
-    ep = sample_entity_episode(ds, g, "meta-train", 2, 2, 5, Rng(8))
-    clf = emit_one(m, ep.class_ids, Rng(1), training=True)
-    inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 4, 0.05)
+    eps = [sample_entity_episode(ds, g, "meta-train", 2, 2, 5, Rng(8 + t)) for t in range(2)]
+    clfs = m.emit([ep.class_ids for ep in eps], [Rng(1), Rng(2)], True)
+    heads = [(c.weights.data.copy(), c.bias.data.copy()) for c in clfs]
+    for k in (1, 2):
+        inner_adapt(m, clfs[:k], [ep.support_x for ep in eps[:k]],
+                    [ep.support_y for ep in eps[:k]], 4, 0.05)
     for k, p in m.params.items():
         npt.assert_array_equal(p.data, snap[k])
+    for clf, (w, b) in zip(clfs, heads):
+        npt.assert_array_equal(clf.weights.data, w)
+        npt.assert_array_equal(clf.bias.data, b)
 
 
 # (widths, low_layers): the benchmark's encoder, no frozen layer, two adapted
@@ -680,17 +688,19 @@ def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, seman
 
 @pytest.mark.parametrize("seed", [7, 8])
 @pytest.mark.parametrize("n_way", [2, 3])
-@pytest.mark.parametrize("n_episodes", [1, 5, 16, 17])
+@pytest.mark.parametrize("n_episodes", [1, 5, 16, 17, meta._BLOCK + 1])
 @pytest.mark.parametrize("level", [None, 1])
 @pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
 def test_evaluate_block_heads_match_emit_alone_bitwise(wide_world, monkeypatch, semantics,
                                                        level, n_episodes, n_way, seed):
-    # one emit per block of 16 episodes: 17 episodes make blocks of 16 and 1
+    # one emit per block of ``_BLOCK`` episodes: one more episode than a
+    # block makes a full block, then a block of 1
     g, ds = wide_world
     m = make_model(g, seed=seed, semantics=semantics)
     emitted, _ = _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way)
-    assert [len(heads) for _, heads in emitted] == [16] * (n_episodes // 16) + (
-        [n_episodes % 16] if n_episodes % 16 else [])
+    block = meta._BLOCK
+    assert [len(heads) for _, heads in emitted] == [block] * (n_episodes // block) + (
+        [n_episodes % block] if n_episodes % block else [])
     _assert_heads_alone(emitted)
 
 
@@ -724,7 +734,7 @@ def test_evaluate_matches_episode_loss_bitwise(world, level):
     assert np.array_equal(res.accuracies, _episode_accuracies(m, ds, cfg, level))
 
 
-@pytest.mark.parametrize("n_episodes", [17, 33])
+@pytest.mark.parametrize("n_episodes", [meta._BLOCK + 1, 2 * meta._BLOCK + 1])
 def test_evaluate_blocks_match_episode_loss_bitwise(world, monkeypatch, n_episodes):
     # more episodes than one block: a full block, then a part of one
     g, ds = world
