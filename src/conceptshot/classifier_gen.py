@@ -15,15 +15,17 @@ Three stages:
                         frozen embedding reuse one write-back buffer and
                         re-propagate only the rows their classes touch.
 
-The stages run on plain arrays off the tape, checked as the tape checks
-(``tensor.checked``).  Each takes a list of tasks and returns (output, the
-Tensors it reads, backward), where backward repeats the tape ops' vjps in the
-tape's order; ``emit_for_task`` chains the stages over every task of a
-training step or eval block into one node.  Each task keeps the bits it gets
-alone: P acts on each node matrix of a task stack on its own, products run
-one per task (tasks of one class count share one relation-MLP stack), each
-task draws its dropout masks from its own stream in the taped order, and
-per-task gradients are summed left to right in task order.
+The stages run on plain arrays, each intermediate checked for non-finite
+values (``tensor.checked``).  Each takes a list of tasks and returns its
+output and its vjp, a closure that maps the gradient at the output to the
+gradients at its inputs and parameters (by name) with the arithmetic of the
+op-by-op reference chain, in its order; ``emit_for_task`` chains the stages
+over every task of a training step or eval block.  Each task keeps the bits
+it gets alone: P acts on each node matrix of a task stack on its own,
+products run one per task (tasks of one class count share one relation-MLP
+stack), each task draws its dropout masks from its own stream in the
+reference order, and per-task gradients are summed left to right in task
+order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Propagation, task_ids
-from .tensor import Rng, Tensor, attach, checked, glorot_uniform, quiet_fp
+from .tensor import Rng, Tensor, checked, glorot_uniform, quiet_fp
 
 
 @dataclass
@@ -70,8 +72,8 @@ class GeneratorConfig:
 @dataclass
 class TaskClassifier:
     """Per-episode linear head: logits = x @ weights.T + bias."""
-    weights: Tensor          # (n_way, feature_dim)
-    bias: Tensor             # (n_way,)
+    weights: np.ndarray      # (n_way, feature_dim)
+    bias: np.ndarray         # (n_way,)
     class_ids: np.ndarray
 
 
@@ -82,23 +84,23 @@ def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
     d = semantic_dim
     for h, w in enumerate(cfg.embed_widths):
         params[f"gen.embed.{h}.W"] = glorot_uniform(rng, d, w)
-        params[f"gen.embed.{h}.b"] = Tensor(np.zeros(w), requires_grad=True)
+        params[f"gen.embed.{h}.b"] = Tensor(np.zeros(w))
         d = w
     rel_in = 2 * cfg.embed_widths[-1]
     for i, w in enumerate(cfg.relation_widths):
         params[f"gen.rel.{i}.W"] = glorot_uniform(rng, rel_in, w)
-        params[f"gen.rel.{i}.b"] = Tensor(np.zeros(w), requires_grad=True)
+        params[f"gen.rel.{i}.b"] = Tensor(np.zeros(w))
         rel_in = w
     params["gen.out.W"] = glorot_uniform(rng, cfg.embed_widths[-1], feature_dim + 1)
-    params["gen.out.b"] = Tensor(np.zeros(feature_dim + 1), requires_grad=True)
+    params["gen.out.b"] = Tensor(np.zeros(feature_dim + 1))
     return params
 
 
 class SharedEmbedding(NamedTuple):
     """A node matrix many calls share and its propagation P·z, computed once:
     the generator's input, or a ``graph_embed`` output out of training."""
-    z: Tensor
-    propagated: Tensor
+    z: np.ndarray
+    propagated: np.ndarray
 
 
 _WHERE = "the classifier generator"
@@ -142,37 +144,37 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
                 z0: SharedEmbedding, rngs: list, training: bool):
     """Hop stack over all nodes, for the tasks whose dropout streams are
     ``rngs``; deterministic when ``training`` is False.  The output is a
-    (tasks, nodes, width) stack.
+    (tasks, nodes, width) stack; the vjp gives the hop parameters'
+    gradients.
 
     ``z0`` is the generator input and its P·z0, computed once by the model,
     which the first hop uses as is: the bits of propagating z0 here.  The
     tasks share hop 0's affine and leaky ReLU and each later propagation.
     Nothing backpropagates into ``z0``."""
     z, p = z0
-    if z.data.shape[1] != params["gen.embed.0.W"].data.shape[0]:
+    if z.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
-            f"semantic width {z.data.shape[1]} does not match the first hop's "
+            f"semantic width {z.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
-    hops = [(params[f"gen.embed.{h}.W"], params[f"gen.embed.{h}.b"])
-            for h in range(len(cfg.embed_widths))]
-    x, recs = p.data, []
-    for h, (w, b) in enumerate(hops):
+    names = [(f"gen.embed.{h}.W", f"gen.embed.{h}.b") for h in range(len(cfg.embed_widths))]
+    ws = [params[w].data for w, _ in names]
+    x, recs = p, []
+    for h, (w, b) in enumerate(names):
         if h:
             x = checked(prop.apply(x), "propagation", _WHERE)
-        x, rec = _layer(x, w.data, b.data, cfg, rngs, training)
+        x, rec = _layer(x, ws[h], params[b].data, cfg, rngs, training)
         recs.append(rec)
 
     def back(g):
-        grads = []
-        for h in reversed(range(len(hops))):
+        grads = {}
+        for h in reversed(range(len(names))):
             g, gw, gb = _layer_back(g, recs[h])
-            grads += [_fold(gw), _fold(gb)]
+            grads[names[h][0]], grads[names[h][1]] = _fold(gw), _fold(gb)
             if h:
-                g = prop.apply_vjp(g @ hops[h][0].data.T)
+                g = prop.apply_vjp(g @ ws[h].T)
         return grads
 
-    ps = [t for pair in reversed(hops) for t in pair]
-    return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), ps, back
+    return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), back
 
 
 @quiet_fp
@@ -184,10 +186,12 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
     pushed through the MLP; row i receives the mean over j of the outputs.
     ``z_tasks`` is a list of row arrays, one per stream of ``rngs``; the
     tasks that share a class count run the MLP, the sorted mean and the
-    backward as one stack, each reduction along one task's own axis.
+    vjp as one stack, each reduction along one task's own axis.  The vjp
+    maps the rows' gradients to (the input rows' gradients, the MLP
+    parameters' gradients).
     """
-    layers = [(params[f"gen.rel.{i}.W"], params[f"gen.rel.{i}.b"])
-              for i in range(len(cfg.relation_widths))]
+    names = [(f"gen.rel.{i}.W", f"gen.rel.{i}.b") for i in range(len(cfg.relation_widths))]
+    layers = [(params[w].data, params[b].data) for w, b in names]
     stacks = {}                     # n -> its tasks' positions
     for k, zt in enumerate(z_tasks):
         stacks.setdefault(len(zt), []).append(k)
@@ -197,7 +201,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
         zs, (left, right) = np.stack([z_tasks[k] for k in ks]), pairs[n]
         h, recs[n] = np.concatenate([zs[:, left], zs[:, right]], axis=2), []
         for w, b in layers:
-            h, saved = _layer(h, w.data, b.data, cfg, [rngs[k] for k in ks], training)
+            h, saved = _layer(h, w, b, cfg, [rngs[k] for k in ks], training)
             recs[n].append(saved)
         mean = checked(np.sort(h.reshape(len(ks), n, n, -1), axis=2).sum(axis=2) / n,
                        "grouped_mean", _WHERE)
@@ -211,7 +215,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
             gh, grads = np.repeat(g / n, n, axis=1), []
             for (w, _), r in zip(reversed(layers), reversed(recs[n])):
                 gh, gw, gb = _layer_back(gh, r)
-                grads, gh = grads + [gw, gb], gh @ w.data.T
+                grads, gh = grads + [gw, gb], gh @ w.T
             d, (left, right) = g.shape[2], pairs[n]
             gl, gr = np.zeros_like(g), np.zeros_like(g)
             np.add.at(gl, (slice(None), left), gh[..., :d])
@@ -219,31 +223,18 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
             g = (g + gl) + gr               # residual, left rows, right rows
             for j, k in enumerate(ks):
                 g_in[k], per_task[k] = g[j], [x[j] for x in grads]
-        return g_in, [_fold(gs) for gs in zip(*per_task)]
+        return g_in, dict(zip([n for pair in reversed(names) for n in pair],
+                              [_fold(gs) for gs in zip(*per_task)]))
 
-    return out, [t for pair in reversed(layers) for t in pair], back
-
-
-def _heads(rows: Tensor, ids, feature_dim: int) -> list:
-    """Each task's classifier: slice nodes of the emitted rows."""
-    def part(key):
-        def vjp(g):
-            gx = np.zeros_like(rows.data)
-            gx[key] = g
-            return (gx,)
-        return attach(rows.data[key].copy(), (rows,), vjp, "slice")
-
-    ends = np.cumsum([i.size for i in ids])
-    return [TaskClassifier(part((slice(e - i.size, e), slice(0, feature_dim))),
-                           part((slice(e - i.size, e), feature_dim)), i)
-            for i, e in zip(ids, ends)]
+    return out, back
 
 
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
-                    w_out: Tensor, b_out: Tensor, norm_scale: float, propagated=None):
-    """Write-back, final propagation + affine, row normalization scaled to
-    ``norm_scale``.
+                    w, b, norm_scale: float, propagated=None):
+    """Write-back, final propagation + affine (``w``, ``b``), row
+    normalization scaled to ``norm_scale``; the vjp maps the rows'
+    gradient to those of ``z_all``, the refined rows, ``w`` and ``b``.
 
     ``z_all`` is a stack of node matrices, one per task, beside lists of
     refined rows and of class id arrays.  Each task's refined rows are
@@ -259,7 +250,6 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     restores the touched rows.  A task's touched rows are checked as it
     runs, a shared row the first time a task leaves it untouched.
     """
-    w, b = w_out.data, b_out.data
     if propagated is not None:
         z = z_all[0]
         z_buf, pz, a = np.array(z), propagated.copy(), np.empty((len(z), w.shape[1]))
@@ -299,20 +289,22 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         g_refined = [m[i] for m, i in zip(g_z, class_ids)]
         for m, i in zip(g_z, class_ids):
             m[i] = 0.0
-        return g_z, g_refined, [_fold(pz.swapaxes(1, 2) @ ga), _fold(ga.sum(axis=1))]
+        return g_z, g_refined, _fold(pz.swapaxes(1, 2) @ ga), _fold(ga.sum(axis=1))
 
-    return out, [w_out, b_out], back
+    return out, back
 
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
                   z0: SharedEmbedding, class_ids: list, rngs: list, training: bool,
-                  embedding: SharedEmbedding | None = None) -> list:
+                  embedding: SharedEmbedding | None = None):
     """Full pipeline: embed all nodes, refine each task's rows, emit the heads.
 
     Given a list of class id arrays and one stream per task, emits every
-    task in one pass, as one node, and returns one classifier per task, each
-    with the bits it gets alone.  Every task's ids are checked first.  ``z0``
-    is the generator input (see :func:`graph_embed`).
+    task in one pass and returns (one classifier per task, each with the
+    bits it gets alone, grads).  ``grads`` maps a list of (weights, bias)
+    gradients, one per head, to the gradient of every generator parameter,
+    by name.  Every task's ids are checked first.  ``z0`` is the generator
+    input (see :func:`graph_embed`).
 
     ``embedding``, when given, is used instead of embedding the nodes again,
     and its propagation lets the write-back re-propagate only each task's
@@ -321,26 +313,34 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
     if embedding is None:
-        z, embed_params, embed_back = graph_embed(params, cfg, prop, z0, rngs, training)
+        z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training)
     else:
-        z = np.broadcast_to(embedding.z.data, (len(ids),) + embedding.z.shape)
-        embed_params = []
-    refined, rel_params, refine_back = refine_relations(
-        params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
-    rows, out_params, emit_back = emit_classifier(
-        prop, z, refined, ids, params["gen.out.W"], params["gen.out.b"], cfg.scale,
-        None if embedding is None else embedding.propagated.data)
-    parents = out_params + rel_params + embed_params
-    if embedding is not None and any(t.requires_grad for t in parents + [embedding.z]):
-        raise ValueError("a shared embedding carries no gradient")
+        z = np.broadcast_to(embedding.z, (len(ids),) + embedding.z.shape)
 
-    def grads(g):
-        g_z, g_refined, out_grads = emit_back(g)
+        def embed_back(g):                  # nothing backpropagates into it
+            return {}
+    refined, refine_back = refine_relations(
+        params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
+    rows, emit_back = emit_classifier(
+        prop, z, refined, ids, params["gen.out.W"].data, params["gen.out.b"].data,
+        cfg.scale, None if embedding is None else embedding.propagated)
+    fd, ends = rows.shape[1] - 1, np.cumsum([i.size for i in ids])
+    spans = [slice(e - i.size, e) for i, e in zip(ids, ends)]
+
+    def grads(head_grads):
+        # zero-filled, then added to: each entry is 0.0 + its head's gradient,
+        # the sum of the heads' zero-filled slice gradients in the reference
+        g = np.zeros(rows.shape)
+        for rs, (gw, gb) in zip(spans, head_grads):
+            g[rs, :fd] += gw
+            g[rs, fd] += gb
+        g_z, g_refined, g_w, g_b = emit_back(g)
         g_tasks, rel_grads = refine_back(g_refined)
         g_select = np.zeros(z.shape)        # the row selection's vjp
         for m, gt, i in zip(g_select, g_tasks, ids):
             m[i] += gt
-        return out_grads + rel_grads + embed_back(g_z + g_select)
+        return {"gen.out.W": g_w, "gen.out.b": g_b, **rel_grads,
+                **embed_back(g_z + g_select)}
 
-    return _heads(attach(rows, parents, grads, "emit_for_task"), ids,
-                  params["gen.out.W"].data.shape[1] - 1)
+    return [TaskClassifier(rows[rs, :fd].copy(), rows[rs, fd].copy(), i)
+            for rs, i in zip(spans, ids)], grads

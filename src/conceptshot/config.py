@@ -119,10 +119,6 @@ def to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def default_config() -> ExperimentConfig:
-    return from_dict({})
-
-
 def set_path(d: dict, dotted: str, value):
     parts = dotted.split(".")
     node = d

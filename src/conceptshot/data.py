@@ -1,10 +1,17 @@
 """Datasets, episodic sampling, and the synthetic hierarchy generator.
 
 A dataset is a flat table of feature vectors labeled by graph node id:
-entity samples carry leaf ids, weakly-labeled samples carry the id of an
+entity samples hold leaf ids, weakly-labeled samples hold the id of an
 internal (concept) node.  Episodes are N-way K-shot tasks with a disjoint
 query set, drawn either from leaf classes of one meta split or from the
 concept classes of one abstract level.
+
+``SynthConfig`` checks its sizes before deriving anything from them: the
+tree's node count must fit the dataset's int32 node ids, and every array
+``generate_synthetic`` allocates (prototypes, semantics, the projection,
+the feature table) must have a byte size numpy can index (``np.intp``).
+The node count is summed level by level in exact integers and stops once it
+passes the bound, so no size is ever computed from a huge level count.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from .graph import ConceptGraph, NodeRecord
 from .tensor import Rng
 
 _DS_MAGIC = b"CSDS"
+_MAX_NODES = int(np.iinfo(np.int32).max)
+_MAX_BYTES = int(np.iinfo(np.intp).max)
 _DS_FORMAT = "conceptshot-dataset"
 
 
@@ -175,6 +184,9 @@ class SynthConfig:
     def __post_init__(self):
         if self.branching < 2 or self.num_levels < 2:
             raise ConfigError("need branching >= 2 and num_levels >= 2")
+        if self.samples_per_class < 1 or self.input_dim < 1 or self.semantic_dim < 1:
+            raise ConfigError("samples_per_class, input_dim, semantic_dim must be positive")
+        self._check_sizes()
         if self.sigma_levels is None:
             self.sigma_levels = [1.0 * 0.5 ** i for i in range(self.num_levels - 1)]
             self.sigma_levels.append(self.sigma_levels[-1])
@@ -183,8 +195,6 @@ class SynthConfig:
                 f"sigma_levels needs {self.num_levels} entries, got {len(self.sigma_levels)}")
         if any(s < 0 for s in self.sigma_levels):
             raise ConfigError("sigma_levels must be non-negative")
-        if self.samples_per_class < 1 or self.input_dim < 1 or self.semantic_dim < 1:
-            raise ConfigError("samples_per_class, input_dim, semantic_dim must be positive")
         if not (0.0 < self.train_fraction < 1.0):
             raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
         if not (0.0 <= self.weak_fraction < 1.0):
@@ -196,6 +206,25 @@ class SynthConfig:
                                   f"two of {leaves} leaves for meta-train and meta-test")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    def _check_sizes(self):
+        """The node count against int32 ids, the largest array against
+        ``np.intp`` (see the module docstring)."""
+        m, size = 0, 1
+        for _ in range(self.num_levels):
+            m += size
+            if m > _MAX_NODES:
+                raise ConfigError(
+                    f"branching={self.branching} and num_levels={self.num_levels} make "
+                    f"more than {_MAX_NODES} nodes, past the dataset's int32 node ids")
+            size *= self.branching
+        n, d, s = self.samples_per_class, self.input_dim, self.semantic_dim
+        largest = max(8 * m * max(d, s), 8 * d * s, 4 * m * n * d)
+        if largest > _MAX_BYTES:
+            raise ConfigError(
+                f"data sizes too large: {m} nodes, samples_per_class={n}, input_dim={d} "
+                f"and semantic_dim={s} need an array of {largest} bytes, past numpy's "
+                f"limit of {_MAX_BYTES}")
 
 
 def generate_synthetic(cfg: SynthConfig):

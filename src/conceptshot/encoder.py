@@ -39,15 +39,15 @@ def init_encoder(cfg: EncoderConfig, rng: Rng) -> dict:
     d = cfg.input_dim
     for i, w in enumerate(cfg.widths):
         params[f"enc.{i}.W"] = glorot_uniform(rng, d, w)
-        params[f"enc.{i}.b"] = Tensor(np.zeros(w), requires_grad=True)
+        params[f"enc.{i}.b"] = Tensor(np.zeros(w))
         d = w
     return params
 
 
+def layer_names(cfg: EncoderConfig):
+    """The (W, b) parameter names of every layer, low layers first."""
+    return [(f"enc.{i}.W", f"enc.{i}.b") for i in range(len(cfg.widths))]
+
+
 def layer_pairs(params: dict, cfg: EncoderConfig):
-    return [(params[f"enc.{i}.W"], params[f"enc.{i}.b"]) for i in range(len(cfg.widths))]
-
-
-def high_pairs(params: dict, cfg: EncoderConfig):
-    """The (W, b) tensors the inner loop adapts."""
-    return layer_pairs(params, cfg)[cfg.low_layers:]
+    return [(params[w], params[b]) for w, b in layer_names(cfg)]

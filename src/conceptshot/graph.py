@@ -182,7 +182,7 @@ class Propagation:
         a rewrite of the rows ``ids`` changes: r changes only where N(r)
         meets ``ids``, and the structure is symmetric, so those are N(ids).
         They are summed by the same aggregation routine and divided by the
-        same degrees, so each has the bits of ``apply(values)``.  No tape."""
+        same degrees, so each has the bits of ``apply(values)``."""
         hit = np.zeros(self.size + 1, dtype=bool)
         hit[self.nbr_idx[ids]] = True
         hit = hit[:-1]

@@ -9,32 +9,31 @@ score the query set.  The outer loop minimizes a weighted sum of the query
 losses of one entity episode and one concept episode per abstract level, which
 pushes gradient into all three groups at once.
 
-Inner-loop gradients are detached constants (first-order), so the inner loop
-runs in plain numpy, off the tape, repeating the tape ops' arithmetic so its
-results are bit-identical to a taped loop.  Each adapted array re-enters the
-tape through one ``carry`` node whose gradient is the identity back to its
-initialization: the outer gradient still reaches the generator through the
-emitted classifier, and no second-derivative terms are formed.  The inner
-loop adapts a block of same-shaped tasks at once, stacked along a leading
-axis: each task's bits equal those of the loop run on it alone, and every
-array the tape would check is still checked for non-finite values.  After its
-first step the loop updates the adapted arrays in place, and the forward and
-backward passes write the bias, activation and softmax into arrays they made
-themselves: each such write is the IEEE operation the tape would do on the
-same operands, into an array of the same memory layout, so no bit moves.  A
-training step emits the classifiers of all its episodes in one generator pass
-(one tape node; see ``classifier_gen``) and adapts them in one block per
-episode shape.  The query set is scored on plain arrays too, by the same
-forward and backward code, and enters the tape as one node whose vjp gives
-the taped chain's gradients bit for bit.  Evaluation never backpropagates;
-it runs on detached parameters, which record no tape, embeds the graph once
-per call instead of once per episode, and emits and adapts its episodes in
-blocks.
+The meta-gradient is first-order (first-order MAML, Finn et al. 2017; see
+:func:`_gradients`): the outer gradient reaches the generator through the
+emitted classifier with no second-derivative terms.  There is no tape.  Each
+stage returns plain arrays and a closure for its vjp, and
+:func:`train_step` runs them in one fixed order: one generator pass emits the
+classifiers of all the step's episodes, one inner-loop block per episode
+shape adapts them, one :func:`episode_loss` call per episode scores it, and
+the episodes' query-loss gradients flow back through the same stages in
+reverse, every parameter's contributions summed left to right in episode
+order.  Each closure repeats the arithmetic of the op-by-op reference chain
+(``tests/_tape.py``) in its order, so the gradients have its bits.
+
+The inner loop adapts a block of same-shaped tasks at once, stacked along a
+leading axis: each task's bits equal those of the loop run on it alone, and
+every intermediate is checked for non-finite values.  After its first step
+the loop updates the adapted arrays in place, and the forward and gradient
+passes write the bias, activation and softmax into arrays they made
+themselves: each such write is the IEEE operation the reference does on the
+same operands, into an array of the same memory layout, so no bit moves.
+Evaluation never backpropagates; it embeds the graph once per call instead of
+once per episode, and emits and adapts its episodes in blocks.
 """
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -48,11 +47,11 @@ from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
                              emit_for_task, init_generator)
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
-from .encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
+from .encoder import EncoderConfig, init_encoder, layer_names, layer_pairs
 from .errors import ConfigError, DataError
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, Tensor, attach, backward, carry, checked,
-                     class_labels, quiet_fp, stable_exp_parts)
+from .tensor import (Rng, SgdOptimizer, checked, class_labels, quiet_fp,
+                     stable_exp_parts)
 
 
 _KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
@@ -172,7 +171,8 @@ class Model:
         self.gen_cfg = gen_cfg
         self.prop = propagation_operator(graph)
         # the generator's input never changes, so neither does its first hop's P·z0
-        self.generator_input = SharedEmbedding(Tensor(sem), Tensor(self.prop.apply(sem)))
+        self.generator_input = SharedEmbedding(
+            sem, checked(self.prop.apply(sem), "propagation", "the generator input"))
         rng = Rng(seed).child("init")
         self.params = {}
         self.params.update(init_encoder(enc_cfg, rng.child("encoder")))
@@ -180,30 +180,23 @@ class Model:
                                           rng.child("generator")))
 
     def emit(self, class_ids: list, rngs: list, training: bool,
-             embedding: SharedEmbedding | None = None) -> list:
-        """One classifier per task of ``class_ids`` (each with its stream of
-        ``rngs``), from one generator pass."""
+             embedding: SharedEmbedding | None = None):
+        """(one classifier per task of ``class_ids``, each with its stream of
+        ``rngs``, and the generator gradients' closure), from one generator
+        pass (see :func:`classifier_gen.emit_for_task`)."""
         return emit_for_task(self.params, self.gen_cfg, self.prop,
                              self.generator_input, class_ids, rngs, training, embedding)
 
     def embed(self, rng: Rng, training: bool) -> SharedEmbedding:
-        """The generator's node embedding z of the whole graph and its P·z,
-        off the tape."""
-        (z,), _, _ = classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
-                                                self.generator_input, [rng], training)
-        return SharedEmbedding(Tensor(z), Tensor(self.prop.apply(z)))
-
-    def detached(self) -> "Model":
-        """This model over detached parameters (the same arrays): nothing
-        computed from it records a tape."""
-        out = copy.copy(self)
-        out.params = {name: Tensor(p.data) for name, p in self.params.items()}
-        return out
+        """The generator's node embedding z of the whole graph and its P·z."""
+        (z,), _ = classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
+                                             self.generator_input, [rng], training)
+        return SharedEmbedding(z, checked(self.prop.apply(z), "propagation", "the embedding"))
 
 
 @dataclass
 class AdaptedState:
-    """Task-local parameters; never written back into the model."""
+    """Task-local parameters, as arrays; never written back into the model."""
     high: list                   # adapted (W, b) pairs of the high encoder
     classifier: TaskClassifier
 
@@ -214,8 +207,8 @@ def _T(a):
 
 
 def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
-    """The encoder layers (affine, leaky ReLU) on plain (stacked) arrays: the
-    output, and each layer's input and leaky-ReLU mask for :func:`_backward`."""
+    """The encoder layers (affine, leaky ReLU) on (stacked) arrays: the
+    output, and each layer's input and leaky-ReLU mask for :func:`_vjps`."""
     saved = []
     for w, b in pairs:
         a = x @ w
@@ -240,8 +233,8 @@ def _cross_entropy(logits, y, where: str = "the inner loop"):
     return loss, g
 
 
-def _backward(ws, saved, feats, w, g):
-    """The tape ops' vjps on plain (stacked) arrays: each layer's (W, b)
+def _vjps(ws, saved, feats, w, g):
+    """The reference ops' vjps on (stacked) arrays: each layer's (W, b)
     gradient, then the head's, from ``g`` at the logits ``feats @ w.T + b``;
     ``ws`` and ``saved`` are the layers' weights and their forward record.
     Biases keep a leading axis of one."""
@@ -265,46 +258,42 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
 
     The tasks form one block: their support sets and emitted classifiers
     must share one shape, and are stacked along a leading axis (the high
-    encoder's start is the same for every task and is broadcast).  The steps
-    are first-order, so they run on detached float64 arrays, off the tape.
-    The forward and backward passes repeat the tape ops' own expressions in
-    the same order (affine, leaky ReLU, the sorted-denominator cross-entropy,
-    then ``t + (-lr * g)``); the stacked matmul runs one product per task and
-    every reduction runs along one task's own axis, so each task's adapted
-    values are the ones a taped loop would give it alone, bit for bit,
-    whatever the block.  Every intermediate is checked for non-finite values
-    as the tape checks it; one bad task fails the whole block.
+    encoder's start is the same for every task and is broadcast).  The
+    forward and gradient passes repeat the reference ops' own expressions in
+    the same order (affine, leaky ReLU, the sorted-denominator
+    cross-entropy, then ``t + (-lr * g)``); the stacked matmul runs one
+    product per task and every reduction runs along one task's own axis, so
+    each task's adapted values are the ones the reference loop gives it
+    alone, bit for bit, whatever the block.  Every intermediate is checked
+    for non-finite values; one bad task fails the whole block.
 
     Each step scales its fresh gradients by -lr in place.  The first step
     adds them to the model's high-layer arrays and the emitted heads' into
     new (tasks, ...) arrays, and every later step adds into those, so
     neither the model nor the heads are written and a block holds one
     array per adapted parameter.  The new arrays are C-contiguous like the
-    taped loop's sums: a matmul operand's strides pick the BLAS kernel, and
-    with it the bits.  Each adapted
-    array is attached by one ``carry`` node whose gradient is the identity
-    back to its initialization, so the outer gradient still reaches the
-    generator through the emitted classifier."""
-    high = high_pairs(model.params, model.enc_cfg)
+    reference loop's sums: a matmul operand's strides pick the BLAS kernel,
+    and with it the bits.  Each task's adapted arrays are views of them."""
+    cfg = model.enc_cfg
+    pairs = [(w.data, b.data) for w, b in layer_pairs(model.params, cfg)]
+    high = pairs[cfg.low_layers:]
     if not (steps and lr):
         return [AdaptedState(high=list(high), classifier=clf) for clf in clfs]
-    slope = model.enc_cfg.slope
-    low = layer_pairs(model.params, model.enc_cfg)[:model.enc_cfg.low_layers]
-    x, _ = _layers_forward([(w.data, b.data) for w, b in low],
-                           np.asarray(np.stack(support_xs), dtype=np.float64), slope)
-    init = [t for pair in high for t in pair]
-    vals = [t.data for t in init] + [np.stack([c.weights.data for c in clfs]),
-                                     np.stack([c.bias.data[None] for c in clfs])]
+    x, _ = _layers_forward(pairs[:cfg.low_layers],
+                           np.asarray(np.stack(support_xs), dtype=np.float64), cfg.slope)
+    starts = [t for pair in high for t in pair]
+    vals = starts + [np.stack([c.weights for c in clfs]),
+                     np.stack([c.bias[None] for c in clfs])]
     n, n_cls = x.shape[-2], vals[-2].shape[-2]
     y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
     for step in range(steps):
-        feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, slope)
+        feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, cfg.slope)
         w, b = vals[-2:]
         logits = feats @ _T(w)
         logits += b
         _, g = _cross_entropy(logits, y)
         g *= 1.0 / n
-        grads = _backward(vals[:-2:2], saved, feats, w, g)
+        grads = _vjps(vals[:-2:2], saved, feats, w, g)
         for d in grads:
             d *= -lr
         # step 0 must not write into the model's or the heads' arrays
@@ -312,26 +301,22 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
                 for v, d in zip(vals, grads)]
     states = []
     for j, clf in enumerate(clfs):
-        starts = init + [clf.weights, clf.bias]
-        out = [carry(v.reshape(len(clfs), *t.data.shape)[j], t)
-               for v, t in zip(vals, starts)]
+        out = [v.reshape(len(clfs), *t.shape)[j]
+               for v, t in zip(vals, starts + [clf.weights, clf.bias])]
         states.append(AdaptedState(
             high=[tuple(out[i:i + 2]) for i in range(0, len(out) - 2, 2)],
             classifier=TaskClassifier(out[-2], out[-1], clf.class_ids)))
     return states
 
 
-def adapt_episodes(model: Model, eps, rngs, training: bool, steps: int,
-                   lr: float, embedding: SharedEmbedding | None = None) -> list:
-    """Emit the classifier of every episode of ``eps`` (each with its stream
-    of ``rngs``) in one :meth:`Model.emit` call, then adapt the episodes that
+def adapt_episodes(model: Model, eps, heads, steps: int, lr: float) -> list:
+    """Adapt the episodes of ``eps`` from their emitted ``heads``, those that
     share a shape as one :func:`inner_adapt` block; one
     :class:`AdaptedState` per episode, in order, each with the bits it gets
     alone."""
-    heads = model.emit([ep.class_ids for ep in eps], rngs, training, embedding)
     blocks = {}                     # episode shape -> its positions, in order
     for k, (ep, head) in enumerate(zip(eps, heads)):
-        blocks.setdefault((ep.support_x.shape, head.weights.data.shape), []).append(k)
+        blocks.setdefault((ep.support_x.shape, head.weights.shape), []).append(k)
     states = {}
     for ks in blocks.values():
         states.update(zip(ks, inner_adapt(model, [heads[k] for k in ks],
@@ -343,32 +328,32 @@ def adapt_episodes(model: Model, eps, rngs, training: bool, steps: int,
 @quiet_fp
 def episode_loss(model: Model, ep: Episode, adapted: AdaptedState):
     """Query loss of ``ep`` under ``adapted``, its :func:`adapt_episodes`
-    result.  Returns (loss Tensor, query accuracy).
+    result.  Returns (loss, query accuracy, vjp).
 
-    The query set is scored on plain arrays by the inner loop's forward and
-    backward code, checked as the tape checks it, and enters the tape as one
-    node over the low, adapted high and classifier (W, b): the bits of the
-    op-by-op taped chain.
+    The query set is scored by the inner loop's forward code, each
+    intermediate checked for non-finite values.  ``vjp(c)`` gives the
+    gradients of ``c * loss`` by the inner loop's gradient code: one per
+    low and adapted high (W, b), in layer order, then the classifier's W
+    and b, with the bits of the op-by-op reference chain.
     """
     cfg, clf = model.enc_cfg, adapted.classifier
-    pairs = layer_pairs(model.params, cfg)[:cfg.low_layers] + list(adapted.high)
-    parents = [t for pair in pairs for t in pair] + [clf.weights, clf.bias]
-    ws, w = [a.data for a, _ in pairs], clf.weights.data
-    feats, saved = _layers_forward([(a.data, b.data) for a, b in pairs],
-                                   np.asarray(ep.query_x, dtype=np.float64),
+    pairs = [(w.data, b.data) for w, b in layer_pairs(model.params, cfg)[:cfg.low_layers]]
+    pairs += adapted.high
+    shapes = [t.shape for pair in pairs for t in pair] + [clf.weights.shape, clf.bias.shape]
+    feats, saved = _layers_forward(pairs, np.asarray(ep.query_x, dtype=np.float64),
                                    cfg.slope, "the query loss")
-    logits = feats @ w.T
-    logits += clf.bias.data
+    logits = feats @ clf.weights.T
+    logits += clf.bias
     loss, p = _cross_entropy(logits, class_labels(ep.query_y, *logits.shape),
                              "the query loss")
     n = logits.shape[0]
 
-    def vjp(g):
-        grads = _backward(ws, saved, feats, w, p * (float(g) / n))
-        return [d.reshape(t.data.shape) for d, t in zip(grads, parents)]
+    def vjp(c):
+        grads = _vjps([w for w, _ in pairs], saved, feats, clf.weights, p * (c / n))
+        return [d.reshape(shape) for d, shape in zip(grads, shapes)]
 
     acc = float((logits.argmax(axis=1) == ep.query_y).mean())
-    return attach(loss.reshape(()), parents, vjp, "query_loss"), acc
+    return loss.item(), acc, vjp
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +367,37 @@ def eligible_concept_levels(ds: Dataset, g: ConceptGraph, cfg: TrainConfig):
 
 
 def _weighted_terms(terms):
-    """(the step's loss, each term's mean) for ``terms``, a list of (weight,
-    the term's episode losses): one node over every episode loss, with the
-    bits of the taped chain of ``add`` and ``scale`` ops.  A term's mean adds
-    its losses left to right and scales by 1/n (exact when n = 1), the loss
-    adds the weighted means left to right, and each episode loss gets the
-    gradient (g * w) * (1/n)."""
+    """(the step's loss, each term's mean, each episode loss's weight in the
+    loss) for ``terms``, a list of (weight, the term's episode losses).  A
+    term's mean adds its losses left to right and scales by 1/n (exact when
+    n = 1), the loss adds the weighted means left to right, and each episode
+    loss weighs w * (1/n)."""
     scales = [(float(w), 1.0 / len(losses)) for w, losses in terms]
-    means = [functools.reduce(operator.add, [t.item() for t in losses]) * s
+    means = [functools.reduce(operator.add, losses) * s
              for (_, losses), (_, s) in zip(terms, scales)]
     total = functools.reduce(operator.add, [m * w for m, (w, _) in zip(means, scales)])
-    return attach(total, [t for _, losses in terms for t in losses],
-                  lambda g: [g * w * s for (w, s), (_, losses) in zip(scales, terms)
-                             for _ in losses], "weighted_terms"), means
+    return total, means, [w * s for (w, s), (_, losses) in zip(scales, terms)
+                          for _ in losses]
+
+
+def _gradients(model: Model, vjps, weights, emit_grads) -> dict:
+    """Every parameter's gradient of the sum of ``weights[k]`` times episode
+    k's query loss, by name, from the episodes' :func:`episode_loss` vjps
+    in episode order and the step's :meth:`Model.emit` closure.  Each
+    encoder parameter adds its episodes' contributions left to right,
+    starting from the first."""
+    names = [n for pair in layer_names(model.enc_cfg) for n in pair]
+    grads, heads = {}, []
+    for vjp, c in zip(vjps, weights):
+        *enc, g_w, g_b = vjp(c)
+        # the first-order step: each adapted array passes its gradient to its
+        # start unchanged, so the high layers' add to the model's parameters
+        # and the heads' go back through the generator
+        for name, g in zip(names, enc):
+            grads[name] = grads[name] + g if name in grads else g
+        heads.append((g_w, g_b))
+    grads.update(emit_grads(heads))
+    return grads
 
 
 def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
@@ -404,11 +407,12 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
 
     All randomness is re-derived from (cfg.seed, iteration), so any term can
     be replayed in isolation and the step itself is resumable.  Every term's
-    episodes are sampled first, in term order, then emitted and adapted
-    together by :func:`adapt_episodes` (one generator pass, one
+    episodes are sampled first, in term order, then emitted together by one
+    :meth:`Model.emit` call and adapted by :func:`adapt_episodes` (one
     :func:`inner_adapt` block per episode shape), and each is scored by one
     :func:`episode_loss` call, in term order again.  Each episode keeps the
-    bits it would get alone.
+    bits it would get alone.  The gradient runs back through the same
+    stages (:func:`_gradients`).
     """
     it_rng = Rng(cfg.seed).child("train", iteration)
     rec = {"iteration": iteration, "lr": cfg.lr_at(iteration),
@@ -436,23 +440,23 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
     if not terms:
         raise ConfigError("all loss weights are zero; nothing to train")
 
-    states = iter(adapt_episodes(
-        model, [ep for _, _, eps in terms for ep in eps],
-        [it_rng.child("drop", name, b) for name, _, eps in terms for b in range(len(eps))],
-        True, cfg.adapt_steps, cfg.inner_lr))
-    scored = []                     # (weight, the term's episode losses)
-    for name, weight, eps in terms:
-        losses, accs = zip(*[episode_loss(model, ep, adapted=next(states)) for ep in eps])
+    eps = [ep for _, _, term_eps in terms for ep in term_eps]
+    heads, emit_grads = model.emit(
+        [ep.class_ids for ep in eps],
+        [it_rng.child("drop", name, b) for name, _, term_eps in terms
+         for b in range(len(term_eps))], True)
+    states = iter(adapt_episodes(model, eps, heads, cfg.adapt_steps, cfg.inner_lr))
+    scored, vjps = [], []           # (weight, the term's episode losses); vjps in order
+    for name, weight, term_eps in terms:
+        losses, accs, term_vjps = zip(*[episode_loss(model, ep, next(states))
+                                        for ep in term_eps])
         scored.append((weight, losses))
+        vjps += term_vjps
         rec[f"{name}_acc"] = float(np.mean(accs))
-    total, means = _weighted_terms(scored)
+    rec["total_loss"], means, weights = _weighted_terms(scored)
     for (name, _, _), mean in zip(terms, means):
         rec[f"{name}_loss"] = mean
-    rec["total_loss"] = total.item()
-
-    opt.zero_grad()
-    backward(total)
-    opt.step(rec["lr"])
+    opt.step(rec["lr"], _gradients(model, vjps, weights, emit_grads))
     return rec
 
 
@@ -540,14 +544,15 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     Dropout is disabled and model parameters are never written; each episode
     draws its own random streams from (cfg.seed, episode index), so the
     per-episode accuracy vector is independent of execution order.  Nothing
-    is backpropagated, so the episodes run on detached parameters, which
-    record no tape, and share one node embedding, which is deterministic out
-    of training, together with its propagation P·z: both are computed once
+    is backpropagated, so the episodes share one node embedding, which is
+    deterministic out of training, together with its propagation P·z: both
+    are computed once
     per call, and each episode's write-back emit re-propagates only the rows
     its classes touch (``Propagation.reapply``), not the whole graph.
     Episodes come in blocks of ``_BLOCK``: a block's episodes are sampled,
-    then emitted and adapted by :func:`adapt_episodes`, then scored one by
-    one by :func:`episode_loss`; each episode gets the bits it gets alone.
+    then emitted by one :meth:`Model.emit` call and adapted by
+    :func:`adapt_episodes`, then scored one by one by :func:`episode_loss`;
+    each episode gets the bits it gets alone.
     """
     try:
         accs = np.empty(cfg.n_episodes)
@@ -558,16 +563,18 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     sample, where = ((sample_entity_episode, split) if level in (None, g.entity_level)
                      else (sample_concept_episode, level))
     rng = Rng(cfg.seed).child("eval")
-    model = model.detached()
     embedding = model.embed(rng.child("embed"), training=False)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_episodes))
         eps = [sample(ds, g, where, cfg.n_way, cfg.k_shot, cfg.n_query,
                       rng.child(i, "sample")) for i in block]
-        adapted = adapt_episodes(model, eps, [rng.child(i, "drop") for i in block], False,
-                                 cfg.adapt_steps, cfg.inner_lr, embedding)
+        # only the heads and the accuracies: no vjp closure outlives its call,
+        # which keeps the arrays it holds out of the peak memory
+        heads = model.emit([ep.class_ids for ep in eps],
+                           [rng.child(i, "drop") for i in block], False, embedding)[0]
+        adapted = adapt_episodes(model, eps, heads, cfg.adapt_steps, cfg.inner_lr)
         for i, (ep, state) in enumerate(zip(eps, adapted), start):
-            _, accs[i] = episode_loss(model, ep, adapted=state)
+            accs[i] = episode_loss(model, ep, adapted=state)[1]
     mean, half = confidence_interval(accs)
     return EvalResult(mean=mean, half_width=half, accuracies=accs)
 
@@ -621,7 +628,6 @@ def load_checkpoint(path, model: Model, opt: SgdOptimizer | None = None,
     header, tables = read_binary(path, _CKPT_MAGIC, "checkpoint", layout)
     for n, value in zip(names, tables):
         model.params[n].data = value
-        model.params[n].grad = None
     if opt is not None:
         opt.velocities.update(zip(names, tables[len(names):]))
     return header

@@ -1,24 +1,20 @@
-"""Minimal reverse-mode autodiff over float64 numpy arrays.
+"""Numerics shared by the model: parameters, checks, sorted sums, SGD.
 
 Design points:
 
-* the program computes on plain arrays and records three kinds of node:
-  leaves (parameters and constants); ``carry`` nodes, through which the
-  inner loop in ``meta`` hands back each adapted array with the identity
-  vjp to its start; and ``attach`` nodes, through which the classifier
-  generator, the query loss and the sum of the loss terms each enter the
-  tape as one node whose vjp repeats the op-by-op taped chain's vjps in
-  order.  The op-by-op reference ops live beside the tests (``tests/_tape.py``),
-* every node's value, and every off-tape array passed through ``checked``,
-  is checked for NaN/Inf and raises ``NumericalError`` instead of
-  propagating garbage,
-* the backward pass walks an explicit tape (iterative topo sort, no
-  recursion limits),
+* a parameter is a :class:`Tensor`: a float64 array, checked for NaN/Inf
+  when built.  There is no tape: each stage of the model returns plain
+  arrays and the closure that maps the gradient at its output to the
+  gradients at its inputs, and ``meta.train_step`` chains those closures
+  in one fixed order (first-order meta-gradients, no grad-of-grad).  The
+  op-by-op reference ops those closures are pinned to live beside the
+  tests (``tests/_tape.py``),
+* every array passed through ``checked`` is checked for NaN/Inf and raises
+  ``NumericalError`` instead of propagating garbage,
 * sums over an *unordered* set of contributions (graph neighborhoods,
   softmax denominators) sort them by value first, which makes them bitwise
   insensitive to input ordering -- required for the exact permutation
-  equivariance contracts (see ``neighbor_sums``),
-* there is no grad-of-grad support: meta-gradients are first-order.
+  equivariance contracts (see ``neighbor_sums``).
 """
 
 from __future__ import annotations
@@ -31,9 +27,8 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "Rng", "Tensor", "attach", "carry", "checked", "quiet_fp", "class_labels",
-    "stable_exp_parts", "neighbor_groups", "neighbor_sums", "glorot_uniform",
-    "SgdOptimizer", "backward",
+    "Rng", "Tensor", "checked", "quiet_fp", "class_labels", "stable_exp_parts",
+    "neighbor_groups", "neighbor_sums", "glorot_uniform", "SgdOptimizer",
 ]
 
 
@@ -86,60 +81,24 @@ class Rng:
 
 
 class Tensor:
-    """Node in the computation tape: a float64 array plus backward metadata."""
+    """A model parameter: a float64 array, checked for NaN/Inf when built."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjp", "_op")
+    __slots__ = ("data",)
 
-    def __init__(self, data, requires_grad=False, _parents=(), _vjp=None, _op="leaf"):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.isfinite(self.data).all():
-            raise NumericalError(f"non-finite values produced by '{_op}'")
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = _parents
-        self._vjp = _vjp
-        self._op = _op
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def item(self) -> float:
-        return self.data.item()
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self._op}, grad={self.requires_grad})"
-
-
-def carry(value, init: Tensor) -> Tensor:
-    """``value`` as a node whose vjp is the identity back to ``init``.
-
-    A first-order update chain init + c1 + ... + ck with constant steps ci
-    has exactly this gradient, so the steps can be taken on plain arrays and
-    attached once at the end.
-    """
-    value = np.asarray(value, dtype=np.float64)
-    if value.shape != init.data.shape:
-        raise ValueError(f"carry shape {value.shape} != {init.data.shape}")
-    return attach(value, (init,), lambda g: (g,), "carry")
-
-
-def attach(value, parents, vjp, op: str) -> Tensor:
-    """``value``, computed off the tape from ``parents``, as one node whose
-    ``vjp`` maps its gradient to one gradient per parent.  A node none of
-    whose parents requires grad records no parents and no vjp."""
-    rg = any(p.requires_grad for p in parents)
-    return Tensor(value, rg, tuple(parents) if rg else (), vjp if rg else None, op)
+            raise NumericalError("non-finite values in a parameter")
 
 
 def checked(a, op: str, where: str):
-    """``a``, computed off the tape, checked for NaN/Inf as a tape op's output."""
+    """``a``, the output of ``op`` in ``where``, checked for NaN/Inf."""
     if not np.isfinite(a).all():
         raise NumericalError(f"non-finite values produced by '{op}' in {where}")
     return a
 
 
-# A decorator for the functions whose off-tape arrays ``checked`` guards: no
+# A decorator for the functions whose arrays ``checked`` guards: no
 # numpy warnings for what ``checked`` reports as a NumericalError ("raise"
 # would end in a FloatingPointError instead).
 quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -262,7 +221,7 @@ def neighbor_sums(values, groups) -> np.ndarray:
 def glorot_uniform(rng: Rng, n_in: int, n_out: int) -> Tensor:
     """Weight init: uniform in [-a, a], a = sqrt(6 / (n_in + n_out))."""
     a = np.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(size=(n_in, n_out), low=-a, high=a), requires_grad=True)
+    return Tensor(rng.uniform(size=(n_in, n_out), low=-a, high=a))
 
 
 class SgdOptimizer:
@@ -278,67 +237,15 @@ class SgdOptimizer:
         self.weight_decay = float(weight_decay)
         self.velocities = {k: np.zeros_like(p.data) for k, p in params.items()}
 
-    def step(self, lr: float):
+    def step(self, lr: float, grads: dict):
+        """One update from ``grads``, a gradient per parameter name; a
+        parameter without one is left as it is."""
         for name, p in self.params.items():
-            if p.grad is None:
+            if name not in grads:
                 continue
-            g = p.grad + self.weight_decay * p.data
+            g = grads[name] + self.weight_decay * p.data
             v = self.momentum * self.velocities[name] + g
             self.velocities[name] = v
             p.data = p.data - lr * v
             if not np.isfinite(p.data).all():
                 raise NumericalError(f"parameter '{name}' became non-finite after SGD step")
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# backward machinery
-
-def _topo(root: Tensor):
-    order, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order  # parents precede users; root last
-
-
-def _backprop(root: Tensor):
-    """Return the tape order (parents first) and {id(node): grad ndarray}."""
-    if root.data.size != 1:
-        raise ValueError("backward requires a scalar root")
-    order = _topo(root)
-    grads = {id(root): np.ones_like(root.data)}
-    for node in reversed(order):
-        g = grads.get(id(node))
-        if g is None or node._vjp is None:
-            continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not p.requires_grad:
-                continue
-            pg = np.broadcast_to(pg, p.data.shape) if pg.shape != p.data.shape else pg
-            if id(p) in grads:
-                grads[id(p)] = grads[id(p)] + pg
-            else:
-                grads[id(p)] = pg
-    return order, grads
-
-
-def backward(root: Tensor):
-    """Accumulate d(root)/d(leaf) into ``.grad`` of every requires-grad leaf."""
-    order, grads = _backprop(root)
-    for node in order:
-        if node.requires_grad and not node._parents and id(node) in grads:
-            node.grad = grads[id(node)] if node.grad is None else node.grad + grads[id(node)]

@@ -5,10 +5,10 @@ the per-call class filter and the ``np.arange`` draw that
 ``data._sample_episode`` replaces, the taped inner loop that
 ``meta.inner_adapt`` replaces, the taped query path that
 ``meta.episode_loss`` replaces, the query loss of one episode adapted
-alone, the taped classifier generator (and its row selection) that
-``classifier_gen`` replaces, and the one-episode-at-a-time
-training step that ``meta.train_step`` replaces.  The taped chains are
-built from the reference ops of ``_tape``."""
+alone and the program's gradient of it, the taped classifier generator (and
+its row selection) that ``classifier_gen`` replaces, and the
+one-episode-at-a-time training step that ``meta.train_step`` replaces.  The
+taped chains are built from the reference ops of ``_tape``."""
 
 import numpy as np
 
@@ -52,9 +52,8 @@ def generator_input(prop, sem):
     """The generator input ``meta.Model`` forms from node semantics ``sem``:
     z0 and its propagation P·z0."""
     from conceptshot.classifier_gen import SharedEmbedding
-    from conceptshot.tensor import Tensor
-    z = Tensor(sem)
-    return SharedEmbedding(z, Tensor(prop.apply(z.data)))
+    z = np.asarray(sem, dtype=np.float64)
+    return SharedEmbedding(z, prop.apply(z))
 
 
 def dense_propagation(prop):
@@ -113,12 +112,13 @@ def arange_sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, wh
 
 
 def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
-    """The inner loop built on the tape: each step differentiates the support
-    loss with ``grad`` and adds the detached step ``-lr * g`` as a constant,
-    so every adapted tensor is a chain of ``add`` nodes over its start."""
-    from _tape import add, affine, apply_layers, cross_entropy, embed_low, grad, transpose
+    """The inner loop built on the tape from ``clf``, a head of tape nodes
+    or leaves: each step differentiates the support loss with ``grad`` and
+    adds the detached step ``-lr * g`` as a constant, so every adapted node
+    is a chain of ``add`` nodes over its start."""
+    from _tape import (add, affine, apply_layers, cross_entropy, embed_low, grad,
+                       high_pairs, transpose)
     from conceptshot.classifier_gen import TaskClassifier
-    from conceptshot.encoder import high_pairs
     from conceptshot.meta import AdaptedState
     from conceptshot.tensor import Tensor
 
@@ -137,12 +137,39 @@ def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
     return AdaptedState(high=high, classifier=TaskClassifier(w, b, clf.class_ids))
 
 
-def lone_episode_loss(model, ep, adapt_steps, inner_lr, rng, training):
-    """``meta.episode_loss`` of one episode emitted and adapted alone, by
-    ``adapt_steps`` steps of ``inner_lr`` from stream ``rng``."""
+def _lone_episode(model, ep, adapt_steps, inner_lr, rng, training):
     from conceptshot.meta import adapt_episodes, episode_loss
-    (state,) = adapt_episodes(model, [ep], [rng], training, adapt_steps, inner_lr)
-    return episode_loss(model, ep, state)
+    heads, emit_grads = model.emit([ep.class_ids], [rng], training)
+    (state,) = adapt_episodes(model, [ep], heads, adapt_steps, inner_lr)
+    return episode_loss(model, ep, state), emit_grads
+
+
+def lone_episode_loss(model, ep, adapt_steps, inner_lr, rng, training):
+    """(loss, accuracy): ``meta.episode_loss`` of one episode emitted and
+    adapted alone, by ``adapt_steps`` steps of ``inner_lr`` from stream
+    ``rng``."""
+    (loss, acc, _), _ = _lone_episode(model, ep, adapt_steps, inner_lr, rng, training)
+    return loss, acc
+
+
+def lone_episode_grads(model, ep, adapt_steps, inner_lr, rng, training):
+    """Every parameter's gradient, by name, of ``lone_episode_loss``: the
+    program's own chain of vjps (``meta._gradients``)."""
+    from conceptshot.meta import _gradients
+    (_, _, vjp), emit_grads = _lone_episode(model, ep, adapt_steps, inner_lr, rng,
+                                            training)
+    return _gradients(model, [vjp], [1.0], emit_grads)
+
+
+def as_leaves(adapted):
+    """An adapted state of arrays with each array a tape leaf."""
+    from conceptshot.classifier_gen import TaskClassifier
+    from conceptshot.meta import AdaptedState
+    from conceptshot.tensor import Tensor
+    clf = adapted.classifier
+    return AdaptedState(high=[(Tensor(w), Tensor(b)) for w, b in adapted.high],
+                        classifier=TaskClassifier(Tensor(clf.weights), Tensor(clf.bias),
+                                                  clf.class_ids))
 
 
 def head_logits(clf, feats):
@@ -159,16 +186,18 @@ def task_features(model, adapted, x):
 
 
 def predict(model, adapted, x):
-    """Per-row class probabilities for a query batch (rows sum to 1)."""
+    """Per-row class probabilities for a query batch (rows sum to 1), under
+    an adapted state of arrays."""
     from _tape import softmax_rows
     from conceptshot.tensor import Tensor
+    adapted = as_leaves(adapted)
     feats = task_features(model, adapted, Tensor(np.asarray(x, dtype=np.float64)))
     return softmax_rows(head_logits(adapted.classifier, feats))
 
 
 def tape_query_loss(model, adapted, ep):
     """An adapted episode's query loss built op by op on the tape, and its
-    query accuracy."""
+    query accuracy; ``adapted`` holds tape nodes or leaves."""
     from _tape import cross_entropy
     from conceptshot.tensor import Tensor
     logits = head_logits(adapted.classifier,
@@ -178,10 +207,13 @@ def tape_query_loss(model, adapted, ep):
 
 
 def tape_graph_embed(params, cfg, prop, z0, rng, training):
-    """The generator's hop stack built op by op on the tape."""
+    """The generator's hop stack built op by op on the tape; ``z0`` is a raw
+    node matrix or a generator input with its P·z0."""
     from _tape import affine, dropout, leaky_relu, sym_neighbor_mean
+    from conceptshot.classifier_gen import SharedEmbedding
     from conceptshot.tensor import Tensor
-    z, p = (z0, None) if isinstance(z0, Tensor) else z0
+    z, p = ((Tensor(z0.z), Tensor(z0.propagated)) if isinstance(z0, SharedEmbedding)
+            else (Tensor(z0), None))
     for h in range(len(cfg.embed_widths)):
         if h or p is None:
             p = sym_neighbor_mean(z, prop.groups, prop.degrees)
@@ -242,14 +274,14 @@ def tape_emit_for_task(params, cfg, prop, z0, class_ids, rng, training):
 
 def serial_train_step(model, opt, ds, cfg, levels, iteration):
     """The training step one episode at a time: each episode is sampled,
-    emitted by ``tape_emit_for_task``, adapted alone and scored by
-    ``tape_query_loss``, term after term; same random streams, record, loss
-    combination and update."""
-    from _tape import add, scale
+    emitted by ``tape_emit_for_task``, adapted alone by ``tape_inner_adapt``
+    and scored by ``tape_query_loss``, term after term, and the gradients
+    are read off the tape; same random streams, record, loss combination
+    and update."""
+    from _tape import add, grad, scale
     from conceptshot.data import sample_concept_episode, sample_entity_episode
     from conceptshot.errors import ConfigError
-    from conceptshot.meta import inner_adapt
-    from conceptshot.tensor import Rng, backward
+    from conceptshot.tensor import Rng
 
     it_rng = Rng(cfg.seed).child("train", iteration)
     rec = {"iteration": iteration, "lr": cfg.lr_at(iteration)}
@@ -261,8 +293,8 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
             clf = tape_emit_for_task(model.params, model.gen_cfg, model.prop,
                                      model.generator_input, ep.class_ids,
                                      it_rng.child("drop", name, b), True)
-            (state,) = inner_adapt(model, [clf], [ep.support_x], [ep.support_y],
-                                   cfg.adapt_steps, cfg.inner_lr)
+            state = tape_inner_adapt(model, clf, ep.support_x, ep.support_y,
+                                     cfg.adapt_steps, cfg.inner_lr)
             loss, acc = tape_query_loss(model, state, ep)
             losses.append(loss)
             accs.append(acc)
@@ -301,7 +333,5 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
         piece = scale(term, w)
         total = piece if total is None else add(total, piece)
     rec["total_loss"] = total.item()
-    opt.zero_grad()
-    backward(total)
-    opt.step(rec["lr"])
+    opt.step(rec["lr"], dict(zip(model.params, grad(total, list(model.params.values())))))
     return rec

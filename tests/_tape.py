@@ -1,16 +1,87 @@
-"""The taped reference ops: differentiable ops built one node each on
-``tensor.attach``, with the arithmetic the off-tape code in ``src/``
-repeats.  Finite differences check their vjps, and the bitwise oracles in
+"""The taped reference ops: differentiable ops built one node each on a
+small tape, with the arithmetic the program's vjp closures in ``src/``
+repeat.  Finite differences check their vjps, and the bitwise oracles in
 ``_oracles`` build the op-by-op taped chains from them that the program's
-off-tape paths are pinned to.  ``grad`` reads gradients off the tape without
-touching ``.grad``."""
+explicit gradients are pinned to.
+
+A :class:`Node` is a tape node: its value, its parents and its vjp.  A
+model parameter (``tensor.Tensor``), or any other object with a ``data``
+array, enters the tape as a leaf.  ``grad`` walks the tape from a scalar
+root (iterative topological sort, no recursion limit) and reads off the
+gradients of the nodes it is asked for."""
 
 import numpy as np
 
 from conceptshot.encoder import layer_pairs
 from conceptshot.errors import ConfigError, NumericalError
-from conceptshot.tensor import (Rng, Tensor, _backprop, attach, class_labels, neighbor_sums,
-                                stable_exp_parts)
+from conceptshot.tensor import Rng, class_labels, neighbor_sums, stable_exp_parts
+
+
+class Node:
+    """A tape node: a float64 value, checked for NaN/Inf, the nodes it was
+    computed from and the vjp that maps its gradient to one per parent."""
+
+    __slots__ = ("data", "_parents", "_vjp", "_op")
+
+    def __init__(self, data, parents=(), vjp=None, op="leaf"):
+        self.data = np.asarray(data, dtype=np.float64)
+        if not np.isfinite(self.data).all():
+            raise NumericalError(f"non-finite values produced by '{op}'")
+        self._parents = tuple(parents)
+        self._vjp = vjp
+        self._op = op
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def item(self) -> float:
+        return self.data.item()
+
+
+def attach(value, parents, vjp, op: str) -> Node:
+    """``value``, computed from ``parents``, as one node whose ``vjp`` maps
+    its gradient to one gradient per parent."""
+    return Node(value, parents, vjp, op)
+
+
+def _parents(node):
+    return node._parents if isinstance(node, Node) else ()
+
+
+def _topo(root):
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in _parents(node):
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order  # parents precede users; root last
+
+
+def _backprop(root) -> dict:
+    """{id(node): gradient} of every node of ``root``'s tape: each node's
+    contributions are summed in the walk's order, starting from the first."""
+    if root.data.size != 1:
+        raise ValueError("backpropagation requires a scalar root")
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(_topo(root)):
+        g = grads.get(id(node))
+        if g is None or not _parents(node):
+            continue
+        for p, pg in zip(node._parents, node._vjp(g)):
+            if pg is None:
+                continue
+            pg = np.broadcast_to(pg, p.data.shape) if pg.shape != p.data.shape else pg
+            grads[id(p)] = grads[id(p)] + pg if id(p) in grads else pg
+    return grads
 
 
 def _unbroadcast(g, shape):
@@ -23,24 +94,24 @@ def _unbroadcast(g, shape):
     return g
 
 
-def grad(root: Tensor, wrt) -> list:
-    """d(root)/d(t) for each tensor in ``wrt`` without touching ``.grad``
-    (zeros for one the root does not depend on)."""
-    _, grads = _backprop(root)
+def grad(root, wrt) -> list:
+    """d(root)/d(t) for each node or leaf in ``wrt`` (zeros for one the root
+    does not depend on)."""
+    grads = _backprop(root)
     return [grads.get(id(t), np.zeros_like(t.data)) for t in wrt]
 
 
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a, b):
     out = a.data + b.data
     return attach(out, (a, b),
                   lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
                   "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a, b):
     out = a.data * b.data
     return attach(out, (a, b),
                   lambda g: (_unbroadcast(g * b.data, a.data.shape),
@@ -48,16 +119,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                   "mul")
 
 
-def scale(x: Tensor, c: float) -> Tensor:
+def scale(x, c: float):
     c = float(c)
     return attach(x.data * c, (x,), lambda g: (g * c,), "scale")
 
 
-def transpose(x: Tensor) -> Tensor:
+def transpose(x):
     return attach(x.data.T, (x,), lambda g: (g.T,), "transpose")
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def affine(x, w, b):
     """x @ w + b with b broadcast over rows (fused for tape economy)."""
     if x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"affine dimension mismatch: {x.data.shape} @ {w.data.shape}")
@@ -72,12 +143,12 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
+def leaky_relu(x, slope: float = 0.1):
     mask = np.where(x.data >= 0, 1.0, float(slope))
     return attach(x.data * mask, (x,), lambda g: (g * mask,), "leaky_relu")
 
 
-def dropout(x: Tensor, keep_prob: float, rng: Rng, training: bool) -> Tensor:
+def dropout(x, keep_prob: float, rng: Rng, training: bool):
     """Inverted dropout: kept entries scaled by 1/keep_prob; identity in eval mode."""
     if not (0.0 < keep_prob <= 1.0):
         raise ConfigError(f"dropout keep_prob must be in (0, 1], got {keep_prob}")
@@ -90,7 +161,7 @@ def dropout(x: Tensor, keep_prob: float, rng: Rng, training: bool) -> Tensor:
 # ---------------------------------------------------------------------------
 # rows / columns plumbing
 
-def gather_rows(x: Tensor, idx) -> Tensor:
+def gather_rows(x, idx):
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ValueError("gather_rows expects a flat index list")
@@ -105,7 +176,7 @@ def gather_rows(x: Tensor, idx) -> Tensor:
     return attach(x.data[idx], (x,), vjp, "gather_rows")
 
 
-def write_rows(x: Tensor, rows: Tensor, idx) -> Tensor:
+def write_rows(x, rows, idx):
     """Copy of x with rows[i] written at idx[i]; differentiable in both args."""
     idx = np.asarray(idx, dtype=np.intp)
     if len(set(idx.tolist())) != idx.size:
@@ -123,7 +194,7 @@ def write_rows(x: Tensor, rows: Tensor, idx) -> Tensor:
     return attach(out, (x, rows), vjp, "write_rows")
 
 
-def concat_cols(*xs: Tensor) -> Tensor:
+def concat_cols(*xs):
     out = np.concatenate([x.data for x in xs], axis=1)
     widths = [x.data.shape[1] for x in xs]
 
@@ -137,7 +208,7 @@ def concat_cols(*xs: Tensor) -> Tensor:
     return attach(out, xs, vjp, "concat_cols")
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+def slice_cols(x, start: int, stop: int):
     if not (0 <= start <= stop <= x.data.shape[1]):
         raise IndexError(f"slice_cols [{start}:{stop}] out of range for width {x.data.shape[1]}")
 
@@ -149,12 +220,12 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return attach(x.data[:, start:stop].copy(), (x,), vjp, "slice_cols")
 
 
-def reshape(x: Tensor, shape) -> Tensor:
+def reshape(x, shape):
     orig = x.data.shape
     return attach(x.data.reshape(shape), (x,), lambda g: (g.reshape(orig),), "reshape")
 
 
-def grouped_mean(x: Tensor, group_size: int) -> Tensor:
+def grouped_mean(x, group_size: int):
     """Mean over consecutive row blocks: (G*B, d) -> (G, d).
 
     Each block's contributions are sorted by value before summation, so the
@@ -172,14 +243,14 @@ def grouped_mean(x: Tensor, group_size: int) -> Tensor:
     return attach(out, (x,), vjp, "grouped_mean")
 
 
-def sum_all(x: Tensor) -> Tensor:
+def sum_all(x):
     return attach(x.data.sum(), (x,), lambda g: (np.full_like(x.data, float(g)),), "sum_all")
 
 
 # ---------------------------------------------------------------------------
 # normalization / losses
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize_rows(x, eps: float = 1e-12):
     """Each row divided by max(row L2 norm, eps); zero rows stay zero."""
     norms = np.sqrt(np.sum(x.data * x.data, axis=1, keepdims=True))
     denom = np.maximum(norms, eps)
@@ -194,7 +265,7 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return attach(out, (x,), vjp, "l2_normalize_rows")
 
 
-def softmax_rows(x: Tensor) -> Tensor:
+def softmax_rows(x):
     _, e, s = stable_exp_parts(x.data)
     p = e / s
 
@@ -205,7 +276,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     return attach(p, (x,), vjp, "softmax_rows")
 
 
-def cross_entropy(logits: Tensor, labels) -> Tensor:
+def cross_entropy(logits, labels):
     """Mean softmax cross-entropy; numerically stabilized by row-max subtraction."""
     n, c = logits.data.shape
     y = class_labels(labels, n, c)
@@ -224,7 +295,7 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 # ---------------------------------------------------------------------------
 # graph neighborhood averaging
 
-def sym_neighbor_mean(x: Tensor, groups, degrees) -> Tensor:
+def sym_neighbor_mean(x, groups, degrees):
     """Row-normalized neighborhood sum over a *symmetric* adjacency structure:
     out[i] = sum(x[j] for j in N(i)) / deg[i], with ``groups`` the
     ``tensor.neighbor_groups`` table of the structure and ``degrees`` the true
@@ -243,12 +314,17 @@ def sym_neighbor_mean(x: Tensor, groups, degrees) -> Tensor:
 # ---------------------------------------------------------------------------
 # the encoder on the tape
 
-def apply_layers(pairs, x: Tensor, slope: float = 0.1) -> Tensor:
+def apply_layers(pairs, x, slope: float = 0.1):
     for w, b in pairs:
         x = leaky_relu(affine(x, w, b), slope)
     return x
 
 
-def embed_low(params: dict, cfg, x: Tensor) -> Tensor:
+def embed_low(params: dict, cfg, x):
     """Task-frozen portion of the encoder (identity when low_layers == 0)."""
     return apply_layers(layer_pairs(params, cfg)[:cfg.low_layers], x, cfg.slope)
+
+
+def high_pairs(params: dict, cfg):
+    """The (W, b) parameters the inner loop adapts."""
+    return layer_pairs(params, cfg)[cfg.low_layers:]

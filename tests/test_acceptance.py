@@ -14,8 +14,8 @@ import numpy.testing as npt
 import pytest
 
 import _tape
-from _oracles import (generator_input, lone_episode_loss, numerical_grad,
-                      permute_graph, rel_err)
+from _oracles import (generator_input, lone_episode_grads, lone_episode_loss,
+                      numerical_grad, permute_graph, rel_err)
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
                                         emit_for_task, graph_embed, init_generator)
@@ -85,7 +85,7 @@ def _leaf(rng, *shape, off=0.0):
     x = rng.standard_normal(shape)
     if off:  # keep finite differences away from activation kinks
         x = x + off * np.sign(x)
-    return T.Tensor(x, requires_grad=True)
+    return T.Tensor(x)
 
 
 def _op_cases(rng, seed):
@@ -180,12 +180,14 @@ def test_02_finite_difference_gradients():
                                         rng=T.Rng(seed).child("drop"), training=True)
             return loss
 
-        analytic = _tape.grad(run(), tensors)
-        for t, g_a in zip(tensors, analytic):
+        grads = lone_episode_grads(model, ep, adapt_steps=0, inner_lr=0.01,
+                                   rng=T.Rng(seed).child("drop"), training=True)
+        assert sorted(grads) == names
+        for t, g_a in zip(tensors, [grads[n] for n in names]):
             def f(x):
                 old = t.data
                 t.data = x
-                val = run().item()
+                val = run()
                 t.data = old
                 return val
 
@@ -207,8 +209,8 @@ def test_03_neighbor_averaging_oracles():
     params = init_generator(cfg, 1, 1, T.Rng(0))
     params["gen.embed.0.W"].data = np.array([[1.0]])
     prop = propagation_operator(g)
-    (out,), _, _ = graph_embed(params, cfg, prop, generator_input(prop, g.semantics),
-                               [T.Rng(0)], training=False)
+    (out,), _ = graph_embed(params, cfg, prop, generator_input(prop, g.semantics),
+                            [T.Rng(0)], training=False)
     npt.assert_allclose(out, [[1.5], [2.0], [2.5]], rtol=0, atol=1e-12)
 
     # brute-force neighbor sums on 10 random hierarchies of at most 12 nodes
@@ -264,16 +266,15 @@ def test_04_row_norm_contract():
                               scale=beta)
         params = init_generator(cfg, 6, 4, T.Rng(trial))
         ids = rng.choice(g.num_nodes, size=3, replace=False)
-        (head,) = emit_for_task(params, cfg, prop, z0, [ids], [T.Rng(trial)], True)
-        rows = np.concatenate([head.weights.data, head.bias.data[:, None]], axis=1)
+        (head,), _ = emit_for_task(params, cfg, prop, z0, [ids], [T.Rng(trial)], True)
+        rows = np.concatenate([head.weights, head.bias[:, None]], axis=1)
         assert (np.linalg.norm(rows, axis=1) <= beta + 1e-9).all()
 
     # a row that is [3, 4] before normalization, scaled to norm 0.2
     nodes = [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(2, "x", 1)]
     lone = propagation_operator(ConceptGraph(nodes, [(0, 2)], np.zeros((3, 2)), 2))
-    rows, _, _ = emit_classifier(lone, np.zeros((1, 3, 2)), [np.array([[3.0, 4.0]])],
-                                 [np.array([1])], T.Tensor(np.eye(2)),
-                                 T.Tensor(np.zeros(2)), 0.2)
+    rows, _ = emit_classifier(lone, np.zeros((1, 3, 2)), [np.array([[3.0, 4.0]])],
+                              [np.array([1])], np.eye(2), np.zeros(2), 0.2)
     weights, bias = rows[:, :1], rows[:, 1]
     assert weights[0, 0] == (3.0 / 5.0) * 0.2
     assert bias[0] == (4.0 / 5.0) * 0.2
@@ -290,7 +291,7 @@ def test_05_chance_level():
                                    T.Rng(seed))
         loss, _ = lone_episode_loss(model, ep, adapt_steps=0, inner_lr=0.01,
                                     rng=T.Rng(seed), training=False)
-        assert abs(loss.item() - math.log(5)) <= 1e-10
+        assert abs(loss - math.log(5)) <= 1e-10
     res = evaluate(model, ds, EvalConfig(n_episodes=600, adapt_steps=0, seed=7),
                    split="meta-test")
     assert abs(res.mean - 0.2) <= res.half_width + 1e-12
@@ -314,12 +315,12 @@ def test_06_equivariance_exact():
         perm = rng.permutation(7)
         gp = permute_graph(g, perm)
         prop, prop_p = propagation_operator(g), propagation_operator(gp)
-        (a,) = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics),
-                             [ids], [T.Rng(0)], training=False)
-        (b,) = emit_for_task(params, cfg, prop_p, generator_input(prop_p, gp.semantics),
-                             [perm[ids]], [T.Rng(0)], training=False)
-        npt.assert_array_equal(a.weights.data, b.weights.data)
-        npt.assert_array_equal(a.bias.data, b.bias.data)
+        (a,), _ = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics),
+                                [ids], [T.Rng(0)], training=False)
+        (b,), _ = emit_for_task(params, cfg, prop_p, generator_input(prop_p, gp.semantics),
+                                [perm[ids]], [T.Rng(0)], training=False)
+        npt.assert_array_equal(a.weights, b.weights)
+        npt.assert_array_equal(a.bias, b.bias)
 
     # (b) episode accuracy is invariant to class ordering
     g, ds = generate_synthetic(SynthConfig(branching=2, num_levels=3, input_dim=8,
@@ -341,7 +342,7 @@ def test_06_equivariance_exact():
         l2, a2 = lone_episode_loss(model, ep2, adapt_steps=2, inner_lr=0.01,
                                    rng=T.Rng(0), training=False)
         assert a1 == a2
-        assert l1.item() == l2.item()
+        assert l1 == l2
 
 
 # ---------------------------------------------------------------------------

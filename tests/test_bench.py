@@ -1,6 +1,8 @@
 """Smoke test of the benchmark: one short traced tree-85 run must exit 0 with
-every chunk correct, which checks the seed-0 output digests and the traced
-mode's layer and episode counts."""
+every chunk correct, which checks that the chunks agree, the workload's
+shape and the traced mode's layer and episode counts, and, on the numpy and
+BLAS build they were recorded with, the seed-0 output digests.  On any other
+build the run uses seed 3, whose digests are not recorded."""
 
 import json
 import shutil
@@ -9,7 +11,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -21,8 +22,6 @@ def _digest_build() -> bool:
             and str(blas.get("version", "")).startswith("0.3.31"))
 
 
-@pytest.mark.skipif(not _digest_build(), reason="the seed-0 digests are those of "
-                    "numpy 2.4.6 on scipy-openblas 0.3.31")
 def test_traced_tree85_run_is_correct(tmp_path):
     # run from a copy, so the run's .bench_out/ stays out of the checkout
     (tmp_path / "bench").mkdir()
@@ -33,7 +32,7 @@ def test_traced_tree85_run_is_correct(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "tree-85", "--trace", "1",
-         "--seconds", "0"],
+         "--seconds", "0", "--seed", "0" if _digest_build() else "3"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

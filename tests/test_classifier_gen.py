@@ -41,14 +41,14 @@ def small_cfg(**kw):
 
 def embed_one(params, cfg, prop, sem, rng, training):
     """``graph_embed``'s node matrix for one task."""
-    (z,), _, _ = graph_embed(params, cfg, prop, generator_input(prop, sem), [rng], training)
+    (z,), _ = graph_embed(params, cfg, prop, generator_input(prop, sem), [rng], training)
     return z
 
 
 def emit_one(params, cfg, prop, sem, class_ids, rng, training):
     """One task's classifier, emitted alone."""
-    (head,) = emit_for_task(params, cfg, prop, generator_input(prop, sem), [class_ids],
-                            [rng], training)
+    (head,), _ = emit_for_task(params, cfg, prop, generator_input(prop, sem), [class_ids],
+                               [rng], training)
     return head
 
 
@@ -128,7 +128,7 @@ def test_zero_mlp_is_pure_residual():
     for k in ("gen.rel.0.W", "gen.rel.1.W"):
         params[k].data = np.zeros_like(params[k].data)
     z = np.random.default_rng(3).standard_normal((4, 3))
-    (out,), _, _ = refine_relations(params, cfg, [z], [T.Rng(0)], training=False)
+    (out,), _ = refine_relations(params, cfg, [z], [T.Rng(0)], training=False)
     npt.assert_array_equal(out, z)
 
 
@@ -136,7 +136,7 @@ def test_single_class_refinement_shape():
     cfg = small_cfg()
     params = init_generator(cfg, 3, 2, T.Rng(4))
     z = np.random.default_rng(4).standard_normal((1, 3))
-    (out,), _, _ = refine_relations(params, cfg, [z], [T.Rng(0)], training=False)
+    (out,), _ = refine_relations(params, cfg, [z], [T.Rng(0)], training=False)
     assert out.shape == (1, 3)
 
 
@@ -164,9 +164,8 @@ def test_emit_345_case(row, norm, scale):
     prop = isolated_node_setup()
     z_all = np.zeros((1, 3, 2))
     refined = [np.array([row])]
-    eye = T.Tensor(np.eye(2))
-    zero = T.Tensor(np.zeros(2))
-    rows, _, _ = emit_classifier(prop, z_all, refined, [np.array([1])], eye, zero, scale)
+    rows, _ = emit_classifier(prop, z_all, refined, [np.array([1])], np.eye(2), np.zeros(2),
+                              scale)
     weights, bias = rows[:, :1], rows[:, 1]
     assert weights[0, 0] == (row[0] / norm) * scale
     assert bias[0] == (row[1] / norm) * scale
@@ -178,8 +177,8 @@ def test_emit_scale_zero_gives_zero_head():
     params = init_generator(cfg, 3, 2, T.Rng(5))
     head = emit_one(params, cfg, propagation_operator(g), g.semantics, [3, 5], T.Rng(0),
                     training=False)
-    npt.assert_array_equal(head.weights.data, np.zeros((2, 2)))
-    npt.assert_array_equal(head.bias.data, np.zeros(2))
+    npt.assert_array_equal(head.weights, np.zeros((2, 2)))
+    npt.assert_array_equal(head.bias, np.zeros(2))
 
 
 @pytest.mark.parametrize("scale", [0.2, 1.0, 3.0])
@@ -190,7 +189,7 @@ def test_row_norms_bounded_by_scale(scale):
         params = init_generator(cfg, 3, 2, T.Rng(seed))
         head = emit_one(params, cfg, propagation_operator(g), g.semantics, [3, 4, 6],
                         T.Rng(0), training=False)
-        rows = np.concatenate([head.weights.data, head.bias.data[:, None]], axis=1)
+        rows = np.concatenate([head.weights, head.bias[:, None]], axis=1)
         norms = np.linalg.norm(rows, axis=1)
         assert (norms <= scale + 1e-9).all()
         npt.assert_allclose(norms, scale, atol=1e-9)  # non-degenerate rows hit the cap
@@ -203,8 +202,8 @@ def test_swapping_classes_swaps_rows_exactly():
     prop = propagation_operator(g)
     a = emit_one(params, cfg, prop, g.semantics, [3, 5, 6], T.Rng(0), training=False)
     b = emit_one(params, cfg, prop, g.semantics, [5, 3, 6], T.Rng(0), training=False)
-    npt.assert_array_equal(a.weights.data[[1, 0, 2]], b.weights.data)
-    npt.assert_array_equal(a.bias.data[[1, 0, 2]], b.bias.data)
+    npt.assert_array_equal(a.weights[[1, 0, 2]], b.weights)
+    npt.assert_array_equal(a.bias[[1, 0, 2]], b.bias)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -220,8 +219,8 @@ def test_emit_node_permutation_equivariance_exact(seed):
                  training=False)
     b = emit_one(params, cfg, propagation_operator(gp), gp.semantics, perm[ids], T.Rng(0),
                  training=False)
-    npt.assert_array_equal(a.weights.data, b.weights.data)
-    npt.assert_array_equal(a.bias.data, b.bias.data)
+    npt.assert_array_equal(a.weights, b.weights)
+    npt.assert_array_equal(a.bias, b.bias)
 
 
 def test_emit_validates_class_ids():
@@ -262,13 +261,13 @@ def test_shared_embedding_emit_matches_alone_bitwise(ids):
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
     prop = propagation_operator(g)
-    heads = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), ids,
-                          [T.Rng(k) for k in range(4)], False,
-                          embedding=_shared(params, cfg, prop, g.semantics))
+    heads, _ = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), ids,
+                             [T.Rng(k) for k in range(4)], False,
+                             embedding=_shared(params, cfg, prop, g.semantics))
     for i, head in zip(ids, heads):
         alone = emit_one(params, cfg, prop, g.semantics, i, T.Rng(0), training=False)
-        assert np.array_equal(_bits(head.weights.data), _bits(alone.weights.data))
-        assert np.array_equal(_bits(head.bias.data), _bits(alone.bias.data))
+        assert np.array_equal(_bits(head.weights), _bits(alone.weights))
+        assert np.array_equal(_bits(head.bias), _bits(alone.bias))
 
 
 def test_shared_embedding_emit_checks_untouched_rows():
@@ -277,7 +276,7 @@ def test_shared_embedding_emit_checks_untouched_rows():
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
     prop = propagation_operator(g)
-    z = _shared(params, cfg, prop, g.semantics).z.data.copy()
+    z = _shared(params, cfg, prop, g.semantics).z.copy()
     z[6] = 1e300
     params["gen.out.W"].data = params["gen.out.W"].data * 1e10
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'affine'"):
@@ -306,20 +305,20 @@ def test_fd_through_generator(ids):
     rb = rng.standard_normal(len(ids))
 
     def forward():
-        head = emit_one(params, cfg, prop, g.semantics, ids, T.Rng(0),
-                        training=False)
-        return _tape.add(_tape.sum_all(_tape.mul(head.weights, T.Tensor(rw))),
-                         _tape.sum_all(_tape.mul(head.bias, T.Tensor(rb))))
+        (head,), grads = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics),
+                                       [ids], [T.Rng(0)], False)
+        return float(np.sum(head.weights * rw) + np.sum(head.bias * rb)), grads
 
     targets = dict(params)
     names = list(targets)
-    analytic = _tape.grad(forward(), [targets[n] for n in names])
-    for n, ga in zip(names, analytic):
-        keep = targets[n].data.copy()
+    analytic = forward()[1]([(rw, rb)])
+    assert sorted(analytic) == sorted(names)
+    for n in names:
+        ga, keep = analytic[n], targets[n].data.copy()
 
         def f(v, n=n, keep=keep):
             targets[n].data = v
-            val = forward().item()
+            val = forward()[0]
             targets[n].data = keep
             return val
 
@@ -340,8 +339,9 @@ def _emit_against_tape(semantics, keep_prob, training, embed_widths=(6, 4),
                        relation_widths=(5, 4), ids=THREE_TASKS, seed=2):
     """Tasks (by default three, of 1, 4 and 5 classes) emitted in one call
     against each emitted alone by the taped stages: weights, bias and every
-    generator gradient under a random upstream gradient, summed over the
-    tasks in task order.  The root has 9 neighbors, so its sums are sorted.
+    generator gradient under a random upstream gradient at the heads (the
+    program's ``grads``, the tape's walk), summed over the tasks in task
+    order.  The root has 9 neighbors, so its sums are sorted.
     The taped stages get the raw z0 and propagate it in the call, which pins
     the model's precomputed P·z0."""
     g, _ = generate_synthetic(SynthConfig(branching=8, num_levels=3, input_dim=6,
@@ -356,24 +356,23 @@ def _emit_against_tape(semantics, keep_prob, training, embed_widths=(6, 4),
            for i in ids]
     gen = {n: p for n, p in m.params.items() if n.startswith("gen.")}
 
-    def run(emit):
-        heads = emit()
-        total = None
-        for head, (uw, ub) in zip(heads, ups):
-            loss = _tape.add(_tape.sum_all(_tape.mul(head.weights, T.Tensor(uw))),
-                             _tape.sum_all(_tape.mul(head.bias, T.Tensor(ub))))
-            total = loss if total is None else _tape.add(total, loss)
-        return heads, _tape.grad(total, list(gen.values()))
-
-    got = run(lambda: m.emit(ids, [T.Rng(7).child(k) for k in range(len(ids))], training))
-    want = run(lambda: [tape_emit_for_task(m.params, m.gen_cfg, m.prop, m.generator_input.z,
-                                           i, T.Rng(7).child(k), training)
-                        for k, i in enumerate(ids)])
-    for a, b in zip(got[0], want[0]):
-        assert np.array_equal(_bits(a.weights.data), _bits(b.weights.data))
-        assert np.array_equal(_bits(a.bias.data), _bits(b.bias.data))
-    for n, a, b in zip(gen, got[1], want[1]):
-        assert np.array_equal(_bits(a), _bits(b)), n
+    heads, grads = m.emit(ids, [T.Rng(7).child(k) for k in range(len(ids))], training)
+    got = grads(ups)
+    want_heads = [tape_emit_for_task(m.params, m.gen_cfg, m.prop, m.generator_input.z,
+                                     i, T.Rng(7).child(k), training)
+                  for k, i in enumerate(ids)]
+    total = None
+    for head, (uw, ub) in zip(want_heads, ups):
+        loss = _tape.add(_tape.sum_all(_tape.mul(head.weights, T.Tensor(uw))),
+                         _tape.sum_all(_tape.mul(head.bias, T.Tensor(ub))))
+        total = loss if total is None else _tape.add(total, loss)
+    want = _tape.grad(total, list(gen.values()))
+    for a, b in zip(heads, want_heads):
+        assert np.array_equal(_bits(a.weights), _bits(b.weights.data))
+        assert np.array_equal(_bits(a.bias), _bits(b.bias.data))
+    assert sorted(got) == sorted(gen)
+    for n, b in zip(gen, want):
+        assert np.array_equal(_bits(got[n]), _bits(b)), n
 
 
 @pytest.mark.parametrize("seed", [2, 4])

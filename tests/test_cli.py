@@ -178,6 +178,12 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
     for bad in ("data.branching=2.5", 'data.semantic_noise="a"'):
         assert main(["gen-data", "-c", str(cfgp), "--set", bad]) == 2
+    # sizes past the int32 node ids or numpy's array limit, checked before any
+    # size is derived from them (a huge level count included)
+    for key in ("samples_per_class", "input_dim", "semantic_dim", "branching",
+                "num_levels"):
+        assert main(["gen-data", "-c", str(cfgp), "--set",
+                     f"data.{key}=100000000000000000000"]) == 2
     # negative seeds, and a weak fraction outside [0, 1) or one that leaves
     # fewer than two leaves for meta-train and meta-test
     for cmd, bad in (("gen-data", "data.seed=-1"), ("train", "train.seed=-1"),

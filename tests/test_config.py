@@ -5,9 +5,13 @@ import json
 import pytest
 
 from conceptshot.config import (apply_overrides, canonical_json, config_hash,
-                                default_config, from_dict, load_config_dict,
-                                save_config, to_dict)
+                                from_dict, load_config_dict, save_config, to_dict)
 from conceptshot.errors import ConfigError, DataError
+
+
+def default_config():
+    """The config of an empty document: every section at its defaults."""
+    return from_dict({})
 
 
 def test_empty_dict_is_valid():

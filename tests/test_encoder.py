@@ -6,9 +6,9 @@ import pytest
 
 import _tape
 from _oracles import numerical_grad, rel_err
-from _tape import apply_layers, embed_low
+from _tape import apply_layers, embed_low, high_pairs
 from conceptshot import tensor as T
-from conceptshot.encoder import EncoderConfig, high_pairs, init_encoder, layer_pairs
+from conceptshot.encoder import EncoderConfig, init_encoder, layer_names, layer_pairs
 from conceptshot.errors import ConfigError
 
 
@@ -62,6 +62,14 @@ def test_partition_invariance_bitwise(split):
     cfg = EncoderConfig(input_dim=5, widths=[6, 6, 6, 6], low_layers=split)
     out = apply_layers(high_pairs(params, cfg), embed_low(params, cfg, x), cfg.slope).data
     npt.assert_array_equal(out, full_ref)
+
+
+def test_layer_names_key_the_pairs_in_order():
+    cfg = EncoderConfig(input_dim=3, widths=[4, 5, 2], low_layers=1)
+    params = init_encoder(cfg, T.Rng(1))
+    assert [n for pair in layer_names(cfg) for n in pair] == list(params)
+    assert layer_pairs(params, cfg) == [(params[w], params[b])
+                                        for w, b in layer_names(cfg)]
 
 
 def test_init_bounds_and_zero_bias():

@@ -1,5 +1,5 @@
-"""Unit tests for the autodiff engine and the taped reference ops of ``_tape``:
-hand-computed cases + finite differences."""
+"""Unit tests for the tape and the taped reference ops of ``_tape``, and for
+the numerics of ``tensor``: hand-computed cases + finite differences."""
 
 import math
 
@@ -81,18 +81,6 @@ def test_grouped_mean_block_order_invariant():
         npt.assert_array_equal(_tape.grouped_mean(T.Tensor(shuffled), 4).data, base)
 
 
-def test_carry_passes_gradient_straight_to_its_start():
-    x = T.Tensor([[1.0, -2.0]], requires_grad=True)
-    y = T.carry(np.array([[5.0, 7.0]]), _tape.scale(x, 3.0))
-    npt.assert_array_equal(y.data, [[5.0, 7.0]])
-    T.backward(_tape.sum_all(_tape.mul(y, T.Tensor([[2.0, -1.0]]))))
-    npt.assert_array_equal(x.grad, [[6.0, -3.0]])
-    with pytest.raises(ValueError):
-        T.carry(np.zeros(2), x)
-    with pytest.raises(NumericalError):
-        T.carry(np.array([[np.nan, 0.0]]), x)
-
-
 def test_write_rows_requires_distinct():
     with pytest.raises(ValueError):
         _tape.write_rows(T.Tensor(np.zeros((3, 2))), T.Tensor(np.ones((2, 2))), [1, 1])
@@ -131,31 +119,17 @@ def test_dropout_bad_keep_prob():
 
 
 # ---------------------------------------------------------------------------
-# backward: structure
+# the tape walk: structure
 
 def test_gradient_accumulates_on_reuse():
-    x = T.Tensor([[3.0]], requires_grad=True)
-    T.backward(_tape.sum_all(_tape.mul(x, x)))  # d(x^2)/dx = 2x
-    assert x.grad[0, 0] == 6.0
-
-
-def test_backward_twice_accumulates():
-    x = T.Tensor([2.0], requires_grad=True)
-    loss = _tape.sum_all(_tape.scale(x, 3.0))
-    T.backward(loss)
-    T.backward(loss)
-    assert x.grad[0] == 6.0
-
-
-def test_grad_does_not_touch_dot_grad():
-    x = T.Tensor([2.0], requires_grad=True)
-    (g,) = _tape.grad(_tape.sum_all(_tape.scale(x, 3.0)), [x])
-    assert g[0] == 3.0 and x.grad is None
+    x = T.Tensor([[3.0]])
+    (g,) = _tape.grad(_tape.sum_all(_tape.mul(x, x)), [x])  # d(x^2)/dx = 2x
+    assert g[0, 0] == 6.0
 
 
 def test_grad_wrt_interior_node():
     # gradient w.r.t. an intermediate stops at that node (inner-loop use case)
-    x = T.Tensor([5.0], requires_grad=True)
+    x = T.Tensor([5.0])
     y = _tape.scale(x, 2.0)
     z = _tape.sum_all(_tape.mul(y, y))
     (gy,) = _tape.grad(z, [y])
@@ -163,9 +137,9 @@ def test_grad_wrt_interior_node():
 
 
 def test_backward_requires_scalar():
-    x = T.Tensor(np.ones((2, 2)), requires_grad=True)
+    x = T.Tensor(np.ones((2, 2)))
     with pytest.raises(ValueError):
-        T.backward(_tape.scale(x, 2.0))
+        _tape.grad(_tape.scale(x, 2.0), [x])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +147,7 @@ def test_backward_requires_scalar():
 
 def _fd_check(build, *arrays, tol=1e-6, h=1e-5):
     """build(*tensors) -> output tensor; checks every input's gradient."""
-    tensors = [T.Tensor(a, requires_grad=True) for a in arrays]
+    tensors = [T.Tensor(a) for a in arrays]
     loss = scalar_loss(build(*tensors))
     analytic = _tape.grad(loss, tensors)
     for i, a in enumerate(arrays):
@@ -203,7 +177,7 @@ def test_fd_cross_entropy():
     rng = np.random.default_rng(7)
     logits = rng.standard_normal((6, 4))
     y = rng.integers(0, 4, 6)
-    x = T.Tensor(logits, requires_grad=True)
+    x = T.Tensor(logits)
     loss = _tape.cross_entropy(x, y)
     (analytic,) = _tape.grad(loss, [x])
     numeric = numerical_grad(lambda v: _tape.cross_entropy(T.Tensor(v), y).item(), logits)
@@ -379,37 +353,34 @@ def test_network_and_sort_give_identical_bits(monkeypatch, k, stack, d):
 # optimizer
 
 def test_sgd_zero_lr_keeps_params():
-    p = T.Tensor([1.0, 2.0], requires_grad=True)
-    p.grad = np.array([5.0, -5.0])
+    p = T.Tensor([1.0, 2.0])
     opt = T.SgdOptimizer({"p": p}, momentum=0.9, weight_decay=1e-2)
-    opt.step(lr=0.0)
+    opt.step(0.0, {"p": np.array([5.0, -5.0])})
     npt.assert_array_equal(p.data, [1.0, 2.0])
 
 
 def test_sgd_scalar_case():
-    p = T.Tensor([1.0], requires_grad=True)
-    p.grad = np.array([2.0])
-    T.SgdOptimizer({"p": p}).step(lr=0.1)
+    p = T.Tensor([1.0])
+    T.SgdOptimizer({"p": p}).step(0.1, {"p": np.array([2.0])})
     npt.assert_allclose(p.data, [0.8], atol=1e-15)
 
 
 def test_sgd_two_steps_match_hand_recurrence():
     mom, wd, lr = 0.9, 5e-4, 0.1
-    p = T.Tensor([1.5], requires_grad=True)
+    p = T.Tensor([1.5])
     opt = T.SgdOptimizer({"p": p}, momentum=mom, weight_decay=wd)
     pv, v = 1.5, 0.0
     for g in (0.3, -0.2):
-        p.grad = np.array([g])
-        opt.step(lr)
+        opt.step(lr, {"p": np.array([g])})
         v = mom * v + (g + wd * pv)
         pv = pv - lr * v
         npt.assert_allclose(p.data, [pv], atol=1e-15)
 
 
 def test_sgd_skips_params_without_grad():
-    p = T.Tensor([1.0], requires_grad=True)
+    p = T.Tensor([1.0])
     opt = T.SgdOptimizer({"p": p}, weight_decay=0.1)
-    opt.step(lr=1.0)
+    opt.step(1.0, {})
     npt.assert_array_equal(p.data, [1.0])
 
 
