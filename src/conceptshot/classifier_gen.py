@@ -2,7 +2,7 @@
 
 Three stages:
 
-1. ``graph_embed``   -- propagation hops over all nodes:
+1. ``graph_embed``   -- propagation hops over the nodes:
                         Z <- dropout(leaky_relu(P Z W + b)) per hop,
 2. ``refine_relations`` -- every ordered pair of the task's rows (including
                         i = i) goes through a small MLP; each row gets the
@@ -26,6 +26,10 @@ products run one per task (tasks of one class count share one relation-MLP
 stack), each task draws its dropout masks from its own stream in the
 reference order, and per-task gradients are summed left to right in task
 order.
+
+In training, P and Pᵀ run only on the rows a head depends on (see
+``graph_embed``), with the bits of propagating every row; a non-finite
+value in a row no head depends on reaches no output and is not checked.
 """
 
 from __future__ import annotations
@@ -141,7 +145,7 @@ def _layer_back(g, rec):
 
 @quiet_fp
 def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                z0: SharedEmbedding, rngs: list, training: bool):
+                z0: SharedEmbedding, rngs: list, training: bool, reach=None):
     """Hop stack over all nodes, for the tasks whose dropout streams are
     ``rngs``; deterministic when ``training`` is False.  The output is a
     (tasks, nodes, width) stack; the vjp gives the hop parameters'
@@ -150,7 +154,18 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
     ``z0`` is the generator input and its P·z0, computed once by the model,
     which the first hop uses as is: the bits of propagating z0 here.  The
     tasks share hop 0's affine and leaky ReLU and each later propagation.
-    Nothing backpropagates into ``z0``."""
+    Nothing backpropagates into ``z0``.
+
+    ``reach``, when given, is each task's row sets [i, N(i), N(N(i)), ...],
+    one more than there are hops, built once per training step by
+    :func:`emit_for_task`: the rows a head reads at each depth, and that its
+    gradient reaches.  The output is then exact on N(i) only, which is all
+    the write-back reads.  Of L hops, hop h >= 1 propagates only the rows
+    that the later hops read, ``reach[L - h]``, and its vjp only
+    ``reach[L - h + 1]``, the rows its nonzero gradient reaches.  The
+    affines run on every row (a row's bits depend on the row count), and
+    the +0.0 rows of a propagation meet only gradient rows that are exactly
+    zero, so every computed bit is that of the full hops."""
     z, p = z0
     if z.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
@@ -158,20 +173,24 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
     names = [(f"gen.embed.{h}.W", f"gen.embed.{h}.b") for h in range(len(cfg.embed_widths))]
     ws = [params[w].data for w, _ in names]
-    x, recs = p, []
+    hops, x, recs = len(names), p, []
+    reach = reach or [None] * (hops + 1)
     for h, (w, b) in enumerate(names):
         if h:
-            x = checked(prop.apply(x), "propagation", _WHERE)
+            rows = reach[hops - h]
+            if rows is not None and x.ndim == 2:        # one matrix for every task
+                rows = [functools.reduce(np.union1d, rows)]
+            x = checked(prop.apply(x, rows), "propagation", _WHERE)
         x, rec = _layer(x, ws[h], params[b].data, cfg, rngs, training)
         recs.append(rec)
 
     def back(g):
         grads = {}
-        for h in reversed(range(len(names))):
+        for h in reversed(range(hops)):
             g, gw, gb = _layer_back(g, recs[h])
             grads[names[h][0]], grads[names[h][1]] = _fold(gw), _fold(gb)
             if h:
-                g = prop.apply_vjp(g @ ws[h].T)
+                g = prop.apply_vjp(g @ ws[h].T, reach[hops - h + 1])
         return grads
 
     return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), back
@@ -231,7 +250,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
 
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
-                    w, b, norm_scale: float, propagated=None):
+                    w, b, norm_scale: float, propagated=None, near=None):
     """Write-back, final propagation + affine (``w``, ``b``), row
     normalization scaled to ``norm_scale``; the vjp maps the rows'
     gradient to those of ``z_all``, the refined rows, ``w`` and ``b``.
@@ -240,7 +259,9 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     refined rows and of class id arrays.  Each task's refined rows are
     written back into its node matrix, which is propagated, and the output
     layer runs on the task's rows of the result; the output holds every
-    task's rows, task after task.
+    task's rows, task after task.  Only those rows are propagated (the
+    affine runs on every row, a row's bits depending on the row count), and
+    the vjp's Pᵀ runs on ``near``, each task's N(i), when given.
 
     ``propagated``, when given, is P·z for the one node matrix z all tasks
     share, and nothing backpropagates.  The write-back then runs the tasks
@@ -269,7 +290,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         z = np.array(z_all)
         for m, r, i in zip(z, refined, class_ids):
             m[i] = r
-        pz = checked(prop.apply(z), "propagation", _WHERE)
+        pz = checked(prop.apply(z, class_ids), "propagation", _WHERE)
         a = checked(pz @ w + b, "affine", _WHERE)
         rows = np.concatenate([m[i] for m, i in zip(a, class_ids)])
     norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
@@ -285,7 +306,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         ga = np.zeros(a.shape)
         for m, gt, i in zip(ga, g, class_ids):
             m[i] += gt
-        g_z = prop.apply_vjp(ga @ w.T)
+        g_z = prop.apply_vjp(ga @ w.T, near)
         g_refined = [m[i] for m, i in zip(g_z, class_ids)]
         for m, i in zip(g_z, class_ids):
             m[i] = 0.0
@@ -313,9 +334,14 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
     if embedding is None:
-        z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training)
+        reach = [ids]                       # i, N(i), N(N(i)), ...: see graph_embed
+        for _ in cfg.embed_widths:
+            reach.append(prop.neighborhoods(reach[-1]))
+        z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training, reach)
+        propagated, near = None, reach[1]
     else:
         z = np.broadcast_to(embedding.z, (len(ids),) + embedding.z.shape)
+        propagated, near = embedding.propagated, None
 
         def embed_back(g):                  # nothing backpropagates into it
             return {}
@@ -323,17 +349,17 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
         params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
     rows, emit_back = emit_classifier(
         prop, z, refined, ids, params["gen.out.W"].data, params["gen.out.b"].data,
-        cfg.scale, None if embedding is None else embedding.propagated)
+        cfg.scale, propagated, near)
     fd, ends = rows.shape[1] - 1, np.cumsum([i.size for i in ids])
     spans = [slice(e - i.size, e) for i, e in zip(ids, ends)]
 
     def grads(head_grads):
-        # zero-filled, then added to: each entry is 0.0 + its head's gradient,
-        # the sum of the heads' zero-filled slice gradients in the reference
-        g = np.zeros(rows.shape)
+        # assigned, not added to zeros: the emit vjp's scatter into zeros
+        # turns a -0.0 into +0.0 all the same
+        g = np.empty(rows.shape)
         for rs, (gw, gb) in zip(spans, head_grads):
-            g[rs, :fd] += gw
-            g[rs, fd] += gb
+            g[rs, :fd] = gw
+            g[rs, fd] = gb
         g_z, g_refined, g_w, g_b = emit_back(g)
         g_tasks, rel_grads = refine_back(g_refined)
         g_select = np.zeros(z.shape)        # the row selection's vjp

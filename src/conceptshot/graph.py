@@ -153,12 +153,15 @@ class Propagation:
     """Row-stochastic neighborhood-averaging operator P = D^-1 (A + I).
 
     The structure never changes, so its degree groups (the
-    ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here, and
-    every ``apply`` and its vjp reuse them.  ``apply`` and ``apply_vjp`` run
-    the operator and its transpose on plain arrays only, on one (n, d) node
-    matrix or on any (..., n, d) stack of them, with order-canonical
-    summation (``tensor.neighbor_sums``).  ``reapply`` re-propagates only
-    the rows that a rewrite of a few input rows changes.
+    ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here.
+    ``apply`` and ``apply_vjp`` run the operator and its transpose on plain
+    arrays only, on one (n, d) node matrix or on any (..., n, d) stack of
+    them, with order-canonical summation (``tensor.neighbor_sums``).  Given
+    ``rows``, one id array per matrix of the stack, they sum those rows
+    only, grouped by degree on the spot, and leave every other row +0.0: a
+    sum's bits depend on its own entries only, so each computed row has the
+    bits of the full call.  ``reapply`` re-propagates only the rows that a
+    rewrite of a few input rows changes, through the same row sums.
     """
 
     def __init__(self, nbr_idx, degrees, size):
@@ -166,28 +169,64 @@ class Propagation:
         self.degrees = degrees
         self.size = size
         self.groups = neighbor_groups(nbr_idx, size)
+        self.ks = [idx.shape[1] for _, idx in self.groups]
 
-    def apply(self, x):
+    def apply(self, x, rows=None):
         """P·x for each (n, d) node matrix of the (..., n, d) array ``x``;
-        each matrix of a stack gets the bits it gets alone."""
-        return neighbor_sums(x, self.groups) / self.degrees[:, None]
+        each matrix of a stack gets the bits it gets alone.  With ``rows``,
+        only those rows of each matrix; the others are +0.0."""
+        if rows is None:
+            return neighbor_sums(x, self.groups) / self.degrees[:, None]
+        return self._scatter(x, rows, True)
 
-    def apply_vjp(self, g):
-        """The vjp of ``apply``: P is symmetric in structure, so Pᵀ·g reuses
-        the same groups."""
-        return neighbor_sums(g / self.degrees[:, None], self.groups)
+    def apply_vjp(self, g, rows=None):
+        """The vjp of ``apply``: P is symmetric in structure, so Pᵀ·g sums
+        the same neighborhoods of g·D^-1; ``rows`` as in ``apply``."""
+        g = g / self.degrees[:, None]
+        return neighbor_sums(g, self.groups) if rows is None else self._scatter(g, rows, False)
+
+    def neighborhoods(self, rows) -> list:
+        """N(r), sorted, for each id array r of ``rows``: the rows of P·x
+        that read a row of r, and those Pᵀ·g reaches from r (the structure
+        is symmetric)."""
+        return [np.flatnonzero(self._touched(r)) for r in rows]
 
     def reapply(self, values, ids):
         """(row mask, P·values on those rows) for the rows of P·values that
         a rewrite of the rows ``ids`` changes: r changes only where N(r)
-        meets ``ids``, and the structure is symmetric, so those are N(ids).
-        They are summed by the same aggregation routine and divided by the
-        same degrees, so each has the bits of ``apply(values)``."""
+        meets ``ids``, so those are N(ids).  Each has the bits of
+        ``apply(values)``."""
+        hit = self._touched(ids)
+        return hit, self._row_sums(values, [np.flatnonzero(hit)], True)[1]
+
+    def _touched(self, ids):
+        """The mask of N(ids)."""
         hit = np.zeros(self.size + 1, dtype=bool)
         hit[self.nbr_idx[ids]] = True
-        hit = hit[:-1]
-        return hit, (neighbor_sums(values, neighbor_groups(self.nbr_idx[hit], self.size))
-                     / self.degrees[hit, None])
+        return hit[:-1]
+
+    def _row_sums(self, values, rows, divide: bool):
+        """(positions in the flattened stack, neighborhood sums of ``values``,
+        divided by the degrees when ``divide``) of ``rows``, one id array per
+        (n, d) matrix of the stack ``values``, task after task.  The rows are
+        grouped by degree on the flattened stack, each entry offset to its
+        own matrix."""
+        src, n = np.concatenate(rows), self.size
+        off = np.repeat(np.arange(0, n * len(rows), n), [r.size for r in rows])
+        deg, groups = self.degrees[src], []
+        for k in self.ks:
+            pos = np.flatnonzero(deg == k)
+            if pos.size:
+                groups.append((pos, self.nbr_idx[src[pos], :k] + off[pos, None]))
+        sums = neighbor_sums(values.reshape(-1, values.shape[-1]), groups)
+        return src + off, sums / deg[:, None] if divide else sums
+
+    def _scatter(self, values, rows, divide: bool):
+        """``_row_sums`` in place in a +0.0 array shaped as ``values``."""
+        flat, sums = self._row_sums(values, rows, divide)
+        out = np.zeros(values.shape)
+        out.reshape(-1, values.shape[-1])[flat] = sums
+        return out
 
 
 def propagation_operator(g: ConceptGraph) -> Propagation:

@@ -1,8 +1,8 @@
-"""Smoke test of the benchmark: one short traced tree-85 run must exit 0 with
-every chunk correct, which checks that the chunks agree, the workload's
-shape and the traced mode's layer and episode counts, and, on the numpy and
-BLAS build they were recorded with, the seed-0 output digests.  On any other
-build the run uses seed 3, whose digests are not recorded."""
+"""Smoke tests of the benchmark: one short traced run of each workload must
+exit 0 with every chunk correct, which checks that the chunks agree, the
+workload's shape and the traced mode's layer and episode counts, and, on the
+numpy and BLAS build they were recorded with, the seed-0 output digests.  On
+any other build the runs use seed 3, whose digests are not recorded."""
 
 import json
 import shutil
@@ -22,7 +22,7 @@ def _digest_build() -> bool:
             and str(blas.get("version", "")).startswith("0.3.31"))
 
 
-def test_traced_tree85_run_is_correct(tmp_path):
+def _traced_run_is_correct(tmp_path, workload):
     # run from a copy, so the run's .bench_out/ stays out of the checkout
     (tmp_path / "bench").mkdir()
     for name in ("run.py", "spans.py"):
@@ -31,9 +31,21 @@ def test_traced_tree85_run_is_correct(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "tree-85", "--trace", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--trace", "1",
          "--seconds", "0", "--seed", "0" if _digest_build() else "3"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+    return result["metrics"]
+
+
+def test_traced_tree85_run_is_correct(tmp_path):
+    _traced_run_is_correct(tmp_path, "tree-85")
+
+
+def test_traced_tree585_run_is_correct(tmp_path):
+    # the workload whose training propagates the smallest share of its rows;
+    # two P applications per training step, the hop's and the write-back's
+    metrics = _traced_run_is_correct(tmp_path, "tree-585")
+    assert metrics["train.graph.Propagation.apply.calls"]["value"] == 2

@@ -399,3 +399,40 @@ def test_stacked_relations_match_tape_bitwise(semantics, training):
     # tasks each run the relation MLP and its backward as one stack
     ids = THREE_TASKS + [np.array([21, 50, 5, 66]), np.array([1, 30, 45, 60, 72])]
     _emit_against_tape(semantics, 0.9, training, ids=ids)
+
+
+@pytest.mark.parametrize("keep_prob", [0.9, 1.0])
+@pytest.mark.parametrize("training", [True, False])
+def test_three_hop_emit_matches_tape_bitwise(training, keep_prob):
+    # hops 1 and 2 propagate N(N(i)) and N(i), their vjps N^3(i) and N^2(i)
+    _emit_against_tape("embeddings", keep_prob, training, (6, 5, 4), (5, 4))
+
+
+@pytest.mark.parametrize("n", [85, 585])
+@pytest.mark.parametrize("d_in, d_out", [(16, 64), (64, 32), (32, 65)])
+def test_row_restricted_inputs_keep_the_products_bits(n, d_in, d_out):
+    # The two BLAS facts the training generator's row-restricted
+    # propagation rests on, on its shapes: (1) a row of a full-height
+    # product x @ w has bits that depend on the row count, not on the other
+    # rows' values, so +0.0 rows elsewhere leave it as it is; (2) in a
+    # weight-gradient contraction x.T @ g, rows of x set to +0.0 where g's
+    # rows are zeros (of either sign) leave every bit as it is, for a stack
+    # of tasks and for one node matrix shared by them.
+    rng = np.random.default_rng(n + d_in)
+    for trial in range(20):
+        x = rng.standard_normal((3, n, d_in))
+        w = rng.standard_normal((d_in, d_out))
+        keep = [rng.choice(n, int(rng.integers(1, 60)), replace=False) for _ in x]
+        part = np.zeros_like(x)
+        g = np.zeros((3, n, d_out))
+        for t, r in enumerate(keep):
+            part[t, r] = x[t, r]
+            g[t, r] = rng.standard_normal((r.size, d_out))
+        g[rng.uniform(size=g.shape) < 0.3 * (g == 0)] = -0.0
+        full_out, part_out = x @ w, part @ w
+        for t, r in enumerate(keep):
+            assert np.array_equal(_bits(part_out[t, r]), _bits(full_out[t, r]))
+        assert np.array_equal(_bits(part.swapaxes(1, 2) @ g), _bits(x.swapaxes(1, 2) @ g))
+        shared, union = np.zeros((n, d_in)), np.unique(np.concatenate(keep))
+        shared[union] = x[0, union]
+        assert np.array_equal(_bits(shared.swapaxes(0, 1) @ g), _bits(x[0].swapaxes(0, 1) @ g))

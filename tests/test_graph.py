@@ -347,6 +347,61 @@ def test_reapply_matches_apply_bitwise(name, seed):
             npt.assert_array_equal(hit, np.isin(prop.nbr_idx, ids).any(axis=1))
 
 
+def random_rows(rng, prop, tasks):
+    """One id array per task, of 1 to 6 distinct rows in random order."""
+    return [rng.choice(prop.size, int(rng.integers(1, min(prop.size, 6) + 1)),
+                       replace=False) for _ in range(tasks)]
+
+
+@pytest.mark.parametrize("seed", [13, 14])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_apply_on_rows_matches_full_call_bitwise(name, seed):
+    # each task's rows of P x and P^T g, computed alone, have the bits of the
+    # full call's rows; every other row is +0.0
+    rng = np.random.default_rng(seed)
+    for trial in range(20):
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng))
+        for tasks, d in ((1, 1), (1, 16), (2, 2), (3, 16)):
+            x = with_signed_zeros(rng, (tasks, prop.size, d))
+            rows = random_rows(rng, prop, tasks)
+            for got, full in ((prop.apply(x, rows), prop.apply(x)),
+                              (prop.apply_vjp(x, rows), prop.apply_vjp(x))):
+                assert got.shape == full.shape
+                for m, f, r in zip(got, full, rows):
+                    npt.assert_array_equal(bits(m[r]), bits(f[r]))
+                    rest = np.ones(prop.size, dtype=bool)
+                    rest[r] = False
+                    assert not bits(m[rest]).any()          # +0.0, not -0.0
+        # one node matrix with one id array
+        x, (r,) = with_signed_zeros(rng, (prop.size, 3)), random_rows(rng, prop, 1)
+        npt.assert_array_equal(bits(prop.apply(x, [r])[r]), bits(prop.apply(x)[r]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_on_rows_relabeling_equivariance_exact(seed):
+    rng = np.random.default_rng(seed)
+    g = grown_tree(4, lambda: 3)
+    perm = rng.permutation(g.num_nodes)
+    prop, prop_p = propagation_operator(g), propagation_operator(permute_graph(g, perm))
+    x = with_signed_zeros(rng, (3, g.num_nodes, 5))
+    xp = np.empty_like(x)
+    xp[:, perm] = x
+    rows = random_rows(rng, prop, 3)
+    moved = [perm[r] for r in rows]
+    for op, op_p in ((prop.apply, prop_p.apply), (prop.apply_vjp, prop_p.apply_vjp)):
+        npt.assert_array_equal(bits(op_p(xp, moved)[:, perm]), bits(op(x, rows)))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_neighborhoods_are_the_rows_that_read_a_row(name):
+    rng = np.random.default_rng(5)
+    for trial in range(20):
+        prop = propagation_operator(ORACLE_GRAPHS[name](rng))
+        rows = random_rows(rng, prop, 3)
+        for r, near in zip(rows, prop.neighborhoods(rows)):
+            npt.assert_array_equal(near, np.flatnonzero(np.isin(prop.nbr_idx, r).any(axis=1)))
+
+
 # ---------------------------------------------------------------------------
 # row selection
 

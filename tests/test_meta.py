@@ -519,6 +519,27 @@ def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
                      "inner_adapt": shapes, "graph_embed": 1}
 
 
+def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch):
+    # each of the step's propagations (the hops after the first and the
+    # write-back, and their vjps) sums fewer rows than the tasks' node
+    # matrices hold: a fallback to propagating every row fails this
+    g, ds = deep_world
+    cfg = _step_cfg({})
+    levels = eligible_concept_levels(ds, g, cfg)
+    m = make_model(g)
+    summed, sums = [], graph.neighbor_sums
+
+    def counting(values, groups):
+        out = sums(values, groups)
+        summed.append(out[..., 0].size)
+        return out
+
+    monkeypatch.setattr(graph, "neighbor_sums", counting)
+    train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
+    assert len(summed) == 2 * len(m.gen_cfg.embed_widths)
+    assert all(0 < rows < (1 + len(levels)) * g.num_nodes for rows in summed), summed
+
+
 @pytest.mark.parametrize("case", list(STEP_CASES))
 def test_train_step_and_evaluate_build_no_tensor(deep_world, monkeypatch, case):
     # a Tensor is a parameter: a training step and an evaluation build none
@@ -693,9 +714,9 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
         emitted.append((args, out[0]))
         return out
 
-    def counting_apply(self, x):
+    def counting_apply(self, x, rows=None):
         applied.append(x)
-        return apply(self, x)
+        return apply(self, x, rows)
 
     monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
     monkeypatch.setattr(graph.Propagation, "apply", counting_apply)
