@@ -11,9 +11,9 @@ Three stages:
                         one more propagation + affine, rows L2-normalized
                         and scaled to norm ``scale``; the task's rows are
                         split into per-class weights (first ``feature_dim``
-                        columns) and bias (last column).  Tasks that share a
-                        frozen embedding reuse one write-back buffer and
-                        re-propagate only the rows their classes touch.
+                        columns) and bias (last column).  Each task writes
+                        back into its own copy of its node matrix, one task
+                        at a time, in training and in eval alike.
 
 The stages run on plain arrays, each intermediate checked for non-finite
 values (``tensor.checked``).  Each takes a list of tasks and returns its
@@ -27,8 +27,8 @@ stack), each task draws its dropout masks from its own stream in the
 reference order, and per-task gradients are summed left to right in task
 order.
 
-In training, P and Pᵀ run only on the rows a head depends on (see
-``graph_embed``), with the bits of propagating every row; a non-finite
+P and Pᵀ run only on the rows a head depends on (see ``graph_embed`` and
+``emit_classifier``), with the bits of propagating every row; a non-finite
 value in a row no head depends on reaches no output and is not checked.
 """
 
@@ -101,8 +101,8 @@ def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
 
 
 class SharedEmbedding(NamedTuple):
-    """A node matrix many calls share and its propagation P·z, computed once:
-    the generator's input, or a ``graph_embed`` output out of training."""
+    """The generator input z0 and its propagation P·z0, computed once by the
+    model and shared by every call."""
     z: np.ndarray
     propagated: np.ndarray
 
@@ -250,49 +250,30 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
 
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
-                    w, b, norm_scale: float, propagated=None, near=None):
+                    w, b, norm_scale: float, near=None):
     """Write-back, final propagation + affine (``w``, ``b``), row
     normalization scaled to ``norm_scale``; the vjp maps the rows'
     gradient to those of ``z_all``, the refined rows, ``w`` and ``b``.
 
-    ``z_all`` is a stack of node matrices, one per task, beside lists of
-    refined rows and of class id arrays.  Each task's refined rows are
-    written back into its node matrix, which is propagated, and the output
-    layer runs on the task's rows of the result; the output holds every
-    task's rows, task after task.  Only those rows are propagated (the
-    affine runs on every row, a row's bits depending on the row count), and
-    the vjp's Pᵀ runs on ``near``, each task's N(i), when given.
-
-    ``propagated``, when given, is P·z for the one node matrix z all tasks
-    share, and nothing backpropagates.  The write-back then runs the tasks
-    through one buffer each for z, P·z and the affine output: a task writes
-    its rows in, re-propagates the rows they touch (``Propagation.reapply``),
-    runs the affine on every row (a row's bits depend on the row count) and
-    restores the touched rows.  A task's touched rows are checked as it
-    runs, a shared row the first time a task leaves it untouched.
+    ``z_all`` is a stack of node matrices, one per task (in eval, one
+    shared matrix broadcast), beside lists of refined rows and of class id
+    arrays.  The tasks run one at a time: each copies its node matrix,
+    writes its refined rows in, propagates its class rows i only (every
+    other row +0.0) and runs the affine on every row (a row's bits depend
+    on the row count), keeping ``(P·z)[i]`` and its rows of the output.
+    The output holds every task's rows, task after task, and a call holds
+    one node matrix at a time, whatever the task count.  The vjp rebuilds
+    the +0.0 P·z stack from the kept rows, and its Pᵀ runs on ``near``,
+    each task's N(i), when given.
     """
-    if propagated is not None:
-        z = z_all[0]
-        z_buf, pz, a = np.array(z), propagated.copy(), np.empty((len(z), w.shape[1]))
-        unchecked, rows = np.ones(len(z), dtype=bool), []   # shared rows not yet checked
-        for r, i in zip(refined, class_ids):
-            z_buf[i] = r
-            hit, values = prop.reapply(z_buf, i)
-            pz[hit] = values
-            look, unchecked = unchecked | hit, unchecked & hit
-            checked(pz[look], "propagation", _WHERE)
-            np.matmul(pz, w, out=a)         # the bias goes on the rows used
-            checked(a[look] + b, "affine", _WHERE)
-            rows.append(a[i] + b)
-            z_buf[i], pz[hit] = z[i], propagated[hit]
-        rows = np.concatenate(rows)
-    else:
-        z = np.array(z_all)
-        for m, r, i in zip(z, refined, class_ids):
-            m[i] = r
-        pz = checked(prop.apply(z, class_ids), "propagation", _WHERE)
-        a = checked(pz @ w + b, "affine", _WHERE)
-        rows = np.concatenate([m[i] for m, i in zip(a, class_ids)])
+    pz_rows, rows = [], []
+    for m, r, i in zip(z_all, refined, class_ids):
+        m = np.array(m)
+        m[i] = r
+        pz = prop.apply(m, [i])
+        pz_rows.append(checked(pz[i], "propagation", _WHERE))
+        rows.append(checked((pz @ w)[i] + b, "affine", _WHERE))
+    rows = np.concatenate(rows)
     norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
     denom = np.maximum(norms, 1e-12)         # zero rows stay zero
     out = checked(checked(rows / denom, "l2_normalize_rows", _WHERE) * float(norm_scale),
@@ -303,9 +284,11 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         dot = np.sum(rows * g, axis=1, keepdims=True)
         g = np.split(np.where(norms > 1e-12, g / denom - rows * dot / denom ** 3, g / denom),
                      np.cumsum([i.size for i in class_ids])[:-1])
-        ga = np.zeros(a.shape)
-        for m, gt, i in zip(ga, g, class_ids):
+        ga = np.zeros((len(class_ids), prop.size, w.shape[1]))
+        pz = np.zeros((len(class_ids), prop.size, w.shape[0]))
+        for m, gt, p, pr, i in zip(ga, g, pz, pz_rows, class_ids):
             m[i] += gt
+            p[i] = pr
         g_z = prop.apply_vjp(ga @ w.T, near)
         g_refined = [m[i] for m, i in zip(g_z, class_ids)]
         for m, i in zip(g_z, class_ids):
@@ -317,7 +300,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
                   z0: SharedEmbedding, class_ids: list, rngs: list, training: bool,
-                  embedding: SharedEmbedding | None = None):
+                  embedding: np.ndarray | None = None):
     """Full pipeline: embed all nodes, refine each task's rows, emit the heads.
 
     Given a list of class id arrays and one stream per task, emits every
@@ -327,10 +310,10 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     by name.  Every task's ids are checked first.  ``z0`` is the generator
     input (see :func:`graph_embed`).
 
-    ``embedding``, when given, is used instead of embedding the nodes again,
-    and its propagation lets the write-back re-propagate only each task's
-    touched rows (see :func:`emit_classifier`); out of training both are the
-    same for every task, and nothing backpropagates through them.
+    ``embedding``, when given, is a node embedding every task shares (out
+    of training, where it is deterministic), used instead of embedding the
+    nodes again; nothing backpropagates into it.  The write-back is the
+    same either way (see :func:`emit_classifier`).
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
     if embedding is None:
@@ -338,10 +321,9 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
         for _ in cfg.embed_widths:
             reach.append(prop.neighborhoods(reach[-1]))
         z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training, reach)
-        propagated, near = None, reach[1]
+        near = reach[1]
     else:
-        z = np.broadcast_to(embedding.z, (len(ids),) + embedding.z.shape)
-        propagated, near = embedding.propagated, None
+        z, near = np.broadcast_to(embedding, (len(ids),) + embedding.shape), None
 
         def embed_back(g):                  # nothing backpropagates into it
             return {}
@@ -349,7 +331,7 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
         params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
     rows, emit_back = emit_classifier(
         prop, z, refined, ids, params["gen.out.W"].data, params["gen.out.b"].data,
-        cfg.scale, propagated, near)
+        cfg.scale, near)
     fd, ends = rows.shape[1] - 1, np.cumsum([i.size for i in ids])
     spans = [slice(e - i.size, e) for i, e in zip(ids, ends)]
 

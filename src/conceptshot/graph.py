@@ -160,8 +160,7 @@ class Propagation:
     ``rows``, one id array per matrix of the stack, they sum those rows
     only, grouped by degree on the spot, and leave every other row +0.0: a
     sum's bits depend on its own entries only, so each computed row has the
-    bits of the full call.  ``reapply`` re-propagates only the rows that a
-    rewrite of a few input rows changes, through the same row sums.
+    bits of the full call.
     """
 
     def __init__(self, nbr_idx, degrees, size):
@@ -189,26 +188,17 @@ class Propagation:
         """N(r), sorted, for each id array r of ``rows``: the rows of P·x
         that read a row of r, and those Pᵀ·g reaches from r (the structure
         is symmetric)."""
-        return [np.flatnonzero(self._touched(r)) for r in rows]
+        out = []
+        for r in rows:
+            hit = np.zeros(self.size + 1, dtype=bool)
+            hit[self.nbr_idx[r]] = True
+            out.append(np.flatnonzero(hit[:-1]))
+        return out
 
-    def reapply(self, values, ids):
-        """(row mask, P·values on those rows) for the rows of P·values that
-        a rewrite of the rows ``ids`` changes: r changes only where N(r)
-        meets ``ids``, so those are N(ids).  Each has the bits of
-        ``apply(values)``."""
-        hit = self._touched(ids)
-        return hit, self._row_sums(values, [np.flatnonzero(hit)], True)[1]
-
-    def _touched(self, ids):
-        """The mask of N(ids)."""
-        hit = np.zeros(self.size + 1, dtype=bool)
-        hit[self.nbr_idx[ids]] = True
-        return hit[:-1]
-
-    def _row_sums(self, values, rows, divide: bool):
-        """(positions in the flattened stack, neighborhood sums of ``values``,
-        divided by the degrees when ``divide``) of ``rows``, one id array per
-        (n, d) matrix of the stack ``values``, task after task.  The rows are
+    def _scatter(self, values, rows, divide: bool):
+        """The neighborhood sums of ``values``, divided by the degrees when
+        ``divide``, on ``rows``, one id array per (n, d) matrix of the stack
+        ``values``, in a +0.0 array shaped as ``values``.  The rows are
         grouped by degree on the flattened stack, each entry offset to its
         own matrix."""
         src, n = np.concatenate(rows), self.size
@@ -219,13 +209,8 @@ class Propagation:
             if pos.size:
                 groups.append((pos, self.nbr_idx[src[pos], :k] + off[pos, None]))
         sums = neighbor_sums(values.reshape(-1, values.shape[-1]), groups)
-        return src + off, sums / deg[:, None] if divide else sums
-
-    def _scatter(self, values, rows, divide: bool):
-        """``_row_sums`` in place in a +0.0 array shaped as ``values``."""
-        flat, sums = self._row_sums(values, rows, divide)
         out = np.zeros(values.shape)
-        out.reshape(-1, values.shape[-1])[flat] = sums
+        out.reshape(-1, values.shape[-1])[src + off] = sums / deg[:, None] if divide else sums
         return out
 
 

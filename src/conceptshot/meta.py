@@ -29,7 +29,8 @@ passes write the bias, activation and softmax into arrays they made
 themselves: each such write is the IEEE operation the reference does on the
 same operands, into an array of the same memory layout, so no bit moves.
 Evaluation never backpropagates; it embeds the graph once per call instead of
-once per episode, and emits and adapts its episodes in blocks.
+once per episode, and emits and adapts its episodes in blocks, through the
+same write-back as training.
 """
 
 from __future__ import annotations
@@ -180,18 +181,18 @@ class Model:
                                           rng.child("generator")))
 
     def emit(self, class_ids: list, rngs: list, training: bool,
-             embedding: SharedEmbedding | None = None):
+             embedding: np.ndarray | None = None):
         """(one classifier per task of ``class_ids``, each with its stream of
         ``rngs``, and the generator gradients' closure), from one generator
         pass (see :func:`classifier_gen.emit_for_task`)."""
         return emit_for_task(self.params, self.gen_cfg, self.prop,
                              self.generator_input, class_ids, rngs, training, embedding)
 
-    def embed(self, rng: Rng, training: bool) -> SharedEmbedding:
-        """The generator's node embedding z of the whole graph and its P·z."""
+    def embed(self, rng: Rng, training: bool) -> np.ndarray:
+        """The generator's node embedding of the whole graph."""
         (z,), _ = classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
                                              self.generator_input, [rng], training)
-        return SharedEmbedding(z, checked(self.prop.apply(z), "propagation", "the embedding"))
+        return z
 
 
 @dataclass
@@ -545,10 +546,9 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     draws its own random streams from (cfg.seed, episode index), so the
     per-episode accuracy vector is independent of execution order.  Nothing
     is backpropagated, so the episodes share one node embedding, which is
-    deterministic out of training, together with its propagation P·z: both
-    are computed once
-    per call, and each episode's write-back emit re-propagates only the rows
-    its classes touch (``Propagation.reapply``), not the whole graph.
+    deterministic out of training and computed once per call; each
+    episode's write-back then propagates only its class rows, as in
+    training (see :func:`classifier_gen.emit_classifier`).
     Episodes come in blocks of ``_BLOCK``: a block's episodes are sampled,
     then emitted by one :meth:`Model.emit` call and adapted by
     :func:`adapt_episodes`, then scored one by one by :func:`episode_loss`;

@@ -46,6 +46,9 @@ def test_traced_tree85_run_is_correct(tmp_path):
 
 def test_traced_tree585_run_is_correct(tmp_path):
     # the workload whose training propagates the smallest share of its rows;
-    # two P applications per training step, the hop's and the write-back's
+    # per training step, one P application for the second hop and one
+    # write-back per episode; per eval call of 20 episodes, one embedding
+    # and 20 write-backs
     metrics = _traced_run_is_correct(tmp_path, "tree-585")
-    assert metrics["train.graph.Propagation.apply.calls"]["value"] == 2
+    assert metrics["train.graph.Propagation.apply.calls"]["value"] == 1 + 3
+    assert metrics["eval.graph.Propagation.apply.calls"]["value"] == 1 + 1 / 20

@@ -1,5 +1,7 @@
 """Classifier generator: propagation oracles, refinement, emission contracts."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -247,16 +249,14 @@ def test_emit_checks_every_task_before_generator_work(monkeypatch):
 
 
 def _shared(params, cfg, prop, sem):
-    z = embed_one(params, cfg, prop, sem, T.Rng(0), training=False)
-    return generator_input(prop, z)
+    return embed_one(params, cfg, prop, sem, T.Rng(0), training=False)
 
 
 @pytest.mark.parametrize("ids", [[[3, 4], [1, 2], [5, 6, 3], [0]],
                                  [[0], [5, 6, 3], [1, 2], [3, 4]]])
 def test_shared_embedding_emit_matches_alone_bitwise(ids):
-    # tasks of several levels in one call, each touching rows that an
-    # earlier task rewrote, so the write-back buffer must be restored
-    # between tasks (in either task order)
+    # tasks of several levels in one call, each reading rows that an
+    # earlier task rewrote in its own copy (in either task order)
     g = tree7()
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
@@ -270,18 +270,63 @@ def test_shared_embedding_emit_matches_alone_bitwise(ids):
         assert np.array_equal(_bits(head.bias), _bits(alone.bias))
 
 
-def test_shared_embedding_emit_checks_untouched_rows():
-    # node 6 overflows the output affine, and no task touches its row
+def _emit_shared_with_overflow(row):
+    """Task [3, 4] emitted from the shared embedding with 1e300 in ``row``
+    and an output layer scaled to overflow from it, and from the embedding
+    as it is."""
     g = tree7()
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
     prop = propagation_operator(g)
-    z = _shared(params, cfg, prop, g.semantics).z.copy()
-    z[6] = 1e300
+    z = _shared(params, cfg, prop, g.semantics)
+    bad = z.copy()
+    bad[row] = 1e300
     params["gen.out.W"].data = params["gen.out.W"].data * 1e10
+    return [emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), [[3, 4]],
+                          [T.Rng(0)], False, embedding=e)[0][0] for e in (bad, z)]
+
+
+def test_shared_embedding_emit_checks_untouched_rows():
+    # node 1 is no class row, but both class rows read it in the write-back
+    # propagation, and it overflows the output affine there
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'affine'"):
-        emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), [[3, 4]],
-                      [T.Rng(0)], False, embedding=generator_input(prop, z))
+        _emit_shared_with_overflow(1)
+
+
+def test_shared_embedding_emit_ignores_rows_no_task_reads():
+    # node 6 is in no class row's neighborhood, so it reaches no output: the
+    # write-back neither checks it nor moves a bit
+    got, want = _emit_shared_with_overflow(6)
+    assert np.array_equal(_bits(got.weights), _bits(want.weights))
+    assert np.array_equal(_bits(got.bias), _bits(want.bias))
+
+
+def test_shared_embedding_emit_memory_does_not_grow_with_the_block():
+    # an eval block's tasks share one node matrix, broadcast: the write-back
+    # holds one task's copy at a time, so 60 more tasks on a 585-node graph
+    # add less than a quarter of a node matrix each (a copy per task stacked
+    # for the block would add several)
+    g, _ = generate_synthetic(SynthConfig(branching=8, num_levels=4, input_dim=2,
+                                          semantic_dim=2, samples_per_class=1, seed=5))
+    prop = propagation_operator(g)
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((g.num_nodes, 32))
+    w, b = 0.1 * rng.standard_normal((32, 65)), np.zeros(65)
+    leaves = g.ids_at(g.entity_level)
+
+    def peak(tasks):
+        ids = [rng.choice(leaves, 5, replace=False) for _ in range(tasks)]
+        refined = [rng.standard_normal((5, 32)) for _ in ids]
+        block = np.broadcast_to(z, (tasks,) + z.shape)
+        tracemalloc.start()
+        try:
+            emit_classifier(prop, block, refined, ids, w, b, 0.2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert g.num_nodes == 585
+    assert peak(64) - peak(4) < 60 * z.nbytes / 4
 
 
 def test_one_hot_mode_config():

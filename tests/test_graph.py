@@ -325,28 +325,6 @@ def test_sym_neighbor_mean_ignores_padding_width():
         npt.assert_array_equal(bits(a), bits(b))
 
 
-@pytest.mark.parametrize("seed", [11, 12])
-@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-def test_reapply_matches_apply_bitwise(name, seed):
-    # re-propagating only the rows that a rewrite of ``ids`` touches, those
-    # with a neighbor in ``ids``, gives every row the bits of propagating
-    # the rewritten input in full
-    rng = np.random.default_rng(seed)
-    for trial in range(40):
-        prop = propagation_operator(ORACLE_GRAPHS[name](rng))
-        for d in (1, 2, 16):
-            z = with_signed_zeros(rng, (prop.size, d))
-            ids = rng.choice(prop.size, int(rng.integers(1, min(prop.size, 6) + 1)),
-                             replace=False)
-            rewritten = z.copy()
-            rewritten[ids] = with_signed_zeros(rng, (ids.size, d))
-            got = prop.apply(z)
-            hit, values = prop.reapply(rewritten, ids)
-            got[hit] = values
-            npt.assert_array_equal(bits(got), bits(prop.apply(rewritten)))
-            npt.assert_array_equal(hit, np.isin(prop.nbr_idx, ids).any(axis=1))
-
-
 def random_rows(rng, prop, tasks):
     """One id array per task, of 1 to 6 distinct rows in random order."""
     return [rng.choice(prop.size, int(rng.integers(1, min(prop.size, 6) + 1)),

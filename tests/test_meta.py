@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from conceptshot import classifier_gen, graph, meta, tensor
-from conceptshot.classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
+from conceptshot.classifier_gen import (GeneratorConfig, TaskClassifier,
                                         emit_for_task)
 from conceptshot.data import (SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
@@ -520,9 +520,10 @@ def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
 
 
 def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch):
-    # each of the step's propagations (the hops after the first and the
-    # write-back, and their vjps) sums fewer rows than the tasks' node
-    # matrices hold: a fallback to propagating every row fails this
+    # each of the step's propagations (the hops after the first, one
+    # write-back per episode, and their vjps) sums fewer rows than the node
+    # matrices it is given hold: a fallback to propagating every row fails
+    # this
     g, ds = deep_world
     cfg = _step_cfg({})
     levels = eligible_concept_levels(ds, g, cfg)
@@ -531,13 +532,14 @@ def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch)
 
     def counting(values, groups):
         out = sums(values, groups)
-        summed.append(out[..., 0].size)
+        summed.append((out[..., 0].size, values[..., 0].size))
         return out
 
     monkeypatch.setattr(graph, "neighbor_sums", counting)
     train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
-    assert len(summed) == 2 * len(m.gen_cfg.embed_widths)
-    assert all(0 < rows < (1 + len(levels)) * g.num_nodes for rows in summed), summed
+    hops = len(m.gen_cfg.embed_widths)
+    assert len(summed) == 2 * (hops - 1) + (1 + len(levels)) + 1
+    assert all(0 < rows < held for rows, held in summed), summed
 
 
 @pytest.mark.parametrize("case", list(STEP_CASES))
@@ -705,7 +707,8 @@ def wide_world():
 
 def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
     """``evaluate`` on ``n_episodes`` episodes: each ``emit_for_task`` call
-    it made with its arguments and heads, and each P applied meanwhile."""
+    it made with its arguments and heads, and the ``rows`` of each P
+    applied meanwhile."""
     emitted, applied = [], []
     apply = graph.Propagation.apply
 
@@ -715,7 +718,7 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
         return out
 
     def counting_apply(self, x, rows=None):
-        applied.append(x)
+        applied.append(rows)
         return apply(self, x, rows)
 
     monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
@@ -727,10 +730,10 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
 
 
 def _assert_heads_alone(emitted):
-    # every head of a block's emit, from the shared embedding and its
-    # propagation, has the bits of its task emitted alone from scratch
+    # every head of a block's emit, from the shared embedding, has the bits
+    # of its task emitted alone from scratch
     for args, heads in emitted:
-        assert isinstance(args[-1], SharedEmbedding)
+        assert isinstance(args[-1], np.ndarray)
         assert len(heads) == len(args[4]) == len(args[5])
         for ids, drop, clf in zip(args[4], args[5], heads):
             (alone,), _ = emit_for_task(*args[:4], [ids], [drop], *args[6:-1])
@@ -744,15 +747,17 @@ def _assert_heads_alone(emitted):
 @pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
 def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, semantics,
                                                   level, n_way, seed):
-    # the 6 episodes are one block, emitted by one call; the graph is
+    # the 6 episodes are one block, emitted by one call; the whole graph is
     # propagated once per hop after the first (the model holds the first
-    # hop's P z0) and once more for the shared P z, whatever the episode
-    # count
+    # hop's P z0), whatever the episode count, and each episode's write-back
+    # propagates its own rows only
     g, ds = wide_world
     m = make_model(g, seed=seed, semantics=semantics)
     emitted, applied = _evaluate_emitting(m, ds, monkeypatch, 6, level, n_way)
     assert len(emitted) == 1 and len(emitted[0][1]) == 6
-    assert len(applied) == len(m.gen_cfg.embed_widths)
+    full = sum(rows is None for rows in applied)
+    assert full == len(m.gen_cfg.embed_widths) - 1
+    assert len(applied) - full == 6
     _assert_heads_alone(emitted)
 
 
