@@ -157,11 +157,12 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
     Nothing backpropagates into ``z0``.
 
     ``reach``, when given, is each task's row sets [i, N(i), N(N(i)), ...],
-    one more than there are hops, built once per training step by
+    one more than there are hops, built once per call by
     :func:`emit_for_task`: the rows a head reads at each depth, and that its
     gradient reaches.  The output is then exact on N(i) only, which is all
     the write-back reads.  Of L hops, hop h >= 1 propagates only the rows
-    that the later hops read, ``reach[L - h]``, and its vjp only
+    that the later hops read, ``reach[L - h]`` (their union while the tasks
+    share one node matrix: with no dropout, as in eval), and its vjp only
     ``reach[L - h + 1]``, the rows its nonzero gradient reaches.  The
     affines run on every row (a row's bits depend on the row count), and
     the +0.0 rows of a propagation meet only gradient rows that are exactly
@@ -179,7 +180,7 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
         if h:
             rows = reach[hops - h]
             if rows is not None and x.ndim == 2:        # one matrix for every task
-                rows = [functools.reduce(np.union1d, rows)]
+                rows = [np.unique(np.concatenate(rows))]
             x = checked(prop.apply(x, rows), "propagation", _WHERE)
         x, rec = _layer(x, ws[h], params[b].data, cfg, rngs, training)
         recs.append(rec)
@@ -299,39 +300,28 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
 
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                  z0: SharedEmbedding, class_ids: list, rngs: list, training: bool,
-                  embedding: np.ndarray | None = None):
-    """Full pipeline: embed all nodes, refine each task's rows, emit the heads.
+                  z0: SharedEmbedding, class_ids: list, rngs: list, training: bool):
+    """Full pipeline: embed the nodes, refine each task's rows, emit the heads.
 
     Given a list of class id arrays and one stream per task, emits every
     task in one pass and returns (one classifier per task, each with the
     bits it gets alone, grads).  ``grads`` maps a list of (weights, bias)
     gradients, one per head, to the gradient of every generator parameter,
     by name.  Every task's ids are checked first.  ``z0`` is the generator
-    input (see :func:`graph_embed`).
-
-    ``embedding``, when given, is a node embedding every task shares (out
-    of training, where it is deterministic), used instead of embedding the
-    nodes again; nothing backpropagates into it.  The write-back is the
-    same either way (see :func:`emit_classifier`).
+    input (see :func:`graph_embed`).  Training and eval take the one path:
+    the nodes are embedded once per call, on the rows the call's heads
+    read, and each task writes back into its own copy of the embedding.
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
-    if embedding is None:
-        reach = [ids]                       # i, N(i), N(N(i)), ...: see graph_embed
-        for _ in cfg.embed_widths:
-            reach.append(prop.neighborhoods(reach[-1]))
-        z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training, reach)
-        near = reach[1]
-    else:
-        z, near = np.broadcast_to(embedding, (len(ids),) + embedding.shape), None
-
-        def embed_back(g):                  # nothing backpropagates into it
-            return {}
+    reach = [ids]                           # i, N(i), N(N(i)), ...: see graph_embed
+    for _ in cfg.embed_widths:
+        reach.append(prop.neighborhoods(reach[-1]))
+    z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training, reach)
     refined, refine_back = refine_relations(
         params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
     rows, emit_back = emit_classifier(
         prop, z, refined, ids, params["gen.out.W"].data, params["gen.out.b"].data,
-        cfg.scale, near)
+        cfg.scale, reach[1])
     fd, ends = rows.shape[1] - 1, np.cumsum([i.size for i in ids])
     spans = [slice(e - i.size, e) for i, e in zip(ids, ends)]
 

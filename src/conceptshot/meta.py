@@ -28,9 +28,9 @@ the loop updates the adapted arrays in place, and the forward and gradient
 passes write the bias, activation and softmax into arrays they made
 themselves: each such write is the IEEE operation the reference does on the
 same operands, into an array of the same memory layout, so no bit moves.
-Evaluation never backpropagates; it embeds the graph once per call instead of
-once per episode, and emits and adapts its episodes in blocks, through the
-same write-back as training.
+Evaluation never backpropagates; it emits and adapts its episodes in blocks,
+each block emitted by one generator pass as a training step's episodes are:
+one embedding per block, restricted to the rows the block's heads read.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import classifier_gen
 from .artifact import read_binary, write_binary, write_text_atomic
 from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
                              emit_for_task, init_generator)
@@ -180,19 +179,12 @@ class Model:
         self.params.update(init_generator(gen_cfg, sem.shape[1], enc_cfg.feature_dim,
                                           rng.child("generator")))
 
-    def emit(self, class_ids: list, rngs: list, training: bool,
-             embedding: np.ndarray | None = None):
+    def emit(self, class_ids: list, rngs: list, training: bool):
         """(one classifier per task of ``class_ids``, each with its stream of
         ``rngs``, and the generator gradients' closure), from one generator
         pass (see :func:`classifier_gen.emit_for_task`)."""
         return emit_for_task(self.params, self.gen_cfg, self.prop,
-                             self.generator_input, class_ids, rngs, training, embedding)
-
-    def embed(self, rng: Rng, training: bool) -> np.ndarray:
-        """The generator's node embedding of the whole graph."""
-        (z,), _ = classifier_gen.graph_embed(self.params, self.gen_cfg, self.prop,
-                                             self.generator_input, [rng], training)
-        return z
+                             self.generator_input, class_ids, rngs, training)
 
 
 @dataclass
@@ -544,15 +536,15 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
 
     Dropout is disabled and model parameters are never written; each episode
     draws its own random streams from (cfg.seed, episode index), so the
-    per-episode accuracy vector is independent of execution order.  Nothing
-    is backpropagated, so the episodes share one node embedding, which is
-    deterministic out of training and computed once per call; each
-    episode's write-back then propagates only its class rows, as in
-    training (see :func:`classifier_gen.emit_classifier`).
+    per-episode accuracy vector is independent of execution order.
     Episodes come in blocks of ``_BLOCK``: a block's episodes are sampled,
     then emitted by one :meth:`Model.emit` call and adapted by
     :func:`adapt_episodes`, then scored one by one by :func:`episode_loss`;
-    each episode gets the bits it gets alone.
+    each episode gets the bits it gets alone.  The emit is a training
+    step's without dropout: one node embedding per block, propagated only
+    on the rows its heads read, and one write-back per episode (see
+    :func:`classifier_gen.emit_for_task`).  A non-finite value in a row no
+    head reads reaches no output and is not checked, as in training.
     """
     try:
         accs = np.empty(cfg.n_episodes)
@@ -563,7 +555,6 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     sample, where = ((sample_entity_episode, split) if level in (None, g.entity_level)
                      else (sample_concept_episode, level))
     rng = Rng(cfg.seed).child("eval")
-    embedding = model.embed(rng.child("embed"), training=False)
     for start in range(0, cfg.n_episodes, _BLOCK):
         block = range(start, min(start + _BLOCK, cfg.n_episodes))
         eps = [sample(ds, g, where, cfg.n_way, cfg.k_shot, cfg.n_query,
@@ -571,7 +562,7 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
         # only the heads and the accuracies: no vjp closure outlives its call,
         # which keeps the arrays it holds out of the peak memory
         heads = model.emit([ep.class_ids for ep in eps],
-                           [rng.child(i, "drop") for i in block], False, embedding)[0]
+                           [rng.child(i, "drop") for i in block], False)[0]
         adapted = adapt_episodes(model, eps, heads, cfg.adapt_steps, cfg.inner_lr)
         for i, (ep, state) in enumerate(zip(eps, adapted), start):
             accs[i] = episode_loss(model, ep, adapted=state)[1]
@@ -605,7 +596,8 @@ def save_checkpoint(path, model: Model, opt: SgdOptimizer, *, iteration: int = 0
 
 def load_checkpoint(path, model: Model, opt: SgdOptimizer | None = None,
                     expected_hash: str | None = None) -> dict:
-    """Restore parameters (and velocities, if ``opt`` given) in place."""
+    """Restore parameters (and velocities, if ``opt`` given) in place.  A
+    non-finite value in any table is a ``DataError`` and writes nothing."""
     names = sorted(model.params)
 
     def layout(header):
@@ -626,6 +618,10 @@ def load_checkpoint(path, model: Model, opt: SgdOptimizer | None = None,
         return [("<f8", shape) for _, shape in entries] * 2   # params, then velocities
 
     header, tables = read_binary(path, _CKPT_MAGIC, "checkpoint", layout)
+    kinds = [f"parameter '{n}'" for n in names] + [f"velocity of '{n}'" for n in names]
+    for kind, value in zip(kinds, tables):      # all checked before any is written
+        if not np.isfinite(value).all():
+            raise DataError(f"checkpoint {kind} holds non-finite values")
     for n, value in zip(names, tables):
         model.params[n].data = value
     if opt is not None:

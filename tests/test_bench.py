@@ -47,8 +47,9 @@ def test_traced_tree85_run_is_correct(tmp_path):
 def test_traced_tree585_run_is_correct(tmp_path):
     # the workload whose training propagates the smallest share of its rows;
     # per training step, one P application for the second hop and one
-    # write-back per episode; per eval call of 20 episodes, one embedding
-    # and 20 write-backs
+    # write-back per episode; per eval block of 20 episodes, emitted as a
+    # training step is, one second-hop application on the union of the
+    # block's N(i) and 20 write-backs
     metrics = _traced_run_is_correct(tmp_path, "tree-585")
     assert metrics["train.graph.Propagation.apply.calls"]["value"] == 1 + 3
     assert metrics["eval.graph.Propagation.apply.calls"]["value"] == 1 + 1 / 20

@@ -248,55 +248,61 @@ def test_emit_checks_every_task_before_generator_work(monkeypatch):
     assert calls == []
 
 
-def _shared(params, cfg, prop, sem):
-    return embed_one(params, cfg, prop, sem, T.Rng(0), training=False)
-
-
 @pytest.mark.parametrize("ids", [[[3, 4], [1, 2], [5, 6, 3], [0]],
                                  [[0], [5, 6, 3], [1, 2], [3, 4]]])
 def test_shared_embedding_emit_matches_alone_bitwise(ids):
-    # tasks of several levels in one call, each reading rows that an
-    # earlier task rewrote in its own copy (in either task order)
+    # tasks of several levels in one call out of training, where they share
+    # one node embedding (of the union of their rows), each reading rows
+    # that an earlier task rewrote in its own copy (in either task order)
     g = tree7()
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
     prop = propagation_operator(g)
     heads, _ = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), ids,
-                             [T.Rng(k) for k in range(4)], False,
-                             embedding=_shared(params, cfg, prop, g.semantics))
+                             [T.Rng(k) for k in range(4)], False)
     for i, head in zip(ids, heads):
         alone = emit_one(params, cfg, prop, g.semantics, i, T.Rng(0), training=False)
         assert np.array_equal(_bits(head.weights), _bits(alone.weights))
         assert np.array_equal(_bits(head.bias), _bits(alone.bias))
 
 
-def _emit_shared_with_overflow(row):
-    """Task [3, 4] emitted from the shared embedding with 1e300 in ``row``
-    and an output layer scaled to overflow from it, and from the embedding
-    as it is."""
+def _emit_shared_with_overflow(monkeypatch, row):
+    """Task [3, 4] emitted out of training with 1e300 in ``row`` of the node
+    embedding it writes back into and an output layer scaled to overflow
+    from it, and from the embedding as it is."""
     g = tree7()
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
     prop = propagation_operator(g)
-    z = _shared(params, cfg, prop, g.semantics)
-    bad = z.copy()
-    bad[row] = 1e300
     params["gen.out.W"].data = params["gen.out.W"].data * 1e10
-    return [emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), [[3, 4]],
-                          [T.Rng(0)], False, embedding=e)[0][0] for e in (bad, z)]
+    embed = classifier_gen.graph_embed
+
+    def emit():
+        return emit_for_task(params, cfg, prop, generator_input(prop, g.semantics),
+                             [[3, 4]], [T.Rng(0)], False)[0][0]
+
+    def overflowing_embed(*args):
+        z, back = embed(*args)
+        z = np.array(z)
+        z[:, row] = 1e300
+        return z, back
+
+    want = emit()
+    monkeypatch.setattr(classifier_gen, "graph_embed", overflowing_embed)
+    return emit(), want
 
 
-def test_shared_embedding_emit_checks_untouched_rows():
+def test_shared_embedding_emit_checks_untouched_rows(monkeypatch):
     # node 1 is no class row, but both class rows read it in the write-back
     # propagation, and it overflows the output affine there
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="'affine'"):
-        _emit_shared_with_overflow(1)
+        _emit_shared_with_overflow(monkeypatch, 1)
 
 
-def test_shared_embedding_emit_ignores_rows_no_task_reads():
+def test_shared_embedding_emit_ignores_rows_no_task_reads(monkeypatch):
     # node 6 is in no class row's neighborhood, so it reaches no output: the
     # write-back neither checks it nor moves a bit
-    got, want = _emit_shared_with_overflow(6)
+    got, want = _emit_shared_with_overflow(monkeypatch, 6)
     assert np.array_equal(_bits(got.weights), _bits(want.weights))
     assert np.array_equal(_bits(got.bias), _bits(want.bias))
 

@@ -1,7 +1,9 @@
 """End-to-end command-line flows in a temporary directory."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from conceptshot.cli import main
@@ -153,6 +155,18 @@ def test_config_file_naming_flags_exits_2(tmp_path, capsys):
     assert not (tmp_path / "art").exists()
 
 
+def _with_value(blob, name, value):
+    """The checkpoint ``blob`` with the first entry of parameter ``name`` set
+    to ``value``: its tables follow the header in the header's name order."""
+    hlen = int.from_bytes(blob[4:8], "little")
+    offset = 8 + hlen
+    for n, shape in json.loads(blob[8:offset])["params"]:
+        if n == name:
+            return blob[:offset] + np.float64(value).astype("<f8").tobytes() + blob[offset + 8:]
+        offset += 8 * math.prod(shape)
+    raise KeyError(name)
+
+
 def test_exit_codes(tmp_path, capsys):
     cfgp = write_config(tmp_path)
     # config errors
@@ -241,6 +255,17 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "data error" in err
     assert "numerical failure" in err
+    # data errors: a checkpoint with a non-finite parameter, named before any
+    # parameter is written or any episode is run
+    ckpt = tmp_path / "art" / "model.ckpt"
+    blob = ckpt.read_bytes()
+    for name, value in (("enc.0.W", np.nan), ("gen.out.b", -np.inf)):
+        ckpt.write_bytes(_with_value(blob, name, value))
+        assert main(["eval", "-c", str(cfgp)]) == 3
+        assert (f"checkpoint parameter '{name}' holds non-finite values"
+                in capsys.readouterr().err)
+    ckpt.write_bytes(blob)
+    assert main(["eval", "-c", str(cfgp)]) == 0
     # data errors: a dataset whose width is not the config's input dim
     for command in (["train"], ["eval", "--untrained"]):
         assert main(command + ["-c", str(cfgp), "--set", "data.input_dim=6"]) == 3

@@ -9,10 +9,11 @@ import pytest
 from conceptshot import classifier_gen, graph, meta, tensor
 from conceptshot.classifier_gen import (GeneratorConfig, TaskClassifier,
                                         emit_for_task)
-from conceptshot.data import (SynthConfig, generate_synthetic,
+from conceptshot.data import (Dataset, SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
 from conceptshot.encoder import EncoderConfig, layer_names, layer_pairs
 from conceptshot.errors import ConfigError, DataError, NumericalError
+from conceptshot.graph import ConceptGraph, NodeRecord
 from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interval,
                               eligible_concept_levels, episode_loss, evaluate,
                               inner_adapt, load_checkpoint, metrics_columns,
@@ -675,14 +676,16 @@ def test_evaluate_is_pure(world):
 
 
 def test_evaluate_embeds_once_and_records_no_tape(world, monkeypatch):
+    # the 5 episodes are one block: one embedding, out of training, for the
+    # rows of the block's 5 tasks
     g, ds = world
     m = make_model(g)
     calls, losses = [], []
     embed, run_episode = classifier_gen.graph_embed, meta.episode_loss
 
-    def counting_embed(*args, **kwargs):
-        calls.append(kwargs.get("training", args[-1]))
-        return embed(*args, **kwargs)
+    def counting_embed(params, cfg, prop, z0, rngs, training, reach):
+        calls.append((training, len(rngs), len(reach[0])))
+        return embed(params, cfg, prop, z0, rngs, training, reach)
 
     def keeping_episode(*args, **kwargs):
         out = run_episode(*args, **kwargs)
@@ -693,7 +696,7 @@ def test_evaluate_embeds_once_and_records_no_tape(world, monkeypatch):
     monkeypatch.setattr(meta, "episode_loss", keeping_episode)
     evaluate(m, ds, EvalConfig(n_episodes=5, n_way=2, k_shot=1, n_query=5,
                                adapt_steps=1, seed=3), split="meta-train")
-    assert calls == [False]
+    assert calls == [(False, 5, 5)]
     assert len(losses) == 5
     assert all(isinstance(loss, float) for loss in losses)
 
@@ -707,8 +710,8 @@ def wide_world():
 
 def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
     """``evaluate`` on ``n_episodes`` episodes: each ``emit_for_task`` call
-    it made with its arguments and heads, and the ``rows`` of each P
-    applied meanwhile."""
+    it made with its arguments and heads, the ``rows`` of each P applied
+    meanwhile, and its result."""
     emitted, applied = [], []
     apply = graph.Propagation.apply
 
@@ -723,20 +726,21 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
 
     monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
     monkeypatch.setattr(graph.Propagation, "apply", counting_apply)
-    evaluate(m, ds, EvalConfig(n_episodes=n_episodes, n_way=n_way, k_shot=1, n_query=2,
-                               adapt_steps=1, seed=2), split="meta-train", level=level)
+    res = evaluate(m, ds, EvalConfig(n_episodes=n_episodes, n_way=n_way, k_shot=1,
+                                     n_query=2, adapt_steps=1, seed=2),
+                   split="meta-train", level=level)
     monkeypatch.undo()
-    return emitted, applied
+    return emitted, applied, res
 
 
 def _assert_heads_alone(emitted):
-    # every head of a block's emit, from the shared embedding, has the bits
-    # of its task emitted alone from scratch
+    # every head of a block's emit, out of training, has the bits of its task
+    # emitted alone from scratch
     for args, heads in emitted:
-        assert isinstance(args[-1], np.ndarray)
+        assert args[6:] == (False,)
         assert len(heads) == len(args[4]) == len(args[5])
         for ids, drop, clf in zip(args[4], args[5], heads):
-            (alone,), _ = emit_for_task(*args[:4], [ids], [drop], *args[6:-1])
+            (alone,), _ = emit_for_task(*args[:4], [ids], [drop], *args[6:])
             assert np.array_equal(_bits(clf.weights), _bits(alone.weights))
             assert np.array_equal(_bits(clf.bias), _bits(alone.bias))
 
@@ -747,17 +751,19 @@ def _assert_heads_alone(emitted):
 @pytest.mark.parametrize("semantics", ["embeddings", "one-hot"])
 def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, semantics,
                                                   level, n_way, seed):
-    # the 6 episodes are one block, emitted by one call; the whole graph is
-    # propagated once per hop after the first (the model holds the first
-    # hop's P z0), whatever the episode count, and each episode's write-back
-    # propagates its own rows only
+    # the 6 episodes are one block, emitted by one call, as a training step
+    # emits its episodes: the second hop (the model holds the first hop's
+    # P z0) propagates only the union of the block's N(i), and each
+    # episode's write-back propagates its own class rows i only
     g, ds = wide_world
     m = make_model(g, seed=seed, semantics=semantics)
-    emitted, applied = _evaluate_emitting(m, ds, monkeypatch, 6, level, n_way)
+    emitted, applied, _ = _evaluate_emitting(m, ds, monkeypatch, 6, level, n_way)
     assert len(emitted) == 1 and len(emitted[0][1]) == 6
-    full = sum(rows is None for rows in applied)
-    assert full == len(m.gen_cfg.embed_widths) - 1
-    assert len(applied) - full == 6
+    ids = [np.asarray(i) for i in emitted[0][0][4]]
+    assert len(m.gen_cfg.embed_widths) == 2 and len(applied) == 1 + 6
+    (hop,), *write_backs = applied
+    assert np.array_equal(hop, np.unique(np.concatenate(m.prop.neighborhoods(ids))))
+    assert all(np.array_equal(r, i) for (r,), i in zip(write_backs, ids))
     _assert_heads_alone(emitted)
 
 
@@ -772,10 +778,53 @@ def test_evaluate_block_heads_match_emit_alone_bitwise(wide_world, monkeypatch, 
     # block makes a full block, then a block of 1
     g, ds = wide_world
     m = make_model(g, seed=seed, semantics=semantics)
-    emitted, _ = _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way)
+    emitted, _, _ = _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way)
     block = meta._BLOCK
     assert [len(heads) for _, heads in emitted] == [block] * (n_episodes // block) + (
         [n_episodes % block] if n_episodes % block else [])
+    _assert_heads_alone(emitted)
+
+
+def _irregular_forest(seed=11):
+    """A 33-node forest that no balanced tree gives: two roots, a level-1
+    node without children (5), and one (2) with 20 children, whose degree
+    of 22 (its parent and self loop included) sends its neighborhood sums
+    through ``np.sort``.  Every node has 8 samples around its prototype."""
+    rng = np.random.default_rng(seed)
+    nodes = [NodeRecord(0, "r0", 0), NodeRecord(1, "r1", 0)]
+    nodes += [NodeRecord(i, f"m{i}", 1, "weak") for i in (2, 3, 4, 5)]
+    edges = [(0, 2), (0, 3), (1, 4), (1, 5)]
+    for parent, count in ((2, 20), (3, 4), (4, 3)):
+        for _ in range(count):
+            nid = len(nodes)
+            nodes.append(NodeRecord(nid, f"l{nid}", 2,
+                                    "meta-test" if nid % 4 == 0 else "meta-train"))
+            edges.append((parent, nid))
+    protos = rng.standard_normal((len(nodes), 8))
+    for i, j in edges:                  # a child near its parent
+        protos[j] = protos[i] + 0.5 * protos[j]
+    ids = np.repeat(np.arange(len(nodes)), 8)
+    feats = protos[ids] + 0.3 * rng.standard_normal((ids.size, 8))
+    g = ConceptGraph(nodes, edges, rng.standard_normal((len(nodes), 8)), 3)
+    return g, Dataset(feats, ids)
+
+
+@pytest.mark.parametrize("level", [None, 1])
+def test_irregular_forest_trains_and_evaluates(monkeypatch, level):
+    # 20 training steps, then more eval episodes than one block, at the
+    # entity level and at level 1: every metric is finite and each block
+    # head has the bits of its task emitted alone
+    g, ds = _irregular_forest()
+    m = make_model(g)
+    assert max(m.prop.ks) > tensor._NETWORK_MAX_K
+    cfg = TrainConfig(iterations=20, n_way=3, k_shot=1, n_query=3, adapt_steps=2, seed=4)
+    assert eligible_concept_levels(ds, g, cfg) == [(0, 2), (1, 3)]
+    records, _ = train(m, ds, cfg)
+    assert len(records) == 20
+    assert all(np.isfinite(v) for rec in records for v in rec.values())
+    emitted, _, res = _evaluate_emitting(m, ds, monkeypatch, meta._BLOCK + 6, level)
+    assert [len(heads) for _, heads in emitted] == [meta._BLOCK, 6]
+    assert np.isfinite(res.mean) and np.isfinite(res.half_width)
     _assert_heads_alone(emitted)
 
 
@@ -976,6 +1025,34 @@ def test_checkpoint_errors(tmp_path, world):
     good.write_bytes(good.read_bytes()[:-16])
     with pytest.raises(DataError, match="truncated"):
         load_checkpoint(good, m, SgdOptimizer(m.params))
+
+
+@pytest.mark.parametrize("table", ["parameter", "velocity"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_non_finite_table_writes_nothing(tmp_path, world, table, value):
+    # every table is checked before any is written: a bad last table leaves
+    # every parameter and velocity as it was
+    g, _ = world
+    m = make_model(g)
+    opt = SgdOptimizer(m.params)
+    last = sorted(m.params)[-1]
+    if table == "parameter":
+        m.params[last].data = m.params[last].data.copy()
+        m.params[last].data.flat[0] = value
+    else:
+        opt.velocities[last].flat[0] = value
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, m, opt)
+    m2 = make_model(g, seed=99)
+    opt2 = SgdOptimizer(m2.params)
+    snap = {k: p.data for k, p in m2.params.items()}
+    vel = {k: v.copy() for k, v in opt2.velocities.items()}
+    name = f"parameter '{last}'" if table == "parameter" else f"velocity of '{last}'"
+    with pytest.raises(DataError, match=f"{name} holds non-finite values"):
+        load_checkpoint(path, m2, opt2)
+    for k, p in m2.params.items():
+        assert p.data is snap[k]
+        npt.assert_array_equal(opt2.velocities[k], vel[k])
 
 
 def test_checkpoint_every_prefix_and_trailing_bytes(tmp_path, world):
