@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -100,13 +99,6 @@ def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
     return params
 
 
-class SharedEmbedding(NamedTuple):
-    """The generator input z0 and its propagation P·z0, computed once by the
-    model and shared by every call."""
-    z: np.ndarray
-    propagated: np.ndarray
-
-
 _WHERE = "the classifier generator"
 
 
@@ -145,41 +137,39 @@ def _layer_back(g, rec):
 
 @quiet_fp
 def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                z0: SharedEmbedding, rngs: list, training: bool, reach=None):
+                pz0, rngs: list, training: bool, reach: list):
     """Hop stack over all nodes, for the tasks whose dropout streams are
     ``rngs``; deterministic when ``training`` is False.  The output is a
     (tasks, nodes, width) stack; the vjp gives the hop parameters'
     gradients.
 
-    ``z0`` is the generator input and its P·z0, computed once by the model,
+    ``pz0`` is P·z0, the generator input z0 propagated once by the model,
     which the first hop uses as is: the bits of propagating z0 here.  The
     tasks share hop 0's affine and leaky ReLU and each later propagation.
-    Nothing backpropagates into ``z0``.
+    Nothing backpropagates into ``pz0``.
 
-    ``reach``, when given, is each task's row sets [i, N(i), N(N(i)), ...],
-    one more than there are hops, built once per call by
-    :func:`emit_for_task`: the rows a head reads at each depth, and that its
-    gradient reaches.  The output is then exact on N(i) only, which is all
-    the write-back reads.  Of L hops, hop h >= 1 propagates only the rows
-    that the later hops read, ``reach[L - h]`` (their union while the tasks
-    share one node matrix: with no dropout, as in eval), and its vjp only
-    ``reach[L - h + 1]``, the rows its nonzero gradient reaches.  The
-    affines run on every row (a row's bits depend on the row count), and
-    the +0.0 rows of a propagation meet only gradient rows that are exactly
-    zero, so every computed bit is that of the full hops."""
-    z, p = z0
-    if z.shape[1] != params["gen.embed.0.W"].data.shape[0]:
+    ``reach`` is each task's row sets [i, N(i), N(N(i)), ...], one more
+    than there are hops, built once per call by :func:`emit_for_task`: the
+    rows a head reads at each depth, and that its gradient reaches.  The
+    output is exact on N(i) only, which is all the write-back reads.  Of L
+    hops, hop h >= 1 propagates only the rows that the later hops read,
+    ``reach[L - h]`` (their union while the tasks share one node matrix:
+    with no dropout, as in eval), and its vjp only ``reach[L - h + 1]``,
+    the rows its nonzero gradient reaches.  The affines run on every row (a
+    row's bits depend on the row count), and the +0.0 rows of a propagation
+    meet only gradient rows that are exactly zero, so every computed bit is
+    that of the full hops."""
+    if pz0.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
-            f"semantic width {z.shape[1]} does not match the first hop's "
+            f"semantic width {pz0.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
     names = [(f"gen.embed.{h}.W", f"gen.embed.{h}.b") for h in range(len(cfg.embed_widths))]
     ws = [params[w].data for w, _ in names]
-    hops, x, recs = len(names), p, []
-    reach = reach or [None] * (hops + 1)
+    hops, x, recs = len(names), pz0, []
     for h, (w, b) in enumerate(names):
         if h:
             rows = reach[hops - h]
-            if rows is not None and x.ndim == 2:        # one matrix for every task
+            if x.ndim == 2:                             # one matrix for every task
                 rows = [np.unique(np.concatenate(rows))]
             x = checked(prop.apply(x, rows), "propagation", _WHERE)
         x, rec = _layer(x, ws[h], params[b].data, cfg, rngs, training)
@@ -251,7 +241,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
 
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
-                    w, b, norm_scale: float, near=None):
+                    w, b, norm_scale: float, near: list):
     """Write-back, final propagation + affine (``w``, ``b``), row
     normalization scaled to ``norm_scale``; the vjp maps the rows'
     gradient to those of ``z_all``, the refined rows, ``w`` and ``b``.
@@ -265,7 +255,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     The output holds every task's rows, task after task, and a call holds
     one node matrix at a time, whatever the task count.  The vjp rebuilds
     the +0.0 P·z stack from the kept rows, and its Pᵀ runs on ``near``,
-    each task's N(i), when given.
+    each task's N(i).
     """
     pz_rows, rows = [], []
     for m, r, i in zip(z_all, refined, class_ids):
@@ -300,23 +290,24 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
 
 
 def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
-                  z0: SharedEmbedding, class_ids: list, rngs: list, training: bool):
+                  pz0, class_ids: list, rngs: list, training: bool):
     """Full pipeline: embed the nodes, refine each task's rows, emit the heads.
 
     Given a list of class id arrays and one stream per task, emits every
     task in one pass and returns (one classifier per task, each with the
     bits it gets alone, grads).  ``grads`` maps a list of (weights, bias)
     gradients, one per head, to the gradient of every generator parameter,
-    by name.  Every task's ids are checked first.  ``z0`` is the generator
-    input (see :func:`graph_embed`).  Training and eval take the one path:
-    the nodes are embedded once per call, on the rows the call's heads
-    read, and each task writes back into its own copy of the embedding.
+    by name.  Every task's ids are checked first.  ``pz0`` is the
+    propagated generator input (see :func:`graph_embed`).  Training and
+    eval take the one path: the nodes are embedded once per call, on the
+    rows the call's heads read, and each task writes back into its own copy
+    of the embedding.
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
     reach = [ids]                           # i, N(i), N(N(i)), ...: see graph_embed
     for _ in cfg.embed_widths:
         reach.append(prop.neighborhoods(reach[-1]))
-    z, embed_back = graph_embed(params, cfg, prop, z0, rngs, training, reach)
+    z, embed_back = graph_embed(params, cfg, prop, pz0, rngs, training, reach)
     refined, refine_back = refine_relations(
         params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
     rows, emit_back = emit_classifier(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .artifact import write_text_atomic
 from .errors import DataError
-from .tensor import neighbor_groups, neighbor_sums
+from .tensor import neighbor_sums
 
 VALID_SPLITS = ("meta-train", "meta-test", "weak", "none")
 
@@ -152,37 +152,30 @@ class ConceptGraph:
 class Propagation:
     """Row-stochastic neighborhood-averaging operator P = D^-1 (A + I).
 
-    The structure never changes, so its degree groups (the
-    ``tensor.neighbor_groups`` of ``nbr_idx``) are built once, here.
     ``apply`` and ``apply_vjp`` run the operator and its transpose on plain
     arrays only, on one (n, d) node matrix or on any (..., n, d) stack of
-    them, with order-canonical summation (``tensor.neighbor_sums``).  Given
-    ``rows``, one id array per matrix of the stack, they sum those rows
-    only, grouped by degree on the spot, and leave every other row +0.0: a
-    sum's bits depend on its own entries only, so each computed row has the
-    bits of the full call.
+    them, on ``rows``, one id array per matrix of the stack: they sum those
+    rows only, grouped by degree on the spot, with order-canonical
+    summation (``tensor.neighbor_sums``), and leave every other row +0.0.
+    A sum's bits depend on its own entries only, so each computed row has
+    the bits it has whichever other rows are asked for.
     """
 
     def __init__(self, nbr_idx, degrees, size):
         self.nbr_idx = nbr_idx
         self.degrees = degrees
         self.size = size
-        self.groups = neighbor_groups(nbr_idx, size)
-        self.ks = [idx.shape[1] for _, idx in self.groups]
+        self.ks = np.unique(degrees).astype(np.intp)
 
-    def apply(self, x, rows=None):
-        """P·x for each (n, d) node matrix of the (..., n, d) array ``x``;
-        each matrix of a stack gets the bits it gets alone.  With ``rows``,
-        only those rows of each matrix; the others are +0.0."""
-        if rows is None:
-            return neighbor_sums(x, self.groups) / self.degrees[:, None]
+    def apply(self, x, rows):
+        """P·x on ``rows`` of each (n, d) node matrix of the (..., n, d)
+        array ``x``; the other rows are +0.0."""
         return self._scatter(x, rows, True)
 
-    def apply_vjp(self, g, rows=None):
+    def apply_vjp(self, g, rows):
         """The vjp of ``apply``: P is symmetric in structure, so Pᵀ·g sums
         the same neighborhoods of g·D^-1; ``rows`` as in ``apply``."""
-        g = g / self.degrees[:, None]
-        return neighbor_sums(g, self.groups) if rows is None else self._scatter(g, rows, False)
+        return self._scatter(g / self.degrees[:, None], rows, False)
 
     def neighborhoods(self, rows) -> list:
         """N(r), sorted, for each id array r of ``rows``: the rows of P·x

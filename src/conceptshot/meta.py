@@ -43,8 +43,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .artifact import read_binary, write_binary, write_text_atomic
-from .classifier_gen import (GeneratorConfig, SharedEmbedding, TaskClassifier,
-                             emit_for_task, init_generator)
+from .classifier_gen import GeneratorConfig, TaskClassifier, emit_for_task, init_generator
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
 from .encoder import EncoderConfig, init_encoder, layer_names, layer_pairs
@@ -158,8 +157,9 @@ class EvalConfig:
 class Model:
     """Graph + propagation structure + all trainable parameters.
 
-    In one-hot semantics mode the generator's input is the identity matrix
-    (one indicator column per node) instead of the graph's semantic vectors.
+    ``generator_input`` is P·z0, the generator's input z0 propagated once:
+    z0 is the graph's semantic vectors, or in one-hot semantics mode the
+    identity matrix (one indicator column per node).
     """
 
     def __init__(self, graph: ConceptGraph, enc_cfg: EncoderConfig,
@@ -171,8 +171,8 @@ class Model:
         self.gen_cfg = gen_cfg
         self.prop = propagation_operator(graph)
         # the generator's input never changes, so neither does its first hop's P·z0
-        self.generator_input = SharedEmbedding(
-            sem, checked(self.prop.apply(sem), "propagation", "the generator input"))
+        self.generator_input = checked(self.prop.apply(sem, [np.arange(graph.num_nodes)]),
+                                       "propagation", "the generator input")
         rng = Rng(seed).child("init")
         self.params = {}
         self.params.update(init_encoder(enc_cfg, rng.child("encoder")))

@@ -28,7 +28,7 @@ from .errors import NumericalError
 
 __all__ = [
     "Rng", "Tensor", "checked", "quiet_fp", "class_labels", "stable_exp_parts",
-    "neighbor_groups", "neighbor_sums", "glorot_uniform", "SgdOptimizer",
+    "neighbor_sums", "glorot_uniform", "SgdOptimizer",
 ]
 
 
@@ -126,19 +126,6 @@ def class_labels(labels, n: int, c: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # graph neighborhood averaging
-
-def neighbor_groups(nbr_idx, pad: int) -> list:
-    """The rows of a padded neighbor table grouped by their number of
-    entries k: a list of ``(rows, idx)`` with ``idx`` the (r, k) entries of
-    those rows, ``pad`` left out.  Row positions are those of ``nbr_idx``."""
-    nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
-    counts = (nbr_idx != pad).sum(axis=1)
-    groups = []
-    for k in np.unique(counts):
-        rows = np.flatnonzero(counts == k)
-        groups.append((rows, nbr_idx[rows, :k]))
-    return groups
-
 
 # Blocks of at least this many lanes (the entries of one neighbor slice) per
 # comparator sort faster through the network than through ``np.sort``: the

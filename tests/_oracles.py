@@ -1,9 +1,10 @@
 """Shared test oracles: central finite differences, error metrics, graph
-relabeling, the generator input a model forms, the dense propagation
-matrix, the padded neighborhood sum that ``tensor.neighbor_sums`` replaces,
-the per-call class filter and the ``np.arange`` draw that
-``data._sample_episode`` replaces, the taped inner loop that
-``meta.inner_adapt`` replaces, the taped query path that
+relabeling, the generator input a model forms, every-row sets for the
+row-restricted propagation, the dense propagation matrix, the degree groups
+of a neighbor table and the padded neighborhood sum that
+``tensor.neighbor_sums`` replaces, the per-call class filter and the
+``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
+loop that ``meta.inner_adapt`` replaces, the taped query path that
 ``meta.episode_loss`` replaces, the query loss of one episode adapted
 alone and the program's gradient of it, the taped classifier generator (and
 its row selection) that ``classifier_gen`` replaces, and the
@@ -48,12 +49,16 @@ def permute_graph(g, perm):
     return ConceptGraph(nodes, edges, sem, g.num_levels)
 
 
+def every_row(prop, count=1):
+    """Row sets asking ``prop.apply``/``apply_vjp`` for every row of each of
+    ``count`` node matrices."""
+    return [np.arange(prop.size)] * count
+
+
 def generator_input(prop, sem):
     """The generator input ``meta.Model`` forms from node semantics ``sem``:
-    z0 and its propagation P·z0."""
-    from conceptshot.classifier_gen import SharedEmbedding
-    z = np.asarray(sem, dtype=np.float64)
-    return SharedEmbedding(z, prop.apply(z))
+    their propagation P·z0."""
+    return prop.apply(np.asarray(sem, dtype=np.float64), every_row(prop))
 
 
 def dense_propagation(prop):
@@ -64,6 +69,19 @@ def dense_propagation(prop):
             if j < prop.size:
                 p[i, j] = 1.0 / prop.degrees[i]
     return p
+
+
+def neighbor_groups(nbr_idx, pad: int) -> list:
+    """The rows of a padded neighbor table grouped by their number of
+    entries k: a list of ``(rows, idx)`` with ``idx`` the (r, k) entries of
+    those rows, ``pad`` left out.  Row positions are those of ``nbr_idx``."""
+    nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
+    counts = (nbr_idx != pad).sum(axis=1)
+    groups = []
+    for k in np.unique(counts):
+        rows = np.flatnonzero(counts == k)
+        groups.append((rows, nbr_idx[rows, :k]))
+    return groups
 
 
 def padded_neighbor_sum(values, nbr_idx):
@@ -207,16 +225,13 @@ def tape_query_loss(model, adapted, ep):
 
 
 def tape_graph_embed(params, cfg, prop, z0, rng, training):
-    """The generator's hop stack built op by op on the tape; ``z0`` is a raw
-    node matrix or a generator input with its P·z0."""
+    """The generator's hop stack built op by op on the tape from ``z0``, the
+    raw node matrix."""
     from _tape import affine, dropout, leaky_relu, sym_neighbor_mean
-    from conceptshot.classifier_gen import SharedEmbedding
     from conceptshot.tensor import Tensor
-    z, p = ((Tensor(z0.z), Tensor(z0.propagated)) if isinstance(z0, SharedEmbedding)
-            else (Tensor(z0), None))
+    z, groups = Tensor(z0), neighbor_groups(prop.nbr_idx, prop.size)
     for h in range(len(cfg.embed_widths)):
-        if h or p is None:
-            p = sym_neighbor_mean(z, prop.groups, prop.degrees)
+        p = sym_neighbor_mean(z, groups, prop.degrees)
         z = leaky_relu(affine(p, params[f"gen.embed.{h}.W"],
                               params[f"gen.embed.{h}.b"]), cfg.slope)
         z = dropout(z, cfg.keep_prob, rng, training)
@@ -247,8 +262,8 @@ def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_sca
     ids = np.asarray(class_ids, dtype=np.intp)
     feature_dim = w_out.data.shape[1] - 1
     z = write_rows(z_all, refined, ids)
-    rows = gather_rows(affine(sym_neighbor_mean(z, prop.groups, prop.degrees), w_out, b_out),
-                       ids)
+    p = sym_neighbor_mean(z, neighbor_groups(prop.nbr_idx, prop.size), prop.degrees)
+    rows = gather_rows(affine(p, w_out, b_out), ids)
     rows = scale(l2_normalize_rows(rows), norm_scale)
     weights = slice_cols(rows, 0, feature_dim)
     bias = reshape(slice_cols(rows, feature_dim, feature_dim + 1), (ids.size,))
@@ -263,8 +278,8 @@ def select_task_rows(x, class_ids):
 
 
 def tape_emit_for_task(params, cfg, prop, z0, class_ids, rng, training):
-    """One task's classifier emitted by the taped stages above; ``z0`` is a
-    raw node matrix or a generator input with its P·z0."""
+    """One task's classifier emitted by the taped stages above from ``z0``,
+    the raw node matrix."""
     z = tape_graph_embed(params, cfg, prop, z0, rng, training)
     refined = tape_refine_relations(params, cfg, select_task_rows(z, class_ids), rng,
                                     training)
@@ -284,15 +299,16 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
     from conceptshot.tensor import Rng
 
     it_rng = Rng(cfg.seed).child("train", iteration)
+    z0 = (np.eye(model.graph.num_nodes) if model.gen_cfg.semantics == "one-hot"
+          else model.graph.semantics)
     rec = {"iteration": iteration, "lr": cfg.lr_at(iteration)}
 
     def run_term(name, n_way, sample):
         losses, accs = [], []
         for b in range(cfg.episodes_per_term):
             ep = sample(n_way, it_rng.child("sample", name, b))
-            clf = tape_emit_for_task(model.params, model.gen_cfg, model.prop,
-                                     model.generator_input, ep.class_ids,
-                                     it_rng.child("drop", name, b), True)
+            clf = tape_emit_for_task(model.params, model.gen_cfg, model.prop, z0,
+                                     ep.class_ids, it_rng.child("drop", name, b), True)
             state = tape_inner_adapt(model, clf, ep.support_x, ep.support_y,
                                      cfg.adapt_steps, cfg.inner_lr)
             loss, acc = tape_query_loss(model, state, ep)

@@ -298,8 +298,8 @@ def cross_entropy(logits, labels):
 def sym_neighbor_mean(x, groups, degrees):
     """Row-normalized neighborhood sum over a *symmetric* adjacency structure:
     out[i] = sum(x[j] for j in N(i)) / deg[i], with ``groups`` the
-    ``tensor.neighbor_groups`` table of the structure and ``degrees`` the true
-    neighbor counts.  Symmetry makes the vjp reuse the same groups."""
+    ``_oracles.neighbor_groups`` table of the structure and ``degrees`` the
+    true neighbor counts.  Symmetry makes the vjp reuse the same groups."""
     degrees = np.asarray(degrees, dtype=np.float64)
     if (degrees <= 0).any():
         raise NumericalError("neighborhood averaging with a zero-degree node")

@@ -14,8 +14,8 @@ import numpy.testing as npt
 import pytest
 
 import _tape
-from _oracles import (generator_input, lone_episode_grads, lone_episode_loss,
-                      numerical_grad, permute_graph, rel_err)
+from _oracles import (every_row, generator_input, lone_episode_grads, lone_episode_loss,
+                      neighbor_groups, numerical_grad, permute_graph, rel_err)
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
                                         emit_for_task, graph_embed, init_generator)
@@ -131,7 +131,8 @@ def _op_cases(rng, seed):
         ("softmax_rows", [sx], lambda: _tape.softmax_rows(sx)),
         ("cross_entropy", [logit], lambda: _tape.cross_entropy(logit, labels)),
         ("sym_neighbor_mean", [px],
-         lambda: _tape.sym_neighbor_mean(px, prop.groups, prop.degrees)),
+         lambda: _tape.sym_neighbor_mean(px, neighbor_groups(prop.nbr_idx, prop.size),
+                                         prop.degrees)),
     ]
 
 
@@ -210,7 +211,7 @@ def test_03_neighbor_averaging_oracles():
     params["gen.embed.0.W"].data = np.array([[1.0]])
     prop = propagation_operator(g)
     (out,), _ = graph_embed(params, cfg, prop, generator_input(prop, g.semantics),
-                            [T.Rng(0)], training=False)
+                            [T.Rng(0)], False, [every_row(prop)] * 2)
     npt.assert_allclose(out, [[1.5], [2.0], [2.5]], rtol=0, atol=1e-12)
 
     # brute-force neighbor sums on 10 random hierarchies of at most 12 nodes
@@ -219,7 +220,8 @@ def test_03_neighbor_averaging_oracles():
         g = _random_hierarchy(rng)
         n = g.num_nodes
         z = rng.standard_normal((n, 3))
-        got = propagation_operator(g).apply(z)
+        prop = propagation_operator(g)
+        got = prop.apply(z, every_row(prop))
         edge_set = set(g.edges)
         for i in range(n):
             nbrs = [j for j in range(n)
@@ -274,7 +276,7 @@ def test_04_row_norm_contract():
     nodes = [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(2, "x", 1)]
     lone = propagation_operator(ConceptGraph(nodes, [(0, 2)], np.zeros((3, 2)), 2))
     rows, _ = emit_classifier(lone, np.zeros((1, 3, 2)), [np.array([[3.0, 4.0]])],
-                              [np.array([1])], np.eye(2), np.zeros(2), 0.2)
+                              [np.array([1])], np.eye(2), np.zeros(2), 0.2, every_row(lone))
     weights, bias = rows[:, :1], rows[:, 1]
     assert weights[0, 0] == (3.0 / 5.0) * 0.2
     assert bias[0] == (4.0 / 5.0) * 0.2

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import _tape
-from _oracles import (generator_input, numerical_grad, permute_graph, rel_err,
+from _oracles import (every_row, generator_input, numerical_grad, permute_graph, rel_err,
                       tape_emit_for_task)
 from conceptshot import classifier_gen, tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
@@ -43,8 +43,14 @@ def small_cfg(**kw):
 
 def embed_one(params, cfg, prop, sem, rng, training):
     """``graph_embed``'s node matrix for one task."""
-    (z,), _ = graph_embed(params, cfg, prop, generator_input(prop, sem), [rng], training)
+    (z,), _ = graph_embed(params, cfg, prop, generator_input(prop, sem), [rng], training,
+                          every_reach(prop, cfg))
     return z
+
+
+def every_reach(prop, cfg, tasks=1):
+    """``graph_embed``'s row sets at every depth, each asking for every row."""
+    return [every_row(prop, tasks)] * (len(cfg.embed_widths) + 1)
 
 
 def emit_one(params, cfg, prop, sem, class_ids, rng, training):
@@ -101,7 +107,7 @@ def test_semantics_width_mismatch_is_config_error():
     prop = propagation_operator(g)
     with pytest.raises(ConfigError, match="semantic width 3"):
         graph_embed(params, cfg, prop, generator_input(prop, g.semantics), [T.Rng(0)],
-                    training=False)
+                    False, every_reach(prop, cfg))
 
 
 def test_dropout_trains_deterministically_by_rng():
@@ -167,7 +173,7 @@ def test_emit_345_case(row, norm, scale):
     z_all = np.zeros((1, 3, 2))
     refined = [np.array([row])]
     rows, _ = emit_classifier(prop, z_all, refined, [np.array([1])], np.eye(2), np.zeros(2),
-                              scale)
+                              scale, every_row(prop))
     weights, bias = rows[:, :1], rows[:, 1]
     assert weights[0, 0] == (row[0] / norm) * scale
     assert bias[0] == (row[1] / norm) * scale
@@ -326,7 +332,7 @@ def test_shared_embedding_emit_memory_does_not_grow_with_the_block():
         block = np.broadcast_to(z, (tasks,) + z.shape)
         tracemalloc.start()
         try:
-            emit_classifier(prop, block, refined, ids, w, b, 0.2)
+            emit_classifier(prop, block, refined, ids, w, b, 0.2, every_row(prop, tasks))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -376,6 +382,39 @@ def test_fd_through_generator(ids):
         assert rel_err(ga, numerical_grad(f, keep)) < 1e-5, n
 
 
+def test_generator_gradients_under_relabeling_match_to_rounding():
+    # in training the reductions over nodes (x.T @ g, the bias sums, pz.T @ ga)
+    # run in node-id order, so a relabeling may move the generator's
+    # gradients in the last bits, but no further; the heads keep their bits.
+    # keep_prob is 1: dropout masks are drawn in node-id order
+    g, _ = generate_synthetic(SynthConfig(branching=4, num_levels=4, input_dim=2,
+                                          semantic_dim=16, samples_per_class=1, seed=0))
+    assert g.num_nodes == 85
+    cfg = GeneratorConfig(embed_widths=[64, 32], relation_widths=[64, 32], keep_prob=1.0)
+    params = init_generator(cfg, 16, 64, T.Rng(0))
+    rng = np.random.default_rng(0)
+    ids = [rng.choice(g.ids_at(lv), n, replace=False) for lv, n in ((3, 5), (1, 4), (2, 5))]
+    head_grads = [(rng.standard_normal((i.size, 64)), rng.standard_normal(i.size))
+                  for i in ids]
+
+    def emit(graph, class_ids):
+        prop = propagation_operator(graph)
+        heads, grads = emit_for_task(params, cfg, prop, generator_input(prop, graph.semantics),
+                                     class_ids, [T.Rng(k) for k in range(3)], True)
+        return heads, grads(head_grads)
+
+    want_heads, want = emit(g, ids)
+    for trial in range(5):
+        perm = rng.permutation(g.num_nodes)
+        heads, got = emit(permute_graph(g, perm), [perm[i] for i in ids])
+        for a, b in zip(heads, want_heads):
+            assert np.array_equal(_bits(a.weights), _bits(b.weights))
+            assert np.array_equal(_bits(a.bias), _bits(b.bias))
+        assert sorted(got) == sorted(want)
+        for n in want:
+            npt.assert_allclose(got[n], want[n], rtol=1e-12, atol=1e-15, err_msg=n)
+
+
 def _bits(a):
     return np.asarray(a).view(np.int64)
 
@@ -409,8 +448,9 @@ def _emit_against_tape(semantics, keep_prob, training, embed_widths=(6, 4),
 
     heads, grads = m.emit(ids, [T.Rng(7).child(k) for k in range(len(ids))], training)
     got = grads(ups)
-    want_heads = [tape_emit_for_task(m.params, m.gen_cfg, m.prop, m.generator_input.z,
-                                     i, T.Rng(7).child(k), training)
+    z0 = np.eye(g.num_nodes) if semantics == "one-hot" else g.semantics
+    want_heads = [tape_emit_for_task(m.params, m.gen_cfg, m.prop, z0, i, T.Rng(7).child(k),
+                                     training)
                   for k, i in enumerate(ids)]
     total = None
     for head, (uw, ub) in zip(want_heads, ups):

@@ -219,6 +219,10 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3
     main(["gen-data", "-c", str(cfgp)])
     assert main(["eval", "-c", str(cfgp)]) == 3  # no checkpoint yet
+    # data errors: level 1 has 3 classes, fewer than eval.n_way; eval keeps
+    # its way count (it is part of the result) where training would cap it
+    assert main(["eval", "-c", str(cfgp), "--untrained", "--level", "1",
+                 "--set", "eval.n_way=5"]) == 3
     # config errors: an episode count whose accuracy vector numpy cannot
     # even describe (no memory is allocated)
     assert main(["eval", "-c", str(cfgp), "--untrained",
@@ -254,6 +258,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["train", "-c", str(cfgp), "--set", 'train.level_weights={"0":2}']) == 0
     err = capsys.readouterr().err
     assert "config error" in err and "data error" in err
+    assert "need 5 classes with >=4 samples at level 1, found 3" in err
     assert "numerical failure" in err
     # data errors: a checkpoint with a non-finite parameter, named before any
     # parameter is written or any episode is run

@@ -7,7 +7,8 @@ import numpy.testing as npt
 import pytest
 
 import _tape
-from _oracles import dense_propagation, padded_neighbor_sum, permute_graph, select_task_rows
+from _oracles import (dense_propagation, every_row, neighbor_groups, padded_neighbor_sum,
+                      permute_graph, select_task_rows)
 from conceptshot import tensor as T
 from conceptshot.errors import DataError
 from conceptshot.graph import (ConceptGraph, NodeRecord, describe, load_graph,
@@ -204,12 +205,28 @@ def test_propagation_rows_sum_to_one():
     assert (p >= 0).all()
 
 
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def padded_apply(prop, x):
+    """P·x of one node matrix, the padded way."""
+    return padded_neighbor_sum(x, prop.nbr_idx) / prop.degrees[:, None]
+
+
+def padded_apply_vjp(prop, g):
+    """Pᵀ·g of one node matrix, the padded way."""
+    return padded_neighbor_sum(g / prop.degrees[:, None], prop.nbr_idx)
+
+
 def test_apply_matches_dense_matmul():
     g = binary_tree_7()
     prop = propagation_operator(g)
     rng = np.random.default_rng(2)
     z = rng.standard_normal((7, 5))
-    npt.assert_allclose(prop.apply(z), dense_propagation(prop) @ z, atol=1e-12)
+    out = prop.apply(z, every_row(prop))
+    npt.assert_allclose(out, dense_propagation(prop) @ z, atol=1e-12)
+    npt.assert_array_equal(bits(out), bits(padded_apply(prop, z)))
 
 
 def test_propagation_matches_augmented_matrix():
@@ -230,9 +247,11 @@ def test_propagation_permutation_equivariance_exact(seed):
     gp = permute_graph(g, perm)
     zp = np.empty_like(z)
     zp[perm] = z
-    out = propagation_operator(g).apply(z)
-    outp = propagation_operator(gp).apply(zp)
+    prop, prop_p = propagation_operator(g), propagation_operator(gp)
+    out = prop.apply(z, every_row(prop))
+    outp = prop_p.apply(zp, every_row(prop_p))
     npt.assert_array_equal(outp[perm], out)  # bitwise
+    npt.assert_array_equal(bits(out), bits(padded_apply(prop, z)))
 
 
 def grown_tree(num_levels, n_children, max_nodes=None):
@@ -265,10 +284,6 @@ def with_signed_zeros(rng, shape):
     return x
 
 
-def bits(a):
-    return np.ascontiguousarray(a).view(np.int64)
-
-
 ORACLE_GRAPHS = {
     "tree-b2": lambda rng: grown_tree(5, lambda: 2),
     "tree-b4": lambda rng: grown_tree(4, lambda: 4),
@@ -288,7 +303,8 @@ def test_sym_neighbor_mean_matches_padded_oracle_bitwise(name, seed):
         for d in (1, 2, 3, 16):
             x = T.Tensor(with_signed_zeros(rng, (prop.size, d)))
             g = with_signed_zeros(rng, (prop.size, d))
-            out = _tape.sym_neighbor_mean(x, prop.groups, prop.degrees)
+            out = _tape.sym_neighbor_mean(x, neighbor_groups(prop.nbr_idx, prop.size),
+                                          prop.degrees)
             (gx,) = _tape.grad(_tape.sum_all(_tape.mul(out, T.Tensor(g))), [x])
             want = padded_neighbor_sum(x.data, prop.nbr_idx) / deg
             npt.assert_array_equal(bits(out.data), bits(want))
@@ -319,9 +335,10 @@ def test_sym_neighbor_mean_ignores_padding_width():
     rng = np.random.default_rng(3)
     for d in (1, 2, 5):
         x = with_signed_zeros(rng, (prop.size, d))
-        a = _tape.sym_neighbor_mean(T.Tensor(x), prop.groups, prop.degrees).data
-        b = _tape.sym_neighbor_mean(T.Tensor(x), T.neighbor_groups(wide, prop.size),
-                                prop.degrees).data
+        a = _tape.sym_neighbor_mean(T.Tensor(x), neighbor_groups(prop.nbr_idx, prop.size),
+                                    prop.degrees).data
+        b = _tape.sym_neighbor_mean(T.Tensor(x), neighbor_groups(wide, prop.size),
+                                    prop.degrees).data
         npt.assert_array_equal(bits(a), bits(b))
 
 
@@ -335,16 +352,17 @@ def random_rows(rng, prop, tasks):
 @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
 def test_apply_on_rows_matches_full_call_bitwise(name, seed):
     # each task's rows of P x and P^T g, computed alone, have the bits of the
-    # full call's rows; every other row is +0.0
+    # padded oracle's rows, which sum every row; every other row is +0.0
     rng = np.random.default_rng(seed)
     for trial in range(20):
         prop = propagation_operator(ORACLE_GRAPHS[name](rng))
         for tasks, d in ((1, 1), (1, 16), (2, 2), (3, 16)):
             x = with_signed_zeros(rng, (tasks, prop.size, d))
             rows = random_rows(rng, prop, tasks)
-            for got, full in ((prop.apply(x, rows), prop.apply(x)),
-                              (prop.apply_vjp(x, rows), prop.apply_vjp(x))):
-                assert got.shape == full.shape
+            for got, full in ((prop.apply(x, rows), [padded_apply(prop, m) for m in x]),
+                              (prop.apply_vjp(x, rows),
+                               [padded_apply_vjp(prop, m) for m in x])):
+                assert got.shape == x.shape
                 for m, f, r in zip(got, full, rows):
                     npt.assert_array_equal(bits(m[r]), bits(f[r]))
                     rest = np.ones(prop.size, dtype=bool)
@@ -352,7 +370,7 @@ def test_apply_on_rows_matches_full_call_bitwise(name, seed):
                     assert not bits(m[rest]).any()          # +0.0, not -0.0
         # one node matrix with one id array
         x, (r,) = with_signed_zeros(rng, (prop.size, 3)), random_rows(rng, prop, 1)
-        npt.assert_array_equal(bits(prop.apply(x, [r])[r]), bits(prop.apply(x)[r]))
+        npt.assert_array_equal(bits(prop.apply(x, [r])[r]), bits(padded_apply(prop, x)[r]))
 
 
 @pytest.mark.parametrize("seed", range(4))

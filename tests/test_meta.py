@@ -21,9 +21,9 @@ from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interva
 from conceptshot.tensor import Rng, SgdOptimizer, Tensor
 
 from _tape import grad, high_pairs, mul, scale, sum_all
-from _oracles import (as_leaves, lone_episode_grads, lone_episode_loss, numerical_grad,
-                      predict, rel_err, serial_train_step, tape_graph_embed,
-                      tape_inner_adapt, tape_query_loss)
+from _oracles import (as_leaves, dense_propagation, every_row, lone_episode_grads,
+                      lone_episode_loss, numerical_grad, predict, rel_err, serial_train_step,
+                      tape_graph_embed, tape_inner_adapt, tape_query_loss)
 
 
 @pytest.fixture(scope="module")
@@ -720,7 +720,7 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
         emitted.append((args, out[0]))
         return out
 
-    def counting_apply(self, x, rows=None):
+    def counting_apply(self, x, rows):
         applied.append(rows)
         return apply(self, x, rows)
 
@@ -918,7 +918,7 @@ def test_one_hot_mode_uses_indicator_rows(world):
     gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8],
                           semantics="one-hot")
     m = Model(g, enc, gen, seed=7)
-    npt.assert_array_equal(m.generator_input.z, np.eye(g.num_nodes))
+    npt.assert_array_equal(m.generator_input, dense_propagation(m.prop))   # P·I, bitwise
     assert m.params["gen.embed.0.W"].data.shape == (g.num_nodes, 16)
 
 
@@ -929,12 +929,13 @@ def test_generator_input_matches_raw_z0_bitwise(world, semantics, training):
     # the raw z0 in the call: the embedding and every generator gradient
     g, _ = world
     m = make_model(g, semantics=semantics)
+    reach = [every_row(m.prop)] * (len(m.gen_cfg.embed_widths) + 1)
     (z,), back = classifier_gen.graph_embed(m.params, m.gen_cfg, m.prop,
-                                            m.generator_input, [Rng(3)], training)
+                                            m.generator_input, [Rng(3)], training, reach)
     weights = np.cos(np.arange(z.size)).reshape(z.shape)
     got = back(weights[None])
-    want = tape_graph_embed(m.params, m.gen_cfg, m.prop, m.generator_input.z, Rng(3),
-                            training)
+    z0 = np.eye(g.num_nodes) if semantics == "one-hot" else g.semantics
+    want = tape_graph_embed(m.params, m.gen_cfg, m.prop, z0, Rng(3), training)
     embed = [n for n in m.params if n.startswith("gen.embed")]
     assert np.array_equal(_bits(z), _bits(want.data))
     assert len(got) == len(embed) == 2 * len(m.gen_cfg.embed_widths)

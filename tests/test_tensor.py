@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _tape
-from _oracles import numerical_grad, padded_neighbor_sum, rel_err
+from _oracles import neighbor_groups, numerical_grad, padded_neighbor_sum, rel_err
 from conceptshot import tensor as T
 from conceptshot.errors import ConfigError, NumericalError
 
@@ -219,15 +219,15 @@ def test_fd_sym_neighbor_mean():
     nbr = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 3]])
     deg = np.array([2.0, 3.0, 2.0])
     rng = np.random.default_rng(12)
-    _fd_check(lambda t: _tape.sym_neighbor_mean(t, T.neighbor_groups(nbr, 3), deg),
+    _fd_check(lambda t: _tape.sym_neighbor_mean(t, neighbor_groups(nbr, 3), deg),
               rng.standard_normal((3, 2)))
 
 
 def test_sym_neighbor_mean_path_values():
     nbr = np.array([[0, 1, 3], [0, 1, 2], [1, 2, 3]])
     deg = np.array([2.0, 3.0, 2.0])
-    out = _tape.sym_neighbor_mean(T.Tensor([[1.0], [2.0], [3.0]]), T.neighbor_groups(nbr, 3),
-                              deg)
+    out = _tape.sym_neighbor_mean(T.Tensor([[1.0], [2.0], [3.0]]), neighbor_groups(nbr, 3),
+                                  deg)
     npt.assert_allclose(out.data, [[1.5], [2.0], [2.5]], atol=1e-15)
 
 
@@ -291,7 +291,7 @@ def draw_case(case):
 @given(neighbor_cases)
 def test_neighbor_sums_match_padded_oracle_and_stack_alone_bitwise(case):
     rng, table, x = draw_case(case)
-    groups = T.neighbor_groups(table, len(table))
+    groups = neighbor_groups(table, len(table))
     got = T.neighbor_sums(x, groups)
     members = x.reshape((-1,) + x.shape[-2:])
     for m, g in zip(members, got.reshape((-1,) + got.shape[-2:])):
@@ -312,8 +312,8 @@ def test_neighbor_sums_relabeling_permutes_output_bitwise(case):
         relabeled[perm[i], :entries.size] = rng.permutation(entries)
     moved = np.empty_like(x)
     moved[..., perm, :] = x
-    got = T.neighbor_sums(moved, T.neighbor_groups(relabeled, n))
-    want = T.neighbor_sums(x, T.neighbor_groups(table, n))
+    got = T.neighbor_sums(moved, neighbor_groups(relabeled, n))
+    want = T.neighbor_sums(x, neighbor_groups(table, n))
     npt.assert_array_equal(bits(got[..., perm, :]), bits(want))
 
 
@@ -326,7 +326,7 @@ def test_neighbor_sums_nonfinite_row_reaches_exactly_its_neighborhoods(case, bad
     row = int(rng.integers(n))
     x[..., row, :] = bad
     with np.errstate(invalid="ignore"):
-        got = T.neighbor_sums(x, T.neighbor_groups(table, n))
+        got = T.neighbor_sums(x, neighbor_groups(table, n))
     reached = (table == row).any(axis=1)
     npt.assert_array_equal(~np.isfinite(got), np.broadcast_to(reached[:, None], got.shape))
 
@@ -340,7 +340,7 @@ def test_network_and_sort_give_identical_bits(monkeypatch, k, stack, d):
     rng = np.random.default_rng(k * 10 + d)
     table = padded_table(rng, rng.choice([k, k + 1], 50))
     x = signed_values(rng, stack + (50, d))
-    groups = T.neighbor_groups(table, 50)
+    groups = neighbor_groups(table, 50)
     monkeypatch.setattr(T, "_LANES_PER_COMPARATOR", 0)
     network = T.neighbor_sums(x, groups)
     monkeypatch.setattr(T, "_LANES_PER_COMPARATOR", np.inf)
