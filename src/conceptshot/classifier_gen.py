@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .graph import Propagation, task_ids
-from .tensor import Rng, Tensor, checked, glorot_uniform, quiet_fp
+from .tensor import Rng, Tensor, checked, glorot_uniform, leaky_mask, quiet_fp
 
 
 @dataclass
@@ -108,13 +108,14 @@ def _fold(grads):
 
 
 def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
-    """affine, leaky ReLU, then (training) each task's dropout, on plain
-    arrays, one task's or stacked; the output and the record for the vjps.
-    The bias, leaky ReLU and dropout write into the product ``x @ w``, except
-    where one task's rows meet several tasks' masks."""
+    """affine, leaky ReLU (its mask from ``leaky_mask``, free of the branch
+    per entry that ``np.where`` takes), then (training) each task's dropout,
+    on plain arrays, one task's or stacked; the output and the record for
+    the vjps.  The bias, leaky ReLU and dropout write into the product
+    ``x @ w``, except where one task's rows meet several tasks' masks."""
     out = x @ w
     out += b
-    lmask = np.where(checked(out, "affine", _WHERE) >= 0, 1.0, float(cfg.slope))
+    lmask = leaky_mask(checked(out, "affine", _WHERE), cfg.slope)
     out, dmask = checked(np.multiply(out, lmask, out=out), "leaky_relu", _WHERE), None
     if training and cfg.keep_prob < 1.0:
         dmask = np.empty((len(rngs),) + out.shape[-2:])
@@ -148,17 +149,17 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
     tasks share hop 0's affine and leaky ReLU and each later propagation.
     Nothing backpropagates into ``pz0``.
 
-    ``reach`` is each task's row sets [i, N(i), N(N(i)), ...], one more
-    than there are hops, built once per call by :func:`emit_for_task`: the
-    rows a head reads at each depth, and that its gradient reaches.  The
-    output is exact on N(i) only, which is all the write-back reads.  Of L
-    hops, hop h >= 1 propagates only the rows that the later hops read,
-    ``reach[L - h]`` (their union while the tasks share one node matrix:
-    with no dropout, as in eval), and its vjp only ``reach[L - h + 1]``,
-    the rows its nonzero gradient reaches.  The affines run on every row (a
-    row's bits depend on the row count), and the +0.0 rows of a propagation
-    meet only gradient rows that are exactly zero, so every computed bit is
-    that of the full hops."""
+    ``reach`` is each task's row sets [i, N(i), N(N(i)), ...] from
+    :func:`emit_for_task`: the rows a head reads at each depth, and that its
+    gradient reaches.  The output is exact on N(i) only, which is all the
+    write-back reads.  Of L hops, hop h >= 1 propagates only the rows that
+    the later hops read, ``reach[L - h]`` (their union while the tasks share
+    one node matrix: with no dropout, as in eval), and its vjp only
+    ``reach[L - h + 1]``, the rows its nonzero gradient reaches; depth L,
+    read by the vjp alone, may be appended after the forward.  The affines
+    run on every row (a row's bits depend on the row count), and the +0.0
+    rows of a propagation meet only gradient rows that are exactly zero, so
+    every computed bit is that of the full hops."""
     if pz0.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
             f"semantic width {pz0.shape[1]} does not match the first hop's "
@@ -304,8 +305,8 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     of the embedding.
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
-    reach = [ids]                           # i, N(i), N(N(i)), ...: see graph_embed
-    for _ in cfg.embed_widths:
+    reach = [ids, prop.neighborhoods(ids)]  # i, N(i), N(N(i)), ...: see graph_embed
+    for _ in cfg.embed_widths[2:]:
         reach.append(prop.neighborhoods(reach[-1]))
     z, embed_back = graph_embed(params, cfg, prop, pz0, rngs, training, reach)
     refined, refine_back = refine_relations(
@@ -317,6 +318,8 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     spans = [slice(e - i.size, e) for i, e in zip(ids, ends)]
 
     def grads(head_grads):
+        if len(reach) == len(cfg.embed_widths):     # depth L, read by the vjps alone
+            reach.append(prop.neighborhoods(reach[-1]))
         # assigned, not added to zeros: the emit vjp's scatter into zeros
         # turns a -0.0 into +0.0 all the same
         g = np.empty(rows.shape)

@@ -49,7 +49,7 @@ from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode
 from .encoder import EncoderConfig, init_encoder, layer_names, layer_pairs
 from .errors import ConfigError, DataError
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, checked, class_labels, quiet_fp,
+from .tensor import (Rng, SgdOptimizer, checked, class_labels, leaky_mask, quiet_fp,
                      stable_exp_parts)
 
 
@@ -201,12 +201,13 @@ def _T(a):
 
 def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
     """The encoder layers (affine, leaky ReLU) on (stacked) arrays: the
-    output, and each layer's input and leaky-ReLU mask for :func:`_vjps`."""
+    output, and each layer's input and leaky-ReLU mask for :func:`_vjps`;
+    ``leaky_mask`` builds the mask without ``np.where``'s branch per entry."""
     saved = []
     for w, b in pairs:
         a = x @ w
         a += b
-        mask = np.where(checked(a, "affine", where) >= 0, 1.0, float(slope))
+        mask = leaky_mask(checked(a, "affine", where), slope)
         saved.append((x, mask))
         x = checked(np.multiply(a, mask, out=a), "leaky_relu", where)
     return x, saved

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import NumericalError
 
 __all__ = [
-    "Rng", "Tensor", "checked", "quiet_fp", "class_labels", "stable_exp_parts",
-    "neighbor_sums", "glorot_uniform", "SgdOptimizer",
+    "Rng", "Tensor", "checked", "quiet_fp", "leaky_mask", "class_labels",
+    "stable_exp_parts", "neighbor_sums", "glorot_uniform", "SgdOptimizer",
 ]
 
 
@@ -102,6 +102,17 @@ def checked(a, op: str, where: str):
 # numpy warnings for what ``checked`` reports as a NumericalError ("raise"
 # would end in a FloatingPointError instead).
 quiet_fp = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+def leaky_mask(a, slope) -> np.ndarray:
+    """``np.where(a >= 0, 1.0, slope)`` bit for bit, for any float64 slope,
+    with no branch per entry (``np.where``'s is slow on near-random signs):
+    each entry selects one of the two bit patterns by integer arithmetic."""
+    low, one = np.array([slope, 1.0]).view(np.uint64)
+    m = (a >= 0).astype(np.uint64)
+    m *= one ^ low
+    m ^= low
+    return m.view(np.float64)
 
 
 def stable_exp_parts(logits):

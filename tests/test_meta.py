@@ -543,6 +543,37 @@ def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch)
     assert all(0 < rows < held for rows, held in summed), summed
 
 
+def test_only_a_vjp_builds_the_last_depth_of_reach(deep_world, monkeypatch):
+    # per emit, a training step builds N(i) up to the hop count's depth, the
+    # last one for the hop vjps; an evaluation runs no vjp and stops one
+    # depth short
+    g, ds = deep_world
+    cfg = _step_cfg({})
+    m = make_model(g)
+    hops = len(m.gen_cfg.embed_widths)
+    assert hops >= 2
+    calls = {"emit": 0, "neighborhoods": 0}
+    neighborhoods, emit = graph.Propagation.neighborhoods, meta.emit_for_task
+
+    def counting_neighborhoods(self, rows):
+        calls["neighborhoods"] += 1
+        return neighborhoods(self, rows)
+
+    def counting_emit(*args):
+        calls["emit"] += 1
+        return emit(*args)
+
+    monkeypatch.setattr(graph.Propagation, "neighborhoods", counting_neighborhoods)
+    monkeypatch.setattr(meta, "emit_for_task", counting_emit)
+    train_step(m, SgdOptimizer(m.params), ds, cfg, eligible_concept_levels(ds, g, cfg), 0)
+    assert calls == {"emit": 1, "neighborhoods": hops}
+    calls.update(emit=0, neighborhoods=0)
+    evaluate(m, ds, EvalConfig(n_episodes=3, n_way=3, k_shot=1, n_query=3,
+                               adapt_steps=2, seed=1), split="meta-train")
+    assert calls["emit"] >= 1
+    assert calls["neighborhoods"] == (hops - 1) * calls["emit"]
+
+
 @pytest.mark.parametrize("case", list(STEP_CASES))
 def test_train_step_and_evaluate_build_no_tensor(deep_world, monkeypatch, case):
     # a Tensor is a parameter: a training step and an evaluation build none

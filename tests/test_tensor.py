@@ -7,11 +7,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import _tape
 from _oracles import neighbor_groups, numerical_grad, padded_neighbor_sum, rel_err
 from conceptshot import tensor as T
+from conceptshot.classifier_gen import GeneratorConfig, _layer, _layer_back
 from conceptshot.errors import ConfigError, NumericalError
+from conceptshot.meta import _layers_forward
 
 
 def scalar_loss(out):
@@ -347,6 +350,53 @@ def test_network_and_sort_give_identical_bits(monkeypatch, k, stack, d):
     npt.assert_array_equal(bits(network), bits(T.neighbor_sums(x, groups)))
     want = [padded_neighbor_sum(m, table) for m in x.reshape((-1, 50, d))]
     npt.assert_array_equal(bits(network), bits(np.reshape(want, network.shape)))
+
+
+# ---------------------------------------------------------------------------
+# leaky-ReLU masks: the branch-free select against np.where, bit for bit
+
+# slopes and inputs at the edges of the float64 range: signed zeros,
+# subnormals, values outside [0, 1] and near the largest finite float
+EDGE_SLOPES = [0.0, -0.0, 0.1, -0.5, -3.0, 1.0, 7.5, 5e-324, -2.5e-310, 1e308]
+EDGE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -2.2e-310, 1e308, -1e308]
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=7),
+                    elements=st.one_of(st.sampled_from(EDGE_INPUTS),
+                                       st.floats(allow_nan=False))),
+       slope=st.one_of(st.sampled_from(EDGE_SLOPES), st.floats(allow_nan=False)),
+       view=st.sampled_from(["whole", "strided", "transposed"]))
+def test_leaky_mask_has_the_bits_of_np_where(a, slope, view):
+    if view == "strided":
+        a = a[..., ::2]
+    elif view == "transposed":
+        a = a.T
+    got = T.leaky_mask(a, slope)
+    assert got.dtype == np.float64 and got.shape == a.shape
+    npt.assert_array_equal(got.view(np.uint64), np.where(a >= 0, 1.0, slope).view(np.uint64))
+
+
+@pytest.mark.parametrize("slope", [0.1, -0.0, 2.5])
+def test_leaky_layers_on_exact_zeros_match_the_tape_bitwise(slope):
+    # two columns of zero weights and zero biases (of both signs) give an
+    # affine output with exact zeros, which the mask counts as >= 0
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((6, 5))
+    w = rng.standard_normal((5, 4))
+    w[:, :2] = 0.0
+    b = np.array([0.0, -0.0, 0.0, -0.0])
+    affine = _tape.affine(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+    assert (affine.data[:, :2] == 0.0).all() and (affine.data[:, 2:] != 0.0).all()
+    ref = _tape.leaky_relu(affine, slope)
+    g = rng.standard_normal(ref.shape)
+    want_g, = ref._vjp(g)
+    out, (_, lmask, _) = _layer(x, w, b, GeneratorConfig(slope=slope), [], False)
+    npt.assert_array_equal(bits(out), bits(ref.data))
+    npt.assert_array_equal(bits(_layer_back(g, (x, lmask, None))[0]), bits(want_g))
+    out, [(_, mask)] = _layers_forward([(w, b)], x, slope)
+    npt.assert_array_equal(bits(out), bits(ref.data))
+    npt.assert_array_equal(bits(g * mask), bits(want_g))
 
 
 # ---------------------------------------------------------------------------
