@@ -1,4 +1,5 @@
-"""Every file the program writes, and the one framing of its binary files.
+"""Every file the program writes, the one framing of its binary files, and
+the one reader of its JSON documents.
 
 A binary artifact is a 4-byte magic, the length of its header as a
 little-endian u32, the header as compact sorted-key JSON, then raw
@@ -56,6 +57,23 @@ def write_binary(path, magic: bytes, header: dict, tables):
             f.write(np.ascontiguousarray(t).data)
 
     _write_atomic(path, "wb", write)
+
+
+def read_json(path, what: str, error):
+    """The JSON document of the ``what`` file at ``path``; a failure raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}")
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path} is not UTF-8 text: {exc}")
+    except json.JSONDecodeError as exc:
+        raise error(f"{what} file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise error(f"{what} file {path} is nested too deep to parse")
 
 
 def read_binary(path, magic: bytes, what: str, layout):

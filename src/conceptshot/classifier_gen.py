@@ -16,16 +16,16 @@ Three stages:
                         at a time, in training and in eval alike.
 
 The stages run on plain arrays, each intermediate checked for non-finite
-values (``tensor.checked``).  Each takes a list of tasks and returns its
-output and its vjp, a closure that maps the gradient at the output to the
-gradients at its inputs and parameters (by name) with the arithmetic of the
-op-by-op reference chain, in its order; ``emit_for_task`` chains the stages
-over every task of a training step or eval block.  Each task keeps the bits
-it gets alone: P acts on each node matrix of a task stack on its own,
-products run one per task (tasks of one class count share one relation-MLP
-stack), each task draws its dropout masks from its own stream in the
-reference order, and per-task gradients are summed left to right in task
-order.
+values; hops and relation MLP are ``tensor``'s leaky layers plus dropout.
+Each takes a list of tasks and returns its output and its vjp, a closure
+that maps the gradient at the output to the gradients at its inputs and
+parameters (by name) with the arithmetic of the op-by-op reference chain,
+in its order; ``emit_for_task`` chains the stages over every task of a
+training step or eval block.  Each task keeps the bits it gets alone: P
+acts on each node matrix of a task stack on its own, products run one per
+task (tasks of one class count share one relation-MLP stack), each task
+draws its dropout masks from its own stream in the reference order, and
+per-task gradients are summed left to right in task order.
 
 P and Pᵀ run only on the rows a head depends on (see ``graph_embed`` and
 ``emit_classifier``), with the bits of propagating every row; a non-finite
@@ -40,9 +40,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_types
 from .graph import Propagation, task_ids
-from .tensor import Rng, Tensor, checked, glorot_uniform, leaky_mask, quiet_fp
+from .tensor import (Rng, Tensor, checked, glorot_uniform, init_layers, layer_names,
+                     leaky_layer_vjp, leaky_layers, quiet_fp)
 
 
 @dataclass
@@ -55,6 +56,7 @@ class GeneratorConfig:
     semantics: str = "embeddings"    # or "one-hot"
 
     def __post_init__(self):
+        require_types(self, "generator", embed_widths="int", relation_widths="int")
         if not self.embed_widths or any(w < 1 for w in self.embed_widths):
             raise ConfigError(f"embed_widths must be positive, got {self.embed_widths}")
         if len(self.relation_widths) != 2 or any(w < 1 for w in self.relation_widths):
@@ -83,17 +85,9 @@ class TaskClassifier:
 def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
                    rng: Rng) -> dict:
     """Parameters for hops, relation MLP and the (feature_dim+1)-wide output layer."""
-    params = {}
-    d = semantic_dim
-    for h, w in enumerate(cfg.embed_widths):
-        params[f"gen.embed.{h}.W"] = glorot_uniform(rng, d, w)
-        params[f"gen.embed.{h}.b"] = Tensor(np.zeros(w))
-        d = w
-    rel_in = 2 * cfg.embed_widths[-1]
-    for i, w in enumerate(cfg.relation_widths):
-        params[f"gen.rel.{i}.W"] = glorot_uniform(rng, rel_in, w)
-        params[f"gen.rel.{i}.b"] = Tensor(np.zeros(w))
-        rel_in = w
+    params = init_layers(rng, "gen.embed", semantic_dim, cfg.embed_widths)
+    params.update(init_layers(rng, "gen.rel", 2 * cfg.embed_widths[-1],
+                              cfg.relation_widths))
     params["gen.out.W"] = glorot_uniform(rng, cfg.embed_widths[-1], feature_dim + 1)
     params["gen.out.b"] = Tensor(np.zeros(feature_dim + 1))
     return params
@@ -108,22 +102,17 @@ def _fold(grads):
 
 
 def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
-    """affine, leaky ReLU (its mask from ``leaky_mask``, free of the branch
-    per entry that ``np.where`` takes), then (training) each task's dropout,
-    on plain arrays, one task's or stacked; the output and the record for
-    the vjps.  The bias, leaky ReLU and dropout write into the product
-    ``x @ w``, except where one task's rows meet several tasks' masks."""
-    out = x @ w
-    out += b
-    lmask = leaky_mask(checked(out, "affine", _WHERE), cfg.slope)
-    out, dmask = checked(np.multiply(out, lmask, out=out), "leaky_relu", _WHERE), None
+    """``tensor.leaky_layers`` on one layer, then (training) each task's
+    dropout, on a matrix shared by the tasks or a stack of one per task; the
+    output and the vjps' record.  The dropout writes into the leaky ReLU's
+    output unless one shared matrix meets the tasks' masks."""
+    out, [(_, lmask)] = leaky_layers([(w, b)], x, cfg.slope, _WHERE)
+    dmask = None
     if training and cfg.keep_prob < 1.0:
         dmask = np.empty((len(rngs),) + out.shape[-2:])
         for r, m in zip(rngs, dmask):
             r.uniform_into(m)
         dmask = np.divide(dmask < cfg.keep_prob, cfg.keep_prob, out=dmask)
-        if x.ndim == 2 and len(rngs) == 1:
-            dmask = dmask[0]
         out = checked(np.multiply(out, dmask, out=out if out.shape == dmask.shape else None),
                       "dropout", _WHERE)
     return out, (x, lmask, dmask)
@@ -132,8 +121,8 @@ def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
 def _layer_back(g, rec):
     """The gradient at the affine output, then the W and b gradients."""
     x, lmask, dmask = rec
-    g = (g if dmask is None else g * dmask) * lmask
-    return g, x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
+    g, gw, gb = leaky_layer_vjp(g if dmask is None else g * dmask, x, lmask)
+    return g, gw, gb[..., 0, :]
 
 
 @quiet_fp
@@ -164,7 +153,7 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
         raise ConfigError(
             f"semantic width {pz0.shape[1]} does not match the first hop's "
             f"input width {params['gen.embed.0.W'].data.shape[0]}")
-    names = [(f"gen.embed.{h}.W", f"gen.embed.{h}.b") for h in range(len(cfg.embed_widths))]
+    names = layer_names("gen.embed", len(cfg.embed_widths))
     ws = [params[w].data for w, _ in names]
     hops, x, recs = len(names), pz0, []
     for h, (w, b) in enumerate(names):
@@ -201,7 +190,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
     maps the rows' gradients to (the input rows' gradients, the MLP
     parameters' gradients).
     """
-    names = [(f"gen.rel.{i}.W", f"gen.rel.{i}.b") for i in range(len(cfg.relation_widths))]
+    names = layer_names("gen.rel", len(cfg.relation_widths))
     layers = [(params[w].data, params[b].data) for w, b in names]
     stacks = {}                     # n -> its tasks' positions
     for k, zt in enumerate(z_tasks):

@@ -15,12 +15,12 @@ import json
 from dataclasses import dataclass, field, fields
 
 from .classifier_gen import GeneratorConfig
-from .artifact import write_text_atomic
+from .artifact import read_json, write_text_atomic
 from .data import SynthConfig
 from .encoder import EncoderConfig
-from .errors import ConfigError
+from .errors import ConfigError, require_types
 from .graph import ConceptGraph
-from .meta import EvalConfig, Model, TrainConfig, require_types
+from .meta import EvalConfig, Model, TrainConfig
 
 
 @dataclass
@@ -30,6 +30,9 @@ class Paths:
     checkpoint: str = "artifacts/model.ckpt"
     metrics: str = "artifacts/metrics.csv"
     eval_csv: str = "artifacts/eval-episodes.csv"
+
+    def __post_init__(self):
+        require_types(self, "paths")
 
 
 @dataclass
@@ -53,15 +56,12 @@ class ExperimentConfig:
 _SECTIONS = {"paths": Paths, "data": SynthConfig, "encoder": EncoderConfig,
              "generator": GeneratorConfig, "train": TrainConfig,
              "eval": EvalConfig}
-# the type of the entries of each section's list fields
-_ENTRIES = {"data": {"sigma_levels": "float"}, "encoder": {"widths": "int"},
-            "generator": {"embed_widths": "int", "relation_widths": "int"}}
 
 
 def from_dict(d: dict) -> ExperimentConfig:
     """The validated config of a parsed JSON document: every field must hold
-    a value of its declared type (see ``meta.require_types``), else
-    ``ConfigError``."""
+    a value of its declared type (each section checks its own, by
+    ``errors.require_types``), else ``ConfigError``."""
     if not isinstance(d, dict):
         raise ConfigError(f"a config must be a JSON object, got {type(d).__name__}")
     unknown = sorted(set(d) - set(_SECTIONS))
@@ -86,10 +86,6 @@ def from_dict(d: dict) -> ExperimentConfig:
             built[name] = cls(**sub)
         except TypeError as exc:
             raise ConfigError(f"bad '{name}' section: {exc}")
-        try:
-            require_types(built[name], **_ENTRIES.get(name, {}))
-        except ConfigError as exc:
-            raise ConfigError(f"{name}.{exc}")
     return ExperimentConfig(**built)
 
 
@@ -144,19 +140,7 @@ def apply_overrides(d: dict, overrides) -> dict:
 
 
 def load_config_dict(path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as f:
-            d = json.load(f)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    except RecursionError:
-        raise ConfigError(f"config file {path} is nested too deep to parse")
+    d = read_json(path, "config", ConfigError)
     if not isinstance(d, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return d

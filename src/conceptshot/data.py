@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import read_binary, write_binary
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require_types
 from .graph import ConceptGraph, NodeRecord
 from .tensor import Rng
 
@@ -182,6 +182,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_types(self, "data", sigma_levels="float")
         if self.branching < 2 or self.num_levels < 2:
             raise ConfigError("need branching >= 2 and num_levels >= 2")
         if self.samples_per_class < 1 or self.input_dim < 1 or self.semantic_dim < 1:

@@ -1,15 +1,16 @@
 """Feature encoder: a stack of affine + leaky-relu layers over feature vectors,
 partitioned into a low part (frozen during episode adaptation) and a high part
-(adapted per task together with the emitted classifier)."""
+(adapted per task together with the emitted classifier): ``tensor`` layers
+named under ``PREFIX``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
+from .errors import ConfigError, require_types
+from .tensor import layer_names
 
-from .errors import ConfigError
-from .tensor import Rng, Tensor, glorot_uniform
+PREFIX = "enc"                   # parameter names 'enc.<i>.W' / 'enc.<i>.b'
 
 
 @dataclass
@@ -20,6 +21,7 @@ class EncoderConfig:
     slope: float = 0.1
 
     def __post_init__(self):
+        require_types(self, "encoder", widths="int")
         if self.input_dim < 1:
             raise ConfigError(f"encoder input_dim must be positive, got {self.input_dim}")
         if any(w < 1 for w in self.widths):
@@ -33,21 +35,5 @@ class EncoderConfig:
         return self.widths[-1] if self.widths else self.input_dim
 
 
-def init_encoder(cfg: EncoderConfig, rng: Rng) -> dict:
-    """Glorot-uniform weights, zero biases; keys 'enc.<i>.W' / 'enc.<i>.b'."""
-    params = {}
-    d = cfg.input_dim
-    for i, w in enumerate(cfg.widths):
-        params[f"enc.{i}.W"] = glorot_uniform(rng, d, w)
-        params[f"enc.{i}.b"] = Tensor(np.zeros(w))
-        d = w
-    return params
-
-
-def layer_names(cfg: EncoderConfig):
-    """The (W, b) parameter names of every layer, low layers first."""
-    return [(f"enc.{i}.W", f"enc.{i}.b") for i in range(len(cfg.widths))]
-
-
 def layer_pairs(params: dict, cfg: EncoderConfig):
-    return [(params[w], params[b]) for w, b in layer_names(cfg)]
+    return [(params[w], params[b]) for w, b in layer_names(PREFIX, len(cfg.widths))]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifact import write_text_atomic
+from .artifact import read_json, write_text_atomic
 from .errors import DataError
 from .tensor import neighbor_sums
 
@@ -250,18 +250,7 @@ def save_graph(g: ConceptGraph, path):
 
 def load_graph(path) -> ConceptGraph:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"graph file not found: {path}")
-    except OSError as e:
-        raise DataError(f"cannot read graph file {path}: {e}")
-    except UnicodeDecodeError as e:
-        raise DataError(f"graph file {path} is not UTF-8 text: {e}")
-    except json.JSONDecodeError as e:
-        raise DataError(f"graph file {path} is not valid JSON: {e}")
-    except RecursionError:
-        raise DataError(f"graph file {path} is nested too deep to parse")
+    doc = read_json(path, "graph", DataError)
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_NAME:
         raise DataError(f"{path} is not a {_FORMAT_NAME} file")
     sem = doc.get("semantics", {})

@@ -25,9 +25,10 @@ The inner loop adapts a block of same-shaped tasks at once, stacked along a
 leading axis: each task's bits equal those of the loop run on it alone, and
 every intermediate is checked for non-finite values.  After its first step
 the loop updates the adapted arrays in place, and the forward and gradient
-passes write the bias, activation and softmax into arrays they made
-themselves: each such write is the IEEE operation the reference does on the
-same operands, into an array of the same memory layout, so no bit moves.
+passes (``tensor.leaky_layers``, ``leaky_layer_vjp``) write the bias,
+activation and softmax into arrays they made themselves: each such write is
+the IEEE operation the reference does on the same operands, into an array of
+the same memory layout, so no bit moves.
 Evaluation never backpropagates; it emits and adapts its episodes in blocks,
 each block emitted by one generator pass as a training step's episodes are:
 one embedding per block, restricted to the rows the block's heads read.
@@ -36,9 +37,8 @@ one embedding per block, restricted to the rows the block's heads read.
 from __future__ import annotations
 
 import functools
-import math
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,40 +46,11 @@ from .artifact import read_binary, write_binary, write_text_atomic
 from .classifier_gen import GeneratorConfig, TaskClassifier, emit_for_task, init_generator
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
-from .encoder import EncoderConfig, init_encoder, layer_names, layer_pairs
-from .errors import ConfigError, DataError
+from .encoder import PREFIX, EncoderConfig, layer_pairs
+from .errors import ConfigError, DataError, require_types
 from .graph import ConceptGraph, propagation_operator
-from .tensor import (Rng, SgdOptimizer, checked, class_labels, leaky_mask, quiet_fp,
-                     stable_exp_parts)
-
-
-_KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",
-          "str": "a string", "list": "a list", "dict": "an object"}
-
-
-def _is_kind(value, kind: str) -> bool:
-    if isinstance(value, bool):                  # a bool is not a number
-        return kind == "bool"
-    if kind == "int":
-        return isinstance(value, int)
-    if kind == "float":
-        return isinstance(value, (int, float)) and math.isfinite(value)
-    return isinstance(value, {"bool": bool, "str": str, "list": list, "dict": dict}[kind])
-
-
-def require_types(cfg, **entries):
-    """Every int, float, bool, str, list and dict field of ``cfg`` must hold a
-    value of that type; a float must also be finite, since a NaN would slip
-    past checks such as ``x < 0``.  Each keyword names a list or dict field
-    and the type its entries (a dict's values) must have."""
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if f.type in _KINDS and not _is_kind(v, f.type):
-            raise ConfigError(f"{f.name} must be {_KINDS[f.type]}, got {v!r}")
-        kind = entries.get(f.name)
-        for key, e in (v.items() if isinstance(v, dict) else enumerate(v)) if kind else ():
-            if not _is_kind(e, kind):
-                raise ConfigError(f"{f.name}[{key!r}] must be {_KINDS[kind]}, got {e!r}")
+from .tensor import (Rng, SgdOptimizer, checked, class_labels, init_layers, layer_names,
+                     leaky_layer_vjp, leaky_layers, quiet_fp, stable_exp_parts)
 
 
 @dataclass
@@ -104,7 +75,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_types(self, level_weights="float")
+        require_types(self, "train", level_weights="float")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
         for name in ("outer_lr", "inner_lr", "weight_decay",
@@ -145,7 +116,7 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_types(self)
+        require_types(self, "eval")
         if self.n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
         if min(self.n_way, self.k_shot, self.n_query) < 1:
@@ -174,8 +145,8 @@ class Model:
         self.generator_input = checked(self.prop.apply(sem, [np.arange(graph.num_nodes)]),
                                        "propagation", "the generator input")
         rng = Rng(seed).child("init")
-        self.params = {}
-        self.params.update(init_encoder(enc_cfg, rng.child("encoder")))
+        self.params = init_layers(rng.child("encoder"), PREFIX, enc_cfg.input_dim,
+                                  enc_cfg.widths)
         self.params.update(init_generator(gen_cfg, sem.shape[1], enc_cfg.feature_dim,
                                           rng.child("generator")))
 
@@ -199,20 +170,6 @@ def _T(a):
     return a.swapaxes(-1, -2)
 
 
-def _layers_forward(pairs, x, slope: float, where: str = "the inner loop"):
-    """The encoder layers (affine, leaky ReLU) on (stacked) arrays: the
-    output, and each layer's input and leaky-ReLU mask for :func:`_vjps`;
-    ``leaky_mask`` builds the mask without ``np.where``'s branch per entry."""
-    saved = []
-    for w, b in pairs:
-        a = x @ w
-        a += b
-        mask = leaky_mask(checked(a, "affine", where), slope)
-        saved.append((x, mask))
-        x = checked(np.multiply(a, mask, out=a), "leaky_relu", where)
-    return x, saved
-
-
 def _cross_entropy(logits, y, where: str = "the inner loop"):
     """The sorted-denominator cross-entropy of (stacked) ``logits`` per task
     against ``y``, all the block's labels in one flat vector, and its
@@ -230,14 +187,14 @@ def _cross_entropy(logits, y, where: str = "the inner loop"):
 def _vjps(ws, saved, feats, w, g):
     """The reference ops' vjps on (stacked) arrays: each layer's (W, b)
     gradient, then the head's, from ``g`` at the logits ``feats @ w.T + b``;
-    ``ws`` and ``saved`` are the layers' weights and their forward record.
-    Biases keep a leading axis of one."""
+    ``ws`` and ``saved`` are the layers' weights and ``leaky_layers`` record,
+    and each layer's vjp writes into an array made here.  Biases keep a
+    leading axis of one."""
     grads = [_T(_T(feats) @ g), g.sum(axis=-2, keepdims=True)]
     g_out = g @ w
     for i in reversed(range(len(saved))):
-        x_in, mask = saved[i]
-        g = np.multiply(g_out, mask, out=g_out)
-        grads[:0] = [_T(x_in) @ g, g.sum(axis=-2, keepdims=True)]
+        g, gw, gb = leaky_layer_vjp(g_out, *saved[i], out=g_out)
+        grads[:0] = [gw, gb]
         if i:
             g_out = g @ _T(ws[i])
     return grads
@@ -273,15 +230,17 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
     high = pairs[cfg.low_layers:]
     if not (steps and lr):
         return [AdaptedState(high=list(high), classifier=clf) for clf in clfs]
-    x, _ = _layers_forward(pairs[:cfg.low_layers],
-                           np.asarray(np.stack(support_xs), dtype=np.float64), cfg.slope)
+    x, _ = leaky_layers(pairs[:cfg.low_layers],
+                        np.asarray(np.stack(support_xs), dtype=np.float64), cfg.slope,
+                        "the inner loop")
     starts = [t for pair in high for t in pair]
     vals = starts + [np.stack([c.weights for c in clfs]),
                      np.stack([c.bias[None] for c in clfs])]
     n, n_cls = x.shape[-2], vals[-2].shape[-2]
     y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
     for step in range(steps):
-        feats, saved = _layers_forward(zip(vals[:-2:2], vals[1:-2:2]), x, cfg.slope)
+        feats, saved = leaky_layers(zip(vals[:-2:2], vals[1:-2:2]), x, cfg.slope,
+                                    "the inner loop")
         w, b = vals[-2:]
         logits = feats @ _T(w)
         logits += b
@@ -334,8 +293,8 @@ def episode_loss(model: Model, ep: Episode, adapted: AdaptedState):
     pairs = [(w.data, b.data) for w, b in layer_pairs(model.params, cfg)[:cfg.low_layers]]
     pairs += adapted.high
     shapes = [t.shape for pair in pairs for t in pair] + [clf.weights.shape, clf.bias.shape]
-    feats, saved = _layers_forward(pairs, np.asarray(ep.query_x, dtype=np.float64),
-                                   cfg.slope, "the query loss")
+    feats, saved = leaky_layers(pairs, np.asarray(ep.query_x, dtype=np.float64),
+                                cfg.slope, "the query loss")
     logits = feats @ clf.weights.T
     logits += clf.bias
     loss, p = _cross_entropy(logits, class_labels(ep.query_y, *logits.shape),
@@ -380,7 +339,7 @@ def _gradients(model: Model, vjps, weights, emit_grads) -> dict:
     in episode order and the step's :meth:`Model.emit` closure.  Each
     encoder parameter adds its episodes' contributions left to right,
     starting from the first."""
-    names = [n for pair in layer_names(model.enc_cfg) for n in pair]
+    names = [n for pair in layer_names(PREFIX, len(model.enc_cfg.widths)) for n in pair]
     grads, heads = {}, []
     for vjp, c in zip(vjps, weights):
         *enc, g_w, g_b = vjp(c)

@@ -1,4 +1,4 @@
-"""Numerics shared by the model: parameters, checks, sorted sums, SGD.
+"""Numerics shared by the model: parameters, checks, sorted sums, layers, SGD.
 
 Design points:
 
@@ -14,7 +14,10 @@ Design points:
 * sums over an *unordered* set of contributions (graph neighborhoods,
   softmax denominators) sort them by value first, which makes them bitwise
   insensitive to input ordering -- required for the exact permutation
-  equivariance contracts (see ``neighbor_sums``).
+  equivariance contracts (see ``neighbor_sums``),
+* the encoder, the generator's hops and its relation MLP share one layer,
+  affine then leaky ReLU: ``init_layers``, ``layer_names``, the forward
+  ``leaky_layers`` and the per-layer vjp ``leaky_layer_vjp``.
 """
 
 from __future__ import annotations
@@ -25,11 +28,6 @@ import zlib
 import numpy as np
 
 from .errors import NumericalError
-
-__all__ = [
-    "Rng", "Tensor", "checked", "quiet_fp", "leaky_mask", "class_labels",
-    "stable_exp_parts", "neighbor_sums", "glorot_uniform", "SgdOptimizer",
-]
 
 
 def _key_int(k):
@@ -220,6 +218,44 @@ def glorot_uniform(rng: Rng, n_in: int, n_out: int) -> Tensor:
     """Weight init: uniform in [-a, a], a = sqrt(6 / (n_in + n_out))."""
     a = np.sqrt(6.0 / (n_in + n_out))
     return Tensor(rng.uniform(size=(n_in, n_out), low=-a, high=a))
+
+
+def layer_names(prefix: str, count: int) -> list:
+    """The (W, b) parameter names of ``count`` layers: '<prefix>.<i>.W' / '.b'."""
+    return [(f"{prefix}.{i}.W", f"{prefix}.{i}.b") for i in range(count)]
+
+
+def init_layers(rng: Rng, prefix: str, d: int, widths) -> dict:
+    """Glorot-uniform weights and zero biases, drawn layer by layer, of the
+    layers from width ``d`` through ``widths``, named by :func:`layer_names`."""
+    params = {}
+    for (wn, bn), w in zip(layer_names(prefix, len(widths)), widths):
+        params[wn] = glorot_uniform(rng, d, w)
+        params[bn] = Tensor(np.zeros(w))
+        d = w
+    return params
+
+
+def leaky_layers(pairs, x, slope: float, where: str):
+    """The (W, b) layers of ``pairs`` (affine, leaky ReLU, each checked) on a
+    matrix or a stack: the output, and each layer's input and mask for
+    :func:`leaky_layer_vjp`.  Bias and leaky ReLU write into ``x @ W``."""
+    saved = []
+    for w, b in pairs:
+        a = x @ w
+        a += b
+        mask = leaky_mask(checked(a, "affine", where), slope)
+        saved.append((x, mask))
+        x = checked(np.multiply(a, mask, out=a), "leaky_relu", where)
+    return x, saved
+
+
+def leaky_layer_vjp(g, x, mask, out=None):
+    """A :func:`leaky_layers` layer's vjp from ``g`` at its output: the
+    gradients at the affine output, W and b (a row axis of one kept).  The
+    first goes to ``out``, which may be ``g`` only if the caller owns it."""
+    g = np.multiply(g, mask, out=out)
+    return g, x.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
 
 
 class SgdOptimizer:

@@ -153,6 +153,29 @@ def test_relation_width_mismatch_rejected():
         GeneratorConfig(embed_widths=[4, 3], relation_widths=[5, 4])
 
 
+@pytest.mark.parametrize("training", [True, False])
+def test_embed_and_relation_vjps_leave_their_gradient_unwritten(training):
+    # the leaky layers' vjp writes only into arrays a vjp makes itself; with
+    # no dropout mask the last hop's vjp meets the caller's array as it is
+    g = tree7(seed=12)
+    prop, cfg = propagation_operator(g), small_cfg()
+    params = init_generator(cfg, 3, 2, T.Rng(12))
+    rngs, rng = [T.Rng(0), T.Rng(1)], np.random.default_rng(12)
+    z, embed_back = graph_embed(params, cfg, prop, generator_input(prop, g.semantics),
+                                rngs, training, every_reach(prop, cfg, tasks=2))
+    g_z = rng.standard_normal(z.shape)
+    keep = g_z.copy()
+    embed_back(g_z)
+    npt.assert_array_equal(_bits(g_z), _bits(keep))
+    rows, refine_back = refine_relations(params, cfg, [z[0][[3, 4]], z[1][[3, 5, 6]]],
+                                         rngs, training)
+    g_rows = [rng.standard_normal(r.shape) for r in rows]
+    keep = [g.copy() for g in g_rows]
+    refine_back(g_rows)
+    for got, want in zip(g_rows, keep):
+        npt.assert_array_equal(_bits(got), _bits(want))
+
+
 # ---------------------------------------------------------------------------
 # emission
 

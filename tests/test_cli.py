@@ -155,6 +155,20 @@ def test_config_file_naming_flags_exits_2(tmp_path, capsys):
     assert not (tmp_path / "art").exists()
 
 
+@pytest.mark.parametrize("override", ['data.branching="x"', 'encoder.widths="ab"',
+                                      'generator.scale="x"', 'train.n_way="x"',
+                                      "eval.seed=1.5", "paths.graph=5"])
+def test_config_type_errors_name_section_and_key(tmp_path, capsys, override):
+    # each section checks its own field types first, so a value of the wrong
+    # type never reaches a comparison of the section's own checks
+    cfgp = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["gen-data", "-c", str(cfgp), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert f"{override.partition('=')[0]} must be" in err
+    assert "not supported between" not in err
+
+
 def _with_value(blob, name, value):
     """The checkpoint ``blob`` with the first entry of parameter ``name`` set
     to ``value``: its tables follow the header in the header's name order."""

@@ -8,8 +8,17 @@ import _tape
 from _oracles import numerical_grad, rel_err
 from _tape import apply_layers, embed_low, high_pairs
 from conceptshot import tensor as T
-from conceptshot.encoder import EncoderConfig, init_encoder, layer_names, layer_pairs
+from conceptshot.encoder import PREFIX, EncoderConfig, layer_pairs
 from conceptshot.errors import ConfigError
+
+
+def init_encoder(cfg, rng):
+    """The encoder's parameters as ``meta.Model`` draws them."""
+    return T.init_layers(rng, PREFIX, cfg.input_dim, cfg.widths)
+
+
+def layer_names(cfg):
+    return T.layer_names(PREFIX, len(cfg.widths))
 
 
 def test_low_zero_layers_is_identity():

@@ -11,14 +11,14 @@ from conceptshot.classifier_gen import (GeneratorConfig, TaskClassifier,
                                         emit_for_task)
 from conceptshot.data import (Dataset, SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
-from conceptshot.encoder import EncoderConfig, layer_names, layer_pairs
+from conceptshot.encoder import PREFIX, EncoderConfig, layer_pairs
 from conceptshot.errors import ConfigError, DataError, NumericalError
 from conceptshot.graph import ConceptGraph, NodeRecord
 from conceptshot.meta import (EvalConfig, Model, TrainConfig, confidence_interval,
                               eligible_concept_levels, episode_loss, evaluate,
                               inner_adapt, load_checkpoint, metrics_columns,
                               save_checkpoint, train, train_step, write_metrics)
-from conceptshot.tensor import Rng, SgdOptimizer, Tensor
+from conceptshot.tensor import Rng, SgdOptimizer, Tensor, layer_names
 
 from _tape import grad, high_pairs, mul, scale, sum_all
 from _oracles import (as_leaves, dense_propagation, every_row, lone_episode_grads,
@@ -181,7 +181,7 @@ def _leaf_head(clf):
 
 
 def _encoder_names(m):
-    return [n for pair in layer_names(m.enc_cfg) for n in pair]
+    return [n for pair in layer_names(PREFIX, len(m.enc_cfg.widths)) for n in pair]
 
 
 def _tape_backprop(m, ep, adapted, head):

@@ -14,7 +14,6 @@ from _oracles import neighbor_groups, numerical_grad, padded_neighbor_sum, rel_e
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import GeneratorConfig, _layer, _layer_back
 from conceptshot.errors import ConfigError, NumericalError
-from conceptshot.meta import _layers_forward
 
 
 def scalar_loss(out):
@@ -394,9 +393,10 @@ def test_leaky_layers_on_exact_zeros_match_the_tape_bitwise(slope):
     out, (_, lmask, _) = _layer(x, w, b, GeneratorConfig(slope=slope), [], False)
     npt.assert_array_equal(bits(out), bits(ref.data))
     npt.assert_array_equal(bits(_layer_back(g, (x, lmask, None))[0]), bits(want_g))
-    out, [(_, mask)] = _layers_forward([(w, b)], x, slope)
+    out, [(_, mask)] = T.leaky_layers([(w, b)], x, slope, "a test")
     npt.assert_array_equal(bits(out), bits(ref.data))
     npt.assert_array_equal(bits(g * mask), bits(want_g))
+    npt.assert_array_equal(bits(T.leaky_layer_vjp(g, x, mask)[0]), bits(want_g))
 
 
 # ---------------------------------------------------------------------------
