@@ -10,10 +10,11 @@ Three stages:
 3. ``emit_classifier`` -- the refined rows written back into the node matrix,
                         one more propagation + affine, rows L2-normalized
                         and scaled to norm ``scale``; the task's rows are
-                        split into per-class weights (first ``feature_dim``
-                        columns) and bias (last column).  Each task writes
-                        back into its own copy of its node matrix, one task
-                        at a time, in training and in eval alike.
+                        split into its head: per-class weights (first
+                        ``feature_dim`` columns) and bias (last column).
+                        Each task writes back into its own copy of its node
+                        matrix, one task at a time, in training and in eval
+                        alike.
 
 The stages run on plain arrays, each intermediate checked for non-finite
 values; hops and relation MLP are ``tensor``'s leaky layers plus dropout.
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, require_types
+from .errors import ConfigError, require_at_least, require_types
 from .graph import Propagation, task_ids
 from .tensor import (Rng, Tensor, checked, glorot_uniform, init_layers, layer_names,
                      leaky_layer_vjp, leaky_layers, quiet_fp)
@@ -58,28 +59,21 @@ class GeneratorConfig:
     def __post_init__(self):
         require_types(self, "generator", embed_widths="int", relation_widths="int")
         if not self.embed_widths or any(w < 1 for w in self.embed_widths):
-            raise ConfigError(f"embed_widths must be positive, got {self.embed_widths}")
+            raise ConfigError(
+                f"generator.embed_widths must be positive, got {self.embed_widths}")
         if len(self.relation_widths) != 2 or any(w < 1 for w in self.relation_widths):
-            raise ConfigError(f"relation_widths must be two positive ints, "
+            raise ConfigError(f"generator.relation_widths must be two positive ints, "
                               f"got {self.relation_widths}")
         if self.relation_widths[-1] != self.embed_widths[-1]:
             raise ConfigError(
-                f"relation output width {self.relation_widths[-1]} must match the last "
-                f"embed width {self.embed_widths[-1]} (residual connection)")
-        if self.scale < 0:
-            raise ConfigError(f"scale must be non-negative, got {self.scale}")
+                f"generator.relation_widths[-1]={self.relation_widths[-1]} must match "
+                f"generator.embed_widths[-1]={self.embed_widths[-1]} (residual connection)")
+        require_at_least(self, "generator", 0, "scale")
         if not (0.0 < self.keep_prob <= 1.0):
-            raise ConfigError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+            raise ConfigError(f"generator.keep_prob must be in (0, 1], got {self.keep_prob}")
         if self.semantics not in ("embeddings", "one-hot"):
-            raise ConfigError(f"unknown semantics mode '{self.semantics}'")
-
-
-@dataclass
-class TaskClassifier:
-    """Per-episode linear head: logits = x @ weights.T + bias."""
-    weights: np.ndarray      # (n_way, feature_dim)
-    bias: np.ndarray         # (n_way,)
-    class_ids: np.ndarray
+            raise ConfigError(f"generator.semantics must be 'embeddings' or 'one-hot', "
+                              f"got {self.semantics!r}")
 
 
 def init_generator(cfg: GeneratorConfig, semantic_dim: int, feature_dim: int,
@@ -121,8 +115,7 @@ def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
 def _layer_back(g, rec):
     """The gradient at the affine output, then the W and b gradients."""
     x, lmask, dmask = rec
-    g, gw, gb = leaky_layer_vjp(g if dmask is None else g * dmask, x, lmask)
-    return g, gw, gb[..., 0, :]
+    return leaky_layer_vjp(g if dmask is None else g * dmask, x, lmask)
 
 
 @quiet_fp
@@ -284,14 +277,15 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     """Full pipeline: embed the nodes, refine each task's rows, emit the heads.
 
     Given a list of class id arrays and one stream per task, emits every
-    task in one pass and returns (one classifier per task, each with the
-    bits it gets alone, grads).  ``grads`` maps a list of (weights, bias)
-    gradients, one per head, to the gradient of every generator parameter,
-    by name.  Every task's ids are checked first.  ``pz0`` is the
-    propagated generator input (see :func:`graph_embed`).  Training and
-    eval take the one path: the nodes are embedded once per call, on the
-    rows the call's heads read, and each task writes back into its own copy
-    of the embedding.
+    task in one pass and returns (one head per task, each with the bits it
+    gets alone, grads).  A head is a (weights, bias) pair like every other
+    layer: logits = x @ weights.T + bias, weights (n_way, feature_dim) and
+    bias (n_way,).  ``grads`` maps a list of (weights, bias) gradients, one
+    per head, to the gradient of every generator parameter, by name.  Every
+    task's ids are checked first.  ``pz0`` is the propagated generator
+    input (see :func:`graph_embed`).  Training and eval take the one path:
+    the nodes are embedded once per call, on the rows the call's heads
+    read, and each task writes back into its own copy of the embedding.
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
     reach = [ids, prop.neighborhoods(ids)]  # i, N(i), N(N(i)), ...: see graph_embed
@@ -323,5 +317,4 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
         return {"gen.out.W": g_w, "gen.out.b": g_b, **rel_grads,
                 **embed_back(g_z + g_select)}
 
-    return [TaskClassifier(rows[rs, :fd].copy(), rows[rs, fd].copy(), i)
-            for rs, i in zip(spans, ids)], grads
+    return [(rows[rs, :fd].copy(), rows[rs, fd].copy()) for rs in spans], grads

@@ -28,10 +28,14 @@ def _save_effective(cfg: ExperimentConfig, anchor_path: str, command: str):
     return out
 
 
+def _require(label: str, path: str):
+    if not os.path.exists(path):
+        raise DataError(f"{label} file {path} not found; run gen-data first")
+
+
 def _load_world(cfg: ExperimentConfig):
     for label, path in (("graph", cfg.paths.graph), ("dataset", cfg.paths.dataset)):
-        if not os.path.exists(path):
-            raise DataError(f"{label} file {path} not found; run gen-data first")
+        _require(label, path)
     g = load_graph(cfg.paths.graph)
     ds = load_dataset(cfg.paths.dataset)
     ds.validate_against(g)
@@ -100,8 +104,7 @@ def cmd_eval(cfg: ExperimentConfig, split: str, level, untrained: bool) -> int:
 
 
 def cmd_inspect(cfg: ExperimentConfig) -> int:
-    if not os.path.exists(cfg.paths.graph):
-        raise DataError(f"graph file {cfg.paths.graph} not found; run gen-data first")
+    _require("graph", cfg.paths.graph)
     g = load_graph(cfg.paths.graph)
     print(describe(g))
     if os.path.exists(cfg.paths.dataset):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import read_binary, write_binary
-from .errors import ConfigError, DataError, require_types
+from .errors import ConfigError, DataError, require_at_least, require_types
 from .graph import ConceptGraph, NodeRecord
 from .tensor import Rng
 
@@ -144,15 +144,15 @@ def sample_concept_episode(ds: Dataset, g: ConceptGraph, level: int, n_way: int,
                            n_way, k_shot, n_query, rng, f"at level {level}")
 
 
-def concept_levels_with(ds: Dataset, g: ConceptGraph, k_shot: int, n_query: int,
-                        min_ways: int = 2):
-    """Abstract levels eligible for concept episodes, with the way count each
-    supports (capped at nothing here; callers cap at their n_way)."""
+def concept_levels_with(ds: Dataset, g: ConceptGraph, k_shot: int, n_query: int):
+    """Abstract levels eligible for concept episodes (at least two classes
+    with enough samples), with the way count each supports (capped at
+    nothing here; callers cap at their n_way)."""
     need = k_shot + n_query
     out = []
     for level in range(g.entity_level):
         n = _eligible(ds, g.ids_at(level), need).size
-        if n >= min_ways:
+        if n >= 2:
             out.append((level, n))
     return out
 
@@ -183,30 +183,30 @@ class SynthConfig:
 
     def __post_init__(self):
         require_types(self, "data", sigma_levels="float")
-        if self.branching < 2 or self.num_levels < 2:
-            raise ConfigError("need branching >= 2 and num_levels >= 2")
-        if self.samples_per_class < 1 or self.input_dim < 1 or self.semantic_dim < 1:
-            raise ConfigError("samples_per_class, input_dim, semantic_dim must be positive")
+        require_at_least(self, "data", 2, "branching", "num_levels")
+        require_at_least(self, "data", 1, "samples_per_class", "input_dim", "semantic_dim")
+        require_at_least(self, "data", 0, "seed")
         self._check_sizes()
         if self.sigma_levels is None:
             self.sigma_levels = [1.0 * 0.5 ** i for i in range(self.num_levels - 1)]
             self.sigma_levels.append(self.sigma_levels[-1])
         if len(self.sigma_levels) != self.num_levels:
-            raise ConfigError(
-                f"sigma_levels needs {self.num_levels} entries, got {len(self.sigma_levels)}")
+            raise ConfigError(f"data.sigma_levels needs {self.num_levels} entries, "
+                              f"got {len(self.sigma_levels)}")
         if any(s < 0 for s in self.sigma_levels):
-            raise ConfigError("sigma_levels must be non-negative")
+            raise ConfigError("data.sigma_levels must be non-negative")
         if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
+            raise ConfigError(
+                f"data.train_fraction must be in (0, 1), got {self.train_fraction}")
         if not (0.0 <= self.weak_fraction < 1.0):
-            raise ConfigError(f"weak_fraction must be in [0,1), got {self.weak_fraction}")
+            raise ConfigError(
+                f"data.weak_fraction must be in [0, 1), got {self.weak_fraction}")
         if self.mix_mode:
             leaves = self.branching ** (self.num_levels - 1)
             if leaves - round(self.weak_fraction * leaves) < 2:
-                raise ConfigError(f"weak_fraction={self.weak_fraction} leaves fewer than "
-                                  f"two of {leaves} leaves for meta-train and meta-test")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+                raise ConfigError(f"data.weak_fraction={self.weak_fraction} leaves fewer "
+                                  f"than two of {leaves} leaves for meta-train and "
+                                  f"meta-test")
 
     def _check_sizes(self):
         """The node count against int32 ids, the largest array against
@@ -216,16 +216,17 @@ class SynthConfig:
             m += size
             if m > _MAX_NODES:
                 raise ConfigError(
-                    f"branching={self.branching} and num_levels={self.num_levels} make "
-                    f"more than {_MAX_NODES} nodes, past the dataset's int32 node ids")
+                    f"data.branching={self.branching} and data.num_levels="
+                    f"{self.num_levels} make more than {_MAX_NODES} nodes, past the "
+                    f"dataset's int32 node ids")
             size *= self.branching
         n, d, s = self.samples_per_class, self.input_dim, self.semantic_dim
         largest = max(8 * m * max(d, s), 8 * d * s, 4 * m * n * d)
         if largest > _MAX_BYTES:
             raise ConfigError(
-                f"data sizes too large: {m} nodes, samples_per_class={n}, input_dim={d} "
-                f"and semantic_dim={s} need an array of {largest} bytes, past numpy's "
-                f"limit of {_MAX_BYTES}")
+                f"data sizes too large: {m} nodes, data.samples_per_class={n}, "
+                f"data.input_dim={d} and data.semantic_dim={s} need an array of {largest} "
+                f"bytes, past numpy's limit of {_MAX_BYTES}")
 
 
 def generate_synthetic(cfg: SynthConfig):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, require_types
+from .errors import ConfigError, require_at_least, require_types
 from .tensor import layer_names
 
 PREFIX = "enc"                   # parameter names 'enc.<i>.W' / 'enc.<i>.b'
@@ -22,13 +22,12 @@ class EncoderConfig:
 
     def __post_init__(self):
         require_types(self, "encoder", widths="int")
-        if self.input_dim < 1:
-            raise ConfigError(f"encoder input_dim must be positive, got {self.input_dim}")
+        require_at_least(self, "encoder", 1, "input_dim")
         if any(w < 1 for w in self.widths):
-            raise ConfigError(f"encoder widths must be positive, got {self.widths}")
+            raise ConfigError(f"encoder.widths must be positive, got {self.widths}")
         if not (0 <= self.low_layers <= len(self.widths)):
-            raise ConfigError(
-                f"low_layers={self.low_layers} outside [0, {len(self.widths)}]")
+            raise ConfigError(f"encoder.low_layers must be in [0, {len(self.widths)}], "
+                              f"got {self.low_layers}")
 
     @property
     def feature_dim(self):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the config type check.
+"""Exception types shared across the package, and the config type and
+lower-bound checks.
 
 The CLI maps these onto distinct exit codes, so library code should raise
 the most specific one that applies.
@@ -51,3 +52,12 @@ def require_types(cfg, section: str, **entries):
             if not _is_kind(e, kind):
                 raise ConfigError(
                     f"{section}.{f.name}[{key!r}] must be {_KINDS[kind]}, got {e!r}")
+
+
+def require_at_least(cfg, section: str, low, *names):
+    """Each field of ``names`` of ``cfg``, config section ``section``, must
+    be at least ``low``; a ``ConfigError`` names '<section>.<field>'."""
+    for name in names:
+        v = getattr(cfg, name)
+        if v < low:
+            raise ConfigError(f"{section}.{name} must be >= {low}, got {v!r}")

@@ -36,8 +36,7 @@ class ConceptGraph:
 
     def __init__(self, nodes, edges, semantics, num_levels):
         edges = [(int(i), int(j)) for i, j in edges]
-        self.nodes = sorted((NodeRecord(**n) if isinstance(n, dict) else n for n in nodes),
-                            key=lambda n: n.id)
+        self.nodes = sorted(nodes, key=lambda n: n.id)
         self.edges = sorted({(min(i, j), max(i, j)) for i, j in edges})
         self.semantics = np.asarray(semantics, dtype=np.float64)
         self.num_levels = int(num_levels)

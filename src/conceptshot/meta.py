@@ -28,7 +28,10 @@ the loop updates the adapted arrays in place, and the forward and gradient
 passes (``tensor.leaky_layers``, ``leaky_layer_vjp``) write the bias,
 activation and softmax into arrays they made themselves: each such write is
 the IEEE operation the reference does on the same operands, into an array of
-the same memory layout, so no bit moves.
+the same memory layout, so no bit moves.  From the emit to the gradient a
+task's parameters are one flat list of arrays (the adapted high layers' W
+and b, then the head's), and the inner loop and the query loss run one
+forward on it, :func:`_task_loss`.
 Evaluation never backpropagates; it emits and adapts its episodes in blocks,
 each block emitted by one generator pass as a training step's episodes are:
 one embedding per block, restricted to the rows the block's heads read.
@@ -43,14 +46,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .artifact import read_binary, write_binary, write_text_atomic
-from .classifier_gen import GeneratorConfig, TaskClassifier, emit_for_task, init_generator
+from .classifier_gen import GeneratorConfig, emit_for_task, init_generator
 from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
                    sample_entity_episode)
 from .encoder import PREFIX, EncoderConfig, layer_pairs
-from .errors import ConfigError, DataError, require_types
+from .errors import ConfigError, DataError, require_at_least, require_types
 from .graph import ConceptGraph, propagation_operator
 from .tensor import (Rng, SgdOptimizer, checked, class_labels, init_layers, layer_names,
                      leaky_layer_vjp, leaky_layers, quiet_fp, stable_exp_parts)
+
+
+# the episode shape that training and evaluation both carry: each must be >= 1
+_EPISODE_SHAPE = ("n_way", "k_shot", "n_query")
 
 
 @dataclass
@@ -76,27 +83,18 @@ class TrainConfig:
 
     def __post_init__(self):
         require_types(self, "train", level_weights="float")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("outer_lr", "inner_lr", "weight_decay",
-                     "entity_weight", "concept_weight", "seed"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative")
+        require_at_least(self, "train", 0, "iterations", "outer_lr", "inner_lr",
+                         "weight_decay", "entity_weight", "concept_weight", "adapt_steps",
+                         "seed")
+        require_at_least(self, "train", 1, "decay_period", "episodes_per_term",
+                         *_EPISODE_SHAPE)
         if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+            raise ConfigError(f"train.momentum must be in [0, 1), got {self.momentum}")
         if not (0.0 < self.decay_factor <= 1.0):
-            raise ConfigError(f"decay_factor must be in (0, 1], got {self.decay_factor}")
-        if self.decay_period < 1:
-            raise ConfigError(f"decay_period must be >= 1, got {self.decay_period}")
-        if self.adapt_steps < 0:
-            raise ConfigError(f"adapt_steps must be >= 0, got {self.adapt_steps}")
-        if self.episodes_per_term < 1:
             raise ConfigError(
-                f"episodes_per_term must be >= 1, got {self.episodes_per_term}")
-        if min(self.n_way, self.k_shot, self.n_query) < 1:
-            raise ConfigError("n_way, k_shot and n_query must be positive")
+                f"train.decay_factor must be in (0, 1], got {self.decay_factor}")
         if any(v < 0 for v in self.level_weights.values()):
-            raise ConfigError("level_weights must be non-negative")
+            raise ConfigError("train.level_weights must be non-negative")
 
     def weight_for(self, level: int) -> float:
         return float(self.level_weights.get(level, self.concept_weight))
@@ -117,12 +115,8 @@ class EvalConfig:
 
     def __post_init__(self):
         require_types(self, "eval")
-        if self.n_episodes < 1:
-            raise ConfigError(f"n_episodes must be >= 1, got {self.n_episodes}")
-        if min(self.n_way, self.k_shot, self.n_query) < 1:
-            raise ConfigError("n_way, k_shot and n_query must be positive")
-        if min(self.adapt_steps, self.inner_lr, self.seed) < 0:
-            raise ConfigError("adapt_steps, inner_lr and seed must be non-negative")
+        require_at_least(self, "eval", 1, "n_episodes", *_EPISODE_SHAPE)
+        require_at_least(self, "eval", 0, "adapt_steps", "inner_lr", "seed")
 
 
 class Model:
@@ -151,18 +145,11 @@ class Model:
                                           rng.child("generator")))
 
     def emit(self, class_ids: list, rngs: list, training: bool):
-        """(one classifier per task of ``class_ids``, each with its stream of
-        ``rngs``, and the generator gradients' closure), from one generator
-        pass (see :func:`classifier_gen.emit_for_task`)."""
+        """(one (weights, bias) head per task of ``class_ids``, each with its
+        stream of ``rngs``, and the generator gradients' closure), from one
+        generator pass (see :func:`classifier_gen.emit_for_task`)."""
         return emit_for_task(self.params, self.gen_cfg, self.prop,
                              self.generator_input, class_ids, rngs, training)
-
-
-@dataclass
-class AdaptedState:
-    """Task-local parameters, as arrays; never written back into the model."""
-    high: list                   # adapted (W, b) pairs of the high encoder
-    classifier: TaskClassifier
 
 
 def _T(a):
@@ -170,7 +157,12 @@ def _T(a):
     return a.swapaxes(-1, -2)
 
 
-def _cross_entropy(logits, y, where: str = "the inner loop"):
+def _encoder_arrays(model: Model) -> list:
+    """The encoder's W and b arrays, layer after layer."""
+    return [t.data for pair in layer_pairs(model.params, model.enc_cfg) for t in pair]
+
+
+def _cross_entropy(logits, y, where: str):
     """The sorted-denominator cross-entropy of (stacked) ``logits`` per task
     against ``y``, all the block's labels in one flat vector, and its
     gradient at the logits before the 1/n scale."""
@@ -184,39 +176,55 @@ def _cross_entropy(logits, y, where: str = "the inner loop"):
     return loss, g
 
 
-def _vjps(ws, saved, feats, w, g):
-    """The reference ops' vjps on (stacked) arrays: each layer's (W, b)
-    gradient, then the head's, from ``g`` at the logits ``feats @ w.T + b``;
-    ``ws`` and ``saved`` are the layers' weights and ``leaky_layers`` record,
-    and each layer's vjp writes into an array made here.  Biases keep a
-    leading axis of one."""
-    grads = [_T(_T(feats) @ g), g.sum(axis=-2, keepdims=True)]
-    g_out = g @ w
-    for i in reversed(range(len(saved))):
-        g, gw, gb = leaky_layer_vjp(g_out, *saved[i], out=g_out)
-        grads[:0] = [gw, gb]
-        if i:
-            g_out = g @ _T(ws[i])
-    return grads
+def _task_loss(params: list, x, y, slope: float, where: str):
+    """The forward shared by the inner loop and the query loss, on a matrix
+    or a stack: the leaky layers of the (W, b) pairs of the flat ``params``
+    but the last, then the head's logits ``feats @ W.T + b`` (the last
+    pair) and their :func:`_cross_entropy` against ``y``.  Returns (loss,
+    its gradient at the logits before the 1/n scale, the logits, vjp).
+
+    ``vjp(g)`` maps ``g`` at the logits to one gradient per array of
+    ``params``, in its order, by the reference ops' vjps; each layer's vjp
+    writes into an array made here."""
+    feats, saved = leaky_layers(zip(params[:-2:2], params[1:-2:2]), x, slope, where)
+    w, b = params[-2:]
+    logits = feats @ _T(w)
+    logits += b[..., None, :]
+    loss, g = _cross_entropy(logits, y, where)
+
+    def vjp(g):
+        grads = [_T(_T(feats) @ g), g.sum(axis=-2)]
+        g_out = g @ w
+        for i in reversed(range(len(saved))):
+            g, gw, gb = leaky_layer_vjp(g_out, *saved[i], out=g_out)
+            grads[:0] = [gw, gb]
+            if i:
+                g_out = g @ _T(params[2 * i])
+        return grads
+
+    return loss, g, logits, vjp
 
 
 @quiet_fp
-def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
+def inner_adapt(model: Model, heads, support_xs, support_ys, steps: int,
                 lr: float) -> list:
-    """Fit {high encoder, classifier} to each task's support set with
-    ``steps`` plain gradient-descent steps; one :class:`AdaptedState` per
-    task.  ``steps=0`` or ``lr=0`` returns the initializations unchanged.
+    """Fit {high encoder, head} to each task's support set with ``steps``
+    plain gradient-descent steps.  Returns one flat list per task: each
+    adapted high layer's W and b in layer order, then the head's weights
+    and bias.  ``steps=0`` or ``lr=0`` returns the model's arrays and the
+    head's own.
 
-    The tasks form one block: their support sets and emitted classifiers
-    must share one shape, and are stacked along a leading axis (the high
-    encoder's start is the same for every task and is broadcast).  The
-    forward and gradient passes repeat the reference ops' own expressions in
-    the same order (affine, leaky ReLU, the sorted-denominator
-    cross-entropy, then ``t + (-lr * g)``); the stacked matmul runs one
-    product per task and every reduction runs along one task's own axis, so
-    each task's adapted values are the ones the reference loop gives it
-    alone, bit for bit, whatever the block.  Every intermediate is checked
-    for non-finite values; one bad task fails the whole block.
+    The tasks form one block: their support sets and emitted (weights,
+    bias) heads must share one shape, and are stacked along a leading axis
+    (the high encoder's start is the same for every task and is
+    broadcast).  The forward and gradient passes (:func:`_task_loss`)
+    repeat the reference ops' own expressions in the same order (affine,
+    leaky ReLU, the sorted-denominator cross-entropy, then ``t + (-lr *
+    g)``); the stacked matmul runs one product per task and every reduction
+    runs along one task's own axis, so each task's adapted values are the
+    ones the reference loop gives it alone, bit for bit, whatever the
+    block.  Every intermediate is checked for non-finite values; one bad
+    task fails the whole block.
 
     Each step scales its fresh gradients by -lr in place.  The first step
     adds them to the model's high-layer arrays and the emitted heads' into
@@ -226,87 +234,62 @@ def inner_adapt(model: Model, clfs, support_xs, support_ys, steps: int,
     reference loop's sums: a matmul operand's strides pick the BLAS kernel,
     and with it the bits.  Each task's adapted arrays are views of them."""
     cfg = model.enc_cfg
-    pairs = [(w.data, b.data) for w, b in layer_pairs(model.params, cfg)]
-    high = pairs[cfg.low_layers:]
+    enc = _encoder_arrays(model)
+    low, high = enc[:2 * cfg.low_layers], enc[2 * cfg.low_layers:]
     if not (steps and lr):
-        return [AdaptedState(high=list(high), classifier=clf) for clf in clfs]
-    x, _ = leaky_layers(pairs[:cfg.low_layers],
+        return [high + list(head) for head in heads]
+    x, _ = leaky_layers(zip(low[::2], low[1::2]),
                         np.asarray(np.stack(support_xs), dtype=np.float64), cfg.slope,
                         "the inner loop")
-    starts = [t for pair in high for t in pair]
-    vals = starts + [np.stack([c.weights for c in clfs]),
-                     np.stack([c.bias[None] for c in clfs])]
-    n, n_cls = x.shape[-2], vals[-2].shape[-2]
+    vals = high + [np.stack(t) for t in zip(*heads)]
+    n, n_cls = x.shape[-2], vals[-1].shape[-1]
     y = np.concatenate([class_labels(sy, n, n_cls) for sy in support_ys])
     for step in range(steps):
-        feats, saved = leaky_layers(zip(vals[:-2:2], vals[1:-2:2]), x, cfg.slope,
-                                    "the inner loop")
-        w, b = vals[-2:]
-        logits = feats @ _T(w)
-        logits += b
-        _, g = _cross_entropy(logits, y)
+        _, g, _, vjp = _task_loss(vals, x, y, cfg.slope, "the inner loop")
         g *= 1.0 / n
-        grads = _vjps(vals[:-2:2], saved, feats, w, g)
+        grads = vjp(g)
         for d in grads:
             d *= -lr
         # step 0 must not write into the model's or the heads' arrays
         vals = [checked(np.add(v, d, out=v if step else None), "add", "the inner loop")
                 for v, d in zip(vals, grads)]
-    states = []
-    for j, clf in enumerate(clfs):
-        out = [v.reshape(len(clfs), *t.shape)[j]
-               for v, t in zip(vals, starts + [clf.weights, clf.bias])]
-        states.append(AdaptedState(
-            high=[tuple(out[i:i + 2]) for i in range(0, len(out) - 2, 2)],
-            classifier=TaskClassifier(out[-2], out[-1], clf.class_ids)))
-    return states
+    return [list(task) for task in zip(*vals)]
 
 
 def adapt_episodes(model: Model, eps, heads, steps: int, lr: float) -> list:
     """Adapt the episodes of ``eps`` from their emitted ``heads``, those that
-    share a shape as one :func:`inner_adapt` block; one
-    :class:`AdaptedState` per episode, in order, each with the bits it gets
-    alone."""
+    share a shape as one :func:`inner_adapt` block; one flat array list per
+    episode, in order, each with the bits it gets alone."""
     blocks = {}                     # episode shape -> its positions, in order
-    for k, (ep, head) in enumerate(zip(eps, heads)):
-        blocks.setdefault((ep.support_x.shape, head.weights.shape), []).append(k)
-    states = {}
+    for k, (ep, (w, _)) in enumerate(zip(eps, heads)):
+        blocks.setdefault((ep.support_x.shape, w.shape), []).append(k)
+    tasks = {}
     for ks in blocks.values():
-        states.update(zip(ks, inner_adapt(model, [heads[k] for k in ks],
-                                          [eps[k].support_x for k in ks],
-                                          [eps[k].support_y for k in ks], steps, lr)))
-    return [states[k] for k in range(len(eps))]
+        tasks.update(zip(ks, inner_adapt(model, [heads[k] for k in ks],
+                                         [eps[k].support_x for k in ks],
+                                         [eps[k].support_y for k in ks], steps, lr)))
+    return [tasks[k] for k in range(len(eps))]
 
 
 @quiet_fp
-def episode_loss(model: Model, ep: Episode, adapted: AdaptedState):
-    """Query loss of ``ep`` under ``adapted``, its :func:`adapt_episodes`
-    result.  Returns (loss, query accuracy, vjp).
+def episode_loss(model: Model, ep: Episode, task: list):
+    """Query loss of ``ep`` under ``task``, its :func:`adapt_episodes`
+    array list.  Returns (loss, query accuracy, vjp).
 
-    The query set is scored by the inner loop's forward code, each
-    intermediate checked for non-finite values.  ``vjp(c)`` gives the
-    gradients of ``c * loss`` by the inner loop's gradient code: one per
-    low and adapted high (W, b), in layer order, then the classifier's W
-    and b, with the bits of the op-by-op reference chain.
+    The query set is scored by the inner loop's forward code
+    (:func:`_task_loss`) after the low encoder layers, each intermediate
+    checked for non-finite values.  ``vjp(c)`` gives the gradients of ``c *
+    loss`` by the inner loop's gradient code: one per low layer's W and b,
+    in layer order, then one per array of ``task``, with the bits of the
+    op-by-op reference chain.
     """
-    cfg, clf = model.enc_cfg, adapted.classifier
-    pairs = [(w.data, b.data) for w, b in layer_pairs(model.params, cfg)[:cfg.low_layers]]
-    pairs += adapted.high
-    shapes = [t.shape for pair in pairs for t in pair] + [clf.weights.shape, clf.bias.shape]
-    feats, saved = leaky_layers(pairs, np.asarray(ep.query_x, dtype=np.float64),
-                                cfg.slope, "the query loss")
-    logits = feats @ clf.weights.T
-    logits += clf.bias
-    loss, p = _cross_entropy(logits, class_labels(ep.query_y, *logits.shape),
-                             "the query loss")
-    n = logits.shape[0]
-
-    def vjp(c):
-        grads = _vjps([w for w, _ in pairs], saved, feats, clf.weights, p * (c / n))
-        return [d.reshape(shape) for d, shape in zip(grads, shapes)]
-
+    cfg = model.enc_cfg
+    params = _encoder_arrays(model)[:2 * cfg.low_layers] + task
+    x = np.asarray(ep.query_x, dtype=np.float64)
+    y = class_labels(ep.query_y, len(x), len(task[-1]))
+    loss, p, logits, vjp = _task_loss(params, x, y, cfg.slope, "the query loss")
     acc = float((logits.argmax(axis=1) == ep.query_y).mean())
-    return loss.item(), acc, vjp
+    return loss.item(), acc, lambda c: vjp(p * (c / len(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +507,8 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
         heads = model.emit([ep.class_ids for ep in eps],
                            [rng.child(i, "drop") for i in block], False)[0]
         adapted = adapt_episodes(model, eps, heads, cfg.adapt_steps, cfg.inner_lr)
-        for i, (ep, state) in enumerate(zip(eps, adapted), start):
-            accs[i] = episode_loss(model, ep, adapted=state)[1]
+        for i, (ep, task) in enumerate(zip(eps, adapted), start):
+            accs[i] = episode_loss(model, ep, task)[1]
     mean, half = confidence_interval(accs)
     return EvalResult(mean=mean, half_width=half, accuracies=accs)
 

@@ -239,11 +239,12 @@ def init_layers(rng: Rng, prefix: str, d: int, widths) -> dict:
 def leaky_layers(pairs, x, slope: float, where: str):
     """The (W, b) layers of ``pairs`` (affine, leaky ReLU, each checked) on a
     matrix or a stack: the output, and each layer's input and mask for
-    :func:`leaky_layer_vjp`.  Bias and leaky ReLU write into ``x @ W``."""
+    :func:`leaky_layer_vjp`.  A layer's W and b may be stacks too, one per
+    matrix of ``x``.  Bias and leaky ReLU write into ``x @ W``."""
     saved = []
     for w, b in pairs:
         a = x @ w
-        a += b
+        a += b[..., None, :]
         mask = leaky_mask(checked(a, "affine", where), slope)
         saved.append((x, mask))
         x = checked(np.multiply(a, mask, out=a), "leaky_relu", where)
@@ -252,10 +253,10 @@ def leaky_layers(pairs, x, slope: float, where: str):
 
 def leaky_layer_vjp(g, x, mask, out=None):
     """A :func:`leaky_layers` layer's vjp from ``g`` at its output: the
-    gradients at the affine output, W and b (a row axis of one kept).  The
-    first goes to ``out``, which may be ``g`` only if the caller owns it."""
+    gradients at the affine output, W and b.  The first goes to ``out``,
+    which may be ``g`` only if the caller owns it."""
     g = np.multiply(g, mask, out=out)
-    return g, x.swapaxes(-1, -2) @ g, g.sum(axis=-2, keepdims=True)
+    return g, x.swapaxes(-1, -2) @ g, g.sum(axis=-2)
 
 
 class SgdOptimizer:

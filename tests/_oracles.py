@@ -129,37 +129,31 @@ def arange_sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, wh
                    query_x=np.concatenate(qx), query_y=np.concatenate(qy))
 
 
-def tape_inner_adapt(model, clf, support_x, support_y, steps, lr):
-    """The inner loop built on the tape from ``clf``, a head of tape nodes
-    or leaves: each step differentiates the support loss with ``grad`` and
-    adds the detached step ``-lr * g`` as a constant, so every adapted node
-    is a chain of ``add`` nodes over its start."""
-    from _tape import (add, affine, apply_layers, cross_entropy, embed_low, grad,
-                       high_pairs, transpose)
-    from conceptshot.classifier_gen import TaskClassifier
-    from conceptshot.meta import AdaptedState
+def tape_inner_adapt(model, head, support_x, support_y, steps, lr):
+    """The inner loop built on the tape from ``head``, a (weights, bias) pair
+    of tape nodes or leaves: each step differentiates the support loss with
+    ``grad`` and adds the detached step ``-lr * g`` as a constant, so every
+    adapted node is a chain of ``add`` nodes over its start.  Returns the
+    task's flat list: the high layers' W and b, then the head's."""
+    from _tape import add, cross_entropy, embed_low, grad, high_pairs
     from conceptshot.tensor import Tensor
 
-    high = list(high_pairs(model.params, model.enc_cfg))
-    w, b = clf.weights, clf.bias
+    task = [t for pair in high_pairs(model.params, model.enc_cfg) for t in pair]
+    task += list(head)
     if steps and lr:
         low = embed_low(model.params, model.enc_cfg, Tensor(support_x))
         for _ in range(steps):
-            feats = apply_layers(high, low, model.enc_cfg.slope)
-            loss = cross_entropy(affine(feats, transpose(w), b), support_y)
-            leaves = [t for pair in high for t in pair] + [w, b]
-            stepped = [add(t, Tensor(-lr * g))
-                       for t, g in zip(leaves, grad(loss, leaves))]
-            high = [tuple(stepped[2 * i:2 * i + 2]) for i in range(len(high))]
-            w, b = stepped[-2], stepped[-1]
-    return AdaptedState(high=high, classifier=TaskClassifier(w, b, clf.class_ids))
+            loss = cross_entropy(head_logits(task, task_features(model, task, low)),
+                                 support_y)
+            task = [add(t, Tensor(-lr * g)) for t, g in zip(task, grad(loss, task))]
+    return task
 
 
 def _lone_episode(model, ep, adapt_steps, inner_lr, rng, training):
     from conceptshot.meta import adapt_episodes, episode_loss
     heads, emit_grads = model.emit([ep.class_ids], [rng], training)
-    (state,) = adapt_episodes(model, [ep], heads, adapt_steps, inner_lr)
-    return episode_loss(model, ep, state), emit_grads
+    (task,) = adapt_episodes(model, [ep], heads, adapt_steps, inner_lr)
+    return episode_loss(model, ep, task), emit_grads
 
 
 def lone_episode_loss(model, ep, adapt_steps, inner_lr, rng, training):
@@ -179,47 +173,43 @@ def lone_episode_grads(model, ep, adapt_steps, inner_lr, rng, training):
     return _gradients(model, [vjp], [1.0], emit_grads)
 
 
-def as_leaves(adapted):
-    """An adapted state of arrays with each array a tape leaf."""
-    from conceptshot.classifier_gen import TaskClassifier
-    from conceptshot.meta import AdaptedState
+def as_leaves(task):
+    """A task's flat array list with each array a tape leaf."""
     from conceptshot.tensor import Tensor
-    clf = adapted.classifier
-    return AdaptedState(high=[(Tensor(w), Tensor(b)) for w, b in adapted.high],
-                        classifier=TaskClassifier(Tensor(clf.weights), Tensor(clf.bias),
-                                                  clf.class_ids))
+    return [Tensor(a) for a in task]
 
 
-def head_logits(clf, feats):
-    """The head's logits on the tape: feats @ W.T + b."""
+def head_logits(task, feats):
+    """The head's logits on the tape: feats @ W.T + b, the head being the
+    last (W, b) pair of the flat list ``task``."""
     from _tape import affine, transpose
-    return affine(feats, transpose(clf.weights), clf.bias)
+    return affine(feats, transpose(task[-2]), task[-1])
 
 
-def task_features(model, adapted, x):
-    """The low encoder, then the adapted high layers, on the tape."""
-    from _tape import apply_layers, embed_low
-    return apply_layers(adapted.high, embed_low(model.params, model.enc_cfg, x),
-                        model.enc_cfg.slope)
+def task_features(model, task, low):
+    """The adapted high layers of the flat list ``task`` on the tape, after
+    ``low``, the low encoder's output."""
+    from _tape import apply_layers
+    return apply_layers(zip(task[:-2:2], task[1:-2:2]), low, model.enc_cfg.slope)
 
 
-def predict(model, adapted, x):
+def predict(model, task, x):
     """Per-row class probabilities for a query batch (rows sum to 1), under
-    an adapted state of arrays."""
-    from _tape import softmax_rows
+    a task's flat array list."""
+    from _tape import embed_low, softmax_rows
     from conceptshot.tensor import Tensor
-    adapted = as_leaves(adapted)
-    feats = task_features(model, adapted, Tensor(np.asarray(x, dtype=np.float64)))
-    return softmax_rows(head_logits(adapted.classifier, feats))
+    task = as_leaves(task)
+    low = embed_low(model.params, model.enc_cfg, Tensor(np.asarray(x, dtype=np.float64)))
+    return softmax_rows(head_logits(task, task_features(model, task, low)))
 
 
-def tape_query_loss(model, adapted, ep):
+def tape_query_loss(model, task, ep):
     """An adapted episode's query loss built op by op on the tape, and its
-    query accuracy; ``adapted`` holds tape nodes or leaves."""
-    from _tape import cross_entropy
+    query accuracy; ``task`` is its flat list of tape nodes or leaves."""
+    from _tape import cross_entropy, embed_low
     from conceptshot.tensor import Tensor
-    logits = head_logits(adapted.classifier,
-                         task_features(model, adapted, Tensor(ep.query_x)))
+    low = embed_low(model.params, model.enc_cfg, Tensor(ep.query_x))
+    logits = head_logits(task, task_features(model, task, low))
     return (cross_entropy(logits, ep.query_y),
             float((logits.data.argmax(axis=1) == ep.query_y).mean()))
 
@@ -255,8 +245,7 @@ def tape_refine_relations(params, cfg, z_task, rng, training):
 
 def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_scale):
     """The write-back, final propagation, affine, row normalization and
-    split, op by op."""
-    from conceptshot.classifier_gen import TaskClassifier
+    split into the (weights, bias) head, op by op."""
     from _tape import (affine, gather_rows, l2_normalize_rows, reshape, scale, slice_cols,
                        sym_neighbor_mean, write_rows)
     ids = np.asarray(class_ids, dtype=np.intp)
@@ -267,7 +256,7 @@ def tape_emit_classifier(prop, z_all, refined, class_ids, w_out, b_out, norm_sca
     rows = scale(l2_normalize_rows(rows), norm_scale)
     weights = slice_cols(rows, 0, feature_dim)
     bias = reshape(slice_cols(rows, feature_dim, feature_dim + 1), (ids.size,))
-    return TaskClassifier(weights=weights, bias=bias, class_ids=ids)
+    return weights, bias
 
 
 def select_task_rows(x, class_ids):
@@ -278,8 +267,8 @@ def select_task_rows(x, class_ids):
 
 
 def tape_emit_for_task(params, cfg, prop, z0, class_ids, rng, training):
-    """One task's classifier emitted by the taped stages above from ``z0``,
-    the raw node matrix."""
+    """One task's (weights, bias) head emitted by the taped stages above
+    from ``z0``, the raw node matrix."""
     z = tape_graph_embed(params, cfg, prop, z0, rng, training)
     refined = tape_refine_relations(params, cfg, select_task_rows(z, class_ids), rng,
                                     training)
@@ -307,11 +296,11 @@ def serial_train_step(model, opt, ds, cfg, levels, iteration):
         losses, accs = [], []
         for b in range(cfg.episodes_per_term):
             ep = sample(n_way, it_rng.child("sample", name, b))
-            clf = tape_emit_for_task(model.params, model.gen_cfg, model.prop, z0,
-                                     ep.class_ids, it_rng.child("drop", name, b), True)
-            state = tape_inner_adapt(model, clf, ep.support_x, ep.support_y,
-                                     cfg.adapt_steps, cfg.inner_lr)
-            loss, acc = tape_query_loss(model, state, ep)
+            head = tape_emit_for_task(model.params, model.gen_cfg, model.prop, z0,
+                                      ep.class_ids, it_rng.child("drop", name, b), True)
+            task = tape_inner_adapt(model, head, ep.support_x, ep.support_y,
+                                    cfg.adapt_steps, cfg.inner_lr)
+            loss, acc = tape_query_loss(model, task, ep)
             losses.append(loss)
             accs.append(acc)
         total = losses[0]

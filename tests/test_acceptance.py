@@ -268,8 +268,9 @@ def test_04_row_norm_contract():
                               scale=beta)
         params = init_generator(cfg, 6, 4, T.Rng(trial))
         ids = rng.choice(g.num_nodes, size=3, replace=False)
-        (head,), _ = emit_for_task(params, cfg, prop, z0, [ids], [T.Rng(trial)], True)
-        rows = np.concatenate([head.weights, head.bias[:, None]], axis=1)
+        ((weights, bias),), _ = emit_for_task(params, cfg, prop, z0, [ids],
+                                              [T.Rng(trial)], True)
+        rows = np.concatenate([weights, bias[:, None]], axis=1)
         assert (np.linalg.norm(rows, axis=1) <= beta + 1e-9).all()
 
     # a row that is [3, 4] before normalization, scaled to norm 0.2
@@ -321,8 +322,8 @@ def test_06_equivariance_exact():
                                 [ids], [T.Rng(0)], training=False)
         (b,), _ = emit_for_task(params, cfg, prop_p, generator_input(prop_p, gp.semantics),
                                 [perm[ids]], [T.Rng(0)], training=False)
-        npt.assert_array_equal(a.weights, b.weights)
-        npt.assert_array_equal(a.bias, b.bias)
+        for x, y in zip(a, b):                      # weights, then bias
+            npt.assert_array_equal(x, y)
 
     # (b) episode accuracy is invariant to class ordering
     g, ds = generate_synthetic(SynthConfig(branching=2, num_levels=3, input_dim=8,

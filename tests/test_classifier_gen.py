@@ -54,7 +54,7 @@ def every_reach(prop, cfg, tasks=1):
 
 
 def emit_one(params, cfg, prop, sem, class_ids, rng, training):
-    """One task's classifier, emitted alone."""
+    """One task's (weights, bias) head, emitted alone."""
     (head,), _ = emit_for_task(params, cfg, prop, generator_input(prop, sem), [class_ids],
                                [rng], training)
     return head
@@ -206,10 +206,10 @@ def test_emit_scale_zero_gives_zero_head():
     g = tree7()
     cfg = small_cfg(scale=0.0)
     params = init_generator(cfg, 3, 2, T.Rng(5))
-    head = emit_one(params, cfg, propagation_operator(g), g.semantics, [3, 5], T.Rng(0),
-                    training=False)
-    npt.assert_array_equal(head.weights, np.zeros((2, 2)))
-    npt.assert_array_equal(head.bias, np.zeros(2))
+    weights, bias = emit_one(params, cfg, propagation_operator(g), g.semantics, [3, 5],
+                             T.Rng(0), training=False)
+    npt.assert_array_equal(weights, np.zeros((2, 2)))
+    npt.assert_array_equal(bias, np.zeros(2))
 
 
 @pytest.mark.parametrize("scale", [0.2, 1.0, 3.0])
@@ -218,9 +218,9 @@ def test_row_norms_bounded_by_scale(scale):
     cfg = small_cfg(scale=scale)
     for seed in range(30):
         params = init_generator(cfg, 3, 2, T.Rng(seed))
-        head = emit_one(params, cfg, propagation_operator(g), g.semantics, [3, 4, 6],
-                        T.Rng(0), training=False)
-        rows = np.concatenate([head.weights, head.bias[:, None]], axis=1)
+        weights, bias = emit_one(params, cfg, propagation_operator(g), g.semantics,
+                                 [3, 4, 6], T.Rng(0), training=False)
+        rows = np.concatenate([weights, bias[:, None]], axis=1)
         norms = np.linalg.norm(rows, axis=1)
         assert (norms <= scale + 1e-9).all()
         npt.assert_allclose(norms, scale, atol=1e-9)  # non-degenerate rows hit the cap
@@ -233,8 +233,8 @@ def test_swapping_classes_swaps_rows_exactly():
     prop = propagation_operator(g)
     a = emit_one(params, cfg, prop, g.semantics, [3, 5, 6], T.Rng(0), training=False)
     b = emit_one(params, cfg, prop, g.semantics, [5, 3, 6], T.Rng(0), training=False)
-    npt.assert_array_equal(a.weights[[1, 0, 2]], b.weights)
-    npt.assert_array_equal(a.bias[[1, 0, 2]], b.bias)
+    for x, y in zip(a, b):                          # weights, then bias
+        npt.assert_array_equal(x[[1, 0, 2]], y)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -250,8 +250,8 @@ def test_emit_node_permutation_equivariance_exact(seed):
                  training=False)
     b = emit_one(params, cfg, propagation_operator(gp), gp.semantics, perm[ids], T.Rng(0),
                  training=False)
-    npt.assert_array_equal(a.weights, b.weights)
-    npt.assert_array_equal(a.bias, b.bias)
+    for x, y in zip(a, b):                          # weights, then bias
+        npt.assert_array_equal(x, y)
 
 
 def test_emit_validates_class_ids():
@@ -291,8 +291,8 @@ def test_shared_embedding_emit_matches_alone_bitwise(ids):
                              [T.Rng(k) for k in range(4)], False)
     for i, head in zip(ids, heads):
         alone = emit_one(params, cfg, prop, g.semantics, i, T.Rng(0), training=False)
-        assert np.array_equal(_bits(head.weights), _bits(alone.weights))
-        assert np.array_equal(_bits(head.bias), _bits(alone.bias))
+        for x, y in zip(head, alone):               # weights, then bias
+            assert np.array_equal(_bits(x), _bits(y))
 
 
 def _emit_shared_with_overflow(monkeypatch, row):
@@ -332,8 +332,8 @@ def test_shared_embedding_emit_ignores_rows_no_task_reads(monkeypatch):
     # node 6 is in no class row's neighborhood, so it reaches no output: the
     # write-back neither checks it nor moves a bit
     got, want = _emit_shared_with_overflow(monkeypatch, 6)
-    assert np.array_equal(_bits(got.weights), _bits(want.weights))
-    assert np.array_equal(_bits(got.bias), _bits(want.bias))
+    for x, y in zip(got, want):                     # weights, then bias
+        assert np.array_equal(_bits(x), _bits(y))
 
 
 def test_shared_embedding_emit_memory_does_not_grow_with_the_block():
@@ -385,9 +385,10 @@ def test_fd_through_generator(ids):
     rb = rng.standard_normal(len(ids))
 
     def forward():
-        (head,), grads = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics),
-                                       [ids], [T.Rng(0)], False)
-        return float(np.sum(head.weights * rw) + np.sum(head.bias * rb)), grads
+        ((w, b),), grads = emit_for_task(params, cfg, prop,
+                                         generator_input(prop, g.semantics), [ids],
+                                         [T.Rng(0)], False)
+        return float(np.sum(w * rw) + np.sum(b * rb)), grads
 
     targets = dict(params)
     names = list(targets)
@@ -431,8 +432,8 @@ def test_generator_gradients_under_relabeling_match_to_rounding():
         perm = rng.permutation(g.num_nodes)
         heads, got = emit(permute_graph(g, perm), [perm[i] for i in ids])
         for a, b in zip(heads, want_heads):
-            assert np.array_equal(_bits(a.weights), _bits(b.weights))
-            assert np.array_equal(_bits(a.bias), _bits(b.bias))
+            for x, y in zip(a, b):                  # weights, then bias
+                assert np.array_equal(_bits(x), _bits(y))
         assert sorted(got) == sorted(want)
         for n in want:
             npt.assert_allclose(got[n], want[n], rtol=1e-12, atol=1e-15, err_msg=n)
@@ -476,14 +477,14 @@ def _emit_against_tape(semantics, keep_prob, training, embed_widths=(6, 4),
                                      training)
                   for k, i in enumerate(ids)]
     total = None
-    for head, (uw, ub) in zip(want_heads, ups):
-        loss = _tape.add(_tape.sum_all(_tape.mul(head.weights, T.Tensor(uw))),
-                         _tape.sum_all(_tape.mul(head.bias, T.Tensor(ub))))
+    for (w, b), (uw, ub) in zip(want_heads, ups):
+        loss = _tape.add(_tape.sum_all(_tape.mul(w, T.Tensor(uw))),
+                         _tape.sum_all(_tape.mul(b, T.Tensor(ub))))
         total = loss if total is None else _tape.add(total, loss)
     want = _tape.grad(total, list(gen.values()))
     for a, b in zip(heads, want_heads):
-        assert np.array_equal(_bits(a.weights), _bits(b.weights.data))
-        assert np.array_equal(_bits(a.bias), _bits(b.bias.data))
+        for x, y in zip(a, b):                      # weights, then bias
+            assert np.array_equal(_bits(x), _bits(y.data))
     assert sorted(got) == sorted(gen)
     for n, b in zip(gen, want):
         assert np.array_equal(_bits(got[n]), _bits(b)), n

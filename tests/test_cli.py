@@ -169,6 +169,15 @@ def test_config_type_errors_name_section_and_key(tmp_path, capsys, override):
     assert "not supported between" not in err
 
 
+@pytest.mark.parametrize("override", ["train.n_way=0", "eval.n_way=0", "encoder.low_layers=9",
+                                      "generator.scale=-1", "data.branching=1"])
+def test_config_range_errors_name_section_and_key(tmp_path, capsys, override):
+    cfgp = write_config(tmp_path)
+    capsys.readouterr()
+    assert main(["gen-data", "-c", str(cfgp), "--set", override]) == 2
+    assert f"{override.partition('=')[0]} must be" in capsys.readouterr().err
+
+
 def _with_value(blob, name, value):
     """The checkpoint ``blob`` with the first entry of parameter ``name`` set
     to ``value``: its tables follow the header in the header's name order."""
@@ -229,8 +238,11 @@ def test_exit_codes(tmp_path, capsys):
     for path in ("array.json", "latin1.json", "deep.json", "art"):
         assert main(["train", "-c", str(tmp_path / path)]) == 2
     # data errors: artifacts missing
+    capsys.readouterr()
     assert main(["train", "-c", str(cfgp)]) == 3
     assert main(["inspect-graph", "-c", str(cfgp)]) == 3
+    missing = f"graph file {tmp_path / 'art' / 'graph.json'} not found; run gen-data first"
+    assert capsys.readouterr().err.count(missing) == 2
     main(["gen-data", "-c", str(cfgp)])
     assert main(["eval", "-c", str(cfgp)]) == 3  # no checkpoint yet
     # data errors: level 1 has 3 classes, fewer than eval.n_way; eval keeps

@@ -7,8 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from conceptshot import classifier_gen, graph, meta, tensor
-from conceptshot.classifier_gen import (GeneratorConfig, TaskClassifier,
-                                        emit_for_task)
+from conceptshot.classifier_gen import GeneratorConfig, emit_for_task
 from conceptshot.data import (Dataset, SynthConfig, generate_synthetic,
                               sample_concept_episode, sample_entity_episode)
 from conceptshot.encoder import PREFIX, EncoderConfig, layer_pairs
@@ -41,9 +40,9 @@ def make_model(g, seed=7, scale=0.2, semantics="embeddings"):
 
 
 def emit_one(m, class_ids, rng, training):
-    """One task's classifier, emitted alone."""
-    (clf,), _ = m.emit([class_ids], [rng], training)
-    return clf
+    """One task's (weights, bias) head, emitted alone."""
+    (head,), _ = m.emit([class_ids], [rng], training)
+    return head
 
 
 # ---------------------------------------------------------------------------
@@ -52,24 +51,24 @@ def emit_one(m, class_ids, rng, training):
 def test_zero_steps_returns_initialization(world):
     g, ds = world
     m = make_model(g)
-    clf = emit_one(m, np.array([3, 4]), Rng(0), training=False)
-    adapted, = inner_adapt(m, [clf], [ds.features[:4]], [np.array([0, 1, 0, 1])], 0,
-                           0.01)
-    assert adapted.classifier.weights is clf.weights
-    assert adapted.classifier.bias is clf.bias
-    high = high_pairs(m.params, m.enc_cfg)
-    assert len(adapted.high) == len(high)
-    for (w, b), (wt, bt) in zip(adapted.high, high):
-        assert w is wt.data and b is bt.data
+    head = emit_one(m, np.array([3, 4]), Rng(0), training=False)
+    task, = inner_adapt(m, [head], [ds.features[:4]], [np.array([0, 1, 0, 1])], 0,
+                        0.01)
+    assert task[-2] is head[0]
+    assert task[-1] is head[1]
+    high = [t.data for pair in high_pairs(m.params, m.enc_cfg) for t in pair]
+    assert len(task) - 2 == len(high) == 2
+    for a, t in zip(task, high):
+        assert a is t
 
 
 def test_zero_rate_returns_initialization(world):
     g, ds = world
     m = make_model(g)
-    clf = emit_one(m, np.array([3, 4]), Rng(0), training=False)
-    adapted, = inner_adapt(m, [clf], [ds.features[:4]], [np.array([0, 1, 0, 1])], 5,
-                           0.0)
-    assert adapted.classifier.weights is clf.weights
+    head = emit_one(m, np.array([3, 4]), Rng(0), training=False)
+    task, = inner_adapt(m, [head], [ds.features[:4]], [np.array([0, 1, 0, 1])], 5,
+                        0.0)
+    assert task[-2] is head[0]
 
 
 def test_single_step_matches_hand_gradient(world):
@@ -80,20 +79,17 @@ def test_single_step_matches_hand_gradient(world):
     m = Model(g, enc, gen, seed=1)
     w0 = np.array([[0.2, -0.1, 0.0, 0.3], [0.0, 0.1, -0.2, 0.1]])
     b0 = np.array([0.05, -0.05])
-    clf = TaskClassifier(w0, b0, np.array([0, 1]))
     x = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     y = np.array([0, 1])
-    adapted, = inner_adapt(m, [clf], [x], [y], 1, 0.5)
+    (w1, b1), = inner_adapt(m, [(w0, b0)], [x], [y], 1, 0.5)
 
     logits = x @ w0.T + b0
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
     p[np.arange(2), y] -= 1.0
     gl = p / 2.0
-    npt.assert_allclose(adapted.classifier.weights, w0 - 0.5 * (gl.T @ x),
-                        rtol=0, atol=1e-14)
-    npt.assert_allclose(adapted.classifier.bias, b0 - 0.5 * gl.sum(axis=0),
-                        rtol=0, atol=1e-14)
+    npt.assert_allclose(w1, w0 - 0.5 * (gl.T @ x), rtol=0, atol=1e-14)
+    npt.assert_allclose(b1, b0 - 0.5 * gl.sum(axis=0), rtol=0, atol=1e-14)
 
 
 def test_single_step_matches_numeric_gradient(world):
@@ -104,10 +100,9 @@ def test_single_step_matches_numeric_gradient(world):
     gen = GeneratorConfig(embed_widths=[8, 6], relation_widths=[8, 6])
     m = Model(g, enc, gen, seed=3)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 3, 5, Rng(4))
-    clf = emit_one(m, ep.class_ids, Rng(0), training=False)
+    head = emit_one(m, ep.class_ids, Rng(0), training=False)
     (wh, bh), = high_pairs(m.params, m.enc_cfg)
-    starts = [wh.data.copy(), bh.data.copy(),
-              clf.weights.copy(), clf.bias.copy()]
+    starts = [wh.data.copy(), bh.data.copy(), head[0].copy(), head[1].copy()]
     sizes = [a.size for a in starts]
     x64 = np.asarray(ep.support_x, dtype=np.float64)
 
@@ -125,9 +120,9 @@ def test_single_step_matches_numeric_gradient(world):
     g_fd = numerical_grad(loss_at, vec0)
 
     lr = 0.01
-    adapted, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 1, lr)
-    (wh1, bh1) = adapted.high[0]
-    stepped = [wh1, bh1, adapted.classifier.weights, adapted.classifier.bias]
+    task, = inner_adapt(m, [head], [ep.support_x], [ep.support_y], 1, lr)
+    wh1, bh1, wc1, bc1 = task
+    stepped = [wh1, bh1, wc1, bc1]
     implied = np.concatenate([(a - s).ravel() / lr
                               for a, s in zip(starts, stepped)])
     assert rel_err(implied, g_fd) < 1e-5
@@ -140,16 +135,16 @@ def test_adaptation_never_touches_model_params(world):
     m = make_model(g)
     snap = {k: p.data.copy() for k, p in m.params.items()}
     eps = [sample_entity_episode(ds, g, "meta-train", 2, 2, 5, Rng(8 + t)) for t in range(2)]
-    clfs, _ = m.emit([ep.class_ids for ep in eps], [Rng(1), Rng(2)], True)
-    heads = [(c.weights.copy(), c.bias.copy()) for c in clfs]
+    heads, _ = m.emit([ep.class_ids for ep in eps], [Rng(1), Rng(2)], True)
+    copies = [(w.copy(), b.copy()) for w, b in heads]
     for k in (1, 2):
-        inner_adapt(m, clfs[:k], [ep.support_x for ep in eps[:k]],
+        inner_adapt(m, heads[:k], [ep.support_x for ep in eps[:k]],
                     [ep.support_y for ep in eps[:k]], 4, 0.05)
     for k, p in m.params.items():
         npt.assert_array_equal(p.data, snap[k])
-    for clf, (w, b) in zip(clfs, heads):
-        npt.assert_array_equal(clf.weights, w)
-        npt.assert_array_equal(clf.bias, b)
+    for (w, b), (wc, bc) in zip(heads, copies):
+        npt.assert_array_equal(w, wc)
+        npt.assert_array_equal(b, bc)
 
 
 # (widths, low_layers): the benchmark's encoder, no frozen layer, two adapted
@@ -163,52 +158,44 @@ def _bits(a):
 
 def _parity_tasks(world, widths, low_layers, k_shot, n_tasks=3, n_way=3):
     """A model and ``n_tasks`` different ``n_way`` tasks: each has its own
-    support set and its own emitted classifier start."""
+    support set and its own emitted head to start from."""
     g, ds = world
     enc = EncoderConfig(input_dim=8, widths=widths, low_layers=low_layers)
     gen = GeneratorConfig(embed_widths=[16, 8], relation_widths=[16, 8])
     m = Model(g, enc, gen, seed=3)
     eps = [sample_entity_episode(ds, g, "meta-train", n_way, k_shot, 5, Rng(4 + t))
            for t in range(n_tasks)]
-    clfs = [emit_one(m, ep.class_ids, Rng(5 + t), training=True)
-            for t, ep in enumerate(eps)]
-    return m, eps, clfs
-
-
-def _leaf_head(clf):
-    """An emitted head with its arrays as tape leaves."""
-    return TaskClassifier(Tensor(clf.weights), Tensor(clf.bias), clf.class_ids)
+    heads = [emit_one(m, ep.class_ids, Rng(5 + t), training=True)
+             for t, ep in enumerate(eps)]
+    return m, eps, heads
 
 
 def _encoder_names(m):
     return [n for pair in layer_names(PREFIX, len(m.enc_cfg.widths)) for n in pair]
 
 
-def _tape_backprop(m, ep, adapted, head):
-    """The taped query loss of ``adapted``, a ``tape_inner_adapt`` result
-    from the leaf head ``head``: the adapted arrays, the loss and the
-    gradient of every encoder parameter and of the head, read off the tape."""
-    loss, _ = tape_query_loss(m, adapted, ep)
+def _tape_backprop(m, ep, task, head):
+    """The taped query loss of ``task``, a ``tape_inner_adapt`` result from
+    the leaf head ``head``: the adapted arrays, the loss and the gradient of
+    every encoder parameter and of the head, read off the tape."""
+    loss, _ = tape_query_loss(m, task, ep)
     names = _encoder_names(m)
-    grads = grad(loss, [m.params[n] for n in names] + [head.weights, head.bias])
-    arrays = [t.data for pair in adapted.high for t in pair]
-    arrays += [adapted.classifier.weights.data, adapted.classifier.bias.data]
-    return arrays, loss.data, dict(zip(names + ["head.W", "head.b"], grads))
+    grads = grad(loss, [m.params[n] for n in names] + list(head))
+    return ([t.data for t in task], loss.data,
+            dict(zip(names + ["head.W", "head.b"], grads)))
 
 
-def _query_backprop(m, ep, adapted):
-    """``episode_loss`` of ``adapted``, an ``inner_adapt`` result: the
-    adapted arrays, the loss and the gradient of every encoder parameter
-    and of the head, the adapted high layers' gradients passed unchanged
-    to their starts (first-order), as ``meta._gradients`` does."""
-    loss, _, vjp = episode_loss(m, ep, adapted)
+def _query_backprop(m, ep, task):
+    """``episode_loss`` of ``task``, an ``inner_adapt`` result: the adapted
+    arrays, the loss and the gradient of every encoder parameter and of the
+    head, the adapted high layers' gradients passed unchanged to their
+    starts (first-order), as ``meta._gradients`` does."""
+    loss, _, vjp = episode_loss(m, ep, task)
     *enc, g_w, g_b = vjp(1.0)
     grads = {}
     for n, g in zip(_encoder_names(m), enc):
         grads[n] = grads[n] + g if n in grads else g
-    arrays = [t for pair in adapted.high for t in pair]
-    arrays += [adapted.classifier.weights, adapted.classifier.bias]
-    return arrays, loss, {**grads, "head.W": g_w, "head.b": g_b}
+    return list(task), loss, {**grads, "head.W": g_w, "head.b": g_b}
 
 
 @pytest.mark.parametrize("n_way", [2, 3])
@@ -218,16 +205,16 @@ def _query_backprop(m, ep, adapted):
 def test_inner_adapt_matches_tape_bitwise(world, widths, low_layers, k_shot, steps, n_way):
     # the first task alone, then all three tasks adapted as one block
     lr = 0.05
-    m, eps, clfs = _parity_tasks(world, widths, low_layers, k_shot, n_way=n_way)
+    m, eps, heads = _parity_tasks(world, widths, low_layers, k_shot, n_way=n_way)
     xs, ys = [ep.support_x for ep in eps], [ep.support_y for ep in eps]
-    leaves = [_leaf_head(clf) for clf in clfs]
+    leaves = [as_leaves(head) for head in heads]
     wants = [_tape_backprop(m, ep, tape_inner_adapt(m, head, x, y, steps, lr), head)
              for ep, head, x, y in zip(eps, leaves, xs, ys)]
-    alone = inner_adapt(m, clfs[:1], xs[:1], ys[:1], steps, lr)
-    block = inner_adapt(m, clfs, xs, ys, steps, lr)
+    alone = inner_adapt(m, heads[:1], xs[:1], ys[:1], steps, lr)
+    block = inner_adapt(m, heads, xs, ys, steps, lr)
     assert len(alone) == 1 and len(block) == 3
-    for ep, state, want in zip(eps[:1] + eps, alone + block, wants[:1] + wants):
-        arrays, loss, grads = _query_backprop(m, ep, state)
+    for ep, task, want in zip(eps[:1] + eps, alone + block, wants[:1] + wants):
+        arrays, loss, grads = _query_backprop(m, ep, task)
         want_arrays, want_loss, want_grads = want
         assert len(arrays) == len(want_arrays) == 2 * (len(widths) - low_layers) + 2
         for a, w in zip(arrays, want_arrays):
@@ -239,13 +226,29 @@ def test_inner_adapt_matches_tape_bitwise(world, widths, low_layers, k_shot, ste
             assert np.array_equal(_bits(grads[n]), _bits(w)), n
 
 
-def _inner_adapt_alone(m, clf, support_x, support_y, steps, lr):
-    (adapted,) = inner_adapt(m, [clf], [support_x], [support_y], steps, lr)
-    return adapted
+def test_inner_adapt_block_tasks_are_views_of_one_array(world):
+    # after a step, each adapted parameter of a block is one (tasks, ...)
+    # array, and each task's array a view of it: eval's memory relies on it
+    m, eps, heads = _parity_tasks(world, [16, 16], 0, 1)
+    for steps in (1, 3):
+        a, b = inner_adapt(m, heads[:2], [ep.support_x for ep in eps[:2]],
+                           [ep.support_y for ep in eps[:2]], steps, 0.05)
+        assert len(a) == len(b) == 6
+        for x, y in zip(a, b):
+            block = x.base
+            assert block is y.base and block.shape == (2,) + x.shape
+            assert block.flags.c_contiguous
+            assert np.shares_memory(x, block) and np.shares_memory(y, block)
+            assert not np.shares_memory(x, y)
 
 
-def _tape_inner_adapt_leaves(m, clf, support_x, support_y, steps, lr):
-    return tape_inner_adapt(m, _leaf_head(clf), support_x, support_y, steps, lr)
+def _inner_adapt_alone(m, head, support_x, support_y, steps, lr):
+    (task,) = inner_adapt(m, [head], [support_x], [support_y], steps, lr)
+    return task
+
+
+def _tape_inner_adapt_leaves(m, head, support_x, support_y, steps, lr):
+    return tape_inner_adapt(m, as_leaves(head), support_x, support_y, steps, lr)
 
 
 @pytest.mark.parametrize("adapt", [
@@ -255,23 +258,23 @@ def test_inner_adapt_overflow_is_numerical_error(world, adapt):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, Rng(4))
-    clf = emit_one(m, ep.class_ids, Rng(5), training=True)
+    head = emit_one(m, ep.class_ids, Rng(5), training=True)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="non-finite"):
-        adapt(m, clf, ep.support_x, ep.support_y, 5, 1e306)
+        adapt(m, head, ep.support_x, ep.support_y, 5, 1e306)
 
 
 def test_inner_adapt_one_overflowing_task_fails_the_block(world):
-    m, eps, clfs = _parity_tasks(world, [16, 16], 1, 1)
+    m, eps, heads = _parity_tasks(world, [16, 16], 1, 1)
     xs, ys = [ep.support_x for ep in eps], [ep.support_y for ep in eps]
-    assert len(inner_adapt(m, clfs, xs, ys, 5, 0.05)) == 3
+    assert len(inner_adapt(m, heads, xs, ys, 5, 0.05)) == 3
     # finite features whose logits overflow in the second step
     xs[1] = np.asarray(xs[1], dtype=np.float64) * 1e200
     for t in (0, 2):
-        _inner_adapt_alone(m, clfs[t], xs[t], ys[t], 5, 0.05)
+        _inner_adapt_alone(m, heads[t], xs[t], ys[t], 5, 0.05)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericalError, match="in the inner loop"):
-        inner_adapt(m, clfs, xs, ys, 5, 0.05)
+        inner_adapt(m, heads, xs, ys, 5, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +292,13 @@ def test_query_node_matches_tape_bitwise(world, low_layers, steps):
     m = Model(g, enc, gen, seed=3)
     for trial in range(4):
         ep = sample_entity_episode(ds, g, "meta-train", 3, 2, 7, Rng(trial))
-        clf = emit_one(m, ep.class_ids, Rng(10 + trial), training=True)
-        state, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], steps, 0.05)
-        leaves = as_leaves(state)
+        head = emit_one(m, ep.class_ids, Rng(10 + trial), training=True)
+        task, = inner_adapt(m, [head], [ep.support_x], [ep.support_y], steps, 0.05)
+        leaves = as_leaves(task)
         parents = [t for pair in layer_pairs(m.params, enc)[:low_layers] for t in pair]
-        parents += [t for pair in leaves.high for t in pair]
-        parents += [leaves.classifier.weights, leaves.classifier.bias]
+        parents += leaves
         assert len(parents) == 6
-        loss, acc, vjp = episode_loss(m, ep, state)
+        loss, acc, vjp = episode_loss(m, ep, task)
         want_loss, want_acc = tape_query_loss(m, leaves, ep)
         assert isinstance(loss, float) and want_loss.data.shape == ()
         assert np.array_equal(_bits(loss), _bits(want_loss.data))
@@ -313,15 +315,15 @@ def test_query_overflow_is_numerical_error(world):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, Rng(4))
-    clf = emit_one(m, ep.class_ids, Rng(5), training=True)
-    state, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 2, 0.05)
+    head = emit_one(m, ep.class_ids, Rng(5), training=True)
+    task, = inner_adapt(m, [head], [ep.support_x], [ep.support_y], 2, 0.05)
     ep.query_x = np.full(ep.query_x.shape, 1e300)
     m.params["enc.0.W"].data = m.params["enc.0.W"].data * 1e10   # x @ W overflows
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite"):
-            tape_query_loss(m, as_leaves(state), ep)
+            tape_query_loss(m, as_leaves(task), ep)
         with pytest.raises(NumericalError, match="in the query loss"):
-            episode_loss(m, ep, state)
+            episode_loss(m, ep, task)
 
 
 @pytest.mark.parametrize("factor, match", [
@@ -343,9 +345,9 @@ def test_predict_rows_are_probabilities(world):
     g, ds = world
     m = make_model(g)
     ep = sample_entity_episode(ds, g, "meta-train", 2, 1, 6, Rng(2))
-    clf = emit_one(m, ep.class_ids, Rng(0), training=False)
-    adapted, = inner_adapt(m, [clf], [ep.support_x], [ep.support_y], 2, 0.01)
-    probs = predict(m, adapted, ep.query_x)
+    head = emit_one(m, ep.class_ids, Rng(0), training=False)
+    task, = inner_adapt(m, [head], [ep.support_x], [ep.support_y], 2, 0.01)
+    probs = predict(m, task, ep.query_x)
     assert probs.data.shape == (12, 2)
     npt.assert_allclose(probs.data.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert (probs.data > 0).all()
@@ -770,10 +772,10 @@ def _assert_heads_alone(emitted):
     for args, heads in emitted:
         assert args[6:] == (False,)
         assert len(heads) == len(args[4]) == len(args[5])
-        for ids, drop, clf in zip(args[4], args[5], heads):
+        for ids, drop, head in zip(args[4], args[5], heads):
             (alone,), _ = emit_for_task(*args[:4], [ids], [drop], *args[6:])
-            assert np.array_equal(_bits(clf.weights), _bits(alone.weights))
-            assert np.array_equal(_bits(clf.bias), _bits(alone.bias))
+            for x, y in zip(head, alone):           # weights, then bias
+                assert np.array_equal(_bits(x), _bits(y))
 
 
 @pytest.mark.parametrize("seed", [7, 8])
