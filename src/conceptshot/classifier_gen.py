@@ -105,7 +105,7 @@ def _layer(x, w, b, cfg: GeneratorConfig, rngs, training: bool):
     if training and cfg.keep_prob < 1.0:
         dmask = np.empty((len(rngs),) + out.shape[-2:])
         for r, m in zip(rngs, dmask):
-            r.uniform_into(m)
+            r.gen.random(out=m)
         dmask = np.divide(dmask < cfg.keep_prob, cfg.keep_prob, out=dmask)
         out = checked(np.multiply(out, dmask, out=out if out.shape == dmask.shape else None),
                       "dropout", _WHERE)

@@ -114,26 +114,21 @@ def cmd_inspect(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _ablation_variants(axis: str, cfg: ExperimentConfig):
-    if axis == "concepts":
-        return [("concepts-on", {"train.concept_weight": 1.0}),
-                ("concepts-off", {"train.concept_weight": 0.0})]
-    if axis == "semantics":
-        return [("embeddings", {"generator.semantics": "embeddings"}),
-                ("one-hot", {"generator.semantics": "one-hot"})]
-    if axis == "weak-only":
-        return [("with-entities", {"train.entity_weight": 1.0}),
-                ("weak-only", {"train.entity_weight": 0.0})]
-    if axis == "concept-weight":
-        return [(f"cw{v}", {"train.concept_weight": v})
-                for v in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5)]
-    if axis == "scale":
-        return [(f"norm{v}", {"generator.scale": v})
-                for v in (0.1, 0.2, 0.4, 0.7, 1.0)]
-    if axis == "partition":
-        return [(f"low{i}", {"encoder.low_layers": i})
-                for i in range(len(cfg.encoder.widths) + 1)]
-    raise ConfigError(f"unknown ablation axis '{axis}'")
+# each ablation axis: its (label, dotted overrides) variants for a config
+_ABLATIONS = {
+    "concepts": lambda cfg: [("concepts-on", {"train.concept_weight": 1.0}),
+                             ("concepts-off", {"train.concept_weight": 0.0})],
+    "semantics": lambda cfg: [("embeddings", {"generator.semantics": "embeddings"}),
+                              ("one-hot", {"generator.semantics": "one-hot"})],
+    "weak-only": lambda cfg: [("with-entities", {"train.entity_weight": 1.0}),
+                              ("weak-only", {"train.entity_weight": 0.0})],
+    "concept-weight": lambda cfg: [(f"cw{v}", {"train.concept_weight": v})
+                                   for v in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5)],
+    "scale": lambda cfg: [(f"norm{v}", {"generator.scale": v})
+                          for v in (0.1, 0.2, 0.4, 0.7, 1.0)],
+    "partition": lambda cfg: [(f"low{i}", {"encoder.low_layers": i})
+                              for i in range(len(cfg.encoder.widths) + 1)],
+}
 
 
 def cmd_ablate(base_dict: dict, axis: str) -> int:
@@ -142,7 +137,7 @@ def cmd_ablate(base_dict: dict, axis: str) -> int:
         cmd_gen_data(base)
     root = os.path.dirname(base.paths.checkpoint) or "."
     rows = []
-    for label, overrides in _ablation_variants(axis, base):
+    for label, overrides in _ABLATIONS[axis](base):
         vd = copy.deepcopy(base_dict)
         for key, value in overrides.items():
             set_path(vd, key, value)
@@ -192,8 +187,7 @@ def _parser():
                                                 "summaries"))
     ab = sub.add_parser("ablate", help="train/eval a named sweep of variants")
     common(ab)
-    ab.add_argument("axis", choices=["concepts", "semantics", "weak-only",
-                                     "concept-weight", "scale", "partition"])
+    ab.add_argument("axis", choices=list(_ABLATIONS))
     return p
 
 

@@ -80,29 +80,11 @@ def from_dict(d: dict) -> ExperimentConfig:
                               f"{', '.join(f'{name}.{k}' for k in bad)}")
         if name == "encoder":
             sub.setdefault("input_dim", built["data"].input_dim)
-        if name == "train" and "level_weights" in sub:
-            sub["level_weights"] = _level_weights(sub["level_weights"])
         try:
             built[name] = cls(**sub)
         except TypeError as exc:
             raise ConfigError(f"bad '{name}' section: {exc}")
     return ExperimentConfig(**built)
-
-
-def _level_weights(raw) -> dict:
-    """``train.level_weights`` with integer level keys and numeric values."""
-    if not isinstance(raw, dict):
-        raise ConfigError(f"train.level_weights must be an object, got {raw!r}")
-    out = {}
-    for k, v in raw.items():
-        try:
-            level = int(k)
-        except (TypeError, ValueError):
-            raise ConfigError(f"train.level_weights key {k!r} is not an integer level")
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"train.level_weights[{k!r}] must be a number, got {v!r}")
-        out[level] = float(v)
-    return out
 
 
 def to_dict(cfg: ExperimentConfig) -> dict:

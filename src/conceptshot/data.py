@@ -4,7 +4,9 @@ A dataset is a flat table of feature vectors labeled by graph node id:
 entity samples hold leaf ids, weakly-labeled samples hold the id of an
 internal (concept) node.  Episodes are N-way K-shot tasks with a disjoint
 query set, drawn either from leaf classes of one meta split or from the
-concept classes of one abstract level.
+concept classes of one abstract level; ``eligible_concept_levels`` lists the
+abstract levels with enough classes for a training config's concept
+episodes.
 
 ``SynthConfig`` checks its sizes before deriving anything from them: the
 tree's node count must fit the dataset's int32 node ids, and every array
@@ -81,7 +83,6 @@ class Dataset:
 @dataclass
 class Episode:
     class_ids: np.ndarray    # graph node ids, one per way
-    level: int
     support_x: np.ndarray    # (n_way * k_shot, d)
     support_y: np.ndarray    # labels in [0, n_way)
     query_x: np.ndarray
@@ -103,22 +104,22 @@ def _eligible(ds, candidates, need):
     return cand[counts[cand] >= need]
 
 
-def _sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, what):
+def _sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what):
     need = k_shot + n_query
     eligible = _eligible(ds, candidates, need)
     if eligible.size < n_way:
         raise DataError(
             f"need {n_way} classes with >={need} samples {what}, found {eligible.size}")
-    ids = rng.choice(eligible, n_way, replace=False)
+    ids = rng.gen.choice(eligible, size=n_way, replace=False)
     sx, sy, qx, qy = [], [], [], []
     for pos, c in enumerate(ids):
         pool = ds.indices_for(c)
-        picked = pool[rng.choice(pool.size, need, replace=False)]
+        picked = pool[rng.gen.choice(pool.size, size=need, replace=False)]
         sx.append(ds.features[picked[:k_shot]])
         qx.append(ds.features[picked[k_shot:]])
         sy.append(np.full(k_shot, pos, dtype=np.intp))
         qy.append(np.full(n_query, pos, dtype=np.intp))
-    return Episode(class_ids=np.asarray(ids), level=level,
+    return Episode(class_ids=np.asarray(ids),
                    support_x=np.concatenate(sx), support_y=np.concatenate(sy),
                    query_x=np.concatenate(qx), query_y=np.concatenate(qy))
 
@@ -129,8 +130,8 @@ def sample_entity_episode(ds: Dataset, g: ConceptGraph, split: str, n_way: int,
     _check_way_shot(n_way, k_shot, n_query)
     if split not in ("meta-train", "meta-test"):
         raise ConfigError(f"entity episodes need split meta-train/meta-test, got '{split}'")
-    return _sample_episode(ds, g.ids_at(g.entity_level, split), g.entity_level,
-                           n_way, k_shot, n_query, rng, f"in split '{split}'")
+    return _sample_episode(ds, g.ids_at(g.entity_level, split), n_way, k_shot,
+                           n_query, rng, f"in split '{split}'")
 
 
 def sample_concept_episode(ds: Dataset, g: ConceptGraph, level: int, n_way: int,
@@ -140,20 +141,21 @@ def sample_concept_episode(ds: Dataset, g: ConceptGraph, level: int, n_way: int,
     if not (0 <= level < g.entity_level):
         raise DataError("concept episodes must use non-leaf levels "
                         f"(got level {level}, entities at {g.entity_level})")
-    return _sample_episode(ds, g.ids_at(level), level,
-                           n_way, k_shot, n_query, rng, f"at level {level}")
+    return _sample_episode(ds, g.ids_at(level), n_way, k_shot, n_query, rng,
+                           f"at level {level}")
 
 
-def concept_levels_with(ds: Dataset, g: ConceptGraph, k_shot: int, n_query: int):
-    """Abstract levels eligible for concept episodes (at least two classes
-    with enough samples), with the way count each supports (capped at
-    nothing here; callers cap at their n_way)."""
-    need = k_shot + n_query
+def eligible_concept_levels(ds: Dataset, g: ConceptGraph, cfg):
+    """(level, way count) pairs for every abstract level that can fill a
+    concept episode of ``cfg``'s shape (a ``meta.TrainConfig``): at least two
+    classes with ``k_shot + n_query`` samples each; the way count is the
+    number of such classes, capped at ``n_way``."""
+    need = cfg.k_shot + cfg.n_query
     out = []
     for level in range(g.entity_level):
         n = _eligible(ds, g.ids_at(level), need).size
         if n >= 2:
-            out.append((level, n))
+            out.append((level, min(cfg.n_way, n)))
     return out
 
 
@@ -249,15 +251,15 @@ def generate_synthetic(cfg: SynthConfig):
                 edges.append((int(starts[level - 1] + k // cfg.branching), nid))
 
     protos = np.zeros((m, cfg.input_dim))
-    protos[0] = proto_rng.normal(size=cfg.input_dim)
+    protos[0] = proto_rng.gen.normal(size=cfg.input_dim)
     for level in range(1, cfg.num_levels):
-        off = proto_rng.normal(size=(sizes[level], cfg.input_dim),
-                               scale=cfg.sigma_levels[level - 1])
+        off = proto_rng.gen.normal(scale=cfg.sigma_levels[level - 1],
+                                   size=(sizes[level], cfg.input_dim))
         parents = starts[level - 1] + np.arange(sizes[level]) // cfg.branching
         protos[starts[level]:starts[level + 1]] = protos[parents] + off
 
     leaves = list(range(int(starts[entity_level]), m))
-    order = [leaves[i] for i in split_rng.permutation(len(leaves))]
+    order = [leaves[i] for i in split_rng.gen.permutation(len(leaves))]
     n_weak = round(cfg.weak_fraction * len(leaves)) if cfg.mix_mode else 0
     weak_only = set(order[:n_weak])
     rest = order[n_weak:]
@@ -269,10 +271,10 @@ def generate_synthetic(cfg: SynthConfig):
     for nid in range(int(starts[entity_level])):
         nodes[nid].split = "weak"
 
-    proj = sem_rng.normal(size=(cfg.input_dim, cfg.semantic_dim)) / np.sqrt(cfg.input_dim)
+    proj = sem_rng.gen.normal(size=(cfg.input_dim, cfg.semantic_dim)) / np.sqrt(cfg.input_dim)
     semantics = protos @ proj
     if cfg.semantic_noise:
-        semantics = semantics + cfg.semantic_noise * sem_rng.normal(
+        semantics = semantics + cfg.semantic_noise * sem_rng.gen.normal(
             size=(m, cfg.semantic_dim))
 
     graph = ConceptGraph(nodes, edges, semantics, cfg.num_levels)
@@ -288,8 +290,8 @@ def generate_synthetic(cfg: SynthConfig):
             if nid in weak_only:
                 continue
             leaf = (nid if level == entity_level
-                    else starts[entity_level] + k * span + sample_rng.integers(0, span, n))
-            block = protos[leaf] + noise * sample_rng.normal(size=(n, d))
+                    else starts[entity_level] + k * span + sample_rng.gen.integers(0, span, n))
+            block = protos[leaf] + noise * sample_rng.gen.normal(size=(n, d))
             feats.append(block.astype(np.float32))  # no float64 copy of the whole table
             kept.append(nid)
     ds = Dataset(np.concatenate(feats), np.repeat(np.array(kept, dtype=np.int32), n))

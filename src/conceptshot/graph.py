@@ -41,7 +41,6 @@ class ConceptGraph:
         self.semantics = np.asarray(semantics, dtype=np.float64)
         self.num_levels = int(num_levels)
         self._validate(edges)
-        self._nbrs = None
         self._ids = None
 
     # -- derived views ------------------------------------------------------
@@ -68,15 +67,6 @@ class ConceptGraph:
                 a.flags.writeable = False
         return self._ids.get(level if split is None else (level, split),
                              np.empty(0, dtype=np.intp))
-
-    def neighbors(self, node_id):
-        if self._nbrs is None:
-            nbrs = [[] for _ in self.nodes]
-            for i, j in self.edges:
-                nbrs[i].append(j)
-                nbrs[j].append(i)
-            self._nbrs = [sorted(v) for v in nbrs]
-        return self._nbrs[node_id]
 
     # -- validation ---------------------------------------------------------
 
@@ -135,14 +125,6 @@ class ConceptGraph:
                 f"semantics shape {self.semantics.shape} does not match {m} nodes")
         if not np.all(np.isfinite(self.semantics)):
             raise DataError("semantics contain non-finite values")
-
-    def __eq__(self, other):
-        return (isinstance(other, ConceptGraph)
-                and self.num_levels == other.num_levels
-                and self.nodes == other.nodes
-                and self.edges == other.edges
-                and self.semantics.shape == other.semantics.shape
-                and np.array_equal(self.semantics, other.semantics))
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +189,18 @@ class Propagation:
 
 
 def propagation_operator(g: ConceptGraph) -> Propagation:
-    """Build P = D^-1 (A + I) from the graph adjacency; the self loop gives
-    every node, an isolated one included, a degree of at least 1."""
+    """Build P = D^-1 (A + I) from the graph's edges: row i of the neighbor
+    table holds i and its neighbors in id order, padded with m; the self loop
+    gives every node, an isolated one included, a degree of at least 1."""
     m = g.num_nodes
-    lists = [sorted(g.neighbors(i) + [i]) for i in range(m)]
+    lists = [[i] for i in range(m)]
+    for i, j in g.edges:
+        lists[i].append(j)
+        lists[j].append(i)
     degrees = np.array([len(v) for v in lists], dtype=np.float64)
-    maxdeg = max(len(v) for v in lists)
-    nbr_idx = np.full((m, maxdeg), m, dtype=np.intp)
+    nbr_idx = np.full((m, max(len(v) for v in lists)), m, dtype=np.intp)
     for i, v in enumerate(lists):
-        nbr_idx[i, :len(v)] = v
+        nbr_idx[i, :len(v)] = sorted(v)
     return Propagation(nbr_idx, degrees, m)
 
 

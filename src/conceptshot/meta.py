@@ -47,7 +47,7 @@ import numpy as np
 
 from .artifact import read_binary, write_binary, write_text_atomic
 from .classifier_gen import GeneratorConfig, emit_for_task, init_generator
-from .data import (Dataset, Episode, concept_levels_with, sample_concept_episode,
+from .data import (Dataset, Episode, eligible_concept_levels, sample_concept_episode,
                    sample_entity_episode)
 from .encoder import PREFIX, EncoderConfig, layer_pairs
 from .errors import ConfigError, DataError, require_at_least, require_types
@@ -72,8 +72,9 @@ class TrainConfig:
     adapt_steps: int = 5
     entity_weight: float = 1.0
     concept_weight: float = 1.0
-    # per-level overrides of concept_weight; every key must be an abstract
-    # level of the graph (checked by train()), with or without enough classes
+    # per-level overrides of concept_weight, keyed by level (an int, or its
+    # JSON string); every key must be an abstract level of the graph (checked
+    # by train()), with or without enough classes
     level_weights: dict = field(default_factory=dict)
     episodes_per_term: int = 1
     n_way: int = 5
@@ -83,6 +84,13 @@ class TrainConfig:
 
     def __post_init__(self):
         require_types(self, "train", level_weights="float")
+        levels = {}
+        for k, v in self.level_weights.items():
+            try:
+                levels[int(k)] = float(v)
+            except (TypeError, ValueError):
+                raise ConfigError(f"train.level_weights key {k!r} is not an integer level")
+        self.level_weights = levels
         require_at_least(self, "train", 0, "iterations", "outer_lr", "inner_lr",
                          "weight_decay", "entity_weight", "concept_weight", "adapt_steps",
                          "seed")
@@ -294,13 +302,6 @@ def episode_loss(model: Model, ep: Episode, task: list):
 
 # ---------------------------------------------------------------------------
 # outer loop
-
-def eligible_concept_levels(ds: Dataset, g: ConceptGraph, cfg: TrainConfig):
-    """(level, way count) pairs for every abstract level that can fill an
-    episode; way count is capped by the classes available at that level."""
-    pairs = concept_levels_with(ds, g, cfg.k_shot, cfg.n_query)
-    return [(level, min(cfg.n_way, n)) for level, n in pairs]
-
 
 def _weighted_terms(terms):
     """(the step's loss, each term's mean, each episode loss's weight in the

@@ -1,7 +1,11 @@
-"""Numerics shared by the model: parameters, checks, sorted sums, layers, SGD.
+"""Numerics shared by the model: random streams, parameters, checks, sorted
+sums, layers, SGD.
 
 Design points:
 
+* a random stream is an :class:`Rng`: a seed and a key path that hands out
+  numpy's ``Generator`` as ``gen``; callers draw from it directly, and
+  ``child`` derives sub-streams by key,
 * a parameter is a :class:`Tensor`: a float64 array, checked for NaN/Inf
   when built.  There is no tape: each stage of the model returns plain
   arrays and the closure that maps the gradient at its output to the
@@ -37,12 +41,13 @@ def _key_int(k):
 
 
 class Rng:
-    """Deterministic random stream: same seed + same call sequence -> same values.
+    """A keyed random stream that hands out numpy's ``Generator`` as ``gen``:
+    same seed + same key path + same draws -> same values.
 
     ``child(*keys)`` derives an independent stream from (seed, key path)
     without advancing this one, so sub-streams can be re-derived exactly.
-    The generator is built on the first draw: a stream that is never drawn
-    from costs only its key.
+    ``gen`` is built on its first use: a stream that is never drawn from
+    costs only its key.
     """
 
     def __init__(self, seed, _key=()):
@@ -50,32 +55,12 @@ class Rng:
         self.key = tuple(_key)
 
     @functools.cached_property
-    def _gen(self):
+    def gen(self) -> np.random.Generator:
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key)))
 
     def child(self, *keys) -> "Rng":
         return Rng(self.seed, self.key + tuple(_key_int(k) for k in keys))
-
-    def uniform(self, size=None, low=0.0, high=1.0):
-        return self._gen.uniform(low, high, size)
-
-    def uniform_into(self, out):
-        """Fill the float64 array ``out`` with the draws ``uniform(size=out.shape)``
-        would return (``0.0 + 1.0 * d`` is ``d``), and return it."""
-        return self._gen.random(out=out)
-
-    def normal(self, size=None, scale=1.0):
-        return self._gen.normal(0.0, scale, size)
-
-    def integers(self, low, high, size=None):
-        return self._gen.integers(low, high, size)
-
-    def choice(self, a, size, replace=False):
-        return self._gen.choice(a, size=size, replace=replace)
-
-    def permutation(self, n):
-        return self._gen.permutation(n)
 
 
 class Tensor:
@@ -217,7 +202,7 @@ def neighbor_sums(values, groups) -> np.ndarray:
 def glorot_uniform(rng: Rng, n_in: int, n_out: int) -> Tensor:
     """Weight init: uniform in [-a, a], a = sqrt(6 / (n_in + n_out))."""
     a = np.sqrt(6.0 / (n_in + n_out))
-    return Tensor(rng.uniform(size=(n_in, n_out), low=-a, high=a))
+    return Tensor(rng.gen.uniform(-a, a, (n_in, n_out)))
 
 
 def layer_names(prefix: str, count: int) -> list:

@@ -1,7 +1,7 @@
 """Shared test oracles: central finite differences, error metrics, graph
-relabeling, the generator input a model forms, every-row sets for the
-row-restricted propagation, the dense propagation matrix, the degree groups
-of a neighbor table and the padded neighborhood sum that
+relabeling and equality, the generator input a model forms, every-row sets
+for the row-restricted propagation, the dense propagation matrix, the degree
+groups of a neighbor table and the padded neighborhood sum that
 ``tensor.neighbor_sums`` replaces, the per-call class filter and the
 ``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
 loop that ``meta.inner_adapt`` replaces, the taped query path that
@@ -47,6 +47,14 @@ def permute_graph(g, perm):
     sem = np.empty_like(g.semantics)
     sem[perm] = g.semantics
     return ConceptGraph(nodes, edges, sem, g.num_levels)
+
+
+def graphs_equal(a, b):
+    """Whether two concept graphs have the same levels, nodes, edges and
+    semantics (bit for bit)."""
+    return (a.num_levels == b.num_levels and a.nodes == b.nodes and a.edges == b.edges
+            and a.semantics.shape == b.semantics.shape
+            and np.array_equal(a.semantics, b.semantics))
 
 
 def every_row(prop, count=1):
@@ -104,7 +112,7 @@ def eligible_classes(ds, candidates, need):
                     dtype=np.intp)
 
 
-def arange_sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, what):
+def arange_sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what):
     """The episode sampler drawing each class's samples from an explicit
     ``np.arange`` of its pool positions."""
     from conceptshot.data import Episode, _eligible
@@ -115,16 +123,16 @@ def arange_sample_episode(ds, candidates, level, n_way, k_shot, n_query, rng, wh
     if eligible.size < n_way:
         raise DataError(
             f"need {n_way} classes with >={need} samples {what}, found {eligible.size}")
-    ids = rng.choice(eligible, n_way, replace=False)
+    ids = rng.gen.choice(eligible, size=n_way, replace=False)
     sx, sy, qx, qy = [], [], [], []
     for pos, c in enumerate(ids):
         pool = ds.indices_for(c)
-        picked = pool[rng.choice(np.arange(pool.size), need, replace=False)]
+        picked = pool[rng.gen.choice(np.arange(pool.size), size=need, replace=False)]
         sx.append(ds.features[picked[:k_shot]])
         qx.append(ds.features[picked[k_shot:]])
         sy.append(np.full(k_shot, pos, dtype=np.intp))
         qy.append(np.full(n_query, pos, dtype=np.intp))
-    return Episode(class_ids=np.asarray(ids), level=level,
+    return Episode(class_ids=np.asarray(ids),
                    support_x=np.concatenate(sx), support_y=np.concatenate(sy),
                    query_x=np.concatenate(qx), query_y=np.concatenate(qy))
 

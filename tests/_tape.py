@@ -154,7 +154,7 @@ def dropout(x, keep_prob: float, rng: Rng, training: bool):
         raise ConfigError(f"dropout keep_prob must be in (0, 1], got {keep_prob}")
     if not training or keep_prob == 1.0:
         return x
-    mask = (rng.uniform(size=x.data.shape) < keep_prob) / keep_prob
+    mask = (rng.gen.uniform(size=x.data.shape) < keep_prob) / keep_prob
     return attach(x.data * mask, (x,), lambda g: (g * mask,), "dropout")
 
 

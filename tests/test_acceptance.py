@@ -5,9 +5,11 @@ Criteria 7-9 train the seeded synthetic benchmark (branching 4, four levels,
 are cached in-module so shared variants are trained once.
 """
 
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -16,10 +18,12 @@ import pytest
 import _tape
 from _oracles import (every_row, generator_input, lone_episode_grads, lone_episode_loss,
                       neighbor_groups, numerical_grad, permute_graph, rel_err)
+from test_bench import _digest_build
 from conceptshot import tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
                                         emit_for_task, graph_embed, init_generator)
 from conceptshot.cli import main as cli_main
+from conceptshot.config import apply_overrides, config_hash, from_dict
 from conceptshot.data import (Episode, SynthConfig, generate_synthetic,
                               sample_entity_episode)
 from conceptshot.encoder import EncoderConfig
@@ -337,7 +341,7 @@ def test_06_equivariance_exact():
         ep = sample_entity_episode(ds, g, "meta-train", 3, 1, 5, T.Rng(trial))
         perm = rng.permutation(3)
         inv = np.argsort(perm)
-        ep2 = Episode(class_ids=ep.class_ids[perm], level=ep.level,
+        ep2 = Episode(class_ids=ep.class_ids[perm],
                       support_x=ep.support_x, support_y=inv[ep.support_y],
                       query_x=ep.query_x, query_y=inv[ep.query_y])
         l1, a1 = lone_episode_loss(model, ep, adapt_steps=2, inner_lr=0.01,
@@ -386,9 +390,10 @@ def test_09_weak_only_training_beats_chance():
 # ---------------------------------------------------------------------------
 # 10. determinism
 
-def test_10_metrics_rerun_byte_identical(tmp_path):
-    cfg = {
-        "paths": {k: str(tmp_path / "art" / v) for k, v in
+def determinism_config(art):
+    """The determinism config, its artifacts under the directory ``art``."""
+    return {
+        "paths": {k: str(art / v) for k, v in
                   [("graph", "graph.json"), ("dataset", "data.bin"),
                    ("checkpoint", "model.ckpt"), ("metrics", "metrics.csv"),
                    ("eval_csv", "eval.csv")]},
@@ -401,8 +406,11 @@ def test_10_metrics_rerun_byte_identical(tmp_path):
         "eval": {"n_episodes": 40, "n_way": 2, "k_shot": 1, "n_query": 5,
                  "adapt_steps": 3, "seed": 5},
     }
+
+
+def test_10_metrics_rerun_byte_identical(tmp_path):
     cfgp = tmp_path / "config.json"
-    cfgp.write_text(json.dumps(cfg))
+    cfgp.write_text(json.dumps(determinism_config(tmp_path / "art")))
     blobs = []
     for _ in range(2):
         assert cli_main(["gen-data", "-c", str(cfgp)]) == 0
@@ -412,6 +420,72 @@ def test_10_metrics_rerun_byte_identical(tmp_path):
                       (tmp_path / "art" / "eval.csv").read_bytes()))
     assert blobs[0][0] == blobs[1][0], "metrics CSV changed across reruns"
     assert blobs[0][1] == blobs[1][1], "per-episode CSV changed across reruns"
+
+
+# The determinism config and variants of it: (overrides, extra eval
+# arguments, and the config hash and sha256 prefixes of the metrics CSV, the
+# eval CSV and the checkpoint).  The variants raise the observation noise
+# from 0.5 to 3.0: at 0.5 most of them score 1.0 on every eval episode, a CSV
+# that pins nothing of the eval path.  mix_mode runs at branching 4: at 3 it
+# leaves too few meta-test classes for 2-way eval.  The paths are relative,
+# since the config hash (stored in the checkpoint) covers them.
+NOISY = "data.sigma_levels=[1.0,0.5,3.0]"
+PINNED_ARTIFACTS = {
+    "test_10": ([], [],
+        ("2ce0b2772cb9769a", "f720f336559ac2ad",
+         "4b17c47511caa0e7", "84667f161db1f615")),
+    "noisy": ([NOISY], [],
+        ("0c2eb9634c0c75b9", "f8cf250a0449feac",
+         "f765a00537e8dbda", "c06ced0aed0ae003")),
+    "concepts-off": ([NOISY, "train.concept_weight=0.0"], [],
+        ("6de8af6a83612b61", "09a7d8945ef97247",
+         "5b08807d2f1b8a38", "52de3ef4552f347a")),
+    "one-hot": ([NOISY, "generator.semantics=one-hot"], [],
+        ("2be565dd067ab7bc", "26fc9be0093efe9c",
+         "5be98474f5893032", "37ad3bed9ea16ec4")),
+    "mix-mode": ([NOISY, "data.mix_mode=true", "data.branching=4"], [],
+        ("dc2f8e8cbf044493", "af4daf3d2cb5bd32",
+         "b7244610997c35ee", "a6a56281c2854a6a")),
+    "three-hop": ([NOISY, "generator.embed_widths=[8,8,8]"], [],
+        ("b5744df8b00a924d", "1cc2e7db963c0840",
+         "eebbb3977670abe8", "8214768f7cf5251f")),
+    "two-episodes-per-term": ([NOISY, "train.episodes_per_term=2"], [],
+        ("6ad2174de69acb63", "f03bedf7914d6d5c",
+         "1baf46df6ee55d9c", "784ab36d66fa46cb")),
+    "no-dropout": ([NOISY, "generator.keep_prob=1.0"], [],
+        ("8ca2f1b45e3a4d50", "741e9313eceef8a9",
+         "d39d3efa90534d47", "81ac3d0d092e8d59")),
+    "level-weights": ([NOISY, 'train.level_weights={"1":0.5}'], [],
+        ("d04f8e81d67d51ab", "686715d11ad0f11d",
+         "cb2c0ed9ddc24ff7", "02bca6427b714e20")),
+    "eval-level-1": ([NOISY], ["--level", "1"],
+        ("0c2eb9634c0c75b9", "f8cf250a0449feac",
+         "dcab48d13c8ce79f", "c06ced0aed0ae003")),
+}
+
+
+def _artifact_digests(overrides, eval_args):
+    sets = [a for o in overrides for a in ("--set", o)]
+    for argv in (["gen-data"], ["train"], ["eval", *eval_args]):
+        assert cli_main([*argv, "-c", "config.json", *sets]) == 0
+    raw = apply_overrides(json.loads(Path("config.json").read_text()), overrides)
+    return (config_hash(from_dict(raw)),) + tuple(
+        hashlib.sha256(Path("art", name).read_bytes()).hexdigest()[:16]
+        for name in ("metrics.csv", "eval.csv", "model.ckpt"))
+
+
+@pytest.mark.parametrize("variant", PINNED_ARTIFACTS)
+def test_10_artifacts_are_pinned(tmp_path, monkeypatch, variant):
+    # the recorded digests hold on the numpy and BLAS build of the bench's
+    # digests; on any other build, reruns must still match
+    overrides, eval_args, digests = PINNED_ARTIFACTS[variant]
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(determinism_config(Path("art"))))
+    got = _artifact_digests(overrides, eval_args)
+    if _digest_build():
+        assert got == digests
+    else:
+        assert _artifact_digests(overrides, eval_args) == got
 
 
 # ---------------------------------------------------------------------------

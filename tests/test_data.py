@@ -2,20 +2,22 @@
 
 import hashlib
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import arange_sample_episode, eligible_classes
+from _oracles import arange_sample_episode, eligible_classes, graphs_equal
 from conceptshot import data
 from conceptshot.data import (Dataset, SynthConfig, class_separation,
-                              concept_levels_with, generate_synthetic, load_dataset,
+                              eligible_concept_levels, generate_synthetic, load_dataset,
                               sample_concept_episode, sample_entity_episode,
                               save_dataset, summarize)
 from conceptshot.errors import ConfigError, DataError
 from conceptshot.graph import VALID_SPLITS
+from conceptshot.meta import TrainConfig
 from conceptshot.tensor import Rng
 
 
@@ -90,7 +92,7 @@ def test_zero_sigma_collapses_to_prototypes():
 def test_generator_is_pure_function_of_config():
     a = generate_synthetic(SynthConfig(branching=3, num_levels=3, seed=9))
     b = generate_synthetic(SynthConfig(branching=3, num_levels=3, seed=9))
-    assert a[0] == b[0]
+    assert graphs_equal(a[0], b[0])
     npt.assert_array_equal(a[1].features, b[1].features)
     npt.assert_array_equal(a[1].node_ids, b[1].node_ids)
     c = generate_synthetic(SynthConfig(branching=3, num_levels=3, seed=10))
@@ -148,8 +150,8 @@ def test_noiseless_concept_samples_are_samples_of_leaves_beneath(
         for c in g.ids_at(level):
             beneath = [int(c)]
             for lv in range(level + 1, num_levels):
-                beneath = [j for u in beneath for j in g.neighbors(u)
-                           if g.nodes[j].level == lv]
+                beneath = [j for e in g.edges for i, j in (e, e[::-1])
+                           if i in beneath and g.nodes[j].level == lv]
             assert len(beneath) == branching ** (g.entity_level - level)
             for row in ds.features[ds.indices_for(c)]:
                 assert any(np.array_equal(row, leaf_rows[j]) for j in beneath)
@@ -191,7 +193,7 @@ def test_config_validation():
 def test_entity_episode_layout(small_world):
     g, ds = small_world
     ep = sample_entity_episode(ds, g, "meta-train", 2, 3, 4, Rng(1))
-    assert ep.level == g.entity_level
+    assert all(g.nodes[c].level == g.entity_level for c in ep.class_ids)
     assert len(set(ep.class_ids.tolist())) == 2
     npt.assert_array_equal(ep.support_y, [0, 0, 0, 1, 1, 1])
     npt.assert_array_equal(ep.query_y, [0] * 4 + [1] * 4)
@@ -213,7 +215,6 @@ def test_support_query_disjoint_property(small_world):
 def test_concept_episode_uses_level_classes(small_world):
     g, ds = small_world
     ep = sample_concept_episode(ds, g, 1, 2, 1, 5, Rng(2))
-    assert ep.level == 1
     assert all(g.nodes[c].level == 1 for c in ep.class_ids)
 
 
@@ -263,9 +264,9 @@ def test_sampling_determinism(small_world):
     npt.assert_array_equal(e1.query_x, e2.query_x)
 
 
-def test_concept_levels_with(small_world):
+def test_eligible_concept_levels(small_world):
     g, ds = small_world
-    levels = concept_levels_with(ds, g, k_shot=1, n_query=5)
+    levels = eligible_concept_levels(ds, g, TrainConfig(k_shot=1, n_query=5))
     assert levels == [(1, 2)]  # root level has one class; level 1 has two
 
 
@@ -296,7 +297,8 @@ def test_eligible_matches_sorted_filter(small_world):
             old_levels = [(lv, n) for lv in range(g.entity_level)
                           for n in [eligible_classes(ds, g.ids_at(lv).tolist(), need).size]
                           if n >= 2]
-            assert concept_levels_with(ds, g, 1, need - 1) == old_levels
+            shape = SimpleNamespace(n_way=g.num_nodes, k_shot=1, n_query=need - 1)
+            assert eligible_concept_levels(ds, g, shape) == old_levels
 
 
 def test_sampler_matches_arange_draw():
@@ -313,13 +315,13 @@ def test_sampler_matches_arange_draw():
     for seed in range(100):
         for cand, level, n_way in sources:
             for k_shot, n_query in ((1, 1), (1, 15), (3, 20), (5, 25)):
-                args = (ds, cand, level, n_way, k_shot, n_query)
+                args = (ds, cand, n_way, k_shot, n_query)
                 got = data._sample_episode(*args, Rng(seed), "here")
                 want = arange_sample_episode(*args, Rng(seed), "here")
                 for name in ("class_ids", "support_x", "support_y", "query_x",
                              "query_y"):
                     npt.assert_array_equal(getattr(got, name), getattr(want, name))
-                assert got.level == want.level
+                assert all(g.nodes[c].level == level for c in got.class_ids)
 
 
 # ---------------------------------------------------------------------------

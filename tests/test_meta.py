@@ -394,7 +394,7 @@ def test_class_order_invariance(world):
     perm = np.array([2, 0, 1])
     inv = np.argsort(perm)
     from conceptshot.data import Episode
-    ep2 = Episode(class_ids=ep.class_ids[perm], level=ep.level,
+    ep2 = Episode(class_ids=ep.class_ids[perm],
                   support_x=ep.support_x, support_y=inv[ep.support_y],
                   query_x=ep.query_x, query_y=inv[ep.query_y])
     l1, a1 = lone_episode_loss(m, ep, adapt_steps=2, inner_lr=0.01,

@@ -439,23 +439,24 @@ def test_sgd_skips_params_without_grad():
 
 def test_rng_identical_streams():
     a, b = T.Rng(123), T.Rng(123)
-    npt.assert_array_equal(a.normal(size=10), b.normal(size=10))
-    npt.assert_array_equal(a.uniform(size=10), b.uniform(size=10))
+    npt.assert_array_equal(a.gen.normal(size=10), b.gen.normal(size=10))
+    npt.assert_array_equal(a.gen.uniform(size=10), b.gen.uniform(size=10))
 
 
 def test_rng_child_reproducible_and_independent():
     root = T.Rng(7)
     c1 = root.child("dropout", 3)
-    burn = root.normal(size=5)  # advancing the parent must not affect children
+    burn = root.gen.normal(size=5)  # advancing the parent must not affect children
     c2 = root.child("dropout", 3)
-    npt.assert_array_equal(c1.normal(size=4), c2.normal(size=4))
-    assert not np.array_equal(root.child("a").normal(size=4), root.child("b").normal(size=4))
+    npt.assert_array_equal(c1.gen.normal(size=4), c2.gen.normal(size=4))
+    assert not np.array_equal(root.child("a").gen.normal(size=4),
+                              root.child("b").gen.normal(size=4))
 
 
 def test_rng_builds_its_generator_on_the_first_draw():
     r = T.Rng(5).child("eval", 3, "sample")
-    assert "_gen" not in vars(r)
+    assert "gen" not in vars(r)
     eager = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(5, spawn_key=r.key)))
-    npt.assert_array_equal(r.normal(size=6), eager.normal(0.0, 1.0, 6))
-    assert "_gen" in vars(r)
+    npt.assert_array_equal(r.gen.normal(size=6), eager.normal(0.0, 1.0, 6))
+    assert "gen" in vars(r)
