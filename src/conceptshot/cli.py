@@ -12,13 +12,12 @@ import copy
 import os
 import sys
 
-from .artifact import write_text_atomic
 from .config import (ExperimentConfig, apply_overrides, build_model, config_hash,
                      from_dict, load_config_dict, save_config, set_path)
 from .data import generate_synthetic, load_dataset, save_dataset, summarize
 from .errors import ConfigError, DataError, NumericalError
 from .graph import describe, load_graph, save_graph
-from .meta import evaluate, load_checkpoint, train
+from .meta import evaluate, load_checkpoint, train, write_metrics
 
 
 def _save_effective(cfg: ExperimentConfig, anchor_path: str, command: str):
@@ -84,8 +83,8 @@ def _evaluate_and_write(cfg: ExperimentConfig, model, ds, split="meta-test", lev
     """Evaluate ``model``; write each episode's accuracy to ``paths.eval_csv``
     and the effective config beside it."""
     res = evaluate(model, ds, cfg.eval, split=split, level=level)
-    write_text_atomic(cfg.paths.eval_csv, ["episode,accuracy\n"] + [
-        f"{i},{a!r}\n" for i, a in enumerate(res.accuracies)])
+    write_metrics(cfg.paths.eval_csv, ["episode", "accuracy"],
+                  [{"episode": i, "accuracy": a} for i, a in enumerate(res.accuracies)])
     _save_effective(cfg, cfg.paths.eval_csv, "eval")
     return res
 

@@ -25,7 +25,7 @@ import numpy as np
 from .artifact import read_binary, write_binary
 from .errors import ConfigError, DataError, require_at_least, require_types
 from .graph import ConceptGraph, NodeRecord
-from .tensor import Rng
+from .tensor import Rng, quiet_fp
 
 _DS_MAGIC = b"CSDS"
 _MAX_NODES = int(np.iinfo(np.int32).max)
@@ -89,13 +89,6 @@ class Episode:
     query_y: np.ndarray
 
 
-def _check_way_shot(n_way, k_shot, n_query):
-    if n_way < 1 or k_shot < 1 or n_query < 1:
-        raise ConfigError(
-            f"episode shape must be positive, got n_way={n_way} k_shot={k_shot} "
-            f"n_query={n_query}")
-
-
 def _eligible(ds, candidates, need):
     """The ids of ``candidates``, an id-ordered array, with at least
     ``need`` samples each, in id order."""
@@ -126,8 +119,7 @@ def _sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what):
 
 def sample_entity_episode(ds: Dataset, g: ConceptGraph, split: str, n_way: int,
                           k_shot: int, n_query: int, rng: Rng) -> Episode:
-    """N-way episode over leaf classes of one meta split."""
-    _check_way_shot(n_way, k_shot, n_query)
+    """N-way episode over leaf classes of one meta split (shape checked by the config)."""
     if split not in ("meta-train", "meta-test"):
         raise ConfigError(f"entity episodes need split meta-train/meta-test, got '{split}'")
     return _sample_episode(ds, g.ids_at(g.entity_level, split), n_way, k_shot,
@@ -136,8 +128,7 @@ def sample_entity_episode(ds: Dataset, g: ConceptGraph, split: str, n_way: int,
 
 def sample_concept_episode(ds: Dataset, g: ConceptGraph, level: int, n_way: int,
                            k_shot: int, n_query: int, rng: Rng) -> Episode:
-    """N-way episode over the concept classes of one abstract level."""
-    _check_way_shot(n_way, k_shot, n_query)
+    """N-way episode over the concept classes of one abstract level (shape as above)."""
     if not (0 <= level < g.entity_level):
         raise DataError("concept episodes must use non-leaf levels "
                         f"(got level {level}, entities at {g.entity_level})")
@@ -187,7 +178,7 @@ class SynthConfig:
         require_types(self, "data", sigma_levels="float")
         require_at_least(self, "data", 2, "branching", "num_levels")
         require_at_least(self, "data", 1, "samples_per_class", "input_dim", "semantic_dim")
-        require_at_least(self, "data", 0, "seed")
+        require_at_least(self, "data", 0, "seed", "semantic_noise")
         self._check_sizes()
         if self.sigma_levels is None:
             self.sigma_levels = [1.0 * 0.5 ** i for i in range(self.num_levels - 1)]
@@ -231,8 +222,10 @@ class SynthConfig:
                 f"bytes, past numpy's limit of {_MAX_BYTES}")
 
 
+@quiet_fp
 def generate_synthetic(cfg: SynthConfig):
-    """Pure function of the config (seed included): (ConceptGraph, Dataset)."""
+    """Pure function of the config (seed included): (ConceptGraph, Dataset).
+    Overflow is silent; the graph and dataset reject its non-finite values."""
     rng = Rng(cfg.seed)
     proto_rng, sample_rng = rng.child("prototypes"), rng.child("samples")
     sem_rng, split_rng = rng.child("semantics"), rng.child("splits")

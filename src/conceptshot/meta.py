@@ -303,20 +303,6 @@ def episode_loss(model: Model, ep: Episode, task: list):
 # ---------------------------------------------------------------------------
 # outer loop
 
-def _weighted_terms(terms):
-    """(the step's loss, each term's mean, each episode loss's weight in the
-    loss) for ``terms``, a list of (weight, the term's episode losses).  A
-    term's mean adds its losses left to right and scales by 1/n (exact when
-    n = 1), the loss adds the weighted means left to right, and each episode
-    loss weighs w * (1/n)."""
-    scales = [(float(w), 1.0 / len(losses)) for w, losses in terms]
-    means = [functools.reduce(operator.add, losses) * s
-             for (_, losses), (_, s) in zip(terms, scales)]
-    total = functools.reduce(operator.add, [m * w for m, (w, _) in zip(means, scales)])
-    return total, means, [w * s for (w, s), (_, losses) in zip(scales, terms)
-                          for _ in losses]
-
-
 def _gradients(model: Model, vjps, weights, emit_grads) -> dict:
     """Every parameter's gradient of the sum of ``weights[k]`` times episode
     k's query loss, by name, from the episodes' :func:`episode_loss` vjps
@@ -342,57 +328,50 @@ def train_step(model: Model, opt: SgdOptimizer, ds: Dataset, cfg: TrainConfig,
     """One outer update: sample episodes for every active loss term, combine
     them with their weights, backpropagate, and step the optimizer.
 
-    All randomness is re-derived from (cfg.seed, iteration), so any term can
-    be replayed in isolation and the step itself is resumable.  Every term's
-    episodes are sampled first, in term order, then emitted together by one
-    :meth:`Model.emit` call and adapted by :func:`adapt_episodes` (one
-    :func:`inner_adapt` block per episode shape), and each is scored by one
-    :func:`episode_loss` call, in term order again.  Each episode keeps the
-    bits it would get alone.  The gradient runs back through the same
-    stages (:func:`_gradients`).
+    The terms are one table of (name, weight, sampler): the entity term, then
+    a concept term per level of ``levels``, those of positive weight.  Term t
+    is the slice [t*n, (t+1)*n) of one flat list of episodes, n =
+    ``cfg.episodes_per_term``.  All randomness is re-derived from (cfg.seed,
+    iteration), so any term can be replayed in isolation and a step resumed.
+    One :meth:`Model.emit` call emits the episodes, :func:`adapt_episodes`
+    adapts them (one :func:`inner_adapt` block per shape) and one
+    :func:`episode_loss` call scores each, with the bits it gets alone.  A
+    term's loss adds its episodes' left to right and scales by 1/n, the
+    step's adds the weighted terms' left to right, and each episode weighs w
+    * (1/n) in the gradient (:func:`_gradients`).
     """
-    it_rng = Rng(cfg.seed).child("train", iteration)
-    rec = {"iteration": iteration, "lr": cfg.lr_at(iteration),
-           "entity_loss": float("nan"), "entity_acc": float("nan")}
-    terms = []                      # (name, weight, its episodes)
-
-    def add_term(name, weight, sample):
-        terms.append((name, weight, [sample(it_rng.child("sample", name, b))
-                                     for b in range(cfg.episodes_per_term)]))
-
-    if cfg.entity_weight > 0:
-        add_term("entity", cfg.entity_weight,
-                 lambda r: sample_entity_episode(ds, model.graph, "meta-train",
-                                                 cfg.n_way, cfg.k_shot, cfg.n_query, r))
     if cfg.concept_weight > 0 and not levels:
         raise ConfigError("concept weight is positive but no abstract level has "
                           "enough classes for an episode")
-    for level, n_way in levels:
-        w = cfg.weight_for(level)
-        rec[f"concept{level}_loss"] = rec[f"concept{level}_acc"] = float("nan")
-        if w > 0:
-            add_term(f"concept{level}", w,
-                     lambda r, lv=level, n=n_way: sample_concept_episode(
-                         ds, model.graph, lv, n, cfg.k_shot, cfg.n_query, r))
+    shape = (cfg.k_shot, cfg.n_query)
+    terms = [("entity", cfg.entity_weight, functools.partial(
+        sample_entity_episode, ds, model.graph, "meta-train", cfg.n_way, *shape))]
+    terms += [(f"concept{level}", cfg.weight_for(level), functools.partial(
+        sample_concept_episode, ds, model.graph, level, n_way, *shape))
+              for level, n_way in levels]
+    terms = [(name, float(w), sample) for name, w, sample in terms if w > 0]
     if not terms:
         raise ConfigError("all loss weights are zero; nothing to train")
 
-    eps = [ep for _, _, term_eps in terms for ep in term_eps]
-    heads, emit_grads = model.emit(
-        [ep.class_ids for ep in eps],
-        [it_rng.child("drop", name, b) for name, _, term_eps in terms
-         for b in range(len(term_eps))], True)
-    states = iter(adapt_episodes(model, eps, heads, cfg.adapt_steps, cfg.inner_lr))
-    scored, vjps = [], []           # (weight, the term's episode losses); vjps in order
-    for name, weight, term_eps in terms:
-        losses, accs, term_vjps = zip(*[episode_loss(model, ep, next(states))
-                                        for ep in term_eps])
-        scored.append((weight, losses))
-        vjps += term_vjps
-        rec[f"{name}_acc"] = float(np.mean(accs))
-    rec["total_loss"], means, weights = _weighted_terms(scored)
-    for (name, _, _), mean in zip(terms, means):
-        rec[f"{name}_loss"] = mean
+    n, it_rng = cfg.episodes_per_term, Rng(cfg.seed).child("train", iteration)
+    runs = [(name, b, sample) for name, _, sample in terms for b in range(n)]
+    eps = [sample(it_rng.child("sample", name, b)) for name, b, sample in runs]
+    drops = [it_rng.child("drop", name, b) for name, b, _ in runs]
+    heads, emit_grads = model.emit([ep.class_ids for ep in eps], drops, True)
+    adapted = adapt_episodes(model, eps, heads, cfg.adapt_steps, cfg.inner_lr)
+    losses, accs, vjps = zip(*[episode_loss(model, ep, task)
+                               for ep, task in zip(eps, adapted)])
+    # every column starts as NaN (an inactive term's stay so); the total goes last
+    rec = {c: float("nan") for c in metrics_columns(levels) if c != "total_loss"}
+    rec.update(iteration=iteration, lr=cfg.lr_at(iteration))
+    parts, weights = [], []
+    for t, (name, w, _) in enumerate(terms):
+        term = slice(t * n, (t + 1) * n)
+        mean = functools.reduce(operator.add, losses[term]) * (1.0 / n)
+        rec[f"{name}_loss"], rec[f"{name}_acc"] = mean, float(np.mean(accs[term]))
+        parts.append(mean * w)
+        weights += [w * (1.0 / n)] * n
+    rec["total_loss"] = functools.reduce(operator.add, parts)
     opt.step(rec["lr"], _gradients(model, vjps, weights, emit_grads))
     return rec
 
@@ -413,7 +392,7 @@ def _fmt_cell(v):
 
 def write_metrics(path, columns, records):
     write_text_atomic(path, [",".join(columns) + "\n"] + [
-        ",".join(_fmt_cell(rec.get(c, float("nan"))) for c in columns) + "\n"
+        ",".join(_fmt_cell(rec[c]) for c in columns) + "\n"
         for rec in records])
 
 

@@ -433,34 +433,34 @@ NOISY = "data.sigma_levels=[1.0,0.5,3.0]"
 PINNED_ARTIFACTS = {
     "test_10": ([], [],
         ("2ce0b2772cb9769a", "f720f336559ac2ad",
-         "4b17c47511caa0e7", "84667f161db1f615")),
+         "1834c95c2977446d", "84667f161db1f615")),
     "noisy": ([NOISY], [],
         ("0c2eb9634c0c75b9", "f8cf250a0449feac",
-         "f765a00537e8dbda", "c06ced0aed0ae003")),
+         "cf4ebc47cec55272", "c06ced0aed0ae003")),
     "concepts-off": ([NOISY, "train.concept_weight=0.0"], [],
         ("6de8af6a83612b61", "09a7d8945ef97247",
-         "5b08807d2f1b8a38", "52de3ef4552f347a")),
+         "94a81c60a6286557", "52de3ef4552f347a")),
     "one-hot": ([NOISY, "generator.semantics=one-hot"], [],
         ("2be565dd067ab7bc", "26fc9be0093efe9c",
-         "5be98474f5893032", "37ad3bed9ea16ec4")),
+         "63bc5af687dc92b4", "37ad3bed9ea16ec4")),
     "mix-mode": ([NOISY, "data.mix_mode=true", "data.branching=4"], [],
         ("dc2f8e8cbf044493", "af4daf3d2cb5bd32",
-         "b7244610997c35ee", "a6a56281c2854a6a")),
+         "65a0efb31a7d2a8a", "a6a56281c2854a6a")),
     "three-hop": ([NOISY, "generator.embed_widths=[8,8,8]"], [],
         ("b5744df8b00a924d", "1cc2e7db963c0840",
-         "eebbb3977670abe8", "8214768f7cf5251f")),
+         "a6ed06f5ef1668fc", "8214768f7cf5251f")),
     "two-episodes-per-term": ([NOISY, "train.episodes_per_term=2"], [],
         ("6ad2174de69acb63", "f03bedf7914d6d5c",
-         "1baf46df6ee55d9c", "784ab36d66fa46cb")),
+         "9f1d72a4b1ef9f7d", "784ab36d66fa46cb")),
     "no-dropout": ([NOISY, "generator.keep_prob=1.0"], [],
         ("8ca2f1b45e3a4d50", "741e9313eceef8a9",
-         "d39d3efa90534d47", "81ac3d0d092e8d59")),
+         "8bfa46a2e64555e7", "81ac3d0d092e8d59")),
     "level-weights": ([NOISY, 'train.level_weights={"1":0.5}'], [],
         ("d04f8e81d67d51ab", "686715d11ad0f11d",
-         "cb2c0ed9ddc24ff7", "02bca6427b714e20")),
+         "247bbc0a49882031", "02bca6427b714e20")),
     "eval-level-1": ([NOISY], ["--level", "1"],
         ("0c2eb9634c0c75b9", "f8cf250a0449feac",
-         "dcab48d13c8ce79f", "c06ced0aed0ae003")),
+         "65c599fa9399fe0f", "c06ced0aed0ae003")),
 }
 
 

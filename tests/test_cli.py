@@ -2,11 +2,15 @@
 
 import json
 import math
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conceptshot.cli import main
+from conceptshot.config import ExperimentConfig, from_dict
 
 
 def write_config(tmp_path, **extra):
@@ -74,6 +78,10 @@ def test_train_then_eval_flow(tmp_path, capsys):
     assert "±" in out and "2-way 1-shot" in out
     lines = (tmp_path / "art" / "eval.csv").read_text().splitlines()
     assert lines[0] == "episode,accuracy" and len(lines) == 5
+    # the metrics CSV's number format: a plain float repr in every cell
+    for i, line in enumerate(lines[1:]):
+        episode, accuracy = line.split(",")
+        assert int(episode) == i and 0.0 <= float(accuracy) <= 1.0
 
 
 def test_eval_csv_is_written_atomically(tmp_path, monkeypatch, capsys):
@@ -213,7 +221,8 @@ def test_exit_codes(tmp_path, capsys):
                 "encoder.slope=Infinity", "generator.scale=true", "data.mix_mode=no",
                 "train=3", "encoder.widths=[2.5,8]", "data.sigma_levels=[NaN,0.4,0.3]"):
         assert main(["train", "-c", str(cfgp), "--set", bad]) == 2
-    for bad in ("data.branching=2.5", 'data.semantic_noise="a"'):
+    for bad in ("data.branching=2.5", 'data.semantic_noise="a"',
+                "data.semantic_noise=-1"):
         assert main(["gen-data", "-c", str(cfgp), "--set", bad]) == 2
     # sizes past the int32 node ids or numpy's array limit, checked before any
     # size is derived from them (a huge level count included)
@@ -237,6 +246,11 @@ def test_exit_codes(tmp_path, capsys):
     (tmp_path / "art").mkdir()
     for path in ("array.json", "latin1.json", "deep.json", "art"):
         assert main(["train", "-c", str(tmp_path / path)]) == 2
+    # data errors: noise so large that generation overflows is reported as
+    # non-finite semantics, with no numpy warning (an error under pytest's
+    # warning filter), and nothing is written
+    for bad in ("data.semantic_noise=1e308", "data.sigma_levels=[1e308,1e308,1e308]"):
+        assert main(["gen-data", "-c", str(cfgp), "--set", bad]) == 3
     # data errors: artifacts missing
     capsys.readouterr()
     assert main(["train", "-c", str(cfgp)]) == 3
@@ -332,3 +346,64 @@ def test_ablate_generates_data_when_missing(tmp_path, capsys):
     assert main(["ablate", "weak-only", "-c", str(cfgp)]) == 0
     out = capsys.readouterr().out
     assert "weak-only sweep" in out
+
+
+# every key of every section, with its declared type ("int", "list", ...)
+_KEYS = [(f"{s.name}.{f.name}", f.type) for s in fields(ExperimentConfig)
+         for f in fields(getattr(from_dict({}), s.name))]
+# keys whose count sets the work of a run, kept at 2 or less
+_COUNTS = {"train.iterations", "train.episodes_per_term", "eval.n_episodes"}
+_SMALL_FLOATS = st.sampled_from([-1.0, 0.0, 0.1, 0.5, 1.0, 2.0])
+_VALUES = {
+    "int": st.integers(-1, 3),
+    "float": _SMALL_FLOATS,
+    "bool": st.booleans(),
+    "str": st.sampled_from(["embeddings", "one-hot", "x"]),
+    "list": st.lists(st.integers(-1, 3) | _SMALL_FLOATS, max_size=3),
+    "dict": st.dictionaries(st.sampled_from(["0", "1", "2", "x"]), _SMALL_FLOATS,
+                            max_size=2),
+}
+# the names a path key may take, under the run's artifact directory ("" is
+# that directory itself)
+_PATHS = ["", "graph.json", "data.bin", "model.ckpt", "metrics.csv", "eval.csv",
+          "missing/x.csv"]
+
+
+@st.composite
+def _override(draw):
+    key, kind = draw(st.sampled_from(_KEYS))
+    if key.startswith("paths."):
+        return key, draw(st.sampled_from(_PATHS))
+    value = draw(st.integers(-1, 2) if key in _COUNTS else _VALUES[kind])
+    return key, json.dumps(value)
+
+
+@pytest.fixture(scope="module")
+def tiny_world(tmp_path_factory):
+    """A directory holding the graph, dataset and checkpoint of the tiny
+    config of ``write_config`` (2 iterations, 2 eval episodes)."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfgp = write_config(root, train={"iterations": 2}, eval={"n_episodes": 2})
+    assert main(["gen-data", "-c", str(cfgp)]) == 0
+    assert main(["train", "-c", str(cfgp)]) == 0
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["gen-data", "train", "eval", "inspect-graph"]),
+       overrides=st.lists(_override(), max_size=4),
+       eval_args=st.sampled_from([[], ["--untrained"], ["--level", "1"],
+                                  ["--untrained", "--split", "meta-train"]]))
+def test_main_exits_with_a_documented_code(tiny_world, tmp_path_factory, command,
+                                           overrides, eval_args):
+    # random small overrides of any key end in exit 0, 2, 3 or 4, never an
+    # uncaught exception (a numpy warning included: pytest makes it an error)
+    run = tmp_path_factory.mktemp("run")
+    shutil.copytree(tiny_world, run, dirs_exist_ok=True)
+    cfgp = write_config(run, train={"iterations": 2}, eval={"n_episodes": 2})
+    argv = [command, "-c", str(cfgp)] + (eval_args if command == "eval" else [])
+    for key, value in overrides:
+        if key.startswith("paths."):
+            value = str(run / "art" / value)
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) in (0, 2, 3, 4)
