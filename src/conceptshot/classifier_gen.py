@@ -12,9 +12,10 @@ Three stages:
                         and scaled to norm ``scale``; the task's rows are
                         split into its head: per-class weights (first
                         ``feature_dim`` columns) and bias (last column).
-                        Each task writes back into its own copy of its node
-                        matrix, one task at a time, in training and in eval
-                        alike.
+                        One write-back propagation serves every task of a
+                        call, in training and in eval alike, and one
+                        affine every group of tasks with disjoint class
+                        rows.
 
 The stages run on plain arrays, each intermediate checked for non-finite
 values; hops and relation MLP are ``tensor``'s leaky layers plus dropout.
@@ -230,24 +231,34 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     gradient to those of ``z_all``, the refined rows, ``w`` and ``b``.
 
     ``z_all`` is a stack of node matrices, one per task (in eval, one
-    shared matrix broadcast), beside lists of refined rows and of class id
-    arrays.  The tasks run one at a time: each copies its node matrix,
-    writes its refined rows in, propagates its class rows i only (every
-    other row +0.0) and runs the affine on every row (a row's bits depend
-    on the row count), keeping ``(P·z)[i]`` and its rows of the output.
-    The output holds every task's rows, task after task, and a call holds
-    one node matrix at a time, whatever the task count.  The vjp rebuilds
-    the +0.0 P·z stack from the kept rows, and its Pᵀ runs on ``near``,
-    each task's N(i).
+    shared matrix broadcast, read as that matrix), beside lists of refined
+    rows and of class id arrays.  One write-back propagation sums every
+    task's class rows i, each reading its task's refined rows at i and its
+    node matrix elsewhere; no node matrix is copied.  The affine runs on
+    every row (a row's bits depend on the row count, not on the other
+    rows' values) once per group of tasks with disjoint class rows, a task
+    joining the group after the last one that holds one of its rows: one
+    node-sized matrix, kept across groups, takes each group's propagated
+    rows at their ids.  The output holds every task's rows, task after
+    task.  Every propagated row is checked before any output row (where
+    one task overflows the affine and a later one the propagation, the
+    error names the propagation).  The vjp rebuilds the +0.0 P·z stack
+    from the kept rows, and its Pᵀ runs on ``near``, each task's N(i).
     """
-    pz_rows, rows = [], []
-    for m, r, i in zip(z_all, refined, class_ids):
-        m = np.array(m)
-        m[i] = r
-        pz = prop.apply(m, [i])
-        pz_rows.append(checked(pz[i], "propagation", _WHERE))
-        rows.append(checked((pz @ w)[i] + b, "affine", _WHERE))
-    rows = np.concatenate(rows)
+    x = z_all[0] if z_all.strides[0] == 0 else z_all
+    pz_rows = checked(prop.apply(x, class_ids, refined), "propagation", _WHERE)
+    uses, group = np.zeros(prop.size, dtype=np.intp), []
+    for i in class_ids:
+        group.append(uses[i].max(initial=0))
+        uses[i] = group[-1] + 1
+    sizes, ids = [i.size for i in class_ids], np.concatenate(class_ids)
+    group, cuts = np.repeat(group, sizes), np.cumsum(sizes)[:-1]
+    nodes, rows = np.zeros((prop.size, w.shape[0])), np.empty((ids.size, w.shape[1]))
+    for k in range(group.max(initial=-1) + 1):
+        at = np.flatnonzero(group == k)
+        nodes[ids[at]] = pz_rows[at]
+        rows[at] = (nodes @ w)[ids[at]]
+    rows = checked(rows + b, "affine", _WHERE)
     norms = np.sqrt(np.sum(rows * rows, axis=1, keepdims=True))
     denom = np.maximum(norms, 1e-12)         # zero rows stay zero
     out = checked(checked(rows / denom, "l2_normalize_rows", _WHERE) * float(norm_scale),
@@ -257,10 +268,10 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         g = g * float(norm_scale)
         dot = np.sum(rows * g, axis=1, keepdims=True)
         g = np.split(np.where(norms > 1e-12, g / denom - rows * dot / denom ** 3, g / denom),
-                     np.cumsum([i.size for i in class_ids])[:-1])
+                     cuts)
         ga = np.zeros((len(class_ids), prop.size, w.shape[1]))
         pz = np.zeros((len(class_ids), prop.size, w.shape[0]))
-        for m, gt, p, pr, i in zip(ga, g, pz, pz_rows, class_ids):
+        for m, gt, p, pr, i in zip(ga, g, pz, np.split(pz_rows, cuts), class_ids):
             m[i] += gt
             p[i] = pr
         g_z = prop.apply_vjp(ga @ w.T, near)
@@ -285,7 +296,8 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     task's ids are checked first.  ``pz0`` is the propagated generator
     input (see :func:`graph_embed`).  Training and eval take the one path:
     the nodes are embedded once per call, on the rows the call's heads
-    read, and each task writes back into its own copy of the embedding.
+    read, and one write-back serves every task (see
+    :func:`emit_classifier`).
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
     reach = [ids, prop.neighborhoods(ids)]  # i, N(i), N(N(i)), ...: see graph_embed

@@ -104,17 +104,14 @@ def _sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what):
         raise DataError(
             f"need {n_way} classes with >={need} samples {what}, found {eligible.size}")
     ids = rng.gen.choice(eligible, size=n_way, replace=False)
-    sx, sy, qx, qy = [], [], [], []
-    for pos, c in enumerate(ids):
-        pool = ds.indices_for(c)
-        picked = pool[rng.gen.choice(pool.size, size=need, replace=False)]
-        sx.append(ds.features[picked[:k_shot]])
-        qx.append(ds.features[picked[k_shot:]])
-        sy.append(np.full(k_shot, pos, dtype=np.intp))
-        qy.append(np.full(n_query, pos, dtype=np.intp))
+    picked = np.stack([pool[rng.gen.choice(pool.size, size=need, replace=False)]
+                       for pool in map(ds.indices_for, ids)])   # (n_way, need)
+    way = np.arange(n_way, dtype=np.intp)
     return Episode(class_ids=np.asarray(ids),
-                   support_x=np.concatenate(sx), support_y=np.concatenate(sy),
-                   query_x=np.concatenate(qx), query_y=np.concatenate(qy))
+                   support_x=ds.features[picked[:, :k_shot].ravel()],
+                   support_y=np.repeat(way, k_shot),
+                   query_x=ds.features[picked[:, k_shot:].ravel()],
+                   query_y=np.repeat(way, n_query))
 
 
 def sample_entity_episode(ds: Dataset, g: ConceptGraph, split: str, n_way: int,

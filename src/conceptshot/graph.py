@@ -148,10 +148,16 @@ class Propagation:
         self.size = size
         self.ks = np.unique(degrees).astype(np.intp)
 
-    def apply(self, x, rows):
+    def apply(self, x, rows, written=None):
         """P·x on ``rows`` of each (n, d) node matrix of the (..., n, d)
-        array ``x``; the other rows are +0.0."""
-        return self._scatter(x, rows, True)
+        array ``x``; the other rows are +0.0.
+
+        With ``written``, one (rows, d) array per id array of ``rows``, the
+        call is a write-back: node matrix t reads ``written[t]`` at its rows
+        ``rows[t]`` in place of x's, and the output is the computed rows
+        only, row set after row set.  There ``x`` is a stack of one matrix
+        per row set, or one (n, d) matrix that every row set reads."""
+        return self._scatter(x, rows, True, written)
 
     def apply_vjp(self, g, rows):
         """The vjp of ``apply``: P is symmetric in structure, so Pᵀ·g sums
@@ -169,22 +175,37 @@ class Propagation:
             out.append(np.flatnonzero(hit[:-1]))
         return out
 
-    def _scatter(self, values, rows, divide: bool):
+    def _scatter(self, values, rows, divide: bool, written=None):
         """The neighborhood sums of ``values``, divided by the degrees when
         ``divide``, on ``rows``, one id array per (n, d) matrix of the stack
         ``values``, in a +0.0 array shaped as ``values``.  The rows are
         grouped by degree on the flattened stack, each entry offset to its
-        own matrix."""
-        src, n = np.concatenate(rows), self.size
-        off = np.repeat(np.arange(0, n * len(rows), n), [r.size for r in rows])
+        own matrix.  ``written`` as in ``apply``: its rows follow the
+        flattened stack, a neighbor that its row set wrote is read there,
+        and the sums are returned as they are."""
+        src, n, d = np.concatenate(rows), self.size, values.shape[-1]
+        task = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+        off, flat = task * n if values.ndim > 2 else 0 * task, values.reshape(-1, d)
+        if written is not None:
+            slot = np.full(len(rows) * n, -1)
+            slot[task * n + src] = np.arange(flat.shape[0], flat.shape[0] + src.size)
+            flat = np.concatenate([flat, *written])
         deg, groups = self.degrees[src], []
         for k in self.ks:
             pos = np.flatnonzero(deg == k)
             if pos.size:
-                groups.append((pos, self.nbr_idx[src[pos], :k] + off[pos, None]))
-        sums = neighbor_sums(values.reshape(-1, values.shape[-1]), groups)
+                nbrs = self.nbr_idx[src[pos], :k]
+                idx = nbrs + off[pos, None]
+                if written is not None:
+                    at = slot[nbrs + task[pos, None] * n]
+                    idx = np.where(at >= 0, at, idx)
+                groups.append((pos, idx))
+        sums = neighbor_sums(flat, groups)
+        sums = sums / deg[:, None] if divide else sums
+        if written is not None:
+            return sums
         out = np.zeros(values.shape)
-        out.reshape(-1, values.shape[-1])[src + off] = sums / deg[:, None] if divide else sums
+        out.reshape(-1, d)[src + off] = sums
         return out
 
 

@@ -465,9 +465,10 @@ def evaluate(model: Model, ds: Dataset, cfg: EvalConfig, *, split: str = "meta-t
     :func:`adapt_episodes`, then scored one by one by :func:`episode_loss`;
     each episode gets the bits it gets alone.  The emit is a training
     step's without dropout: one node embedding per block, propagated only
-    on the rows its heads read, and one write-back per episode (see
-    :func:`classifier_gen.emit_for_task`).  A non-finite value in a row no
-    head reads reaches no output and is not checked, as in training.
+    on the rows its heads read, and one write-back for the block's class
+    rows (see :func:`classifier_gen.emit_classifier`).  A non-finite value
+    in a row no head reads reaches no output and is not checked, as in
+    training.
     """
     try:
         accs = np.empty(cfg.n_episodes)

@@ -122,9 +122,10 @@ def class_labels(labels, n: int, c: int) -> np.ndarray:
 # graph neighborhood averaging
 
 # Blocks of at least this many lanes (the entries of one neighbor slice) per
-# comparator sort faster through the network than through ``np.sort``: the
-# crossover measured on a 2-vCPU x86 host lay between 16 and 64 for k <= 16.
-_LANES_PER_COMPARATOR = 64
+# comparator sort faster through the network than through ``np.sort``: on a
+# 2-vCPU x86 host the crossover lay at 11-20 lanes per comparator for
+# k = 3-10 (blocks of 1-100 rows of 16, 32 or 64 columns, timeit).
+_LANES_PER_COMPARATOR = 20
 _NETWORK_MAX_K = 16
 
 

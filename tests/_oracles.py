@@ -3,7 +3,8 @@ relabeling and equality, the generator input a model forms, every-row sets
 for the row-restricted propagation, the dense propagation matrix, the degree
 groups of a neighbor table and the padded neighborhood sum that
 ``tensor.neighbor_sums`` replaces, the per-call class filter and the
-``np.arange`` draw that ``data._sample_episode`` replaces, the taped inner
+per-class gathers and ``np.arange`` draw that ``data._sample_episode``
+replaces, the taped inner
 loop that ``meta.inner_adapt`` replaces, the taped query path that
 ``meta.episode_loss`` replaces, the query loss of one episode adapted
 alone and the program's gradient of it, the taped classifier generator (and
@@ -112,8 +113,11 @@ def eligible_classes(ds, candidates, need):
                     dtype=np.intp)
 
 
-def arange_sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what):
-    """The episode sampler drawing each class's samples from an explicit
+def per_class_sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what,
+                             arange=False):
+    """The episode sampler one class at a time: each class's features and
+    labels indexed and filled on their own, then concatenated; with
+    ``arange``, each class's samples are drawn from an explicit
     ``np.arange`` of its pool positions."""
     from conceptshot.data import Episode, _eligible
     from conceptshot.errors import DataError
@@ -127,7 +131,8 @@ def arange_sample_episode(ds, candidates, n_way, k_shot, n_query, rng, what):
     sx, sy, qx, qy = [], [], [], []
     for pos, c in enumerate(ids):
         pool = ds.indices_for(c)
-        picked = pool[rng.gen.choice(np.arange(pool.size), size=need, replace=False)]
+        draw = np.arange(pool.size) if arange else pool.size
+        picked = pool[rng.gen.choice(draw, size=need, replace=False)]
         sx.append(ds.features[picked[:k_shot]])
         qx.append(ds.features[picked[k_shot:]])
         sy.append(np.full(k_shot, pos, dtype=np.intp))

@@ -41,15 +41,20 @@ def _traced_run_is_correct(tmp_path, workload):
 
 
 def test_traced_tree85_run_is_correct(tmp_path):
-    _traced_run_is_correct(tmp_path, "tree-85")
+    # per training step, one P application for the second hop and one
+    # write-back for every episode's class rows; per eval block of 40
+    # episodes, one of each
+    metrics = _traced_run_is_correct(tmp_path, "tree-85")
+    assert metrics["train.graph.Propagation.apply.calls"]["value"] == 1 + 1
+    assert metrics["eval.graph.Propagation.apply.calls"]["value"] == 2 / 40
 
 
 def test_traced_tree585_run_is_correct(tmp_path):
     # the workload whose training propagates the smallest share of its rows;
     # per training step, one P application for the second hop and one
-    # write-back per episode; per eval block of 20 episodes, emitted as a
-    # training step is, one second-hop application on the union of the
-    # block's N(i) and 20 write-backs
+    # write-back for every episode's class rows; per eval block of 20
+    # episodes, emitted as a training step is, one second-hop application
+    # on the union of the block's N(i) and one write-back
     metrics = _traced_run_is_correct(tmp_path, "tree-585")
-    assert metrics["train.graph.Propagation.apply.calls"]["value"] == 1 + 3
-    assert metrics["eval.graph.Propagation.apply.calls"]["value"] == 1 + 1 / 20
+    assert metrics["train.graph.Propagation.apply.calls"]["value"] == 1 + 1
+    assert metrics["eval.graph.Propagation.apply.calls"]["value"] == 2 / 20

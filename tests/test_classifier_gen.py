@@ -282,7 +282,7 @@ def test_emit_checks_every_task_before_generator_work(monkeypatch):
 def test_shared_embedding_emit_matches_alone_bitwise(ids):
     # tasks of several levels in one call out of training, where they share
     # one node embedding (of the union of their rows), each reading rows
-    # that an earlier task rewrote in its own copy (in either task order)
+    # that an earlier task rewrote (in either task order)
     g = tree7()
     cfg = small_cfg()
     params = {n: T.Tensor(p.data) for n, p in init_generator(cfg, 3, 2, T.Rng(9)).items()}
@@ -291,6 +291,28 @@ def test_shared_embedding_emit_matches_alone_bitwise(ids):
                              [T.Rng(k) for k in range(4)], False)
     for i, head in zip(ids, heads):
         alone = emit_one(params, cfg, prop, g.semantics, i, T.Rng(0), training=False)
+        for x, y in zip(head, alone):               # weights, then bias
+            assert np.array_equal(_bits(x), _bits(y))
+
+
+@pytest.mark.parametrize("training, keep_prob", [(True, 0.9), (True, 1.0), (False, 0.9)])
+def test_emit_with_repeated_class_rows_matches_alone_bitwise(training, keep_prob):
+    # six tasks in three affine groups (tasks with disjoint class rows share
+    # one): [3, 4], [1, 2] and [0] in the first, where row 1 reads rows 3
+    # and 4, and row 0 rows 1 and 2, each written back by another task of
+    # the group; [5, 6, 3] in the second; [3, 4] again and [1, 5] in the
+    # third, where row 1 reads the repeated task's rows 3 and 4.  Each task
+    # reads its own refined rows only, and each head has the bits of its
+    # task emitted alone from the same stream
+    g = tree7()
+    cfg = small_cfg(keep_prob=keep_prob)
+    params = init_generator(cfg, 3, 2, T.Rng(9))
+    prop = propagation_operator(g)
+    ids = [[3, 4], [1, 2], [5, 6, 3], [0], [3, 4], [1, 5]]
+    heads, _ = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), ids,
+                             [T.Rng(k) for k in range(len(ids))], training)
+    for k, (i, head) in enumerate(zip(ids, heads)):
+        alone = emit_one(params, cfg, prop, g.semantics, i, T.Rng(k), training)
         for x, y in zip(head, alone):               # weights, then bias
             assert np.array_equal(_bits(x), _bits(y))
 
@@ -338,9 +360,10 @@ def test_shared_embedding_emit_ignores_rows_no_task_reads(monkeypatch):
 
 def test_shared_embedding_emit_memory_does_not_grow_with_the_block():
     # an eval block's tasks share one node matrix, broadcast: the write-back
-    # holds one task's copy at a time, so 60 more tasks on a 585-node graph
-    # add less than a quarter of a node matrix each (a copy per task stacked
-    # for the block would add several)
+    # reads it without a copy per task and holds one node-sized matrix for
+    # all its affine groups, so 60 more tasks on a 585-node graph add less
+    # than a quarter of a node matrix each (a copy per task stacked for the
+    # block would add several)
     g, _ = generate_synthetic(SynthConfig(branching=8, num_levels=4, input_dim=2,
                                           semantic_dim=2, samples_per_class=1, seed=5))
     prop = propagation_operator(g)

@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import arange_sample_episode, eligible_classes, graphs_equal
+from _oracles import eligible_classes, graphs_equal, per_class_sample_episode
 from conceptshot import data
 from conceptshot.data import (Dataset, SynthConfig, class_separation,
                               eligible_concept_levels, generate_synthetic, load_dataset,
@@ -317,11 +317,36 @@ def test_sampler_matches_arange_draw():
             for k_shot, n_query in ((1, 1), (1, 15), (3, 20), (5, 25)):
                 args = (ds, cand, n_way, k_shot, n_query)
                 got = data._sample_episode(*args, Rng(seed), "here")
-                want = arange_sample_episode(*args, Rng(seed), "here")
+                want = per_class_sample_episode(*args, Rng(seed), "here", arange=True)
                 for name in ("class_ids", "support_x", "support_y", "query_x",
                              "query_y"):
                     npt.assert_array_equal(getattr(got, name), getattr(want, name))
                 assert all(g.nodes[c].level == level for c in got.class_ids)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sampler_matches_per_class_gathers_bytewise(dtype):
+    # one gather for the support set and one for the query set, and the
+    # labels as one repeat, give the bytes of each class gathered and
+    # labelled on its own, then concatenated
+    g, _ = generate_synthetic(SynthConfig(branching=3, num_levels=3, input_dim=4,
+                                          semantic_dim=4, samples_per_class=2, seed=9))
+    rng = np.random.default_rng(9)
+    ids = np.repeat(np.arange(g.num_nodes), rng.integers(6, 40, g.num_nodes))
+    ds = Dataset(rng.standard_normal((ids.size, 5)).astype(dtype), ids)
+    sources = [g.ids_at(g.entity_level, "meta-train"), g.ids_at(g.entity_level), g.ids_at(1)]
+    for seed in range(30):
+        for cand in sources:
+            for n_way in {1, 2, min(5, cand.size)}:
+                for k_shot, n_query in ((1, 1), (1, 5), (3, 2)):
+                    args = (ds, cand, n_way, k_shot, n_query)
+                    got = data._sample_episode(*args, Rng(seed), "here")
+                    want = per_class_sample_episode(*args, Rng(seed), "here")
+                    for name in ("class_ids", "support_x", "support_y", "query_x",
+                                 "query_y"):
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                        assert a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

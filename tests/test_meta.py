@@ -524,9 +524,9 @@ def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
 
 def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch):
     # each of the step's propagations (the hops after the first, one
-    # write-back per episode, and their vjps) sums fewer rows than the node
-    # matrices it is given hold: a fallback to propagating every row fails
-    # this
+    # write-back for every episode's class rows, and their vjps) sums fewer
+    # rows than the node matrices it is given hold: a fallback to
+    # propagating every row fails this
     g, ds = deep_world
     cfg = _step_cfg({})
     levels = eligible_concept_levels(ds, g, cfg)
@@ -541,7 +541,7 @@ def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch)
     monkeypatch.setattr(graph, "neighbor_sums", counting)
     train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
     hops = len(m.gen_cfg.embed_widths)
-    assert len(summed) == 2 * (hops - 1) + (1 + len(levels)) + 1
+    assert len(summed) == 2 * (hops - 1) + 1 + 1
     assert all(0 < rows < held for rows, held in summed), summed
 
 
@@ -744,7 +744,7 @@ def wide_world():
 def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
     """``evaluate`` on ``n_episodes`` episodes: each ``emit_for_task`` call
     it made with its arguments and heads, the ``rows`` of each P applied
-    meanwhile, and its result."""
+    meanwhile (a write-back's as well), and its result."""
     emitted, applied = [], []
     apply = graph.Propagation.apply
 
@@ -753,9 +753,9 @@ def _evaluate_emitting(m, ds, monkeypatch, n_episodes, level, n_way=3):
         emitted.append((args, out[0]))
         return out
 
-    def counting_apply(self, x, rows):
+    def counting_apply(self, x, rows, written=None):
         applied.append(rows)
-        return apply(self, x, rows)
+        return apply(self, x, rows, written)
 
     monkeypatch.setattr(meta, "emit_for_task", keeping_emit)
     monkeypatch.setattr(graph.Propagation, "apply", counting_apply)
@@ -786,17 +786,18 @@ def test_evaluate_emits_the_bits_of_emit_for_task(wide_world, monkeypatch, seman
                                                   level, n_way, seed):
     # the 6 episodes are one block, emitted by one call, as a training step
     # emits its episodes: the second hop (the model holds the first hop's
-    # P z0) propagates only the union of the block's N(i), and each
-    # episode's write-back propagates its own class rows i only
+    # P z0) propagates only the union of the block's N(i), and one
+    # write-back propagates each episode's own class rows i only
     g, ds = wide_world
     m = make_model(g, seed=seed, semantics=semantics)
     emitted, applied, _ = _evaluate_emitting(m, ds, monkeypatch, 6, level, n_way)
     assert len(emitted) == 1 and len(emitted[0][1]) == 6
     ids = [np.asarray(i) for i in emitted[0][0][4]]
-    assert len(m.gen_cfg.embed_widths) == 2 and len(applied) == 1 + 6
-    (hop,), *write_backs = applied
+    assert len(m.gen_cfg.embed_widths) == 2 and len(applied) == 1 + 1
+    (hop,), write_back = applied
     assert np.array_equal(hop, np.unique(np.concatenate(m.prop.neighborhoods(ids))))
-    assert all(np.array_equal(r, i) for (r,), i in zip(write_backs, ids))
+    assert len(write_back) == 6
+    assert all(np.array_equal(r, i) for r, i in zip(write_back, ids))
     _assert_heads_alone(emitted)
 
 
