@@ -223,6 +223,23 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
     return out, back
 
 
+def affine_groups(class_ids: list) -> list:
+    """The output-affine group of each task, by first fit: the lowest group
+    that holds none of its class rows.  Each row keeps the bit set of the
+    groups that hold it, so no group is searched."""
+    held, groups = {}, []
+    for i in class_ids:
+        i = i.tolist()
+        taken = 0
+        for r in i:
+            taken |= held.get(r, 0)
+        k = (~taken & (taken + 1)).bit_length() - 1     # the lowest clear bit
+        for r in i:
+            held[r] = held.get(r, 0) | 1 << k
+        groups.append(k)
+    return groups
+
+
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
                     w, b, norm_scale: float, near: list):
@@ -236,10 +253,9 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     task's class rows i, each reading its task's refined rows at i and its
     node matrix elsewhere; no node matrix is copied.  The affine runs on
     every row (a row's bits depend on the row count, not on the other
-    rows' values) once per group of tasks with disjoint class rows, a task
-    joining the group after the last one that holds one of its rows: one
-    node-sized matrix, kept across groups, takes each group's propagated
-    rows at their ids.  The output holds every task's rows, task after
+    rows' values) once per group of tasks with disjoint class rows (see
+    :func:`affine_groups`): one node-sized matrix, kept across groups,
+    takes each group's propagated rows at their ids.  The output holds every task's rows, task after
     task.  Every propagated row is checked before any output row (where
     one task overflows the affine and a later one the propagation, the
     error names the propagation).  The vjp rebuilds the +0.0 P·z stack
@@ -247,12 +263,8 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     """
     x = z_all[0] if z_all.strides[0] == 0 else z_all
     pz_rows = checked(prop.apply(x, class_ids, refined), "propagation", _WHERE)
-    uses, group = np.zeros(prop.size, dtype=np.intp), []
-    for i in class_ids:
-        group.append(uses[i].max(initial=0))
-        uses[i] = group[-1] + 1
     sizes, ids = [i.size for i in class_ids], np.concatenate(class_ids)
-    group, cuts = np.repeat(group, sizes), np.cumsum(sizes)[:-1]
+    group, cuts = np.repeat(affine_groups(class_ids), sizes), np.cumsum(sizes)[:-1]
     nodes, rows = np.zeros((prop.size, w.shape[0])), np.empty((ids.size, w.shape[1]))
     for k in range(group.max(initial=-1) + 1):
         at = np.flatnonzero(group == k)

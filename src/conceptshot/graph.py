@@ -8,8 +8,8 @@ adjacent levels and the parent-link graph must be acyclic (a forest).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +31,28 @@ class NodeRecord:
     split: str = "none"
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ConceptGraph:
-    """Validated hierarchy with semantics; raises DataError on any violation."""
+    """Validated hierarchy with semantics; raises DataError on any violation.
+
+    Node ids, levels and edge ends must be ints (not bools) and names
+    strings; nothing is coerced."""
 
     def __init__(self, nodes, edges, semantics, num_levels):
-        edges = [(int(i), int(j)) for i, j in edges]
+        nodes, edges = list(nodes), list(edges)
+        for n in nodes:
+            for field in ("id", "level"):
+                if not _is_integer(getattr(n, field)):
+                    raise DataError(f"node {n.id!r}: {field} must be an integer, "
+                                    f"got {getattr(n, field)!r}")
+            if not isinstance(n.name, str):
+                raise DataError(f"node {n.id}: name must be a string, got {n.name!r}")
+        for i, j in edges:
+            if not (_is_integer(i) and _is_integer(j)):
+                raise DataError(f"edge {i!r}-{j!r}: edge ends must be integers")
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self.edges = sorted({(min(i, j), max(i, j)) for i, j in edges})
         self.semantics = np.asarray(semantics, dtype=np.float64)
@@ -89,7 +106,7 @@ class ConceptGraph:
             if n.split in ("meta-train", "meta-test") and n.level != self.entity_level:
                 raise DataError(f"node {n.id} is non-leaf but tagged entity split '{n.split}'")
         m = len(self.nodes)
-        if len({(min(i, j), max(i, j)) for i, j in raw_edges}) != len(raw_edges):
+        if len(self.edges) != len(raw_edges):
             raise DataError("duplicate edge in edge list")
         parent = list(range(m))
 
@@ -239,18 +256,40 @@ def task_ids(class_ids, rows: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _block(items: list, depth: int, brackets: str = "[]") -> str:
+    """A container in json's ``indent=1`` layout: each rendered item on its
+    own line at ``depth`` spaces, the closing bracket one space less; an
+    empty one is ``[]`` (``{}``)."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * depth
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
+
+
+def _object(depth: int, **fields) -> str:
+    """An object of rendered values under plain-identifier keys, as ``_block``."""
+    return _block([f'"{k}": {v}' for k, v in fields.items()], depth, "{}")
+
+
 def save_graph(g: ConceptGraph, path):
-    """Write the graph as a JSON document, semantics at full precision."""
-    doc = {
-        "format": _FORMAT_NAME,
-        "version": 1,
-        "num_levels": g.num_levels,
-        "nodes": [{"id": n.id, "name": n.name, "level": n.level, "split": n.split}
-                  for n in g.nodes],
-        "edges": [[i, j] for i, j in g.edges],
-        "semantics": {"dim": int(g.semantics.shape[1]), "values": g.semantics.tolist()},
-    }
-    write_text_atomic(path, [json.dumps(doc, indent=1), "\n"])
+    """Write the graph as a JSON document, semantics at full precision.
+
+    The text is the bytes of ``json.dumps(doc, indent=1)`` and a newline,
+    one value per line, rendered here: with an indent json runs its
+    pure-Python encoder.  As json does, ints are written by
+    ``int.__repr__``, strings by ``encode_basestring_ascii`` and the
+    semantics (finite, as the graph checks) by ``float.__repr__``."""
+    num, text = int.__repr__, encode_basestring_ascii
+    nodes = [_object(3, id=num(n.id), name=text(n.name), level=num(n.level),
+                     split=text(n.split)) for n in g.nodes]
+    edges = [_block([num(i), num(j)], 3) for i, j in g.edges]
+    values = [_block(list(map(float.__repr__, row)), 4) for row in g.semantics.tolist()]
+    doc = _object(1, format=text(_FORMAT_NAME), version=num(1),
+                  num_levels=num(g.num_levels), nodes=_block(nodes, 2),
+                  edges=_block(edges, 2),
+                  semantics=_object(2, dim=num(g.semantics.shape[1]),
+                                    values=_block(values, 3)))
+    write_text_atomic(path, [doc, "\n"])
 
 
 def load_graph(path) -> ConceptGraph:
@@ -263,14 +302,14 @@ def load_graph(path) -> ConceptGraph:
         raise DataError(f"malformed graph document {path}: semantics must be an object")
     try:
         semantics = np.asarray(sem["values"], dtype=np.float64)
-        nodes = [NodeRecord(id=int(n["id"]), name=str(n["name"]), level=int(n["level"]),
-                            split=str(n.get("split", "none")))
+        nodes = [NodeRecord(id=n["id"], name=n["name"], level=n["level"],
+                            split=n.get("split", "none"))
                  for n in doc["nodes"]]
-        edges = [(int(i), int(j)) for i, j in doc["edges"]]
+        edges = [(i, j) for i, j in doc["edges"]]
         num_levels = doc["num_levels"]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed graph document {path}: {e}")
-    if not isinstance(num_levels, int) or isinstance(num_levels, bool):
+    if not _is_integer(num_levels):
         raise DataError(f"malformed graph document {path}: "
                         f"num_levels must be an integer, got {num_levels!r}")
     return ConceptGraph(nodes, edges, semantics, num_levels)

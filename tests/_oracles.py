@@ -1,5 +1,6 @@
 """Shared test oracles: central finite differences, error metrics, graph
-relabeling and equality, the generator input a model forms, every-row sets
+relabeling and equality, the ``json.dumps`` graph text that
+``graph.save_graph`` replaces, the generator input a model forms, every-row sets
 for the row-restricted propagation, the dense propagation matrix, the degree
 groups of a neighbor table and the padded neighborhood sum that
 ``tensor.neighbor_sums`` replaces, the per-call class filter and the
@@ -11,6 +12,8 @@ alone and the program's gradient of it, the taped classifier generator (and
 its row selection) that ``classifier_gen`` replaces, and the
 one-episode-at-a-time training step that ``meta.train_step`` replaces.  The
 taped chains are built from the reference ops of ``_tape``."""
+
+import json
 
 import numpy as np
 
@@ -56,6 +59,21 @@ def graphs_equal(a, b):
     return (a.num_levels == b.num_levels and a.nodes == b.nodes and a.edges == b.edges
             and a.semantics.shape == b.semantics.shape
             and np.array_equal(a.semantics, b.semantics))
+
+
+def indented_graph_json(g) -> str:
+    """The graph document as ``json.dumps(doc, indent=1)`` and a newline
+    write it: the text ``graph.save_graph`` renders itself."""
+    doc = {
+        "format": "conceptshot-graph",
+        "version": 1,
+        "num_levels": g.num_levels,
+        "nodes": [{"id": n.id, "name": n.name, "level": n.level, "split": n.split}
+                  for n in g.nodes],
+        "edges": [[i, j] for i, j in g.edges],
+        "semantics": {"dim": int(g.semantics.shape[1]), "values": g.semantics.tolist()},
+    }
+    return json.dumps(doc, indent=1) + "\n"
 
 
 def every_row(prop, count=1):

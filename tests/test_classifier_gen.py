@@ -10,7 +10,7 @@ import _tape
 from _oracles import (every_row, generator_input, numerical_grad, permute_graph, rel_err,
                       tape_emit_for_task)
 from conceptshot import classifier_gen, tensor as T
-from conceptshot.classifier_gen import (GeneratorConfig, emit_classifier,
+from conceptshot.classifier_gen import (GeneratorConfig, affine_groups, emit_classifier,
                                         emit_for_task, graph_embed, init_generator,
                                         refine_relations)
 from conceptshot.data import SynthConfig, generate_synthetic
@@ -295,6 +295,16 @@ def test_shared_embedding_emit_matches_alone_bitwise(ids):
             assert np.array_equal(_bits(x), _bits(y))
 
 
+def test_affine_groups_are_first_fit():
+    # a task joins the lowest group holding none of its rows: {2} goes back
+    # to group 0 beside {1}, not after {1, 2}'s group
+    ids = [np.array(i) for i in ([1], [1, 2], [2])]
+    assert affine_groups(ids) == [0, 1, 0]
+    ids = [np.array(i) for i in ([3, 4], [1, 2], [5, 6, 3], [0], [3, 4], [1, 5], [6], [2, 4])]
+    assert affine_groups(ids) == [0, 0, 1, 0, 2, 2, 0, 1]
+    assert affine_groups([]) == []
+
+
 @pytest.mark.parametrize("training, keep_prob", [(True, 0.9), (True, 1.0), (False, 0.9)])
 def test_emit_with_repeated_class_rows_matches_alone_bitwise(training, keep_prob):
     # six tasks in three affine groups (tasks with disjoint class rows share
@@ -309,6 +319,25 @@ def test_emit_with_repeated_class_rows_matches_alone_bitwise(training, keep_prob
     params = init_generator(cfg, 3, 2, T.Rng(9))
     prop = propagation_operator(g)
     ids = [[3, 4], [1, 2], [5, 6, 3], [0], [3, 4], [1, 5]]
+    heads, _ = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), ids,
+                             [T.Rng(k) for k in range(len(ids))], training)
+    for k, (i, head) in enumerate(zip(ids, heads)):
+        alone = emit_one(params, cfg, prop, g.semantics, i, T.Rng(k), training)
+        for x, y in zip(head, alone):               # weights, then bias
+            assert np.array_equal(_bits(x), _bits(y))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_emit_with_a_task_back_in_an_earlier_group_matches_alone_bitwise(training):
+    # [5, 6] and [1, 2] go back to group 0 after [3, 5] opened group 1, so
+    # one affine serves tasks on both sides of another group's task; each
+    # head has the bits of its task emitted alone
+    g = tree7()
+    cfg = small_cfg()
+    params = init_generator(cfg, 3, 2, T.Rng(9))
+    prop = propagation_operator(g)
+    ids = [[3, 4], [3, 5], [5, 6], [1, 2]]
+    assert affine_groups([np.array(i) for i in ids]) == [0, 1, 0, 0]
     heads, _ = emit_for_task(params, cfg, prop, generator_input(prop, g.semantics), ids,
                              [T.Rng(k) for k in range(len(ids))], training)
     for k, (i, head) in enumerate(zip(ids, heads)):

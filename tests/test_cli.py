@@ -300,6 +300,24 @@ def test_exit_codes(tmp_path, capsys):
     assert "config error" in err and "data error" in err
     assert "need 5 classes with >=4 samples at level 1, found 3" in err
     assert "numerical failure" in err
+    # data errors: node ids and levels, and edge ends, that are not JSON
+    # integers, and names that are not strings; each value would load as
+    # the one it replaces if it were coerced
+    good = graph_path.read_text()
+    for where, key, value in (("nodes", "id", 1.5), ("nodes", "id", True),
+                              ("nodes", "id", "1"), ("nodes", "level", 1.0),
+                              ("nodes", "level", True), ("nodes", "level", "1"),
+                              ("nodes", "name", None), ("nodes", "name", 1),
+                              ("edges", 1, 1.9), ("edges", 1, True), ("edges", 1, "1")):
+        doc = json.loads(good)
+        item = doc[where][1 if where == "nodes" else 0]
+        assert item[key] == 1 or key == "name"
+        item[key] = value
+        graph_path.write_text(json.dumps(doc))
+        assert main(["inspect-graph", "-c", str(cfgp)]) == 3
+        field = f": {key} must be a" if where == "nodes" else ": edge ends must be"
+        assert field in capsys.readouterr().err
+    graph_path.write_text(good)
     # data errors: a checkpoint with a non-finite parameter, named before any
     # parameter is written or any episode is run
     ckpt = tmp_path / "art" / "model.ckpt"

@@ -1,18 +1,23 @@
 """Concept graph: validation, serialization round trips, propagation operator."""
 
 import json
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import _tape
-from _oracles import (dense_propagation, every_row, graphs_equal, neighbor_groups,
-                      padded_neighbor_sum, permute_graph, select_task_rows)
+from _oracles import (dense_propagation, every_row, graphs_equal, indented_graph_json,
+                      neighbor_groups, padded_neighbor_sum, permute_graph,
+                      select_task_rows)
 from conceptshot import tensor as T
+from conceptshot.config import SynthConfig
+from conceptshot.data import generate_synthetic
 from conceptshot.errors import DataError
-from conceptshot.graph import (ConceptGraph, NodeRecord, describe, load_graph,
-                               propagation_operator, save_graph)
+from conceptshot.graph import (VALID_SPLITS, ConceptGraph, NodeRecord, describe,
+                               load_graph, propagation_operator, save_graph)
 
 
 def chain3(**kw):
@@ -108,6 +113,64 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert (tmp_path / "tree2.graph.json").read_bytes() == p.read_bytes()
 
 
+EDGE_VALUES = [-0.0, 5e-324, 1e-07, 1e16, 1.7976931348623157e308]
+
+
+@st.composite
+def small_forests(draw):
+    """A valid graph of at most 9 nodes: every level holds a node, each node
+    below level 0 has at most one parent on the level above (an entity node
+    always one), names hold non-ASCII, quotes, backslashes and control
+    characters, and semantics are 0-3 wide."""
+    num_levels = draw(st.integers(1, 3))
+    counts = draw(st.lists(st.integers(1, 3), min_size=num_levels, max_size=num_levels))
+    levels = [lv for lv, c in enumerate(counts) for _ in range(c)]
+    perm = draw(st.permutations(range(len(levels))))
+    chars = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac\U0001f600'),
+                      st.characters())
+    nodes, edges = [], []
+    for old, lv in enumerate(levels):
+        leaf = lv == num_levels - 1
+        split = draw(st.sampled_from(VALID_SPLITS if leaf else ("weak", "none")))
+        nodes.append(NodeRecord(perm[old], draw(st.text(chars, max_size=5)), lv, split))
+        above = [perm[k] for k, u in enumerate(levels) if u == lv - 1]
+        if above and (leaf or draw(st.booleans())):
+            edges.append((draw(st.sampled_from(above)), perm[old]))
+    dim = draw(st.integers(0, 3))
+    floats = st.one_of(st.sampled_from(EDGE_VALUES),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(floats, min_size=len(levels) * dim, max_size=len(levels) * dim))
+    return ConceptGraph(nodes, edges, np.array(values).reshape(len(levels), dim), num_levels)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_forests())
+@example(ConceptGraph([NodeRecord(0, "", 0)], [], np.zeros((1, 0)), 1))
+@example(ConceptGraph([NodeRecord(0, "r", 0), NodeRecord(1, 'q"\\\x01\u00e9', 1, "meta-test")],
+                      [(0, 1)], np.array([EDGE_VALUES, EDGE_VALUES[::-1]]), 2))
+def test_save_graph_writes_the_bytes_of_json_indent_1(tmp_path, g):
+    p = tmp_path / "g.json"
+    save_graph(g, p)
+    assert p.read_text(encoding="ascii") == indented_graph_json(g)
+    back = load_graph(p)
+    assert graphs_equal(back, g) and back.semantics.tobytes() == g.semantics.tobytes()
+
+
+def test_save_graph_skips_json_indent_encoder(tmp_path, monkeypatch):
+    # json.dumps with an indent runs the pure-Python _make_iterencode; the
+    # writer renders the layout itself, checked on the tree-585 shape
+    import json.encoder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph text went through json's indent encoder")
+
+    g, _ = generate_synthetic(SynthConfig(branching=8, num_levels=4, samples_per_class=1))
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    save_graph(g, tmp_path / "g.json")
+    assert g.num_nodes == 585 and (tmp_path / "g.json").stat().st_size > 0
+
+
 def test_load_missing_file():
     with pytest.raises(DataError, match="not found"):
         load_graph("/nonexistent/g.json")
@@ -170,6 +233,54 @@ def test_load_rejects_malformed_fields(tmp_path, edit):
         load_graph(p)
 
 
+def _edit_edge_end(value):
+    def edit(doc):
+        assert doc["edges"][0] == [0, 1]
+        doc["edges"][0][1] = value
+    return edit
+
+
+def _edit_node(field, value):
+    def edit(doc):
+        assert doc["nodes"][1]["id"] == doc["nodes"][1]["level"] == 1
+        doc["nodes"][1][field] = value
+    return edit
+
+
+# each value would load as the one it replaces if it were coerced
+UNCOERCED_FIELDS = {
+    "float-id": (_edit_node("id", 1.5), "node 1.5: id must be an integer"),
+    "bool-id": (_edit_node("id", True), "node True: id must be an integer"),
+    "string-id": (_edit_node("id", "1"), "node '1': id must be an integer"),
+    "float-level": (_edit_node("level", 1.0), "node 1: level must be an integer"),
+    "bool-level": (_edit_node("level", True), "node 1: level must be an integer"),
+    "string-level": (_edit_node("level", "1"), "node 1: level must be an integer"),
+    "null-name": (_edit_node("name", None), "node 1: name must be a string, got None"),
+    "number-name": (_edit_node("name", 1), "node 1: name must be a string, got 1"),
+    "float-edge-end": (_edit_edge_end(1.9), "edge 0-1.9: edge ends must be integers"),
+    "bool-edge-end": (_edit_edge_end(True), "edge 0-True: edge ends must be integers"),
+    "string-edge-end": (_edit_edge_end("1"), "edge 0-'1': edge ends must be integers"),
+}
+
+
+@pytest.mark.parametrize("edit, message", UNCOERCED_FIELDS.values(),
+                         ids=UNCOERCED_FIELDS.keys())
+def test_load_rejects_uncoerced_fields(tmp_path, edit, message):
+    p = tmp_path / "g.json"
+    save_graph(binary_tree_7(), p)
+    doc = json.loads(p.read_text())
+    edit(doc)
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_graph(p)
+
+
+def test_numpy_integer_node_id_rejected():
+    nodes = [NodeRecord(np.int64(0), "a", 0)]
+    with pytest.raises(DataError, match="node np.int64\\(0\\): id must be an integer"):
+        ConceptGraph(nodes, [], np.zeros((1, 2)), 1)
+
+
 def test_describe_mentions_counts():
     text = describe(binary_tree_7())
     assert "nodes: 7" in text and "level 2 (entities): 4 nodes" in text
@@ -198,7 +309,7 @@ def test_propagation_rows_sum_to_one():
     n_top = 6
     nodes = [NodeRecord(i, f"t{i}", 0) for i in range(n_top)]
     nodes += [NodeRecord(i, f"l{i}", 1) for i in range(n_top, 20)]
-    edges = [(rng.integers(0, n_top), i) for i in range(n_top, 20)]
+    edges = [(int(rng.integers(0, n_top)), i) for i in range(n_top, 20)]
     g = ConceptGraph(nodes, edges, rng.standard_normal((20, 3)), 2)
     p = dense_propagation(propagation_operator(g))
     npt.assert_allclose(p.sum(axis=1), np.ones(20), atol=1e-12)
