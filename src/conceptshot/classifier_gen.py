@@ -29,7 +29,8 @@ task (tasks of one class count share one relation-MLP stack), each task
 draws its dropout masks from its own stream in the reference order, and
 per-task gradients are summed left to right in task order.
 
-P and Pᵀ run only on the rows a head depends on (see ``graph_embed`` and
+P runs only on the rows a head depends on, and Pᵀ only on the rows its
+gradient holds, which are the rows P computed (see ``graph_embed`` and
 ``emit_classifier``), with the bits of propagating every row; a non-finite
 value in a row no head depends on reaches no output and is not checked.
 """
@@ -132,17 +133,16 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
     tasks share hop 0's affine and leaky ReLU and each later propagation.
     Nothing backpropagates into ``pz0``.
 
-    ``reach`` is each task's row sets [i, N(i), N(N(i)), ...] from
-    :func:`emit_for_task`: the rows a head reads at each depth, and that its
-    gradient reaches.  The output is exact on N(i) only, which is all the
-    write-back reads.  Of L hops, hop h >= 1 propagates only the rows that
-    the later hops read, ``reach[L - h]`` (their union while the tasks share
-    one node matrix: with no dropout, as in eval), and its vjp only
-    ``reach[L - h + 1]``, the rows its nonzero gradient reaches; depth L,
-    read by the vjp alone, may be appended after the forward.  The affines
-    run on every row (a row's bits depend on the row count), and the +0.0
-    rows of a propagation meet only gradient rows that are exactly zero, so
-    every computed bit is that of the full hops."""
+    ``reach`` is each task's row sets [i, N(i), ..., N^(L-1)(i)] from
+    :func:`emit_for_task`, for L hops: the rows a head reads at each depth.
+    The output is exact on N(i) only, which is all the write-back reads.
+    Hop h >= 1 propagates only the rows that the later hops read,
+    ``reach[L - h]`` (their union while the tasks share one node matrix:
+    with no dropout, as in eval), and its vjp reads each task's own rows of
+    that depth, the only rows its gradient holds, and reaches N of them.
+    The affines run on every row (a row's bits depend on the row count),
+    and the +0.0 rows of a propagation meet only gradient rows that are
+    exactly zero, so every computed bit is that of the full hops."""
     if pz0.shape[1] != params["gen.embed.0.W"].data.shape[0]:
         raise ConfigError(
             f"semantic width {pz0.shape[1]} does not match the first hop's "
@@ -165,10 +165,20 @@ def graph_embed(params: dict, cfg: GeneratorConfig, prop: Propagation,
             g, gw, gb = _layer_back(g, recs[h])
             grads[names[h][0]], grads[names[h][1]] = _fold(gw), _fold(gb)
             if h:
-                g = prop.apply_vjp(g @ ws[h].T, reach[hops - h + 1])
+                g = prop.apply_vjp(g @ ws[h].T, reach[hops - h])
         return grads
 
     return np.broadcast_to(x, (len(rngs),) + x.shape[-2:]), back
+
+
+def pair_grads(gh, n: int):
+    """The (tasks, n·n, 2d) gradient of a stack's pair rows, gathered back to
+    each task's n rows: row i's left half over the pairs (i, j) and its right
+    half over the pairs (j, i), each added in j order from +0.0, as a
+    scatter-add over the pairs adds them.  Each sum runs over the full
+    width: over one column numpy adds in eight lanes from eight entries on."""
+    gh, d = gh.reshape(gh.shape[0], n, n, -1), gh.shape[-1] // 2
+    return gh.sum(axis=2, initial=0.0)[..., :d], gh.sum(axis=1, initial=0.0)[..., d:]
 
 
 @quiet_fp
@@ -210,10 +220,7 @@ def refine_relations(params: dict, cfg: GeneratorConfig, z_tasks: list,
             for (w, _), r in zip(reversed(layers), reversed(recs[n])):
                 gh, gw, gb = _layer_back(gh, r)
                 grads, gh = grads + [gw, gb], gh @ w.T
-            d, (left, right) = g.shape[2], pairs[n]
-            gl, gr = np.zeros_like(g), np.zeros_like(g)
-            np.add.at(gl, (slice(None), left), gh[..., :d])
-            np.add.at(gr, (slice(None), right), gh[..., d:])
+            gl, gr = pair_grads(gh, n)
             g = (g + gl) + gr               # residual, left rows, right rows
             for j, k in enumerate(ks):
                 g_in[k], per_task[k] = g[j], [x[j] for x in grads]
@@ -242,7 +249,7 @@ def affine_groups(class_ids: list) -> list:
 
 @quiet_fp
 def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
-                    w, b, norm_scale: float, near: list):
+                    w, b, norm_scale: float):
     """Write-back, final propagation + affine (``w``, ``b``), row
     normalization scaled to ``norm_scale``; the vjp maps the rows'
     gradient to those of ``z_all``, the refined rows, ``w`` and ``b``.
@@ -259,7 +266,8 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
     task.  Every propagated row is checked before any output row (where
     one task overflows the affine and a later one the propagation, the
     error names the propagation).  The vjp rebuilds the +0.0 P·z stack
-    from the kept rows, and its Pᵀ runs on ``near``, each task's N(i).
+    from the kept rows, and its Pᵀ reads each task's class rows i, the rows
+    its gradient holds, and gives the gradient on N(i).
     """
     x = z_all[0] if z_all.strides[0] == 0 else z_all
     pz_rows = checked(prop.apply(x, class_ids, refined), "propagation", _WHERE)
@@ -286,7 +294,7 @@ def emit_classifier(prop: Propagation, z_all, refined: list, class_ids: list,
         for m, gt, p, pr, i in zip(ga, g, pz, np.split(pz_rows, cuts), class_ids):
             m[i] += gt
             p[i] = pr
-        g_z = prop.apply_vjp(ga @ w.T, near)
+        g_z = prop.apply_vjp(ga @ w.T, class_ids)
         g_refined = [m[i] for m, i in zip(g_z, class_ids)]
         for m, i in zip(g_z, class_ids):
             m[i] = 0.0
@@ -308,25 +316,26 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
     task's ids are checked first.  ``pz0`` is the propagated generator
     input (see :func:`graph_embed`).  Training and eval take the one path:
     the nodes are embedded once per call, on the rows the call's heads
-    read, and one write-back serves every task (see
-    :func:`emit_classifier`).
+    read (N(i) to depth L - 1 for L hops, which the vjps read too), and one
+    write-back serves every task (see :func:`emit_classifier`).  The row
+    selection's vjp adds the refined rows' gradients into the write-back
+    vjp's class rows, which hold +0.0 (and no entry -0.0), so each entry is
+    0.0 + g as in a zero-filled selection.
     """
     ids = [task_ids(i, prop.size) for i in class_ids]
-    reach = [ids, prop.neighborhoods(ids)]  # i, N(i), N(N(i)), ...: see graph_embed
-    for _ in cfg.embed_widths[2:]:
+    reach = [ids]                           # i, N(i), N(N(i)), ...: see graph_embed
+    for _ in cfg.embed_widths[1:]:
         reach.append(prop.neighborhoods(reach[-1]))
     z, embed_back = graph_embed(params, cfg, prop, pz0, rngs, training, reach)
     refined, refine_back = refine_relations(
         params, cfg, [m[i] for m, i in zip(z, ids)], rngs, training)
     rows, emit_back = emit_classifier(
         prop, z, refined, ids, params["gen.out.W"].data, params["gen.out.b"].data,
-        cfg.scale, reach[1])
+        cfg.scale)
     fd, ends = rows.shape[1] - 1, np.cumsum([i.size for i in ids])
     spans = [slice(e - i.size, e) for i, e in zip(ids, ends)]
 
     def grads(head_grads):
-        if len(reach) == len(cfg.embed_widths):     # depth L, read by the vjps alone
-            reach.append(prop.neighborhoods(reach[-1]))
         # assigned, not added to zeros: the emit vjp's scatter into zeros
         # turns a -0.0 into +0.0 all the same
         g = np.empty(rows.shape)
@@ -335,10 +344,8 @@ def emit_for_task(params: dict, cfg: GeneratorConfig, prop: Propagation,
             g[rs, fd] = gb
         g_z, g_refined, g_w, g_b = emit_back(g)
         g_tasks, rel_grads = refine_back(g_refined)
-        g_select = np.zeros(z.shape)        # the row selection's vjp
-        for m, gt, i in zip(g_select, g_tasks, ids):
+        for m, gt, i in zip(g_z, g_tasks, ids):     # the row selection's vjp, in place
             m[i] += gt
-        return {"gen.out.W": g_w, "gen.out.b": g_b, **rel_grads,
-                **embed_back(g_z + g_select)}
+        return {"gen.out.W": g_w, "gen.out.b": g_b, **rel_grads, **embed_back(g_z)}
 
     return [(rows[rs, :fd].copy(), rows[rs, fd].copy()) for rs in spans], grads

@@ -152,11 +152,13 @@ class Propagation:
 
     ``apply`` and ``apply_vjp`` run the operator and its transpose on plain
     arrays only, on one (n, d) node matrix or on any (..., n, d) stack of
-    them, on ``rows``, one id array per matrix of the stack: they sum those
-    rows only, grouped by degree on the spot, with order-canonical
-    summation (``tensor.neighbor_sums``), and leave every other row +0.0.
-    A sum's bits depend on its own entries only, so each computed row has
-    the bits it has whichever other rows are asked for.
+    them, on ``rows``, one id array per matrix of the stack, with
+    order-canonical summation (``tensor.neighbor_sums``).  ``apply`` sums
+    those rows only, grouped by degree on the spot; ``apply_vjp`` reads
+    those rows only and sums the rows they reach, N(rows), grouped by how
+    many of them each one receives.  Every other row is +0.0.  A sum's bits
+    depend on its own nonzero entries only, so each computed row has the
+    bits it has whichever other rows are asked for.
     """
 
     def __init__(self, nbr_idx, degrees, size):
@@ -174,12 +176,46 @@ class Propagation:
         ``rows[t]`` in place of x's, and the output is the computed rows
         only, row set after row set.  There ``x`` is a stack of one matrix
         per row set, or one (n, d) matrix that every row set reads."""
-        return self._scatter(x, rows, True, written)
+        return self._scatter(x, rows, written)
 
     def apply_vjp(self, g, rows):
-        """The vjp of ``apply``: P is symmetric in structure, so Pᵀ·g sums
-        the same neighborhoods of g·D^-1; ``rows`` as in ``apply``."""
-        return self._scatter(g / self.degrees[:, None], rows, False)
+        """The vjp of ``apply(x, rows)``: Pᵀ·g for a ``g`` shaped as x, read
+        on ``rows`` only; exact on N(rows), +0.0 elsewhere.  P is symmetric
+        in structure, so row r sums g·D^-1 over N(r) among ``rows``.
+
+        The rows, divided by their degrees into a table with a +0.0 row
+        last, are paired with the rows they reach, sorted by the row
+        reached and grouped by k', the pairs it receives: 1, 2, and 3 or
+        more padded with the +0.0 row to the widest.  The rest of N(r) holds
+        zeros in g, which add nothing, so each row has the bits of summing
+        its whole neighborhood (see ``tensor.neighbor_sums``)."""
+        src, n, d = np.concatenate(rows), self.size, g.shape[-1]
+        off = np.repeat(np.arange(len(rows)) * (n if g.ndim > 2 else 0),
+                        [r.size for r in rows])
+        table = np.concatenate([g.reshape(-1, d)[src + off] / self.degrees[src, None],
+                                np.zeros((1, d))])
+        nbrs = self.nbr_idx[src]
+        pair, col = np.nonzero(nbrs < n)            # (row of ``rows``, neighbor slot)
+        hit = nbrs[pair, col] + off[pair]
+        counts = np.bincount(hit)
+        kind = np.minimum(counts, 3)                # k' = 1, 2, or 3 and more
+        order = np.argsort(kind[hit] * counts.size + hit)
+        hit, pair = hit[order], pair[order]
+        _, one, two, _ = np.bincount(kind, minlength=4).tolist()
+        reached = [hit[:one], hit[one:one + 2 * two:2]]
+        groups = [(np.arange(one), pair[:one, None]),
+                  (np.arange(one, one + two), pair[one:one + 2 * two].reshape(two, 2))]
+        wide = np.flatnonzero(counts > 2)
+        if wide.size:
+            k = counts[wide]
+            at = (np.cumsum(k) - k + (one + 2 * two))[:, None] + np.arange(k.max())
+            idx = pair.take(at, mode="clip")
+            idx[at >= at[:, :1] + k[:, None]] = src.size
+            reached.append(wide)
+            groups.append((np.arange(one + two, one + two + wide.size), idx))
+        out = np.zeros(g.shape)
+        out.reshape(-1, d)[np.concatenate(reached)] = neighbor_sums(table, groups)
+        return out
 
     def neighborhoods(self, rows) -> list:
         """N(r), sorted, for each id array r of ``rows``: the rows of P·x
@@ -192,12 +228,11 @@ class Propagation:
             out.append(np.flatnonzero(hit[:-1]))
         return out
 
-    def _scatter(self, values, rows, divide: bool, written=None):
-        """The neighborhood sums of ``values``, divided by the degrees when
-        ``divide``, on ``rows``, one id array per (n, d) matrix of the stack
-        ``values``, in a +0.0 array shaped as ``values``.  The rows are
-        grouped by degree on the flattened stack, each entry offset to its
-        own matrix.  ``written`` as in ``apply``: its rows follow the
+    def _scatter(self, values, rows, written=None):
+        """P·``values`` on ``rows``, one id array per (n, d) matrix of the
+        stack ``values``, in a +0.0 array shaped as ``values``.  The rows
+        are grouped by degree on the flattened stack, each entry offset to
+        its own matrix.  ``written`` as in ``apply``: its rows follow the
         flattened stack, a neighbor that its row set wrote is read there,
         and the sums are returned as they are."""
         src, n, d = np.concatenate(rows), self.size, values.shape[-1]
@@ -217,8 +252,7 @@ class Propagation:
                     at = slot[nbrs + task[pos, None] * n]
                     idx = np.where(at >= 0, at, idx)
                 groups.append((pos, idx))
-        sums = neighbor_sums(flat, groups)
-        sums = sums / deg[:, None] if divide else sums
+        sums = neighbor_sums(flat, groups) / deg[:, None]
         if written is not None:
             return sums
         out = np.zeros(values.shape)

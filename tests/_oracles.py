@@ -3,7 +3,8 @@ relabeling and equality, the ``json.dumps`` graph text that
 ``graph.save_graph`` replaces, the generator input a model forms, every-row sets
 for the row-restricted propagation, the dense propagation matrix, the degree
 groups of a neighbor table and the padded neighborhood sum that
-``tensor.neighbor_sums`` replaces, the per-call class filter and the
+``tensor.neighbor_sums`` replaces, the pair-gradient scatters that
+``classifier_gen.pair_grads`` replaces, the per-call class filter and the
 per-class gathers and ``np.arange`` draw that ``data._sample_episode``
 replaces, the taped inner
 loop that ``meta.inner_adapt`` replaces, the taped query path that
@@ -55,10 +56,10 @@ def permute_graph(g, perm):
 
 def graphs_equal(a, b):
     """Whether two concept graphs have the same levels, nodes, edges and
-    semantics (bit for bit)."""
+    semantics, bit for bit: a zero's sign counts."""
     return (a.num_levels == b.num_levels and a.nodes == b.nodes and a.edges == b.edges
             and a.semantics.shape == b.semantics.shape
-            and np.array_equal(a.semantics, b.semantics))
+            and a.semantics.tobytes() == b.semantics.tobytes())
 
 
 def indented_graph_json(g) -> str:
@@ -122,6 +123,17 @@ def padded_neighbor_sum(values, nbr_idx):
     for j in range(block.shape[1]):
         out = out + block[:, j]
     return out
+
+
+def scattered_pair_grads(gh, n):
+    """The pair gradients of a (tasks, n·n, 2d) stack gathered back to each
+    task's n rows by two ``np.add.at`` scatters over the pairs' left and
+    right rows, the way ``classifier_gen.pair_grads`` replaces."""
+    d = gh.shape[-1] // 2
+    gl, gr = np.zeros((gh.shape[0], n, d)), np.zeros((gh.shape[0], n, d))
+    np.add.at(gl, (slice(None), np.repeat(np.arange(n), n)), gh[..., :d])
+    np.add.at(gr, (slice(None), np.tile(np.arange(n), n)), gh[..., d:])
+    return gl, gr
 
 
 def eligible_classes(ds, candidates, need):

@@ -215,7 +215,7 @@ def test_03_neighbor_averaging_oracles():
     params["gen.embed.0.W"].data = np.array([[1.0]])
     prop = propagation_operator(g)
     (out,), _ = graph_embed(params, cfg, prop, generator_input(prop, g.semantics),
-                            [T.Rng(0)], False, [every_row(prop)] * 2)
+                            [T.Rng(0)], False, [every_row(prop)])
     npt.assert_allclose(out, [[1.5], [2.0], [2.5]], rtol=0, atol=1e-12)
 
     # brute-force neighbor sums on 10 random hierarchies of at most 12 nodes
@@ -281,7 +281,7 @@ def test_04_row_norm_contract():
     nodes = [NodeRecord(0, "a", 0), NodeRecord(1, "b", 0), NodeRecord(2, "x", 1)]
     lone = propagation_operator(ConceptGraph(nodes, [(0, 2)], np.zeros((3, 2)), 2))
     rows, _ = emit_classifier(lone, np.zeros((1, 3, 2)), [np.array([[3.0, 4.0]])],
-                              [np.array([1])], np.eye(2), np.zeros(2), 0.2, every_row(lone))
+                              [np.array([1])], np.eye(2), np.zeros(2), 0.2)
     weights, bias = rows[:, :1], rows[:, 1]
     assert weights[0, 0] == (3.0 / 5.0) * 0.2
     assert bias[0] == (4.0 / 5.0) * 0.2

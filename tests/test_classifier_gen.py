@@ -8,11 +8,11 @@ import pytest
 
 import _tape
 from _oracles import (every_row, generator_input, numerical_grad, permute_graph, rel_err,
-                      tape_emit_for_task)
+                      scattered_pair_grads, tape_emit_for_task)
 from conceptshot import classifier_gen, tensor as T
 from conceptshot.classifier_gen import (GeneratorConfig, affine_groups, emit_classifier,
                                         emit_for_task, graph_embed, init_generator,
-                                        refine_relations)
+                                        pair_grads, refine_relations)
 from conceptshot.data import SynthConfig, generate_synthetic
 from conceptshot.encoder import EncoderConfig
 from conceptshot.errors import ConfigError, DataError, NumericalError
@@ -50,7 +50,7 @@ def embed_one(params, cfg, prop, sem, rng, training):
 
 def every_reach(prop, cfg, tasks=1):
     """``graph_embed``'s row sets at every depth, each asking for every row."""
-    return [every_row(prop, tasks)] * (len(cfg.embed_widths) + 1)
+    return [every_row(prop, tasks)] * len(cfg.embed_widths)
 
 
 def emit_one(params, cfg, prop, sem, class_ids, rng, training):
@@ -153,6 +153,26 @@ def test_relation_width_mismatch_rejected():
         GeneratorConfig(embed_widths=[4, 3], relation_widths=[5, 4])
 
 
+@pytest.mark.parametrize("tasks", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 32])
+def test_pair_grads_match_the_scatter_oracle_bitwise(d, tasks):
+    # refine_relations' backward gathers the pair rows' gradients with two
+    # ordered reductions, which add in the scatter's order from +0.0; one
+    # column is summed over the full width, where eight lanes would change
+    # the bits from eight classes on
+    rng = np.random.default_rng(10 * d + tasks)
+    for n in (*range(1, 7), 8, 12):
+        for trial in range(5):
+            gh = rng.standard_normal((tasks, n * n, 2 * d)) * np.exp(
+                rng.uniform(-30, 30, (tasks, n * n, 2 * d)))
+            u = rng.uniform(size=gh.shape)
+            gh[u < 0.2] = -0.0
+            gh[(u >= 0.2) & (u < 0.3)] = 0.0
+            for got, want in zip(pair_grads(gh, n), scattered_pair_grads(gh, n)):
+                assert got.shape == want.shape == (tasks, n, d)
+                assert np.array_equal(_bits(got), _bits(want)), (n, d)
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_embed_and_relation_vjps_leave_their_gradient_unwritten(training):
     # the leaky layers' vjp writes only into arrays a vjp makes itself; with
@@ -196,7 +216,7 @@ def test_emit_345_case(row, norm, scale):
     z_all = np.zeros((1, 3, 2))
     refined = [np.array([row])]
     rows, _ = emit_classifier(prop, z_all, refined, [np.array([1])], np.eye(2), np.zeros(2),
-                              scale, every_row(prop))
+                              scale)
     weights, bias = rows[:, :1], rows[:, 1]
     assert weights[0, 0] == (row[0] / norm) * scale
     assert bias[0] == (row[1] / norm) * scale
@@ -407,7 +427,7 @@ def test_shared_embedding_emit_memory_does_not_grow_with_the_block():
         block = np.broadcast_to(z, (tasks,) + z.shape)
         tracemalloc.start()
         try:
-            emit_classifier(prop, block, refined, ids, w, b, 0.2, every_row(prop, tasks))
+            emit_classifier(prop, block, refined, ids, w, b, 0.2)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -524,31 +524,36 @@ def test_train_step_adapts_once_per_shape_and_scores_each_episode(deep_world,
 
 def test_train_step_propagates_only_the_rows_heads_read(deep_world, monkeypatch):
     # each of the step's propagations (the hops after the first, one
-    # write-back for every episode's class rows, and their vjps) sums fewer
-    # rows than the node matrices it is given hold: a fallback to
-    # propagating every row fails this
+    # write-back for every episode's class rows, and their vjps) computes
+    # fewer rows than the node matrices it is given hold: a fallback to
+    # propagating every row, or to a vjp over the whole graph, fails this
     g, ds = deep_world
     cfg = _step_cfg({})
     levels = eligible_concept_levels(ds, g, cfg)
     m = make_model(g)
-    summed, sums = [], graph.neighbor_sums
+    calls, sums = [], graph.neighbor_sums
 
     def counting(values, groups):
         out = sums(values, groups)
-        summed.append((out[..., 0].size, values[..., 0].size))
+        calls[-1][1] += out.shape[-2]
         return out
 
+    for name in ("apply", "apply_vjp"):
+        def held(self, x, rows, *rest, _op=getattr(graph.Propagation, name)):
+            calls.append([len(rows) * self.size, 0])
+            return _op(self, x, rows, *rest)
+        monkeypatch.setattr(graph.Propagation, name, held)
     monkeypatch.setattr(graph, "neighbor_sums", counting)
     train_step(m, SgdOptimizer(m.params), ds, cfg, levels, 0)
     hops = len(m.gen_cfg.embed_widths)
-    assert len(summed) == 2 * (hops - 1) + 1 + 1
-    assert all(0 < rows < held for rows, held in summed), summed
+    assert len(calls) == 2 * (hops - 1) + 1 + 1
+    assert all(0 < rows < held for held, rows in calls), calls
 
 
-def test_only_a_vjp_builds_the_last_depth_of_reach(deep_world, monkeypatch):
-    # per emit, a training step builds N(i) up to the hop count's depth, the
-    # last one for the hop vjps; an evaluation runs no vjp and stops one
-    # depth short
+def test_training_and_eval_build_hops_minus_one_depths_of_reach(deep_world, monkeypatch):
+    # per emit, a training step and an evaluation build N(i) to depth
+    # hops - 1, the rows the hops after the first propagate; the vjps read
+    # those depths too, so a training step builds no deeper one
     g, ds = deep_world
     cfg = _step_cfg({})
     m = make_model(g)
@@ -568,7 +573,7 @@ def test_only_a_vjp_builds_the_last_depth_of_reach(deep_world, monkeypatch):
     monkeypatch.setattr(graph.Propagation, "neighborhoods", counting_neighborhoods)
     monkeypatch.setattr(meta, "emit_for_task", counting_emit)
     train_step(m, SgdOptimizer(m.params), ds, cfg, eligible_concept_levels(ds, g, cfg), 0)
-    assert calls == {"emit": 1, "neighborhoods": hops}
+    assert calls == {"emit": 1, "neighborhoods": hops - 1}
     calls.update(emit=0, neighborhoods=0)
     evaluate(m, ds, EvalConfig(n_episodes=3, n_way=3, k_shot=1, n_query=3,
                                adapt_steps=2, seed=1), split="meta-train")
@@ -963,7 +968,7 @@ def test_generator_input_matches_raw_z0_bitwise(world, semantics, training):
     # the raw z0 in the call: the embedding and every generator gradient
     g, _ = world
     m = make_model(g, semantics=semantics)
-    reach = [every_row(m.prop)] * (len(m.gen_cfg.embed_widths) + 1)
+    reach = [every_row(m.prop)] * len(m.gen_cfg.embed_widths)
     (z,), back = classifier_gen.graph_embed(m.params, m.gen_cfg, m.prop,
                                             m.generator_input, [Rng(3)], training, reach)
     weights = np.cos(np.arange(z.size)).reshape(z.shape)
